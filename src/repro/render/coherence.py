@@ -33,6 +33,14 @@ which could collide and silently break bit-identity.  Three outcomes:
 All three produce bit-identical caches, pinned by the fuzz tests in
 ``tests/test_coherence.py``.
 
+State lifecycle
+---------------
+A captured frame's state holds the frame's stream while the frame is
+being digested, then is *sealed* when the next frame begins: it keeps
+the plain arrays the serving paths read (see :class:`_FrameState`) and
+drops the stream.  The library is an LRU bounded by the summed bytes of
+its sealed states (``max_bytes``), not by a state count.
+
 The ``coherence`` knob
 ----------------------
 ``"auto"`` and ``"incremental"`` enable the carrier (they differ only in
@@ -53,7 +61,16 @@ import numpy as np
 from repro import faults, knobs
 from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
 from repro.render.fragstream import arrival_chain_sliced
-from repro.utils.arrays import segment_boundaries
+from repro.utils.arrays import ndarray_bytes, segment_boundaries
+
+#: Default byte budget of a carrier's state library.  Measured sealed
+#: states hold about 41 bytes per fragment on the HET+QM path and 27 on
+#: the CUDA path, so an 8-view orbit library (``RenderSession.run``'s
+#: default sweep, and ``repro serve``'s loop) takes about 410 MiB on
+#: lego (hw:het+qm, 1.1-1.4M fragments per view), 350 MiB on garden
+#: (cuda+et, 1.6-1.9M) and 540 MiB on garden (hw:het+qm).  The budget
+#: keeps any of these loops fully resident.
+DEFAULT_MAX_BYTES = 640 * 2**20
 
 
 def resolve_coherence(mode=None):
@@ -104,19 +121,77 @@ class _RowGroups:
 
 
 class _FrameState:
-    """One digested frame: the stream itself plus lazy coherence aux."""
+    """One digested frame of the state library.
 
-    __slots__ = ("stream", "_rowgroups")
+    A state is *live* while its frame is being digested: it holds the
+    frame's stream, whose lazy caches keep filling in after capture
+    (termination masks, the accumulated-alpha map, the quad view).  The
+    carrier seals it (:meth:`seal`) at the next :meth:`FrameCoherence.
+    begin_frame`, once the frame is finished.  A sealed state holds
+    plain arrays: the FrameIR (row arrays plus the shared quad view),
+    the alpha bits and the sorted-domain caches the serving paths read.
+    The stream goes, and with it the per-fragment ``x``/``y``/
+    ``prim_ids``, the fragment-order caches and the ``QuadTable``
+    wrappers.
+    """
+
+    __slots__ = ("stream", "frameir", "alphas", "n", "height", "cache",
+                 "_rowgroups")
+
+    #: Stream caches a sealed state keeps, read by the full-hit install
+    #: and the partial-hit splice.  ``pix_sorted`` is not kept: it is one
+    #: ``np.repeat`` of the non-empty pixel list, re-derived on adoption.
+    SEALED_KEYS = frozenset((
+        "pixel_order", "pixel_starts", "scanline_bounds",
+        "alpha_eff_sorted", "arrival_sorted", "accumulated_alpha",
+    ))
+
+    #: Threshold-keyed cache families a sealed state keeps (termination
+    #: masks and the per-pixel termination rank; the per-fragment
+    #: ``local`` rank array is re-derived by the stream on demand).
+    SEALED_FAMILIES = frozenset((
+        "et_survivor", "unterminated", "het_blended", "term_rank",
+    ))
 
     def __init__(self, stream):
         self.stream = stream
+        # Content as digested: a later rebind of ``stream.alphas`` must
+        # not change what this state verifies against.
+        self.frameir = stream.frameir
+        self.alphas = stream.alphas
+        self.n = len(stream)
+        self.height = stream.height
+        self.cache = None
         self._rowgroups = None
 
     def rowgroups(self):
         if self._rowgroups is None:
-            self._rowgroups = _RowGroups(self.stream.frameir,
-                                         self.stream.height)
+            self._rowgroups = _RowGroups(self.frameir, self.height)
         return self._rowgroups
+
+    def seal(self):
+        """Keep the arrays the serving paths read; drop the stream."""
+        stream = self.stream
+        if stream is None:
+            return
+        cache = {key: value for key, value in stream._cache.items()
+                 if key in self.SEALED_KEYS
+                 or (isinstance(key, tuple)
+                     and key[0] in self.SEALED_FAMILIES)}
+        order = cache.get("pixel_order")
+        if order is not None and self.n <= np.iinfo(np.int32).max:
+            # Widened back to int64 on adoption.
+            cache["pixel_order"] = order.astype(np.int32)
+        for value in cache.values():
+            value.flags.writeable = False
+        self.cache = cache
+        self.stream = None
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays the state holds (the stream's excluded)."""
+        return ndarray_bytes(self.frameir, self.alphas, self.cache,
+                             self._rowgroups)
 
 
 class FrameCoherence:
@@ -133,32 +208,14 @@ class FrameCoherence:
     #: paths are bit-identical, so the fallback is free).
     MIN_CLEAN_FRACTION = 0.25
 
-    #: Stream cache entries adopted wholesale on a full-frame hit (pure
-    #: functions of the frame's fragment content).
-    _FULL_HIT_KEYS = (
-        "pixel_ids", "unpruned", "pixel_order", "pix_sorted", "pixel_starts",
-        "scanline_bounds", "alpha_eff_sorted", "arrival_sorted",
-        "arrival_alpha", "accumulated_alpha",
-    )
-
-    #: Tuple-keyed cache families adopted on a full-frame hit (threshold-
-    #: keyed termination masks and rank structures — also pure functions
-    #: of fragment content).  Quad tables are *not* adopted through the
-    #: stream cache: the FrameIR quad view is shared instead (see
-    #: :meth:`begin_frame`), so the table rebuilds its cheap wrapper
-    #: against the new stream.
-    _FULL_HIT_FAMILIES = (
-        "et_survivor", "unterminated", "het_blended",
-        "pixel_ranks_sorted", "pixel_ranks",
-    )
-
-    def __init__(self, mode=None, max_states=8):
+    def __init__(self, mode=None, max_bytes=DEFAULT_MAX_BYTES):
         self.mode = resolve_coherence(mode)
-        self.max_states = int(max_states)
-        #: Library of digested frames keyed by content hash, LRU-bounded.
-        #: Trajectory serving loops over a fixed set of viewpoints, so a
-        #: revisited frame keys straight back to its digested state even
-        #: when other frames rendered in between.
+        self.max_bytes = int(max_bytes)
+        #: Library of digested frames keyed by content hash, LRU-bounded
+        #: by the summed bytes of its sealed states.  Trajectory serving
+        #: loops over a fixed set of viewpoints, so a revisited frame keys
+        #: straight back to its digested state even when other frames
+        #: rendered in between.
         self._states = OrderedDict()
         self._pows = None
         self._prev = None
@@ -172,35 +229,35 @@ class FrameCoherence:
         self.stats = {"full_hits": 0, "partial_hits": 0, "full_recomputes": 0}
 
     def _content_key(self, stream):
-        """Position-weighted 64-bit content hash of a frame's row structure
-        and alpha bits.  The hash only *selects* a library candidate —
-        :meth:`_verify` then compares the arrays exactly before any reuse,
-        so a collision can cost a missed hit, never bit-identity.
+        """Position-weighted 64-bit hash of a frame's row structure, plus
+        its sizes.  The alphas are left out: rows are ~20x fewer than
+        fragments, and the hash only *selects* a library candidate —
+        :meth:`_verify` then compares rows and alpha bits exactly before
+        any reuse, so a collision (two frames with identical rows) can
+        cost a missed hit, never bit-identity.
         """
         ir = stream.frameir
-        n = len(stream)
         pows = self._pows
-        if pows is None or pows.shape[0] < max(n, ir.n_rows):
-            size = max(n, ir.n_rows, 1 << 16)
+        if pows is None or pows.shape[0] < ir.n_rows:
+            size = max(ir.n_rows, 1 << 16)
             pows = np.multiply.accumulate(
                 np.full(size, np.uint64(0x9E3779B97F4A7C15)))
             self._pows = pows
-        bits = stream.alphas.view(np.uint32).astype(np.uint64)
-        h_alpha = int((bits * pows[:n]).sum())
         mix = (ir.row_y.astype(np.uint64)
                + (ir.row_xlo.astype(np.uint64) << np.uint64(16))
                + (ir.row_xhi.astype(np.uint64) << np.uint64(32))
                + ir.row_prim.astype(np.uint64) * np.uint64(0x100000001B3))
         h_rows = int((mix * pows[:ir.n_rows]).sum())
-        return (stream.width, stream.height, n, ir.n_rows, h_alpha, h_rows)
+        return (stream.width, stream.height, len(stream), ir.n_rows, h_rows)
 
     @staticmethod
     def _verify(stream, cand):
-        """Exact equality of two equal-sized frames' content: row arrays
-        (including primitive boundaries) and raw alpha bit patterns.
-        Identical intervals imply identical fragment runs (``row_fstart``
-        is the running sum of interval lengths) and identical per-fragment
-        ``(x, y)``, so equality here makes every digestion cache equal."""
+        """Exact equality of a frame's content with a library state's:
+        row arrays (including primitive boundaries) and raw alpha bit
+        patterns.  Identical intervals imply identical fragment runs
+        (``row_fstart`` is the running sum of interval lengths) and
+        identical per-fragment ``(x, y)``, so equality here makes every
+        digestion cache equal."""
         ir, pir = stream.frameir, cand.frameir
         return (np.array_equal(ir.row_y, pir.row_y)
                 and np.array_equal(ir.row_xlo, pir.row_xlo)
@@ -212,11 +269,13 @@ class FrameCoherence:
     def snapshot(self):
         """Rewindable copy of the carrier's cross-frame state.
 
-        Shallow per-entry copies are sound: digested :class:`_FrameState`
-        entries are never mutated in place after capture (their stream
-        caches are frozen read-only), so only the container structures and
-        the per-frame cursors need copying.  Used by the self-healing
-        frame executor to rewind the carrier after a failed attempt.
+        Shallow per-entry copies are sound: a :class:`_FrameState`'s
+        content never changes after capture (its arrays are frozen
+        read-only); sealing only drops the stream the state was read
+        from, so a restored entry sealed in the meantime serves the same
+        arrays.  Only the container structures and the per-frame cursors
+        need copying.  Used by the self-healing frame executor to rewind
+        the carrier after a failed attempt.
         """
         return (list(self._states.items()), self._prev, self._current,
                 self._key, self._hit, self._full_hit, self._acc_patch,
@@ -237,17 +296,22 @@ class FrameCoherence:
     def begin_frame(self, stream):
         """Attach to a new frame's stream before digestion starts.
 
-        Hashes the frame's content and classifies it against the state
-        library eagerly, so a full hit can share the matched frame's
-        FrameIR quad view *before* the quad table is built; the
-        per-scanline classification of partial hits is deferred to the
-        first arrival-cache request.
+        The previous frame is finished by now, so its state is sealed
+        first and the library is trimmed to its byte budget.  Then the
+        frame's content is hashed and classified against the library
+        eagerly, so a full hit can share the matched frame's FrameIR quad
+        view *before* the quad table is built; the per-scanline
+        classification of partial hits is deferred to the first
+        arrival-cache request.
         """
         if self.mode == "off":
             return
         if stream.frameir is None or not stream._use_ir_digest():
             return
         t0 = perf_counter()
+        if self._prev is not None:
+            self._prev.seal()
+        self._evict()
         # Classification runs *before* the backend's render call, whose
         # substage-delta accounting would otherwise swallow it; stash the
         # pre-classification snapshot so the renderer attributes this
@@ -267,16 +331,26 @@ class FrameCoherence:
             # a forced miss — the frame takes the always-available full
             # recompute path, which is bit-identical by construction.
             cand = None
-        if cand is not None and self._verify(stream, cand.stream):
+        if cand is not None and self._verify(stream, cand):
             self._full_hit = True
             self._hit = cand
             self._states.move_to_end(self._key)
             # Verified-identical content means the chunklet/quad structure
             # is identical too: share the built quad view.
-            pir = cand.stream.frameir
+            pir = cand.frameir
             if pir._quads is not None:
                 stream.frameir._quads = pir._quads
         stream._add_substage("pixel-group", t0)
+
+    def _evict(self):
+        """Drop least-recently-used states until the sealed states' bytes
+        fit :attr:`max_bytes` (a single state larger than the budget is
+        not kept)."""
+        sizes = {key: state.nbytes for key, state in self._states.items()}
+        total = sum(sizes.values())
+        while total > self.max_bytes:
+            key, _state = self._states.popitem(last=False)
+            total -= sizes[key]
 
     def serve_arrival(self, stream):
         """Try to install the sorted-domain arrival caches from carried
@@ -300,33 +374,29 @@ class FrameCoherence:
         return False
 
     def serve_accumulated(self, stream):
-        """Patch the per-pixel accumulated-alpha map from carried state."""
+        """Patch the per-pixel accumulated-alpha map of a partially served
+        frame from the previous frame's map."""
         patch = self._acc_patch
-        if patch is None or self._prev is None \
-                or stream is not self._prev.stream:
+        if patch is None or stream is not self._current:
             return False
-        kind, prev_acc, payload = patch
-        if kind == "full":
-            stream._cache["accumulated_alpha"] = prev_acc
-        else:
-            clean_y, dirty_y, dirty_slots = payload
-            width = stream.width
-            acc = np.zeros(stream.n_pixels, dtype=np.float64)
-            cols = np.arange(width, dtype=np.int64)
-            if clean_y.shape[0]:
-                idx = (clean_y[:, None] * width + cols).ravel()
-                acc[idx] = prev_acc[idx]
-            if dirty_y.shape[0]:
-                pix = stream._cache["pix_sorted"][dirty_slots]
-                weights = ((1.0 - stream._cache["arrival_sorted"][dirty_slots])
-                           * stream._cache["alpha_eff_sorted"][dirty_slots]
-                           .astype(np.float64))
-                part = np.bincount(pix, weights=weights,
-                                   minlength=stream.n_pixels)
-                idx = (dirty_y[:, None] * width + cols).ravel()
-                acc[idx] = part[idx]
-            acc.flags.writeable = False
-            stream._cache["accumulated_alpha"] = acc
+        prev_acc, clean_y, dirty_y, dirty_slots = patch
+        width = stream.width
+        acc = np.zeros(stream.n_pixels, dtype=np.float64)
+        cols = np.arange(width, dtype=np.int64)
+        if clean_y.shape[0]:
+            idx = (clean_y[:, None] * width + cols).ravel()
+            acc[idx] = prev_acc[idx]
+        if dirty_y.shape[0]:
+            pix = stream._cache["pix_sorted"][dirty_slots]
+            weights = ((1.0 - stream._cache["arrival_sorted"][dirty_slots])
+                       * stream._cache["alpha_eff_sorted"][dirty_slots]
+                       .astype(np.float64))
+            part = np.bincount(pix, weights=weights,
+                               minlength=stream.n_pixels)
+            idx = (dirty_y[:, None] * width + cols).ravel()
+            acc[idx] = part[idx]
+        acc.flags.writeable = False
+        stream._cache["accumulated_alpha"] = acc
         self._acc_patch = None
         return True
 
@@ -334,24 +404,22 @@ class FrameCoherence:
         """Adopt the just-digested stream as the coherence reference."""
         if self.mode == "off" or stream is not self._current:
             return
-        if self._partial_state is not None \
-                and self._partial_state.stream is stream:
+        if self._full_hit:
+            # Content-identical frame: the sealed state it was served
+            # from already holds everything this frame would keep.
+            state = self._hit
+        elif self._partial_state is not None:
             # The partial serve already built this frame's scanline aux.
             state = self._partial_state
         else:
             state = _FrameState(stream)
-        if self._full_hit and self._hit is not None:
-            # Content-identical frame: the scanline aux carries over.
-            state._rowgroups = self._hit._rowgroups
-            prev_acc = self._hit.stream._cache.get("accumulated_alpha")
-            if prev_acc is not None:
-                prev_acc.flags.writeable = False
-                self._acc_patch = ("full", prev_acc, None)
+        if self._prev is not None and self._prev is not state:
+            # Only the partial classification against the *next* frame
+            # reads a state's scanline aux, and that has run by now.
+            self._prev._rowgroups = None
         self._prev = state
         self._states[self._key] = state
         self._states.move_to_end(self._key)
-        while len(self._states) > self.max_states:
-            self._states.popitem(last=False)
         for key in ("pixel_order", "pix_sorted", "pixel_starts",
                     "alpha_eff_sorted", "arrival_sorted"):
             arr = stream._cache.get(key)
@@ -363,27 +431,22 @@ class FrameCoherence:
     # ------------------------------------------------------------------
 
     def _install_full(self, stream):
-        ps = self._hit.stream
-        for key in self._FULL_HIT_KEYS:
-            value = ps._cache.get(key)
-            if value is None:
-                continue
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            stream._cache[key] = value
-        for key, value in ps._cache.items():
-            if isinstance(key, tuple) and key[0] in self._FULL_HIT_FAMILIES:
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-                stream._cache[key] = value
+        """Adopt a sealed state's arrays (all read-only); re-derive the
+        widened pixel order and ``pix_sorted``."""
+        stream._cache.update(self._hit.cache)
+        order = stream._cache["pixel_order"].astype(np.int64)
+        pix_sorted, _starts = stream._ir_pixel_segments()
+        for value in (order, pix_sorted):
+            value.flags.writeable = False
+        stream._cache["pixel_order"] = order
+        stream._cache["pix_sorted"] = pix_sorted
 
     def _serve_partial(self, stream):
         """Per-scanline classification, splice and dirty-subset recompute."""
         n = len(stream)
         prev = self._prev
-        ps = prev.stream
-        ir, pir = stream.frameir, ps.frameir
-        if n == 0 or len(ps) == 0:
+        ir, pir = stream.frameir, prev.frameir
+        if n == 0 or prev.n == 0:
             return False
         height, width = stream.height, stream.width
         state = _FrameState(stream)
@@ -416,7 +479,7 @@ class FrameCoherence:
         lens2 = new.lengths[r_new2]
         e_old = _ragged_expand(pir.row_fstart[r_old2], lens2)
         e_new = _ragged_expand(ir.row_fstart[r_new2], lens2)
-        eq_alpha = (ps.alphas.view(np.uint32)[e_old]
+        eq_alpha = (prev.alphas.view(np.uint32)[e_old]
                     == stream.alphas.view(np.uint32)[e_new])
         frag_bounds = _exclusive_cumsum(new.frag_counts[ok_y])
         alpha_ok = np.logical_and.reduceat(eq_alpha, frag_bounds[:-1])
@@ -430,11 +493,7 @@ class FrameCoherence:
 
         # --- full-frame pixel grouping (identical to the full recompute:
         # same counting pass, same arrays).
-        counts = stream._ir_pixel_counts()
-        nz = np.flatnonzero(counts)
-        seg_counts = counts[nz]
-        pix_sorted = np.repeat(nz, seg_counts)
-        starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
+        pix_sorted, starts = stream._ir_pixel_segments()
 
         order = np.empty(n, dtype=np.int64)
         alpha_eff = np.empty(n, dtype=np.float32)
@@ -448,11 +507,11 @@ class FrameCoherence:
         # and new emission runs (``e_old``/``e_new``), so a scatter of
         # one into the other translates old emission indices to new ones,
         # re-targeting the pixel order — shifted rows included.
-        trans = np.empty(len(ps), dtype=np.int64)
+        trans = np.empty(prev.n, dtype=np.int64)
         trans[e_old] = e_new
-        prev_arrival = ps._cache["arrival_sorted"]
-        prev_alpha = ps._cache["alpha_eff_sorted"]
-        prev_order = ps._cache["pixel_order"]
+        prev_arrival = prev.cache["arrival_sorted"]
+        prev_alpha = prev.cache["alpha_eff_sorted"]
+        prev_order = prev.cache["pixel_order"]
         copyable = clean_mask | ((new.row_counts == 0)
                                  & (old.row_counts == 0))
         edges = np.diff(copyable.astype(np.int8))
@@ -513,10 +572,8 @@ class FrameCoherence:
         stream._cache["pixel_starts"] = starts
         stream._cache["alpha_eff_sorted"] = alpha_eff
         stream._cache["arrival_sorted"] = arrival
-        prev_acc = ps._cache.get("accumulated_alpha")
+        prev_acc = prev.cache.get("accumulated_alpha")
         if prev_acc is not None:
-            prev_acc.flags.writeable = False
-            self._acc_patch = ("partial", prev_acc,
-                               (clean_y, dirty_y, dirty_slots))
+            self._acc_patch = (prev_acc, clean_y, dirty_y, dirty_slots)
         self._partial_state = state
         return True

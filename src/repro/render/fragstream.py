@@ -17,6 +17,7 @@ All heavy quantities are computed lazily and cached.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 
 import numpy as np
@@ -145,15 +146,30 @@ class FragmentStream:
         self.binning = binning
         self.frameir = frameir
         self.ir = ir
-        #: Optional :class:`~repro.render.coherence.FrameCoherence` carrier
-        #: (attached by trajectory sessions); consulted before the arrival
-        #: caches are recomputed from scratch.
-        self.coherence = None
+        self._coherence = None
         #: Wall-clock of the named digestion substages (ms), accumulated
         #: as the lazy caches materialise; the hardware renderer folds
         #: these into its per-frame stage breakdown.
         self.substage_ms = {}
         self._cache = {}
+
+    @property
+    def coherence(self):
+        """Optional :class:`~repro.render.coherence.FrameCoherence` carrier
+        (attached by trajectory sessions); consulted before the arrival
+        caches are recomputed from scratch.
+
+        Held through a weak reference: the carrier holds the stream of the
+        frame it is digesting, so a strong link back would make a cycle
+        that keeps the carrier's whole library alive until the cyclic
+        garbage collector runs.
+        """
+        ref = self._coherence
+        return ref() if ref is not None else None
+
+    @coherence.setter
+    def coherence(self, carrier):
+        self._coherence = weakref.ref(carrier) if carrier is not None else None
 
     def _add_substage(self, name, t0):
         self.substage_ms[name] = (self.substage_ms.get(name, 0.0)
@@ -246,12 +262,7 @@ class FragmentStream:
             # order) lexsort.
             order = np.argsort(self._radix_pixel_keys(), kind="stable")
             self._cache["pixel_order"] = order
-            counts = self._ir_pixel_counts()
-            nz = np.flatnonzero(counts)
-            seg_counts = counts[nz]
-            pix_sorted = np.repeat(nz, seg_counts)
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(seg_counts)[:-1]))
+            pix_sorted, starts = self._ir_pixel_segments()
             self._cache["pix_sorted"] = pix_sorted
             self._cache["pixel_starts"] = starts
         else:
@@ -279,6 +290,20 @@ class FragmentStream:
         diff = (np.bincount(start_keys, minlength=n_pixels + 1)
                 - np.bincount(end_keys, minlength=n_pixels + 1))
         return np.cumsum(diff[:n_pixels])
+
+    def _ir_pixel_segments(self):
+        """``(pix_sorted, pixel_starts)`` from the IR's per-pixel counts.
+
+        The pixel-sorted domain lists every non-empty pixel once per
+        fragment, pixels ascending; both arrays follow from the counts
+        alone, with no fragment-level sort.
+        """
+        counts = self._ir_pixel_counts()
+        nz = np.flatnonzero(counts)
+        seg_counts = counts[nz]
+        starts = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(seg_counts)[:-1]))
+        return np.repeat(nz, seg_counts), starts
 
     @property
     def _pixel_order(self):
@@ -496,7 +521,8 @@ class FragmentStream:
         threshold (i.e. the first one perfect HET would kill); pixels that
         never terminate get a rank beyond any fragment count.
         """
-        key = ("pixel_ranks_sorted", round(float(threshold), 9))
+        thr = round(float(threshold), 9)
+        key = ("pixel_ranks_sorted", thr)
         if key not in self._cache:
             self._ensure_arrival_sorted()
             order = self._pixel_order
@@ -505,17 +531,26 @@ class FragmentStream:
             lengths = np.diff(np.concatenate(
                 (starts, np.asarray([len(self)], dtype=np.int64))))
             local = np.arange(len(self), dtype=np.int64) - np.repeat(starts, lengths)
-            sentinel = np.int64(len(self) + 1)
-            term_rank = np.full(self.n_pixels, sentinel, dtype=np.int64)
-            # Per-pixel first terminated rank, as a segment minimum over
-            # the pixel-sorted stream (ranks are the local indices there);
-            # one reduceat replaces the far slower ``np.minimum.at``
-            # scatter and produces the identical minima.
-            if len(self):
-                term_sorted = self._cache["arrival_sorted"] >= threshold
-                masked = np.where(term_sorted, local, sentinel)
-                seg_min = np.minimum.reduceat(masked, starts)
-                term_rank[pix_sorted[starts]] = seg_min
+            local.flags.writeable = False
+            # ``term_rank`` is cached on its own: it is per pixel, so the
+            # coherence carrier keeps it across frames and this method
+            # re-derives only the O(n) ``local`` ranks on a hit.
+            rank_key = ("term_rank", thr)
+            term_rank = self._cache.get(rank_key)
+            if term_rank is None:
+                sentinel = np.int64(len(self) + 1)
+                term_rank = np.full(self.n_pixels, sentinel, dtype=np.int64)
+                # Per-pixel first terminated rank, as a segment minimum
+                # over the pixel-sorted stream (ranks are the local
+                # indices there); one reduceat replaces the far slower
+                # ``np.minimum.at`` scatter and produces the identical
+                # minima.
+                if len(self):
+                    term_sorted = self._cache["arrival_sorted"] >= threshold
+                    masked = np.where(term_sorted, local, sentinel)
+                    seg_min = np.minimum.reduceat(masked, starts)
+                    term_rank[pix_sorted[starts]] = seg_min
+                self._cache[rank_key] = term_rank
             self._cache[key] = (local, term_rank, order, pix_sorted)
         return self._cache[key]
 
@@ -563,7 +598,10 @@ class FragmentStream:
         if "accumulated_alpha" not in self._cache:
             self._ensure_arrival_sorted()
             carrier = self.coherence
-            if carrier is not None and carrier.serve_accumulated(self):
+            # A full coherence hit installs the map along with the arrival
+            # caches; a partial one patches it from the previous frame's.
+            if "accumulated_alpha" in self._cache or (
+                    carrier is not None and carrier.serve_accumulated(self)):
                 return self._cache["accumulated_alpha"]
             t0 = perf_counter()
             weights = ((1.0 - self._cache["arrival_sorted"])
@@ -692,16 +730,32 @@ class _QuadColumnBuilder:
     ``order``, the per-quad segment ``starts``, and the ``emit``
     permutation into emission order) and materialises each aggregate
     column on demand with the exact reductions the eager path used.
+
+    The stream is held through a weak reference.  The stream owns the
+    table (in its cache), so a strong back-reference would close a
+    ``stream -> table -> builder -> stream`` cycle that only the cyclic
+    garbage collector frees, keeping whole frames resident long after
+    their results were dropped.  Every consumer of a table (the draw
+    workload, the experiments) holds the stream anyway.
     """
 
     def __init__(self, stream, threshold, lag, order, starts, emit):
-        self.stream = stream
+        self._stream = weakref.ref(stream)
         self.threshold = threshold
         self.lag = lag
         self.order = order
         self.starts = starts
         self.emit = emit
         self._bit = None
+
+    @property
+    def stream(self):
+        stream = self._stream()
+        if stream is None:
+            raise ReferenceError(
+                "a QuadTable column was read after its FragmentStream was "
+                "freed; keep the stream alive while reading the table")
+        return stream
 
     def _bits(self):
         """Coverage bit (y & 1) * 2 + (x & 1) per grouped fragment."""
@@ -772,7 +826,7 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
     def column(self, name):
         t0 = perf_counter()
         if name in QuadTable._META_COLUMNS:
-            out = self.ir_quads.meta()[name]
+            out = self.ir_quads.meta(name)
         elif name == "n_fragments":
             out = self.ir_quads.frag_counts()
         elif name.startswith("n_"):

@@ -96,8 +96,8 @@ class QuadIR:
     from_stream` table, so no ``emit`` permutation exists on this path.
 
     Only the :class:`GroupIR` of (prim, screen-tile) ranges — what the
-    digest phase actually consumes — is materialised up front.  The
-    int64 per-quad metadata columns (:meth:`meta`: ``prim_ids``/``qx``/
+    digest phase actually consumes — is materialised up front.  Each
+    int64 per-quad metadata column (:meth:`meta`: ``prim_ids``/``qx``/
     ``qy``/``tile_ids``/``grid_ids``/``qpos``, the :class:`~repro.render.
     fragstream.QuadTable` schema) and the fragment slots of the
     aggregate reductions (:meth:`slots`) expand lazily from the chunklet
@@ -113,51 +113,73 @@ class QuadIR:
     regrouped reduction is exactly the legacy per-quad value.
     """
 
-    def __init__(self, groups, meta_state, slot_state, n_quads,
+    def __init__(self, groups, chunk_state, p_qy, slot_state, n_quads,
                  n_fragments):
         self.groups = groups
-        self._meta_state = meta_state
+        self._chunk_state = chunk_state
+        self._p_qy = p_qy
         self._slot_state = slot_state
         self._n_quads = int(n_quads)
         self._n_fragments = int(n_fragments)
-        self._meta = None
+        self._meta = {}
         self._slots = None
-        self._frag_counts = None
+        self._q_pair = None
 
     def __len__(self):
         return self._n_quads
 
-    def meta(self):
-        """The per-quad metadata columns, built on first use.
+    def meta(self, name):
+        """One per-quad metadata column, built on first use.
 
         Digestion itself only needs the group ranges (eager above); the
         metadata columns — like the aggregate columns — are first touched
-        when the draw executes, so their expansion from the chunklet list
-        is deferred to the same place.
+        when the draw executes, and each is expanded on its own, so a
+        column no consumer reads (the HET+QM draw never reads
+        ``prim_ids``/``tile_ids``/``grid_ids``) is never built or
+        retained.
         """
-        if self._meta is None:
-            (c_pair, c_qa, nq_c, q_offsets, p_prim, p_qy,
-             tiles_x, grids_x) = self._meta_state
-            n_quads = self._n_quads
+        column = self._meta.get(name)
+        if column is None:
+            column = self._meta[name] = self._build_meta(name)
+            self._release_inputs()
+        return column
+
+    def _build_meta(self, name):
+        groups = self.groups
+        if name in ("prim_ids", "tile_ids", "grid_ids"):
+            # Constant over each (prim, tile) group, and groups are
+            # consecutive quad runs.
+            per_group = {"prim_ids": groups.prim, "tile_ids": groups.tile,
+                         "grid_ids": groups.grid}[name]
+            return np.repeat(per_group, groups.ends - groups.starts)
+        if name == "qx":
+            _c_pair, c_qa, nq_c, q_offsets = self._chunk_state
             # Fused ragged expansion: ``repeat(base - offset)`` plus a
             # global arange *is* ``base + local``.
-            q_pair = np.repeat(c_pair, nq_c)
-            q_qx = (np.repeat(c_qa - q_offsets[:-1], nq_c)
-                    + np.arange(n_quads, dtype=np.int64))
-            q_qy = p_qy[q_pair]
-            tile_y = q_qy >> 3
-            tile_x = q_qx >> 3
-            self._meta = {
-                "prim_ids": p_prim[q_pair],
-                "qx": q_qx,
-                "qy": q_qy,
-                "tile_ids": tile_y * tiles_x + tile_x,
-                "grid_ids": (tile_y >> 2) * grids_x + (tile_x >> 2),
-                "qpos": (q_qy & 7) * 8 + (q_qx & 7),
-                "q_pair": q_pair,
-            }
-            self._meta_state = None
-        return self._meta
+            return (np.repeat(c_qa - q_offsets[:-1], nq_c)
+                    + np.arange(self._n_quads, dtype=np.int64))
+        if name == "qy":
+            return self._p_qy[self._pair_index()]
+        if name == "qpos":
+            return (self.meta("qy") & 7) * 8 + (self.meta("qx") & 7)
+        raise KeyError(f"unknown quad metadata column {name!r}")
+
+    def _pair_index(self):
+        """Scanline-pair index per quad; only ``qy`` and the slots read
+        it, so it is dropped once both exist."""
+        if self._q_pair is None:
+            c_pair, _c_qa, nq_c, _q_offsets = self._chunk_state
+            self._q_pair = np.repeat(c_pair, nq_c)
+        return self._q_pair
+
+    def _release_inputs(self):
+        """Drop the chunklet and pair arrays once every column that reads
+        them is built."""
+        if "qy" in self._meta and self._slots is not None:
+            self._q_pair = None
+            self._p_qy = None
+            if "qx" in self._meta:
+                self._chunk_state = None
 
     def slots(self):
         """The four per-quad fragment slots, as emission-stream offsets.
@@ -171,10 +193,9 @@ class QuadIR:
         if self._slots is None:
             (e_xlo, e_xhi, o_xlo, o_xhi,
              e_fstart, o_fstart) = self._slot_state
-            meta = self.meta()
-            q_pair = meta["q_pair"]
+            q_pair = self._pair_index()
             n = np.int64(self._n_fragments)
-            x2 = meta["qx"] << 1
+            x2 = self.meta("qx") << 1
             qe_xlo = e_xlo[q_pair]
             qo_xlo = o_xlo[q_pair]
             e_lo = np.maximum(x2, qe_xlo)
@@ -190,19 +211,22 @@ class QuadIR:
                            np.where(ec == 2, e_src + 1, n),
                            np.where(oc >= 1, o_src, n),
                            np.where(oc == 2, o_src + 1, n))
-            self._frag_counts = (ec + oc).astype(np.int64)
-            if int(self._frag_counts.sum()) != self._n_fragments:
+            got = int(ec.sum()) + int(oc.sum())
+            if got != self._n_fragments:
                 raise RuntimeError(
-                    "FrameIR quad slots lost fragments: got "
-                    f"{int(self._frag_counts.sum())}, stream has "
-                    f"{self._n_fragments}")
+                    f"FrameIR quad slots lost fragments: got {got}, "
+                    f"stream has {self._n_fragments}")
             self._slot_state = None
+            self._release_inputs()
         return self._slots
 
     def frag_counts(self):
         """Covered pixels per quad (the ``n_fragments`` column)."""
-        self.slots()
-        return self._frag_counts
+        n = self._n_fragments
+        counts = np.zeros(self._n_quads, dtype=np.int64)
+        for slot in self.slots():
+            counts += slot < n
+        return counts
 
     def reduce_add(self, values):
         """Per-quad sums of an emission-order integer array (exact: the
@@ -288,13 +312,12 @@ class FrameIR:
         empty = np.empty(0, dtype=np.int64)
         if self.n_rows == 0:
             groups = GroupIR(empty, empty, empty, empty, empty, empty)
-            quads = QuadIR(groups, meta_state=None, slot_state=None,
-                           n_quads=0, n_fragments=0)
+            quads = QuadIR(groups, chunk_state=None, p_qy=None,
+                           slot_state=None, n_quads=0, n_fragments=0)
             quads._meta = {name: empty for name in
                            ("prim_ids", "qx", "qy", "tile_ids", "grid_ids",
-                            "qpos", "q_pair")}
+                            "qpos")}
             quads._slots = (empty, empty, empty, empty)
-            quads._frag_counts = empty
             return quads
 
         prim = self.row_prim
@@ -405,10 +428,9 @@ class FrameIR:
 
         groups = _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets,
                                n_quads, p_prim, p_qy, tiles_x, grids_x)
-        meta_state = (c_pair, c_qa, nq_c, q_offsets, p_prim, p_qy,
-                      tiles_x, grids_x)
+        chunk_state = (c_pair, c_qa, nq_c, q_offsets)
         slot_state = (e_xlo, e_xhi, o_xlo, o_xhi, e_fstart, o_fstart)
-        return QuadIR(groups, meta_state, slot_state, n_quads,
+        return QuadIR(groups, chunk_state, p_qy, slot_state, n_quads,
                       self.n_fragments)
 
 

@@ -2,7 +2,7 @@
 
 A :class:`~repro.engine.session.RenderSession` accumulates expensive
 warm state — the scene's Gaussian cloud, the cross-frame coherence
-carrier (up to 8 digested frames of reusable state), lazily built
+carrier (a byte-budgeted library of digested frames), lazily built
 degraded-rung backends, and (for warm requests) a persistent CROP
 cache.  Rebuilding all of that per request would throw the engine's
 temporal-coherence work away at the service boundary, but keeping every
@@ -31,29 +31,7 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
-
-def _ndarray_bytes(obj, seen):
-    """Recursive nbytes estimate over an object's ndarray attributes."""
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    total = 0
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        values = vars(obj).values() if hasattr(obj, "__dict__") else ()
-    for value in values:
-        if isinstance(value, np.ndarray):
-            total += int(value.nbytes)
-        elif isinstance(value, (dict, list, tuple)):
-            total += _ndarray_bytes(value, seen)
-    return total
+from repro.utils.arrays import ndarray_bytes
 
 
 class ResidentScene:
@@ -85,7 +63,7 @@ class ResidentScene:
         cloud = getattr(self.session, "_cloud", None)
         if cloud is None:
             return 0
-        return _ndarray_bytes(cloud, set())
+        return ndarray_bytes(cloud)
 
     def warm_crop_cache(self):
         """The resident's persistent CROP cache (built on first call)."""

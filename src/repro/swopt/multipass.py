@@ -153,7 +153,7 @@ def _multipass_workspace_ir(stream):
         arrival_sorted=arrival_sorted,
         unpruned_sorted=stream.unpruned[order],
         quad_of_frag=quad_of_frag_emit[order],
-        quad_prim=quads.meta()["prim_ids"],
+        quad_prim=quads.meta("prim_ids"),
     )
 
 

@@ -24,6 +24,36 @@ def popcount4(masks):
             + ((masks >> 2) & 1) + ((masks >> 3) & 1))
 
 
+def ndarray_bytes(*objs):
+    """Total ``nbytes`` of the distinct ndarrays reachable from ``objs``.
+
+    Walks dicts, lists, tuples and object attributes (``__dict__`` and
+    ``__slots__``); an array reached along several paths counts once.
+    Callers pass only objects whose reachable graph they own.
+    """
+    seen = set()
+    total = 0
+    stack = list(objs)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += int(obj.nbytes)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif not isinstance(obj, (int, float, str, bytes, np.generic)):
+            stack.extend(vars(obj).values() if hasattr(obj, "__dict__")
+                         else ())
+            for cls in type(obj).__mro__:
+                stack.extend(getattr(obj, name, None)
+                             for name in getattr(cls, "__slots__", ()))
+    return total
+
+
 def segment_boundaries(segment_ids):
     """Return ``starts`` indices of each segment in a sorted id array.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,16 @@ def deep_stream(deep_cloud, deep_camera):
     pre = preprocess(deep_cloud, deep_camera)
     return rasterize_splats(pre.splats, deep_camera.width,
                             deep_camera.height)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Print the test process's peak resident set, so CI logs it."""
+    # Linux reports ru_maxrss in KiB.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    line = f"peak RSS of the test process: {peak_mb:.0f} MB"
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.line("")  # end the progress line
+        reporter.write_line(line)
+    else:
+        print(line)

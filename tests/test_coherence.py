@@ -17,6 +17,9 @@ relying on the process default.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.render.coherence import (
     COHERENCE_MODES,
+    DEFAULT_MAX_BYTES,
     FrameCoherence,
     resolve_coherence,
 )
@@ -452,3 +456,213 @@ class TestWarmTrajectorySessions:
             assert np.array_equal(r_warm.alpha, r_cold.alpha)
         stats = warm._carrier().stats
         assert stats["full_hits"] >= 1
+
+
+def _library_bytes(car):
+    return sum(state.nbytes for state in car._states.values())
+
+
+def _orbit_camera(theta, size=96):
+    eye = (2.2 * np.sin(theta), 0.1, -2.2 * np.cos(theta))
+    return Camera.look_at(eye=eye, target=(0, 0, 0), width=size, height=size)
+
+
+def _render_digest(car, cloud, cam, config):
+    """One carrier frame: rasterise, classify, digest and draw."""
+    pre = preprocess(cloud, cam)
+    stream = rasterize_splats(pre.splats, cam.width, cam.height)
+    car.begin_frame(stream)
+    got = _digest(stream)
+    GraphicsPipeline(config).draw(DrawWorkload.from_stream(stream, config))
+    return stream, pre, got
+
+
+class TestSealedStates:
+    """States are sealed to plain arrays once the next frame begins; every
+    path served from a sealed state stays bit-identical to the oracle."""
+
+    def test_full_hit_from_sealed_state(self, deep_cloud):
+        config = variant_config("het+qm")
+        car = FrameCoherence("incremental")
+        _render_digest(car, deep_cloud, _orbit_camera(0.0), config)
+        _render_digest(car, deep_cloud, _orbit_camera(0.4), config)
+        assert all(state.stream is None for state in car._states.values()
+                   if state is not car._prev)
+        stream, pre, got = _render_digest(car, deep_cloud,
+                                          _orbit_camera(0.0), config)
+        assert car.stats["full_hits"] == 1
+        cam = _orbit_camera(0.0)
+        oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+        _assert_bitwise(_digest(oracle), got)
+        _assert_quads_identical(oracle, stream, config)
+        _assert_draws_identical(oracle, stream, config)
+        for threshold in (config.termination_alpha, 0.5):
+            _assert_bitwise(
+                {"et": oracle.et_survivor_mask(threshold),
+                 "unterm": oracle.unterminated_on_arrival(threshold, 3)},
+                {"et": stream.et_survivor_mask(threshold),
+                 "unterm": stream.unterminated_on_arrival(threshold, 3)})
+
+    def test_partial_hit_from_sealed_state(self, deep_pre, deep_camera):
+        config = variant_config("het+qm")
+        car = FrameCoherence("incremental")
+        s1 = rasterize_splats(deep_pre.splats, deep_camera.width,
+                              deep_camera.height)
+        car.begin_frame(s1)
+        _digest(s1)
+        GraphicsPipeline(config).draw(DrawWorkload.from_stream(s1, config))
+        s2 = rasterize_splats(deep_pre.splats, deep_camera.width,
+                              deep_camera.height)
+        band = (s2.y >= 30) & (s2.y < 50)
+        alphas = s2.alphas.copy()
+        alphas[band] = np.minimum(np.float32(0.97),
+                                  alphas[band] * np.float32(1.01))
+        s2.alphas = alphas
+        car.begin_frame(s2)
+        assert car._prev.stream is None  # served from the sealed state
+        got = _digest(s2)
+        assert car.stats["partial_hits"] == 1
+        oracle = rasterize_splats(deep_pre.splats, deep_camera.width,
+                                  deep_camera.height)
+        oracle.alphas = alphas
+        _assert_bitwise(_digest(oracle), got)
+        _assert_quads_identical(oracle, s2, config)
+        _assert_draws_identical(oracle, s2, config)
+
+    def test_snapshot_restore_across_seal(self, deep_cloud):
+        """A failed attempt seals the previous state; the rewound carrier
+        retries exactly as if the attempt never ran."""
+        config = variant_config("het+qm")
+        thetas = (0.0, 0.3, 0.0)
+        clean = FrameCoherence("incremental")
+        for theta in thetas:
+            _render_digest(clean, deep_cloud, _orbit_camera(theta), config)
+        car = FrameCoherence("incremental")
+        _render_digest(car, deep_cloud, _orbit_camera(thetas[0]), config)
+        for theta in thetas[1:]:
+            snap = car.snapshot()
+            assert car._prev.stream is not None  # live at snapshot time
+            _render_digest(car, deep_cloud, _orbit_camera(theta), config)
+            car.restore(snap)
+            assert car._prev.stream is None  # sealed by the failed attempt
+            stream, pre, got = _render_digest(car, deep_cloud,
+                                              _orbit_camera(theta), config)
+            cam = _orbit_camera(theta)
+            oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+            _assert_bitwise(_digest(oracle), got)
+            _assert_draws_identical(oracle, stream, config)
+        assert car.stats == clean.stats
+        assert car.stats["full_hits"] == 1
+        assert list(car._states) == list(clean._states)
+
+    def test_adopted_and_rederived_arrays_read_only(self, small_pre,
+                                                    small_camera):
+        config = variant_config("het+qm")
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence("incremental")
+        for _ in range(2):
+            stream = rasterize_splats(small_pre.splats, w, h)
+            car.begin_frame(stream)
+            _digest(stream)
+            GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(stream, config))
+        assert car.stats["full_hits"] == 1
+        sealed = car._prev
+        car.begin_frame(rasterize_splats(small_pre.splats, w, h))
+        assert sealed.cache["pixel_order"].dtype == np.int32
+        local = stream._pixel_ranks_sorted(config.termination_alpha)[0]
+        frozen = {key: value for key, value in stream._cache.items()
+                  if isinstance(value, np.ndarray)
+                  and (key in sealed.cache or key == "pix_sorted")}
+        assert stream._cache["pixel_order"].dtype == np.int64
+        assert {"pixel_order", "pix_sorted", "pixel_starts",
+                "arrival_sorted", "alpha_eff_sorted",
+                "accumulated_alpha"} <= set(frozen)
+        for value in list(frozen.values()) + [local]:
+            with pytest.raises(ValueError):
+                value[0:1] = 0
+        for value in sealed.cache.values():
+            with pytest.raises(ValueError):
+                value[0:1] = 0
+
+    def test_library_evicts_lru_first_by_bytes(self, deep_cloud):
+        config = variant_config("het+qm")
+        probe = FrameCoherence("incremental")
+        for theta in (0.0, 0.2):
+            _render_digest(probe, deep_cloud, _orbit_camera(theta), config)
+        probe.begin_frame(rasterize_splats(
+            preprocess(deep_cloud, _orbit_camera(0.0)).splats, 96, 96))
+        sizes = [state.nbytes for state in probe._states.values()]
+        # Room for two states of this scene, not three.
+        budget = int(2.5 * max(sizes))
+        assert 3 * min(sizes) > budget
+        car = FrameCoherence("incremental", max_bytes=budget)
+        keys = []
+        for theta in (0.0, 0.2, 0.4, 0.2, 0.6):
+            _render_digest(car, deep_cloud, _orbit_camera(theta), config)
+            keys.append(car._key)
+            assert _library_bytes(car) - car._prev.nbytes <= budget
+        # The next frame's begin seals 0.6 and trims the library.  0.0
+        # went first; revisiting 0.2 made it most recent, so 0.4 went
+        # next, and the library holds the two most recently used views.
+        car.begin_frame(rasterize_splats(
+            preprocess(deep_cloud, _orbit_camera(0.8)).splats, 96, 96))
+        assert car.stats["full_hits"] == 1
+        assert list(car._states) == [keys[3], keys[4]]
+        assert _library_bytes(car) <= budget
+
+    def test_eight_view_lego_loop_stays_resident(self):
+        """The default budget holds an 8-view lego sweep: the second lap
+        is all full hits, and a sealed lego state stays compact."""
+        session = RenderSession("lego", backend="hw:het+qm", baseline=None,
+                                coherence="incremental")
+        first = session.run(n_views=8)
+        car = session._carrier()
+        assert car.stats["full_hits"] == 0
+        second = session.run(n_views=8)
+        assert car.stats["full_hits"] == 8
+        for a, b in zip(first.records, second.records):
+            assert a.cycles == b.cycles
+        states = list(car._states.values())
+        assert len(states) == 8
+        assert _library_bytes(car) <= DEFAULT_MAX_BYTES
+        for state in states:
+            if state is not car._prev:
+                assert state.stream is None
+                assert state.nbytes <= 45 * state.n, state.nbytes / state.n
+
+
+class TestFrameRelease:
+    def test_stream_freed_without_cyclic_gc(self):
+        """A frame's stream is freed by refcounting alone once the next
+        frame has rendered and its result is dropped."""
+        session = RenderSession("palace", backend="hw:het+qm",
+                                baseline=None, coherence="incremental")
+        cams = scene_viewpoints("palace", 2)
+        gc.collect()
+        gc.disable()
+        try:
+            result = session.render_frame(camera=cams[0])
+            ref = weakref.ref(result.raw.stream)
+            session.render_frame(camera=cams[1])
+            assert ref() is not None
+            del result
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_carrier_freed_with_its_session_without_cyclic_gc(self):
+        """The last frame's stream links back to the carrier weakly, so a
+        dropped session frees its carrier (and library) by refcounting."""
+        session = RenderSession("palace", backend="hw:het+qm",
+                                baseline=None, coherence="incremental")
+        gc.collect()
+        gc.disable()
+        try:
+            session.render_frame(camera=scene_viewpoints("palace", 1)[0])
+            carrier = weakref.ref(session._carrier())
+            assert carrier()._current is not None
+            del session
+            assert carrier() is None
+        finally:
+            gc.enable()
