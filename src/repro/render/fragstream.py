@@ -54,11 +54,9 @@ def arrival_chain_sliced(alpha_eff_sorted, starts, slice_bounds):
 
     The log-space scans run *per scanline slice* (:func:`~repro.utils.
     arrays.sliced_cumsum`), so every output element is a pure function of
-    its scanline's fragment content — the property the cross-frame
-    coherence layer relies on to reuse unchanged scanline blocks and
-    recompute only dirty ones, bit-identically to a full recompute.
-    Shared by both: this one function is the full recompute *and* the
-    dirty-subset recompute.
+    its scanline's fragment content.  That summation order defines the
+    IR digestion path's arrival floats, which the golden suites and the
+    benchmark digests pin; a global scan would round differently.
     """
     n = alpha_eff_sorted.shape[0]
     if n == 0:
@@ -156,8 +154,9 @@ class FragmentStream:
     @property
     def coherence(self):
         """Optional :class:`~repro.render.coherence.FrameCoherence` carrier
-        (attached by trajectory sessions); consulted before the arrival
-        caches are recomputed from scratch.
+        that classified this stream (attached by trajectory sessions and
+        standalone renderers; a full hit has installed its products in
+        the stream's caches).
 
         Held through a weak reference: the carrier holds the stream of the
         frame it is digesting, so a strong link back would make a cycle
@@ -250,7 +249,7 @@ class FragmentStream:
         original int64 stable sort plus gather is retained as the oracle
         for streams without an IR (hand-built, scalar-emitted); both paths
         produce the identical permutation and identical caches, pinned by
-        ``tests/test_coherence.py``.
+        ``tests/test_coherence.py``.  Both paths cache ``pixel_starts``.
         """
         if "pix_sorted" in self._cache:
             return
@@ -325,12 +324,6 @@ class FragmentStream:
             self._cache["pixel_order"] = order
         return self._cache["pixel_order"]
 
-    def _pixel_starts(self, pix_sorted):
-        """Segment starts of the pixel-sorted stream, computed once."""
-        if "pixel_starts" not in self._cache:
-            self._cache["pixel_starts"] = segment_boundaries(pix_sorted)
-        return self._cache["pixel_starts"]
-
     def _sorted_scanline_bounds(self):
         """Scanline block offsets of the pixel-sorted stream.
 
@@ -365,23 +358,9 @@ class FragmentStream:
         masks, the HET rank structure — shares these caches instead of
         re-running the arrival chain, and only :attr:`arrival_alpha`
         itself pays for the scatter back to fragment order.
-
-        A :attr:`coherence` carrier, when attached, is consulted first: it
-        either serves the caches from the previous frame's state (reusing
-        unchanged scanline blocks) or lets this full recompute run and
-        records its results for the next frame.
         """
         if "arrival_sorted" in self._cache:
             return
-        carrier = self.coherence
-        if carrier is not None and carrier.serve_arrival(self):
-            return
-        self._compute_arrival_sorted()
-        if carrier is not None:
-            carrier.capture(self)
-
-    def _compute_arrival_sorted(self):
-        """The full-recompute arrival chain (the coherence oracle)."""
         self._ensure_pixel_grouping()
         t0 = perf_counter()
         order = self._cache["pixel_order"]
@@ -395,9 +374,7 @@ class FragmentStream:
         if self._use_ir_digest():
             # Per-scanline log-space scans: ~35% cheaper than the global
             # segmented cumsum (no offset-subtraction pass, unconditional
-            # inert clamp) and deterministic per scanline content, which
-            # is what lets the coherence carrier splice cached scanline
-            # blocks into freshly computed ones bit-exactly.
+            # inert clamp) and deterministic per scanline content.
             arrival_sorted = arrival_chain_sliced(
                 alpha_eff, starts, self._sorted_scanline_bounds())
         else:
@@ -486,15 +463,19 @@ class FragmentStream:
                         self._cache["arrival_sorted"] < threshold)
                     self._cache[key] = out
             else:
-                # Compare in the pixel-sorted domain (local ranks against
-                # the pixel's termination rank) and scatter the boolean
-                # once — same mask as gathering rank/term_rank per
-                # fragment, minus two full-width int64 passes.
-                local, term_rank, order, pix_sorted = \
-                    self._pixel_ranks_sorted(threshold)
-                unterm_sorted = local < term_rank[pix_sorted] + int(lag)
+                # Compare in the pixel-sorted domain (each fragment's rank
+                # within its pixel against the pixel's termination rank)
+                # and scatter the boolean once.
+                term_rank = self._term_rank(threshold)
+                starts = self._cache["pixel_starts"]
+                pix_sorted = self._cache["pix_sorted"]
+                lengths = np.diff(np.concatenate(
+                    (starts, np.asarray([len(self)], dtype=np.int64))))
+                local = (np.arange(len(self), dtype=np.int64)
+                         - np.repeat(starts, lengths))
                 out = np.empty(len(self), dtype=bool)
-                out[order] = unterm_sorted
+                out[self._pixel_order] = (local
+                                          < term_rank[pix_sorted] + int(lag))
                 self._cache[key] = out
         return self._cache[key]
 
@@ -512,57 +493,49 @@ class FragmentStream:
                                 & self.unterminated_on_arrival(threshold, lag))
         return self._cache[key]
 
-    def _pixel_ranks_sorted(self, threshold):
-        """Pixel-sorted rank structure: ``(local, term_rank, order, pix)``.
+    def _terminating_slots(self, threshold):
+        """``(pixels, slots, starts)`` of every pixel that terminates.
 
-        ``local`` is each fragment's rank within its pixel in the
-        pixel-sorted domain, ``term_rank`` the per-pixel rank of the first
-        fragment arriving with accumulated alpha already at/above the
-        threshold (i.e. the first one perfect HET would kill); pixels that
-        never terminate get a rank beyond any fragment count.
+        ``slots`` is the pixel-sorted index of the pixel's first fragment
+        arriving with accumulated alpha already at/above ``threshold``
+        (the first one perfect HET would kill) and ``starts`` the pixel's
+        segment offset — one first-index ``np.minimum.reduceat`` over the
+        pixel segments.
         """
-        thr = round(float(threshold), 9)
-        key = ("pixel_ranks_sorted", thr)
+        self._ensure_arrival_sorted()
+        n = len(self)
+        starts = self._cache["pixel_starts"]
+        if n == 0:
+            return starts, starts, starts
+        index = np.where(self._cache["arrival_sorted"] >= threshold,
+                         np.arange(n, dtype=np.int64), np.int64(n))
+        first = np.minimum.reduceat(index, starts)
+        done = first < n
+        seg_starts = starts[done]
+        return (self._cache["pix_sorted"][seg_starts], first[done],
+                seg_starts)
+
+    def _term_rank(self, threshold):
+        """Per-pixel termination rank: the rank within its pixel of the
+        first fragment perfect HET would kill; pixels that never terminate
+        get a rank beyond any fragment count."""
+        key = ("term_rank", round(float(threshold), 9))
         if key not in self._cache:
-            self._ensure_arrival_sorted()
-            order = self._pixel_order
-            pix_sorted = self._cache["pix_sorted"]
-            starts = self._pixel_starts(pix_sorted)
-            lengths = np.diff(np.concatenate(
-                (starts, np.asarray([len(self)], dtype=np.int64))))
-            local = np.arange(len(self), dtype=np.int64) - np.repeat(starts, lengths)
-            local.flags.writeable = False
-            # ``term_rank`` is cached on its own: it is per pixel, so the
-            # coherence carrier keeps it across frames and this method
-            # re-derives only the O(n) ``local`` ranks on a hit.
-            rank_key = ("term_rank", thr)
-            term_rank = self._cache.get(rank_key)
-            if term_rank is None:
-                sentinel = np.int64(len(self) + 1)
-                term_rank = np.full(self.n_pixels, sentinel, dtype=np.int64)
-                # Per-pixel first terminated rank, as a segment minimum
-                # over the pixel-sorted stream (ranks are the local
-                # indices there); one reduceat replaces the far slower
-                # ``np.minimum.at`` scatter and produces the identical
-                # minima.
-                if len(self):
-                    term_sorted = self._cache["arrival_sorted"] >= threshold
-                    masked = np.where(term_sorted, local, sentinel)
-                    seg_min = np.minimum.reduceat(masked, starts)
-                    term_rank[pix_sorted[starts]] = seg_min
-                self._cache[rank_key] = term_rank
-            self._cache[key] = (local, term_rank, order, pix_sorted)
+            pixels, slots, starts = self._terminating_slots(threshold)
+            term_rank = np.full(self.n_pixels, len(self) + 1, dtype=np.int64)
+            term_rank[pixels] = slots - starts
+            self._cache[key] = term_rank
         return self._cache[key]
 
-    def _pixel_ranks(self, threshold):
-        """Per-fragment rank within its pixel and per-pixel termination rank
-        (fragment-order view of :meth:`_pixel_ranks_sorted`)."""
-        key = ("pixel_ranks", round(float(threshold), 9))
+    def exit_prims(self, threshold=DEFAULT_TERMINATION_ALPHA):
+        """Per-pixel primitive of the first fragment perfect HET would kill
+        (``-1`` where the pixel never terminates), as int32."""
+        key = ("exit_prim", round(float(threshold), 9))
         if key not in self._cache:
-            local, term_rank, order, _pix = self._pixel_ranks_sorted(threshold)
-            rank = np.empty(len(self), dtype=np.int64)
-            rank[order] = local
-            self._cache[key] = (rank, term_rank)
+            pixels, slots, _starts = self._terminating_slots(threshold)
+            exit_prim = np.full(self.n_pixels, -1, dtype=np.int32)
+            exit_prim[pixels] = self.prim_ids[self._pixel_order[slots]]
+            self._cache[key] = exit_prim
         return self._cache[key]
 
     # ------------------------------------------------------------------
@@ -597,12 +570,6 @@ class FragmentStream:
         """
         if "accumulated_alpha" not in self._cache:
             self._ensure_arrival_sorted()
-            carrier = self.coherence
-            # A full coherence hit installs the map along with the arrival
-            # caches; a partial one patches it from the previous frame's.
-            if "accumulated_alpha" in self._cache or (
-                    carrier is not None and carrier.serve_accumulated(self)):
-                return self._cache["accumulated_alpha"]
             t0 = perf_counter()
             weights = ((1.0 - self._cache["arrival_sorted"])
                        * self._cache["alpha_eff_sorted"].astype(np.float64))
@@ -669,14 +636,38 @@ class FragmentStream:
         counts = np.bincount(pix, minlength=self.n_pixels)
         return counts.reshape(self.height, self.width)
 
+    def n_unpruned(self):
+        """Fragments blended without early termination (cached count)."""
+        if "unpruned_count" not in self._cache:
+            self._cache["unpruned_count"] = int(
+                np.count_nonzero(self.unpruned))
+        return self._cache["unpruned_count"]
+
+    def n_et_survivors(self, threshold=DEFAULT_TERMINATION_ALPHA):
+        """Fragments blended under perfect early termination: the size of
+        :meth:`et_survivor_mask`, counted in the pixel-sorted domain (the
+        mask is a permutation of the sorted one) without building it."""
+        key = ("et_count", round(float(threshold), 9))
+        if key not in self._cache:
+            mask_key = ("et_survivor", key[1])
+            if mask_key in self._cache:
+                count = np.count_nonzero(self._cache[mask_key])
+            else:
+                self._ensure_arrival_sorted()
+                count = np.count_nonzero(
+                    (self._cache["alpha_eff_sorted"] > 0)
+                    & (self._cache["arrival_sorted"] < threshold))
+            self._cache[key] = int(count)
+        return self._cache[key]
+
     def termination_ratio(self, threshold=DEFAULT_TERMINATION_ALPHA):
         """Blended fragments without ET divided by blended with ET.
 
         This is the paper's "early termination ratio" (Figure 21); >= 1 by
         construction, and 1.0 when no pixel ever saturates.
         """
-        with_et = int(self.et_survivor_mask(threshold).sum())
-        without_et = int(self.unpruned.sum())
+        with_et = self.n_et_survivors(threshold)
+        without_et = self.n_unpruned()
         if with_et == 0:
             return 1.0
         return without_et / with_et
@@ -827,15 +818,29 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
         t0 = perf_counter()
         if name in QuadTable._META_COLUMNS:
             out = self.ir_quads.meta(name)
-        elif name == "n_fragments":
-            out = self.ir_quads.frag_counts()
-        elif name.startswith("n_"):
-            out = self.ir_quads.reduce_add(
-                self._fragment_flags(name).astype(np.int32))
         else:
-            out = self.ir_quads.reduce_or(
-                self._bits() * self._fragment_flags(name))
+            out = self._aggregate(name).astype(np.int64)
         self.stream._add_substage("quad-columns", t0)
+        return out
+
+    def _aggregate(self, name):
+        """One aggregate column in uint8 (counts are at most 4, masks 4
+        bits), cached read-only on the stream under ``(name, threshold,
+        lag)`` — where a coherence full hit installs it, so a revisited
+        frame's draw never rebuilds the quad slots."""
+        stream = self.stream
+        key = (name, round(float(self.threshold), 9), int(self.lag))
+        out = stream._cache.get(key)
+        if out is None:
+            if name == "n_fragments":
+                out = self.ir_quads.frag_counts()
+            elif name.startswith("n_"):
+                out = self.ir_quads.reduce_add(self._fragment_flags(name))
+            else:
+                out = self.ir_quads.reduce_or(
+                    self._bits() * self._fragment_flags(name))
+            out.flags.writeable = False
+            stream._cache[key] = out
         return out
 
 

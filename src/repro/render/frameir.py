@@ -166,20 +166,30 @@ class QuadIR:
 
     def _pair_index(self):
         """Scanline-pair index per quad; only ``qy`` and the slots read
-        it, so it is dropped once both exist."""
+        it, so it is dropped once both exist (and rebuilt from the
+        chunklet runs if released slots are rebuilt)."""
         if self._q_pair is None:
             c_pair, _c_qa, nq_c, _q_offsets = self._chunk_state
             self._q_pair = np.repeat(c_pair, nq_c)
         return self._q_pair
 
     def _release_inputs(self):
-        """Drop the chunklet and pair arrays once every column that reads
-        them is built."""
+        """Drop the per-quad pair index once ``qy`` and the slots are
+        built.  The chunklet runs and the per-pair slot inputs stay (they
+        are per chunklet and per scanline pair, far smaller than the
+        quads), so :meth:`release_slots` can drop the slots for good."""
         if "qy" in self._meta and self._slots is not None:
             self._q_pair = None
             self._p_qy = None
-            if "qx" in self._meta:
-                self._chunk_state = None
+
+    def release_slots(self):
+        """Drop the four per-quad slot arrays; :meth:`slots` rebuilds the
+        identical arrays on next use.  A sealed coherence state keeps
+        this view without them: a full hit serves every aggregate column
+        the draw read, so only other consumers rebuild."""
+        if self._slot_state is not None:
+            self._slots = None
+            self._q_pair = None
 
     def slots(self):
         """The four per-quad fragment slots, as emission-stream offsets.
@@ -216,35 +226,36 @@ class QuadIR:
                 raise RuntimeError(
                     f"FrameIR quad slots lost fragments: got {got}, "
                     f"stream has {self._n_fragments}")
-            self._slot_state = None
             self._release_inputs()
         return self._slots
 
     def frag_counts(self):
-        """Covered pixels per quad (the ``n_fragments`` column)."""
+        """Covered pixels per quad (the ``n_fragments`` column), uint8."""
         n = self._n_fragments
-        counts = np.zeros(self._n_quads, dtype=np.int64)
+        counts = np.zeros(self._n_quads, dtype=np.uint8)
         for slot in self.slots():
             counts += slot < n
         return counts
 
     def reduce_add(self, values):
-        """Per-quad sums of an emission-order integer array (exact: the
-        quad-table count columns are integer sums, so regrouping by slot
-        is associative)."""
+        """Per-quad sums of an emission-order integer array, in its dtype
+        (exact: the quad-table count columns are integer sums of at most
+        four 0/1 flags, so regrouping by slot is associative and a uint8
+        sum cannot overflow)."""
         s0, s1, s2, s3 = self.slots()
         padded = np.concatenate((values, np.zeros(1, dtype=values.dtype)))
-        out = padded[s0].astype(np.int64)
+        out = padded[s0]
         out += padded[s1]
         out += padded[s2]
         out += padded[s3]
         return out
 
     def reduce_or(self, values):
-        """Per-quad bitwise OR of an emission-order integer array."""
+        """Per-quad bitwise OR of an emission-order integer array, in its
+        dtype."""
         s0, s1, s2, s3 = self.slots()
         padded = np.concatenate((values, np.zeros(1, dtype=values.dtype)))
-        out = padded[s0].astype(np.int64)
+        out = padded[s0]
         out |= padded[s1]
         out |= padded[s2]
         out |= padded[s3]

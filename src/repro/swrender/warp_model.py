@@ -20,8 +20,10 @@ Two engines, selected by the ``swmodel`` knob (``"auto"`` / ``"frameir"``
   straight off the stream's :class:`~repro.render.frameir.FrameIR` group
   ranges — the chunklet pass already enumerated the unique (prim, tile)
   pairs in emission order, so no fragment-level ``np.unique`` sort exists
-  on this path — and resolves each pixel's exit round with a single
-  fragment lookup through digestion's cached pixel-sorted arrival chain;
+  on this path — and resolves each pixel's exit round from digestion's
+  per-pixel exit primitives (:meth:`~repro.render.fragstream.
+  FragmentStream.exit_prims`), which a coherence full hit serves without
+  any fragment-level array;
 * ``_simulate_tile_warps_legacy`` is the retained fragment-sort oracle
   (the original ``np.unique`` over (tile, prim) keys), kept bit-exact for
   the equivalence tests; its per-pixel reductions run over the same
@@ -127,8 +129,8 @@ def _simulate_tile_warps_ir(stream, threshold):
     the group list (never the fragments).  A pixel's exit round is the
     round of its first already-terminated fragment; within a pixel the
     fragments share one tile and arrive prim-ascending, so rounds are
-    strictly increasing and the cached per-pixel termination rank from
-    digestion names that fragment directly — one gather per terminated
+    strictly increasing and the per-pixel exit primitive from digestion
+    names that fragment's round directly — one lookup per terminated
     pixel instead of a full-stream ``minimum.at``.
     """
     width, height = stream.width, stream.height
@@ -151,15 +153,9 @@ def _simulate_tile_warps_ir(stream, threshold):
     round_of_group[t_order] = (np.arange(n_groups, dtype=np.int64)
                                - tile_starts[g_tile[t_order]])
 
-    _local, term_rank, order, pix_sorted = \
-        stream._pixel_ranks_sorted(threshold)
-    starts = stream._pixel_starts(pix_sorted)
-    sentinel = np.int64(len(stream) + 1)
-    done_pixels = np.flatnonzero(term_rank != sentinel)
-    seg_pix = pix_sorted[starts]
-    seg = np.searchsorted(seg_pix, done_pixels)
-    slot = starts[seg] + term_rank[done_pixels]
-    prim = stream.prim_ids[order[slot]].astype(np.int64)
+    exit_prim = stream.exit_prims(threshold)
+    done_pixels = np.flatnonzero(exit_prim >= 0)
+    prim = exit_prim[done_pixels].astype(np.int64)
     tile = (((done_pixels // width) // TILE_SIZE) * tiles_x
             + (done_pixels % width) // TILE_SIZE)
     # g_key is strictly increasing (groups are (prim, tile)-sorted), and
@@ -207,7 +203,7 @@ def _simulate_tile_warps_legacy(stream, threshold):
     stream._ensure_arrival_sorted()
     order = stream._pixel_order
     pix_sorted = stream._cache["pix_sorted"]
-    starts = stream._pixel_starts(pix_sorted)
+    starts = stream._cache["pixel_starts"]
     sentinel = np.iinfo(np.int64).max
     term_sorted = stream._cache["arrival_sorted"] >= threshold
     masked = np.where(term_sorted, frag_round[order], sentinel)
@@ -251,6 +247,6 @@ def simulate_tile_warps(stream, threshold=DEFAULT_TERMINATION_ALPHA,
         rounds_no_et, rounds_et = _simulate_tile_warps_legacy(
             stream, threshold)
 
-    blend_no_et = int(stream.unpruned.sum())
-    blend_et = int(stream.et_survivor_mask(threshold).sum())
+    blend_no_et = stream.n_unpruned()
+    blend_et = stream.n_et_survivors(threshold)
     return WarpExecution(rounds_no_et, rounds_et, blend_no_et, blend_et)

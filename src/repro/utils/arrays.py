@@ -112,11 +112,10 @@ def sliced_cumsum(values, bounds, out=None):
     The distinction matters for determinism, not speed: the subtraction
     trick makes every element's rounding depend on all preceding slices,
     while a true per-slice scan depends only on the slice's own content.
-    The cross-frame digestion coherence layer reuses per-scanline arrival
-    blocks verbatim, which is only bit-exact when a slice's values are a
-    pure function of the slice — so slice count here is the number of
-    scanlines (hundreds), and the Python loop costs microseconds per
-    slice.
+    The IR digestion path's arrival chain scans per scanline, and the
+    golden suites pin the floats that order produces — so slice count
+    here is the number of scanlines (hundreds), and the Python loop costs
+    microseconds per slice.
 
     ``bounds`` is an int array of slice offsets ``[b0, b1, ..., bk]`` with
     ``b0 == 0`` and ``bk == len(values)``.

@@ -1,10 +1,10 @@
 """Cross-frame coherence: every serve path bit-identical to the oracle.
 
-The :class:`~repro.render.coherence.FrameCoherence` carrier may answer a
-frame's digestion from previous frames' state three ways — full hit
-(identical content), partial hit (only some scanlines changed), or
-fallback full recompute — and each must reproduce the stateless oracle
-digest exactly: same arrays, same dtypes, same termination sets, same
+The :class:`~repro.render.coherence.FrameCoherence` carrier answers a
+frame's digestion from previous frames' state two ways — full hit
+(identical content: the digested products are served) or full
+recompute — and each must reproduce the stateless oracle digest
+exactly: same arrays, same dtypes, same termination sets, same
 quad-table columns, cycle-exact draws.  These tests pin that across
 random coherent orbit pairs and the degenerate regimes (empty frames,
 full-occlusion revisit, the max_fragments clamp boundary, HET
@@ -37,7 +37,7 @@ from repro.render.coherence import (
 from repro.render.splat_raster import rasterize_splats
 from repro.workloads.viewpoints import scene_viewpoints
 
-#: The sorted-domain digestion caches the carrier serves.
+#: The sorted-domain digestion caches compared with the oracle's.
 CANONICAL = ("pixel_order", "pix_sorted", "pixel_starts",
              "alpha_eff_sorted", "arrival_sorted")
 
@@ -113,7 +113,7 @@ class TestKnob:
 
 
 class TestServePaths:
-    """Full hit / partial hit / fallback, each against a fresh oracle."""
+    """Full hit / fallback, each against a fresh oracle."""
 
     def _fresh(self, pre, camera):
         return rasterize_splats(pre.splats, camera.width, camera.height)
@@ -129,27 +129,6 @@ class TestServePaths:
         assert car.stats["full_hits"] == 1
         oracle = _digest(self._fresh(small_pre, small_camera))
         _assert_bitwise(oracle, got)
-
-    def test_partial_hit_bit_identical(self, deep_pre, deep_camera):
-        car = FrameCoherence("incremental")
-        s1 = self._fresh(deep_pre, deep_camera)
-        car.begin_frame(s1)
-        _digest(s1)
-        # Same raster geometry, alphas perturbed on a scanline band: the
-        # carrier should classify most scanlines clean and recompute only
-        # the band.
-        s2 = self._fresh(deep_pre, deep_camera)
-        band = (s2.y >= 30) & (s2.y < 50)
-        alphas = s2.alphas.copy()
-        alphas[band] = np.minimum(np.float32(0.97),
-                                  alphas[band] * np.float32(1.01))
-        s2.alphas = alphas
-        car.begin_frame(s2)
-        got = _digest(s2)
-        assert car.stats["partial_hits"] == 1
-        s_ref = self._fresh(deep_pre, deep_camera)
-        s_ref.alphas = alphas
-        _assert_bitwise(_digest(s_ref), got)
 
     def test_fallback_bit_identical(self, deep_pre, deep_camera):
         car = FrameCoherence("incremental")
@@ -368,17 +347,26 @@ class TestStaleCacheGuard:
 
     def test_captured_and_served_arrays_read_only(self, small_pre,
                                                   small_camera):
+        """Every product array the library shares is frozen, both in the
+        stream it was captured from and in the stream it was served to."""
+        config = variant_config("het+qm")
         w, h = small_camera.width, small_camera.height
         car = FrameCoherence("incremental")
-        s1 = rasterize_splats(small_pre.splats, w, h)
-        car.begin_frame(s1)
-        _digest(s1)
-        s2 = rasterize_splats(small_pre.splats, w, h)
-        car.begin_frame(s2)
-        _digest(s2)
+        streams = []
+        for _ in range(2):
+            stream = rasterize_splats(small_pre.splats, w, h)
+            car.begin_frame(stream)
+            _digest(stream)
+            GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(stream, config))
+            streams.append(stream)
         assert car.stats["full_hits"] == 1
-        for stream in (s1, s2):
-            for key in CANONICAL:
+        shared = {key: value for key, value in car._prev.products.items()
+                  if isinstance(value, np.ndarray)}
+        assert "accumulated_alpha" in shared and len(shared) >= 3
+        for stream in streams:
+            for key, value in shared.items():
+                assert stream._cache[key] is value, key
                 with pytest.raises((ValueError, RuntimeError)):
                     stream._cache[key][0:1] = 0
 
@@ -503,32 +491,6 @@ class TestSealedStates:
                 {"et": stream.et_survivor_mask(threshold),
                  "unterm": stream.unterminated_on_arrival(threshold, 3)})
 
-    def test_partial_hit_from_sealed_state(self, deep_pre, deep_camera):
-        config = variant_config("het+qm")
-        car = FrameCoherence("incremental")
-        s1 = rasterize_splats(deep_pre.splats, deep_camera.width,
-                              deep_camera.height)
-        car.begin_frame(s1)
-        _digest(s1)
-        GraphicsPipeline(config).draw(DrawWorkload.from_stream(s1, config))
-        s2 = rasterize_splats(deep_pre.splats, deep_camera.width,
-                              deep_camera.height)
-        band = (s2.y >= 30) & (s2.y < 50)
-        alphas = s2.alphas.copy()
-        alphas[band] = np.minimum(np.float32(0.97),
-                                  alphas[band] * np.float32(1.01))
-        s2.alphas = alphas
-        car.begin_frame(s2)
-        assert car._prev.stream is None  # served from the sealed state
-        got = _digest(s2)
-        assert car.stats["partial_hits"] == 1
-        oracle = rasterize_splats(deep_pre.splats, deep_camera.width,
-                                  deep_camera.height)
-        oracle.alphas = alphas
-        _assert_bitwise(_digest(oracle), got)
-        _assert_quads_identical(oracle, s2, config)
-        _assert_draws_identical(oracle, s2, config)
-
     def test_snapshot_restore_across_seal(self, deep_cloud):
         """A failed attempt seals the previous state; the rewound carrier
         retries exactly as if the attempt never ran."""
@@ -557,31 +519,39 @@ class TestSealedStates:
 
     def test_adopted_and_rederived_arrays_read_only(self, small_pre,
                                                     small_camera):
+        """A sealed state keeps products only, frozen read-only, and a
+        full hit adopts the very same arrays."""
         config = variant_config("het+qm")
+        thr = round(config.termination_alpha, 9)
+        lag = config.het_inflight_lag
         w, h = small_camera.width, small_camera.height
         car = FrameCoherence("incremental")
         for _ in range(2):
             stream = rasterize_splats(small_pre.splats, w, h)
             car.begin_frame(stream)
-            _digest(stream)
             GraphicsPipeline(config).draw(
                 DrawWorkload.from_stream(stream, config))
+            stream.termination_ratio(config.termination_alpha)
         assert car.stats["full_hits"] == 1
         sealed = car._prev
-        car.begin_frame(rasterize_splats(small_pre.splats, w, h))
-        assert sealed.cache["pixel_order"].dtype == np.int32
-        local = stream._pixel_ranks_sorted(config.termination_alpha)[0]
-        frozen = {key: value for key, value in stream._cache.items()
-                  if isinstance(value, np.ndarray)
-                  and (key in sealed.cache or key == "pix_sorted")}
-        assert stream._cache["pixel_order"].dtype == np.int64
-        assert {"pixel_order", "pix_sorted", "pixel_starts",
-                "arrival_sorted", "alpha_eff_sorted",
-                "accumulated_alpha"} <= set(frozen)
-        for value in list(frozen.values()) + [local]:
-            with pytest.raises(ValueError):
-                value[0:1] = 0
-        for value in sealed.cache.values():
+        assert sealed.stream is None
+        products = sealed.products
+        assert {"accumulated_alpha", "unpruned_count", ("et_count", thr),
+                ("term_rank", thr), ("mask_et", thr, lag),
+                ("mask_unterminated", thr, lag)} <= set(products)
+        # Nothing that only re-runs the arrival chain or the quad
+        # reductions is kept.
+        assert not {"pixel_order", "pix_sorted", "pixel_starts",
+                    "alpha_eff_sorted", "arrival_sorted", "unpruned",
+                    ("et_survivor", thr), ("unterminated", thr, lag),
+                    ("het_blended", thr, lag)} & set(products)
+        assert sealed.frameir._quads._slots is None
+        arrays = {key: value for key, value in products.items()
+                  if isinstance(value, np.ndarray)}
+        for key, value in arrays.items():
+            assert stream._cache[key] is value, key
+            if key[0] in ("mask_et", "mask_unterminated"):
+                assert value.dtype == np.uint8, key
             with pytest.raises(ValueError):
                 value[0:1] = 0
 
@@ -604,12 +574,13 @@ class TestSealedStates:
             assert _library_bytes(car) - car._prev.nbytes <= budget
         # The next frame's begin seals 0.6 and trims the library.  0.0
         # went first; revisiting 0.2 made it most recent, so 0.4 went
-        # next, and the library holds the two most recently used views.
+        # next, and the library holds the two most recently used views
+        # plus the new frame's live state.
         car.begin_frame(rasterize_splats(
             preprocess(deep_cloud, _orbit_camera(0.8)).splats, 96, 96))
         assert car.stats["full_hits"] == 1
-        assert list(car._states) == [keys[3], keys[4]]
-        assert _library_bytes(car) <= budget
+        assert list(car._states) == [keys[3], keys[4], car._key]
+        assert _library_bytes(car) - car._prev.nbytes <= budget
 
     def test_eight_view_lego_loop_stays_resident(self):
         """The default budget holds an 8-view lego sweep: the second lap
@@ -629,7 +600,66 @@ class TestSealedStates:
         for state in states:
             if state is not car._prev:
                 assert state.stream is None
-                assert state.nbytes <= 45 * state.n, state.nbytes / state.n
+                assert state.nbytes <= 18 * state.n, state.nbytes / state.n
+
+
+class TestFullHitServing:
+    """A full hit serves the draw and the warp model from the sealed
+    products alone: no quad slots, no pixel-sorted arrays."""
+
+    #: Pixel-sorted digestion arrays a full hit must not build.
+    SORTED = ("pixel_order", "pix_sorted", "pixel_starts",
+              "alpha_eff_sorted", "arrival_sorted")
+
+    def test_hw_full_hit_builds_no_slots_or_sorted_arrays(self,
+                                                          deep_cloud):
+        config = variant_config("het+qm")
+        cam = _orbit_camera(0.0)
+        pre = preprocess(deep_cloud, cam)
+        car = FrameCoherence("incremental")
+        for _ in range(2):
+            stream = rasterize_splats(pre.splats, cam.width, cam.height)
+            car.begin_frame(stream)
+            workload = DrawWorkload.from_stream(stream, config)
+            draw = GraphicsPipeline(config).draw(workload)
+            ratio = stream.termination_ratio(config.termination_alpha)
+        assert car.stats["full_hits"] == 1
+        assert stream.frameir._quads._slots is None
+        assert not set(self.SORTED) & set(stream._cache)
+        oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+        want = GraphicsPipeline(config).draw(
+            DrawWorkload.from_stream(oracle, config))
+        assert draw.stats.total_cycles == want.stats.total_cycles
+        for unit in want.stats.units:
+            assert (draw.stats.units[unit].busy_cycles
+                    == want.stats.units[unit].busy_cycles), unit
+            assert (draw.stats.units[unit].items
+                    == want.stats.units[unit].items), unit
+        assert workload.n_terminated_pixels > 0
+        assert ratio == oracle.termination_ratio(config.termination_alpha)
+        # Consumers the hit does not serve recompute, bit-identically.
+        _assert_quads_identical(oracle, stream, config)
+        _assert_bitwise(_digest(oracle), _digest(stream))
+
+    def test_cuda_second_lap_full_hits_match_oracle(self):
+        cams = scene_viewpoints("lego", 4)
+        oracle = RenderSession("lego", backend="cuda+et", baseline=None,
+                               coherence="off", swmodel="legacy")
+        session = RenderSession("lego", backend="cuda+et", baseline=None,
+                                coherence="incremental")
+        for cam in cams:
+            session.render_frame(camera=cam)
+        car = session._carrier()
+        assert car.stats["full_hits"] == 0
+        for cam in cams:
+            got = session.render_frame(camera=cam)
+            assert not set(self.SORTED) & set(got.raw.stream._cache)
+            want = oracle.render_frame(camera=cam)
+            assert got.cycles == want.cycles
+            assert got.et_ratio == want.et_ratio
+            assert got.n_fragments == want.n_fragments
+            assert vars(got.raw.warp_exec) == vars(want.raw.warp_exec)
+        assert car.stats["full_hits"] == len(cams)
 
 
 class TestFrameRelease:
@@ -661,7 +691,7 @@ class TestFrameRelease:
         try:
             session.render_frame(camera=scene_viewpoints("palace", 1)[0])
             carrier = weakref.ref(session._carrier())
-            assert carrier()._current is not None
+            assert carrier()._prev.stream is not None
             del session
             assert carrier() is None
         finally:

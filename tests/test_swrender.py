@@ -115,3 +115,28 @@ class TestCudaRenderer:
     def test_type_checks(self, small_camera):
         with pytest.raises(TypeError):
             CudaRenderer().render("cloud", small_camera)
+
+
+class TestSessionRevisit:
+    def test_revisited_lap_matches_sort_oracle(self):
+        """A cuda+et session revisiting its views under the process-default
+        coherence mode (CI runs this module under both
+        ``REPRO_COHERENCE=incremental`` and ``=off``) reproduces the
+        stateless fragment-sort oracle frame for frame."""
+        from repro.engine.session import RenderSession
+        from repro.workloads.viewpoints import scene_viewpoints
+
+        cams = scene_viewpoints("lego", 3)
+        oracle = RenderSession("lego", backend="cuda+et", baseline=None,
+                               coherence="off", swmodel="legacy")
+        want = [oracle.render_frame(camera=cam) for cam in cams]
+        session = RenderSession("lego", backend="cuda+et", baseline=None)
+        for _lap in range(2):
+            for cam, ref in zip(cams, want):
+                got = session.render_frame(camera=cam)
+                assert got.cycles == ref.cycles
+                assert got.et_ratio == ref.et_ratio
+                assert vars(got.raw.warp_exec) == vars(ref.raw.warp_exec)
+        carrier = session._carrier()
+        expected = 0 if carrier.mode == "off" else len(cams)
+        assert carrier.stats["full_hits"] == expected
