@@ -237,14 +237,6 @@ def cmd_serve(args):
             [[key, count]
              for key, count in sorted(kpis["by_reason"].items())],
             title="Rejections / failures by reason"))
-    breaker = report.service_stats.get("breaker", {})
-    if breaker.get("transitions"):
-        print()
-        print(format_table(
-            ["Seq", "From", "To", "At completion"],
-            [[t["seq"], t["from"], t["to"], t["completions"]]
-             for t in breaker["transitions"]],
-            title="Breaker transitions"))
     if kpis["lost"]:
         print(f"\nERROR: {kpis['lost']} request(s) lost", file=sys.stderr)
         return 1
@@ -451,7 +443,7 @@ def build_parser():
     serve = sub.add_parser(
         "serve",
         help="drive the request-serving layer with synthetic clients and "
-             "report serving KPIs (admission, deadlines, breaker, "
+             "report serving KPIs (admission, deadlines, healing, "
              "residency)")
     serve.add_argument("--clients", type=int, default=4,
                        help="closed-loop synthetic clients (default 4)")

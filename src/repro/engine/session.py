@@ -61,7 +61,7 @@ class FrameRecord:
     while producing this frame (as
     :meth:`~repro.engine.executor.FrameIncident.to_dict` payloads);
     empty for clean frames.  The numeric fields are bit-identical
-    whether a frame rendered cleanly or through a degraded ladder rung.
+    whether a frame rendered cleanly or through the reference rung.
     """
 
     _FIELDS = ("index", "backend", "seed", "cycles", "ms", "fps",
@@ -156,7 +156,7 @@ class TrajectoryResult:
 
         Deliberately *not* part of :meth:`aggregates`: the aggregate
         statistics are bit-identical between a chaos run and its
-        fault-free oracle (degraded rungs are exact), while incidents
+        fault-free oracle (every ladder rung is exact), while incidents
         describe the run's operational history.
         """
         return [inc for r in self.records for inc in (r.incidents or [])]
@@ -179,11 +179,9 @@ class TrajectoryResult:
         summary["by_point"] = by_point
         # healing_ms is the wall clock burned by *failed* attempts — the
         # latency tax paid to heal — the serving layer attributes slow
-        # responses to it.  wall_ms is the historical alias.
-        healing_ms = float(sum(inc.get("wall_ms", 0.0)
-                               for inc in incidents))
-        summary["healing_ms"] = healing_ms
-        summary["wall_ms"] = healing_ms
+        # responses to it.
+        summary["healing_ms"] = float(sum(inc.get("wall_ms", 0.0)
+                                          for inc in incidents))
         return summary
 
     def to_dict(self):
@@ -279,37 +277,23 @@ class RenderSession:
 
     Self-healing
     ------------
-    Every trajectory frame runs through a bounded retry-with-degradation
-    ladder: retry as-is, then ``coherence=off``, then ``ir=legacy``,
-    then ``engine=scalar``.  Each rung re-renders the frame through a
-    *retained bit-exact oracle* of the failed fast path, so a degraded
-    frame's record is bit-identical to a clean one — only wall-clock
-    changes.  Recoveries are logged as structured incidents on the
-    frame's record; a frame that fails every rung raises
-    :class:`~repro.engine.executor.FrameLadderExhausted`.  Degraded
-    rungs need to rebuild backends from their registry specs, so
-    sessions handed ready backend *instances* ladder through the retry
-    rung only.
+    Every trajectory frame runs through a bounded three-rung ladder
+    (:data:`LADDER`): the primary attempt, one retry as-is (transient
+    faults), then the ``reference`` rung, which re-renders the frame
+    with every retained bit-exact oracle at once — coherence carrier
+    off, ``ir="legacy"``, ``swmodel="legacy"``, ``engine="scalar"`` —
+    so it bypasses every vectorized fast path and its failure modes.
+    A healed frame's record is bit-identical to a clean one; only
+    wall-clock changes.  Recoveries are logged as structured incidents
+    on the frame's record; a frame that fails every rung raises
+    :class:`~repro.engine.executor.FrameLadderExhausted`.  The reference
+    rung rebuilds backends from their registry specs, so sessions
+    handed ready backend *instances* stop after the retry rung.
     """
 
-    #: The degradation ladder, least- to most-degraded.  Every rung is
-    #: bit-identical in its outputs; later rungs bypass progressively
-    #: more of the vectorized fast paths (and their failure modes).
-    LADDER = ("primary", "retry", "coherence=off", "swmodel=legacy",
-              "ir=legacy", "engine=scalar")
-
-    #: rung -> (use coherence carrier, ir override, flush-engine override,
-    #: swmodel override).  The deeper rungs also pin ``swmodel`` to the
-    #: fragment-sort oracle: ``ir=legacy`` streams carry no FrameIR for
-    #: the software models to read.
-    _RUNG_KNOBS = {
-        "primary": (True, None, None, None),
-        "retry": (True, None, None, None),
-        "coherence=off": (False, None, None, None),
-        "swmodel=legacy": (False, None, None, "legacy"),
-        "ir=legacy": (False, "legacy", None, "legacy"),
-        "engine=scalar": (False, "legacy", "scalar", "legacy"),
-    }
+    #: The degradation ladder.  Every rung is bit-identical in its
+    #: outputs; ``reference`` swaps in the oracle configuration.
+    LADDER = ("primary", "retry", "reference")
 
     def __init__(self, scene, backend="hw:het+qm", baseline="auto",
                  device="orin", seed=0, warm_crop_cache=False,
@@ -355,11 +339,11 @@ class RenderSession:
         self.watchdog_ms = watchdog_ms
         self._coherence_carrier = None
         self._cloud = None
-        # Degraded-rung backends, built lazily from the registry specs
-        # (keyed by (role, ir, engine)) — possible exactly when the
-        # session was handed spec strings, i.e. when ``_cacheable``.
-        self._degraded = {}
-        self._degraded_lock = threading.Lock()
+        # The reference rung's (backend, baseline) pair, built lazily
+        # from the registry specs — possible exactly when the session
+        # was handed spec strings, i.e. when ``_cacheable``.
+        self._reference = None
+        self._reference_lock = threading.Lock()
 
     @property
     def cloud(self):
@@ -386,37 +370,22 @@ class RenderSession:
 
     def _ladder_rungs(self):
         """The rungs available to this session (see class docstring)."""
-        if self._cacheable:
-            return self.LADDER
-        return ("primary", "retry")
+        return self.LADDER if self._cacheable else self.LADDER[:2]
 
     def _rung_backends(self, rung):
         """``(backend, baseline, use_carrier, ir)`` for one ladder rung."""
-        use_carrier, ir, engine, rung_swmodel = self._RUNG_KNOBS[rung]
-        if ir is None and engine is None and rung_swmodel is None:
-            return self.backend, self.baseline, use_carrier, self.ir
-        # Knobs a rung leaves unset fall back to the session's own
-        # settings, so a shallow rung doesn't silently degrade the rest.
-        eff_ir = ir if ir is not None else self.ir
-        key_tail = (ir, engine, rung_swmodel)
-        with self._degraded_lock:
-            backend = self._degraded.get(("backend",) + key_tail)
-            if backend is None:
-                backend = resolve_backend(self.backend_spec,
-                                          device_name=self.device_name,
-                                          ir=eff_ir, engine=engine,
-                                          swmodel=rung_swmodel)
-                self._degraded[("backend",) + key_tail] = backend
-            baseline = None
-            if self.baseline is not None:
-                baseline = self._degraded.get(("baseline",) + key_tail)
-                if baseline is None:
-                    baseline = resolve_backend(self.baseline_spec,
-                                               device_name=self.device_name,
-                                               ir=eff_ir, engine=engine,
-                                               swmodel=rung_swmodel)
-                    self._degraded[("baseline",) + key_tail] = baseline
-        return backend, baseline, use_carrier, eff_ir
+        if rung != "reference":
+            return self.backend, self.baseline, True, self.ir
+        with self._reference_lock:
+            if self._reference is None:
+                self._reference = tuple(
+                    resolve_backend(spec, device_name=self.device_name,
+                                    ir="legacy", engine="scalar",
+                                    swmodel="legacy")
+                    if spec is not None else None
+                    for spec in (self.backend_spec, self.baseline_spec))
+        backend, baseline = self._reference
+        return backend, baseline, False, "legacy"
 
     def _render_frame_attempt(self, task, backend, baseline, carrier,
                               crop_cache, raster_jobs, keep_results, ir,

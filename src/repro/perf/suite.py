@@ -329,8 +329,8 @@ SERVICE_CHAOS_PLAN = (
 _SERVICE_KPI_KEYS = (
     "submitted", "resolved", "lost", "completed", "rejected", "failed",
     "rejection_rate", "throughput_rps", "cache_hit_rate", "from_cache",
-    "degraded", "incidents", "healing_ms", "latency_p50_ms",
-    "latency_p95_ms", "latency_p99_ms")
+    "incidents", "healing_ms", "latency_p50_ms", "latency_p95_ms",
+    "latency_p99_ms")
 
 
 def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
@@ -342,9 +342,10 @@ def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
     seeded closed-loop load generator: ``clean`` with no fault plan,
     ``chaos`` under :data:`SERVICE_CHAOS_PLAN` (all seven injection
     points armed).  The timing row is the whole run's wall clock; the
-    serving KPIs ride along as metrics.  ``ir``/``coherence`` are
-    accepted for registry uniformity and ignored — the service owns its
-    sessions' knobs (the breaker may downgrade them mid-run).
+    serving KPIs ride along as metrics.  ``ir``/``coherence``/``swmodel``
+    are accepted for registry uniformity and ignored — the service builds
+    its sessions with the default fast path, and frames heal through the
+    session ladder (primary → retry → reference).
 
     Full mode runs 8 concurrent clients (the acceptance bar for the
     zero-lost-requests invariant); quick mode 2.

@@ -4,11 +4,10 @@ The serving layer (PR 9) turns the single-trajectory
 :class:`~repro.engine.session.RenderSession` into a single-box service:
 a bounded worker pool with admission control (typed rejections:
 ``queue_full`` / ``deadline_unmeetable`` / ``shedding``), per-request
-deadlines wired into the engine's cooperative watchdog, a service-level
-circuit breaker that routes new admissions onto the retained bit-exact
-oracle knobs while faults cluster, and a bounded LRU of resident scenes
-that keeps warm cross-request state (coherence carrier, opt-in CROP
-cache) without unbounded memory growth.
+deadlines wired into the engine's cooperative watchdog, and a bounded
+LRU of resident scenes that keeps warm cross-request state (coherence
+carrier, opt-in CROP cache) without unbounded memory growth.  Frames
+heal through the session's own ladder (primary → retry → reference).
 
 Invariant: **no request is ever lost or silently wrong** — every
 admitted request terminates in a bit-exact (possibly incident-annotated)
@@ -17,7 +16,6 @@ response.  ``repro bench --suite service`` and ``tests/test_serve.py``
 enforce this under seeded chaos plans.
 """
 
-from repro.serve.breaker import ServiceBreaker
 from repro.serve.loadgen import LoadReport, LoadSpec, run_load
 from repro.serve.request import (
     FAILURE_REASONS,
@@ -44,6 +42,5 @@ __all__ = [
     "RenderService",
     "ResidentScene",
     "SceneResidency",
-    "ServiceBreaker",
     "run_load",
 ]

@@ -130,7 +130,6 @@ class LoadReport:
             "healing_ms": sum(r.incident_summary.get("healing_ms", 0.0)
                               for r in completed),
             "from_cache": sum(1 for r in completed if r.from_cache),
-            "degraded": sum(1 for r in completed if r.degraded),
             "cache_hit_rate": (sum(1 for r in completed if r.from_cache)
                                / len(completed) if completed else 0.0),
         }

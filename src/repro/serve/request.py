@@ -6,7 +6,7 @@ exactly one typed response — the service's core invariant is that no
 request is ever lost or silently wrong:
 
 :class:`Completed`
-    The trajectory ran (possibly healed through degraded ladder rungs,
+    The trajectory ran (possibly healed through the degradation ladder,
     possibly served from the disk result cache) and its aggregates are
     **bit-exact** to a fault-free run of the same request.  Carries the
     structured incident trail and its
@@ -122,32 +122,28 @@ class Completed(_Response):
     ``aggregates`` are the trajectory's summary statistics (bit-exact vs
     a fault-free run of the same request config); ``incidents`` /
     ``incident_summary`` the structured healing trail; ``from_cache``
-    whether the disk result cache served the run; ``degraded`` whether
-    the service breaker routed the request through cheaper (bit-exact)
-    knobs; ``service_ms`` the measured execution wall clock (queue wait
-    excluded).
+    whether the disk result cache served the run; ``service_ms`` the
+    measured execution wall clock (queue wait excluded).
     """
 
     status = "ok"
 
     def __init__(self, request_id, aggregates, incidents=None,
-                 incident_summary=None, from_cache=False, degraded=False,
-                 probe=False, latency_ms=0.0, queue_ms=0.0, service_ms=0.0):
+                 incident_summary=None, from_cache=False, latency_ms=0.0,
+                 queue_ms=0.0, service_ms=0.0):
         super().__init__(request_id, latency_ms, queue_ms)
         self.aggregates = dict(aggregates)
         self.incidents = list(incidents or [])
         self.incident_summary = dict(incident_summary or {"count": 0})
         self.from_cache = bool(from_cache)
-        self.degraded = bool(degraded)
-        self.probe = bool(probe)
         self.service_ms = float(service_ms)
 
     def to_dict(self):
         payload = super().to_dict()
         payload.update(aggregates=self.aggregates, incidents=self.incidents,
                        incident_summary=self.incident_summary,
-                       from_cache=self.from_cache, degraded=self.degraded,
-                       probe=self.probe, service_ms=self.service_ms)
+                       from_cache=self.from_cache,
+                       service_ms=self.service_ms)
         return payload
 
     def __repr__(self):

@@ -2,8 +2,8 @@
 
 A :class:`~repro.engine.session.RenderSession` accumulates expensive
 warm state — the scene's Gaussian cloud, the cross-frame coherence
-carrier (a byte-budgeted library of digested frames), lazily built
-degraded-rung backends, and (for warm requests) a persistent CROP
+carrier (a byte-budgeted library of digested frames), the lazily built
+reference-rung backends, and (for warm requests) a persistent CROP
 cache.  Rebuilding all of that per request would throw the engine's
 temporal-coherence work away at the service boundary, but keeping every
 scene resident forever is an unbounded memory leak under diverse
@@ -14,7 +14,7 @@ the request's session configuration.  Hits reuse the resident session
 (and with it the coherence carrier, so revisited viewpoints digest
 incrementally across *requests*, not just across frames of one
 request); misses build a fresh session and evict least-recently-used
-idle residents over the ``max_residents`` / ``max_bytes`` budgets.
+idle residents over the ``max_residents`` budget.
 Residents in use are never evicted — eviction only considers idle
 entries, so a long request cannot have its session freed mid-run.
 
@@ -30,8 +30,6 @@ depend on the resident's request history by design.
 from __future__ import annotations
 
 import threading
-
-from repro.utils.arrays import ndarray_bytes
 
 
 class ResidentScene:
@@ -53,18 +51,6 @@ class ResidentScene:
         self.uses = 0
         self.active = 0
 
-    def estimated_bytes(self):
-        """Rough resident footprint: ndarray bytes of the scene cloud.
-
-        An *estimate* for the eviction budget, not an accounting — the
-        coherence carrier's library and degraded backends add more, but
-        the cloud dominates and is always materialised after one use.
-        """
-        cloud = getattr(self.session, "_cloud", None)
-        if cloud is None:
-            return 0
-        return ndarray_bytes(cloud)
-
     def warm_crop_cache(self):
         """The resident's persistent CROP cache (built on first call)."""
         if self.crop_cache is None:
@@ -75,19 +61,18 @@ class ResidentScene:
 class SceneResidency:
     """Bounded LRU of :class:`ResidentScene` entries.
 
-    ``max_residents`` bounds the entry count; ``max_bytes`` (optional)
-    additionally bounds the summed :meth:`ResidentScene.estimated_bytes`.
-    Both budgets only ever evict *idle* residents, so they are soft
-    under pathological concurrency (every resident in use) — bounded
-    admission upstream keeps that case bounded too.
+    ``max_residents`` bounds the entry count.  The budget only ever
+    evicts *idle* residents, so it is soft under pathological
+    concurrency (every resident in use) — bounded admission upstream
+    keeps that case bounded too.  Each resident's own memory is bounded
+    by its coherence carrier's byte budget.
     """
 
-    def __init__(self, max_residents=4, max_bytes=None):
+    def __init__(self, max_residents=4):
         if max_residents < 1:
             raise ValueError(
                 f"max_residents must be >= 1, got {max_residents}")
         self.max_residents = int(max_residents)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._lock = threading.Lock()
         self._residents = {}   # key -> ResidentScene (dicts keep LRU via
         self._counters = {"hits": 0, "misses": 0, "evictions": 0}
@@ -119,26 +104,17 @@ class SceneResidency:
         resident.lock.release()
         with self._lock:
             resident.active -= 1
-            # Bytes become measurable once the cloud is built, so the
-            # budget is re-checked on release too.
+            # A resident that was busy at acquire time may now be the
+            # eviction victim, so the budget is re-checked on release.
             self._evict_locked()
 
     def _evict_locked(self):
-        def over_budget():
-            if len(self._residents) > self.max_residents:
-                return True
-            if self.max_bytes is not None:
-                total = sum(r.estimated_bytes()
-                            for r in self._residents.values())
-                return total > self.max_bytes
-            return False
-
-        while over_budget():
+        while len(self._residents) > self.max_residents:
             victim_key = next(
                 (key for key, resident in self._residents.items()
                  if resident.active == 0), None)
             if victim_key is None:
-                return  # everything in use; budgets are soft here
+                return  # everything in use; the budget is soft here
             del self._residents[victim_key]
             self._counters["evictions"] += 1
 
@@ -149,9 +125,6 @@ class SceneResidency:
                 **self._counters,
                 "resident": len(self._residents),
                 "max_residents": self.max_residents,
-                "max_bytes": self.max_bytes,
-                "estimated_bytes": sum(r.estimated_bytes()
-                                       for r in self._residents.values()),
                 "scenes": sorted({key[0] for key in self._residents}),
             }
 

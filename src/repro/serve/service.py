@@ -19,12 +19,9 @@ and the frame heals through the degradation ladder within the budget.
 A deadline that expires while the request waits in the queue resolves
 as a typed ``Failed(reason="deadline")``, never a silent loss.
 
-**Graceful degradation.**  Per-request healing is the session ladder's
-job; the service adds a rolling-incident-rate circuit breaker
-(:class:`~repro.serve.breaker.ServiceBreaker`) that routes *new*
-admissions straight onto the retained bit-exact oracle knobs
-(``coherence="off"``, ``ir="legacy"``) while faults cluster, and probes
-its way back.  Every response carries the structured incident trail and
+**Healing.**  Per-frame healing is the session ladder's job (primary
+→ retry → reference, see :class:`~repro.engine.session.RenderSession`).
+Every response carries the structured incident trail and
 ``incident_summary`` (with ``healing_ms`` latency attribution).
 
 **Residency and caching.**  Sessions live in a bounded LRU
@@ -36,7 +33,7 @@ sweep) serves bit-exact repeat trajectories without rendering at all.
 
 The core invariant — enforced by the chaos suite — is that **no request
 is ever lost or silently wrong**: every admitted request terminates in
-a bit-exact result (possibly via degraded rungs, with incidents
+a bit-exact result (possibly via the reference rung, with incidents
 attached) or a typed failure, and every rejected request gets a typed
 reason, under any fault plan and any concurrency.
 """
@@ -52,7 +49,6 @@ import numpy as np
 from repro.engine.executor import FrameLadderExhausted
 from repro.engine.session import RenderSession
 from repro.knobs import env as knobs_env
-from repro.serve.breaker import ServiceBreaker
 from repro.serve.request import (
     Completed,
     Failed,
@@ -81,13 +77,12 @@ def _percentiles(values_ms):
 class _QueueItem:
     """One admitted request waiting for a worker."""
 
-    __slots__ = ("request", "pending", "submitted", "mode")
+    __slots__ = ("request", "pending", "submitted")
 
-    def __init__(self, request, pending, submitted, mode):
+    def __init__(self, request, pending, submitted):
         self.request = request
         self.pending = pending
         self.submitted = submitted  # monotonic seconds at admission
-        self.mode = mode            # breaker verdict: primary/degraded/probe
 
 
 class RenderService:
@@ -110,12 +105,8 @@ class RenderService:
     result_cache:
         Optional shared :class:`~repro.engine.cache.ResultCache`;
         repeat trajectories are then served bit-exact from disk.
-    max_residents / residency_bytes:
-        Budgets of the resident-scene LRU.
-    breaker:
-        A :class:`~repro.serve.breaker.ServiceBreaker` (default: window
-        8, open at 50%, cooldown 4).  Pass ``enabled=False`` to pin it
-        closed.
+    max_residents:
+        Entry budget of the resident-scene LRU.
     default_deadline_ms:
         Deadline applied to requests that don't carry their own.
 
@@ -127,7 +118,6 @@ class RenderService:
 
     def __init__(self, workers=None, queue_limit=None, shed_at=None,
                  device="orin", result_cache=None, max_residents=4,
-                 residency_bytes=None, breaker=None,
                  default_deadline_ms=None):
         if workers is None:
             workers = int(knobs_env("REPRO_SERVE_WORKERS"))
@@ -147,9 +137,7 @@ class RenderService:
         self.shed_at = None if shed_at is False else int(shed_at)
         self.device = device
         self.result_cache = result_cache
-        self.residency = SceneResidency(max_residents=max_residents,
-                                        max_bytes=residency_bytes)
-        self.breaker = breaker if breaker is not None else ServiceBreaker()
+        self.residency = SceneResidency(max_residents=max_residents)
         self.default_deadline_ms = default_deadline_ms
 
         self._lock = threading.Lock()
@@ -161,7 +149,7 @@ class RenderService:
         self._started = time.monotonic()
         self._counters = {
             "submitted": 0, "admitted": 0, "completed": 0, "failed": 0,
-            "rejected": 0, "from_cache": 0, "degraded": 0, "incidents": 0,
+            "rejected": 0, "from_cache": 0, "incidents": 0,
         }
         self._rejected_by_reason = {}
         self._latencies_ms = []
@@ -213,8 +201,7 @@ class RenderService:
                 pending._resolve(rejection)
                 return pending
             self._counters["admitted"] += 1
-            mode = self.breaker.admission_mode()
-            self._queue.append(_QueueItem(request, pending, now, mode))
+            self._queue.append(_QueueItem(request, pending, now))
             self._not_empty.notify()
         return pending
 
@@ -314,12 +301,10 @@ class RenderService:
             # frame from consuming the whole request's allowance.
             watchdog_ms = remaining / request.views
 
-        degraded = item.mode == "degraded"
         key = (request.scene, request.backend, request.baseline,
-               self.device, request.seed, request.warm_crop_cache,
-               degraded)
+               self.device, request.seed, request.warm_crop_cache)
         resident = self.residency.acquire(
-            key, lambda: self._build_session(request, degraded))
+            key, lambda: self._build_session(request))
         try:
             session = resident.session
             session.strict = request.strict
@@ -351,42 +336,27 @@ class RenderService:
             incidents=result.incidents(),
             incident_summary=result.incident_summary(),
             from_cache=result.from_cache,
-            degraded=degraded,
-            probe=item.mode == "probe",
             latency_ms=(done - item.submitted) * 1e3,
             queue_ms=queue_ms,
             service_ms=(done - started) * 1e3)
 
-    def _build_session(self, request, degraded):
-        """A fresh resident session for ``request``.
-
-        Breaker-degraded admissions run the retained bit-exact oracle
-        knobs directly — same bytes, fewer fast-path failure modes.
-        """
-        ir = "legacy" if degraded else None
-        coherence = "off" if degraded else None
+    def _build_session(self, request):
+        """A fresh resident session for ``request``."""
         return RenderSession(
             request.scene, backend=request.backend,
             baseline=request.baseline, device=self.device,
             seed=request.seed, warm_crop_cache=request.warm_crop_cache,
-            result_cache=self.result_cache, ir=ir, coherence=coherence)
+            result_cache=self.result_cache)
 
     def _finish(self, item, response):
-        """Record KPIs, feed the breaker, resolve the pending handle."""
-        unhealthy = response.status == "failed"
-        incidents = 0
-        if response.status == "ok":
-            incidents = response.incident_summary.get("count", 0)
-            unhealthy = incidents > 0
-        self.breaker.record(item.mode, unhealthy)
+        """Record KPIs and resolve the pending handle."""
         with self._lock:
             if response.status == "ok":
                 self._counters["completed"] += 1
-                self._counters["incidents"] += incidents
+                self._counters["incidents"] += response.incident_summary.get(
+                    "count", 0)
                 if response.from_cache:
                     self._counters["from_cache"] += 1
-                if response.degraded:
-                    self._counters["degraded"] += 1
                 self._latencies_ms.append(response.latency_ms)
                 frame_ms = response.service_ms / item.request.views
                 if self._ewma_frame_ms is None:
@@ -442,7 +412,7 @@ class RenderService:
         """JSON-safe KPI snapshot of the service so far.
 
         Counters, latency percentiles over completed requests, queue
-        depth, throughput since start, plus nested breaker / residency /
+        depth, throughput since start, plus nested residency /
         result-cache snapshots — the per-request latency & health KPIs
         reported as first-class outputs.
         """
@@ -461,7 +431,6 @@ class RenderService:
                 "ewma_frame_ms": self._ewma_frame_ms,
                 **_percentiles(self._latencies_ms),
             }
-        snapshot["breaker"] = self.breaker.stats()
         snapshot["residency"] = self.residency.stats()
         if self.result_cache is not None:
             snapshot["result_cache"] = self.result_cache.stats()

@@ -1,4 +1,4 @@
-"""Serving-layer suite: admission, deadlines, breaker, residency, chaos.
+"""Serving-layer suite: admission, deadlines, residency, chaos.
 
 The acceptance bar mirrors the engine's chaos suite, lifted to the
 service boundary: under a seeded fault plan arming every injection
@@ -27,7 +27,6 @@ from repro.serve import (
     RenderRequest,
     RenderService,
     SceneResidency,
-    ServiceBreaker,
     run_load,
 )
 
@@ -145,7 +144,6 @@ class TestAdmission:
         assert stats["completed"] == 1
         assert stats["queue_depth"] == 0
         assert stats["latency_p50_ms"] > 0
-        assert stats["breaker"]["state"] == "closed"
         assert stats["residency"]["resident"] == 1
 
 
@@ -180,75 +178,6 @@ class TestDeadlineWatchdog:
                                    timeout=120)
         assert resp.status == "failed"
         assert resp.reason == "strict"
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-class TestBreaker:
-    def test_transitions_are_count_based_and_deterministic(self):
-        for _ in range(2):
-            breaker = ServiceBreaker(window=4, open_threshold=0.5,
-                                     cooldown=2)
-            trail = []
-            # 4 completions, 2 unhealthy -> opens exactly when the
-            # window fills at 50% unhealthy.
-            for unhealthy in (True, False, True, False):
-                breaker.record("primary", unhealthy)
-            trail.append(breaker.state)
-            assert breaker.admission_mode() == "degraded"
-            for _ in range(2):  # cooldown completions while open
-                breaker.record("degraded", False)
-            trail.append(breaker.state)
-            assert breaker.admission_mode() == "probe"
-            assert breaker.admission_mode() == "degraded"  # one probe max
-            breaker.record("probe", False)
-            trail.append(breaker.state)
-            assert trail == ["open", "half_open", "closed"]
-            assert [(t["from"], t["to"]) for t in breaker.transitions] == [
-                ("closed", "open"), ("open", "half_open"),
-                ("half_open", "closed")]
-            assert [t["completions"] for t in breaker.transitions] == [
-                4, 6, 7]
-
-    def test_unhealthy_probe_reopens(self):
-        breaker = ServiceBreaker(window=1, open_threshold=1.0, cooldown=1)
-        breaker.record("primary", True)
-        assert breaker.state == "open"
-        breaker.record("degraded", False)
-        assert breaker.state == "half_open"
-        assert breaker.admission_mode() == "probe"
-        breaker.record("probe", True)
-        assert breaker.state == "open"
-
-    def test_service_downgrades_and_recovers_bit_exact(self):
-        # window=1/threshold=1: the first unhealthy completion opens the
-        # breaker.  times=1 arms exactly one digest fault, so request 1
-        # heals through an incident (unhealthy), request 2 is admitted
-        # degraded and runs clean, request 3 probes clean and closes.
-        # Serial worker + closed-loop submission make the trail exact.
-        with faults.active(None):
-            oracle = RenderSession(SCENE, baseline=None).run(
-                n_views=1).aggregates()
-        breaker = ServiceBreaker(window=1, open_threshold=1.0, cooldown=1)
-        with make_service(breaker=breaker) as svc:
-            with faults.active(FaultPlan.parse("digest:raise,times=1")):
-                first = svc.request(SCENE, views=1, timeout=120)
-                second = svc.request(SCENE, views=1, timeout=120)
-                third = svc.request(SCENE, views=1, timeout=120)
-        assert first.ok and first.incident_summary["count"] == 1
-        assert not first.degraded
-        assert second.ok and second.degraded
-        assert third.ok and third.probe and not third.degraded
-        assert breaker.state == "closed"
-        assert [(t["from"], t["to"]) for t in breaker.transitions] == [
-            ("closed", "open"), ("open", "half_open"),
-            ("half_open", "closed")]
-        # Degraded service is a routing decision, not a numeric one.
-        assert first.aggregates == oracle
-        assert second.aggregates == oracle
-        assert third.aggregates == oracle
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +309,6 @@ class TestIncidentTelemetry:
             result = session.run(n_views=1)
         summary = result.incident_summary()
         assert summary["healing_ms"] > 0
-        assert summary["healing_ms"] == summary["wall_ms"]  # alias
 
     def test_caller_crop_cache_bypasses_disk_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
