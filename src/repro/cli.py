@@ -32,12 +32,7 @@ from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
 from repro.knobs import COHERENCE_MODES, IR_MODES, SWMODEL_MODES
-from repro.perf.report import (
-    check_report,
-    load_report,
-    suite_report,
-    write_report,
-)
+from repro.perf.report import load_report, suite_report, write_report
 from repro.perf.suite import SUITES, run_suite
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
@@ -251,11 +246,9 @@ def cmd_bench(args):
             "writes its own BENCH_<suite>.json, so drop --out or pick one "
             "suite")
     baseline = load_report(args.baseline) if args.baseline else None
-    failures = 0
     for name in suites:
         run = run_suite(name, quick=args.quick, scene=args.scene,
-                        repeat=args.repeat, ir=args.ir,
-                        coherence=args.coherence, swmodel=args.swmodel)
+                        repeat=args.repeat)
         report = suite_report(run, baseline=baseline)
         rows = []
         for row in report["benchmarks"]:
@@ -283,33 +276,10 @@ def cmd_bench(args):
                        "repeat spread)")
             print(f"  vs baseline {bench}: {speedup:.2f}x{tag}")
         out = args.out or f"BENCH_{name}.json"
-        if args.check:
-            # Advisory regression tripwire: compare against the checked-in
-            # report instead of overwriting it.
-            try:
-                reference = load_report(out)
-            except OSError as exc:
-                raise SystemExit(
-                    f"--check needs an existing reference report: {exc}")
-            if bool(reference.get("quick")) != args.quick:
-                raise SystemExit(
-                    f"{out} was recorded with quick={reference.get('quick')}"
-                    f"; rerun --check with matching sizing (quick medians "
-                    "and full medians are different workloads)")
-            regressions = check_report(report, reference,
-                                       tolerance=args.check_tolerance)
-            if regressions:
-                failures += len(regressions)
-                for bench, ratio in regressions:
-                    print(f"  REGRESSION {bench}: {ratio:.2f}x slower than "
-                          f"{out}")
-            else:
-                print(f"  within {args.check_tolerance:.0%} of {out}")
-        else:
-            write_report(report, out)
-            print(f"wrote {out}")
+        write_report(report, out)
+        print(f"wrote {out}")
         print()
-    return 1 if failures else 0
+    return 0
 
 
 def cmd_experiment(args):
@@ -507,28 +477,6 @@ def build_parser():
                        help="earlier BENCH_*.json to compute speedups against")
     bench.add_argument("--out", default=None,
                        help="output JSON path (default BENCH_<suite>.json)")
-    bench.add_argument("--check", action="store_true",
-                       help="compare fresh medians against the checked-in "
-                            "BENCH_<suite>.json instead of overwriting it; "
-                            "exit non-zero on large regressions (advisory "
-                            "tripwire, not a hard gate)")
-    bench.add_argument("--check-tolerance", type=float, default=0.5,
-                       help="allowed slowdown before --check fails "
-                            "(default 0.5 = 50%%)")
-    bench.add_argument("--ir", default=None,
-                       choices=IR_MODES,
-                       help="digestion engine the timed paths run under "
-                            "(bit-identical; default $REPRO_IR or auto)")
-    bench.add_argument("--coherence", default=None,
-                       choices=COHERENCE_MODES,
-                       help="cross-frame digestion reuse mode for session "
-                            "suites (bit-identical; default "
-                            "$REPRO_COHERENCE or auto)")
-    bench.add_argument("--swmodel", default=None,
-                       choices=SWMODEL_MODES,
-                       help="software-path model engine of the trajectory "
-                            "suite's cuda rows (bit-identical; default "
-                            "$REPRO_SWMODEL or auto)")
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")

@@ -20,10 +20,6 @@ breakdown.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
@@ -104,19 +100,16 @@ class HWRenderResult:
     access: the colour pass contributes nothing to the simulated cycle
     counts, so trajectory runs that only consume the numeric records
     (``keep_results=False`` sessions, the benchmark suites) never pay for
-    per-frame blending.  ``wall_ms`` carries the renderer's measured
-    wall-clock stage breakdown (digest / draw), which the trajectory
-    benchmark aggregates into its per-stage report.
+    per-frame blending.
     """
 
     def __init__(self, draw_result, preprocess_cycles,
-                 sort_cycles, stream, pre, wall_ms=None):
+                 sort_cycles, stream, pre):
         self.draw = draw_result
         self.preprocess_cycles = float(preprocess_cycles)
         self.sort_cycles = float(sort_cycles)
         self.stream = stream
         self.pre = pre
-        self.wall_ms = dict(wall_ms or {})
         self._image = None
         self._alpha = None
 
@@ -246,13 +239,6 @@ class HardwareRenderer:
         n_visible = stream.prim_colors.shape[0]
         preprocess_cycles = model.preprocess_cycles(n_gaussians, 0)
         sort_cycles = model.sort_cycles(n_visible)
-        t0 = time.perf_counter()
-        # A coherence carrier that classified this stream just before the
-        # render stashes its pre-classification snapshot; prefer it so the
-        # classification cost lands in this frame's digest breakdown.
-        base_sub = stream.__dict__.pop("_substage_base", None)
-        if base_sub is None:
-            base_sub = dict(stream.substage_ms)
         if self._carrier is not None and stream.coherence is None:
             # Standalone renderer loop: classify the frame against this
             # renderer's private carrier.  Streams a session already
@@ -260,20 +246,8 @@ class HardwareRenderer:
             # left alone.
             self._carrier.begin_frame(stream)
         workload = DrawWorkload.from_stream(stream, self.config, ir=self.ir)
-        t1 = time.perf_counter()
         draw = GraphicsPipeline(self.config).draw(workload,
                                                   crop_cache=crop_cache,
                                                   engine=self.engine)
-        t2 = time.perf_counter()
-        wall_ms = {"digest": (t1 - t0) * 1e3, "draw": (t2 - t1) * 1e3}
-        # Named digestion substages (pixel-group / arrival-alpha /
-        # chunklets / quad-columns), as the *delta* the digest above added
-        # to the stream's accumulators — a second render of the same
-        # stream (e.g. the session's baseline pass) reports only its own
-        # marginal work, not the first pass's.
-        for name, ms in stream.substage_ms.items():
-            delta = ms - base_sub.get(name, 0.0)
-            if delta > 0.0:
-                wall_ms[f"digest:{name}"] = delta
         return HWRenderResult(draw, preprocess_cycles,
-                              sort_cycles, stream, pre, wall_ms=wall_ms)
+                              sort_cycles, stream, pre)

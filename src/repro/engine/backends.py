@@ -66,10 +66,9 @@ class FrameResult:
     fragments of the frame (the benchmark harness derives fragments/sec
     from it).  ``kernels`` is the per-kernel millisecond
     breakdown (preprocess / sort / rasterize) when the path models it.
-    ``wall_ms`` is the backend's *measured* wall-clock stage breakdown
-    (empty when the path doesn't record one).  ``pipeline_stats`` carries
-    the hardware model's :class:`~repro.hwmodel.stats.PipelineStats` when
-    available, and ``raw`` the backend's native result object.
+    ``pipeline_stats`` carries the hardware model's
+    :class:`~repro.hwmodel.stats.PipelineStats` when available, and
+    ``raw`` the backend's native result object.
 
     ``image``/``alpha`` may be deferred: a backend can hand an
     ``image_source`` (any object with lazy ``image``/``alpha`` attributes,
@@ -81,7 +80,7 @@ class FrameResult:
     def __init__(self, backend, image=None, alpha=None, cycles=None,
                  ms=None, fps=None, kernels=None, et_ratio=None,
                  n_fragments=None, pipeline_stats=None, raw=None,
-                 wall_ms=None, image_source=None):
+                 image_source=None):
         self.backend = backend
         self._image = image
         self._alpha = alpha
@@ -90,7 +89,6 @@ class FrameResult:
         self.ms = ms
         self.fps = fps
         self.kernels = dict(kernels) if kernels else {}
-        self.wall_ms = dict(wall_ms) if wall_ms else {}
         self.et_ratio = et_ratio
         self.n_fragments = n_fragments
         self.pipeline_stats = pipeline_stats
@@ -170,7 +168,6 @@ class HardwareBackend:
             ms=res.total_ms(),
             fps=res.fps(),
             kernels=res.breakdown_ms(),
-            wall_ms=res.wall_ms,
             et_ratio=res.stream.termination_ratio(
                 self.config.termination_alpha),
             n_fragments=len(res.stream),
@@ -219,7 +216,6 @@ class CudaBackend:
             ms=res.timing.total_ms(),
             fps=res.timing.fps(),
             kernels=res.timing.breakdown_ms(),
-            wall_ms=res.wall_ms,
             et_ratio=res.stream.termination_ratio(self.renderer.threshold),
             n_fragments=len(res.stream),
             pipeline_stats=None,
@@ -267,8 +263,13 @@ _REGISTRY = {}
 
 
 def register_backend(spec, factory):
-    """Register ``factory(spec, device, ir=None, coherence=None,
-    engine=None, swmodel=None) -> backend`` under ``spec``."""
+    """Register ``factory(spec, device, ir, coherence, engine, swmodel)
+    -> backend`` under ``spec``.
+
+    :func:`create_backend` passes all four knobs on every call, ``None``
+    meaning the backend's default; a factory ignores those that don't
+    apply to its path.
+    """
     if spec in _REGISTRY:
         raise ValueError(f"backend {spec!r} is already registered")
     # repro-lint: ok(R6): populated once at import time before workers exist; read-only afterwards
@@ -335,14 +336,8 @@ def create_backend(spec, device=None, device_name="orin", ir=None,
         ) from None
     if device is None:
         device = make_device(device_name)
-    # Factories registered before the newer knobs existed keep working:
-    # only pass a knob the caller actually set.
-    kwargs = {"ir": ir, "coherence": coherence}
-    if engine is not None:
-        kwargs["engine"] = engine
-    if swmodel is not None:
-        kwargs["swmodel"] = swmodel
-    return factory(spec, device, **kwargs)
+    return factory(spec, device, ir=ir, coherence=coherence, engine=engine,
+                   swmodel=swmodel)
 
 
 def _register_defaults():

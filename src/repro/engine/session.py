@@ -98,16 +98,10 @@ class FrameRecord:
 
 
 class TrajectoryResult:
-    """Per-frame records plus aggregates for one trajectory run.
-
-    ``stage_ms`` holds the summed wall-clock per-stage breakdown over the
-    run's frames (preprocess / rasterize / digest / draw / ...) when the
-    session collected one (serial runs only — overlapping workers would
-    double-count wall time); empty otherwise.
-    """
+    """Per-frame records plus aggregates for one trajectory run."""
 
     def __init__(self, scene, backend, baseline, device, seed, records,
-                 from_cache=False, stage_ms=None):
+                 from_cache=False):
         self.scene = scene
         self.backend = backend
         self.baseline = baseline
@@ -115,7 +109,6 @@ class TrajectoryResult:
         self.seed = int(seed)
         self.records = list(records)
         self.from_cache = bool(from_cache)
-        self.stage_ms = dict(stage_ms or {})
 
     @property
     def n_frames(self):
@@ -388,48 +381,29 @@ class RenderSession:
         return backend, baseline, False, "legacy"
 
     def _render_frame_attempt(self, task, backend, baseline, carrier,
-                              crop_cache, raster_jobs, keep_results, ir,
-                              stages):
-        """One rendering attempt of one frame (any rung's configuration).
-
-        ``stages``, when not ``None``, collects this attempt's wall-clock
-        stage timings as ``(name, ms, substage dict)`` tuples — the
-        caller merges them into the run's breakdown only if the attempt
-        succeeds, so failed attempts never skew the per-stage report.
-        """
-        t0 = time.perf_counter()
+                              crop_cache, raster_jobs, keep_results, ir):
+        """One rendering attempt of one frame (any rung's configuration)."""
         pre = preprocess(self.cloud, task.camera)
-        t1 = time.perf_counter()
         stream = rasterize_splats(pre.splats, task.camera.width,
                                   task.camera.height, jobs=raster_jobs,
                                   ir=ir)
-        t2 = time.perf_counter()
         if carrier is not None:
             carrier.begin_frame(stream)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
-        t3 = time.perf_counter()
         record = FrameRecord(
             index=task.index, backend=self.backend_spec, seed=task.seed,
             cycles=frame.cycles, ms=frame.ms, fps=frame.fps,
             et_ratio=frame.et_ratio, kernels=frame.kernels,
             result=frame if keep_results else None)
-        base = None
         if baseline is not None:
             base = baseline.render_stream(stream, pre)
             record.baseline_cycles = base.cycles
             if base.cycles and frame.cycles:
                 record.speedup = base.cycles / frame.cycles
-        if stages is not None:
-            t4 = time.perf_counter()
-            stages.append(("preprocess", (t1 - t0) * 1e3, None))
-            stages.append(("rasterize", (t2 - t1) * 1e3, None))
-            stages.append(("render", (t3 - t2) * 1e3, frame.wall_ms))
-            if base is not None:
-                stages.append(("baseline", (t4 - t3) * 1e3, base.wall_ms))
         return record
 
     def _run_frame_ladder(self, task, carrier, crop_cache, raster_jobs,
-                          keep_results, stage_sink):
+                          keep_results):
         """Render one frame through the degradation ladder.
 
         Cross-frame shared state (the coherence carrier, a warm CROP
@@ -450,14 +424,13 @@ class RenderSession:
                     carrier.restore(carrier_snap)
                 if crop_snap is not None:
                     crop_cache.restore(crop_snap)
-            stages = [] if stage_sink is not None else None
             t0 = time.perf_counter()
             try:
                 with faults.watchdog(self.watchdog_ms):
                     record = self._render_frame_attempt(
                         task, backend, baseline,
                         carrier if use_carrier else None, crop_cache,
-                        raster_jobs, keep_results, ir, stages)
+                        raster_jobs, keep_results, ir)
             except Exception as exc:
                 if self.strict:
                     raise
@@ -471,8 +444,6 @@ class RenderSession:
                 for incident in incidents:
                     incident.recovered_by = rung
                 record.incidents = [inc.to_dict() for inc in incidents]
-            if stage_sink is not None:
-                stage_sink(stages)
             return record
         if carrier_snap is not None:
             carrier.restore(carrier_snap)
@@ -498,7 +469,7 @@ class RenderSession:
         return self.backend.render_stream(stream, pre, crop_cache=crop_cache)
 
     def run(self, n_views=8, jobs=1, keep_results=False, raster_jobs=None,
-            collect_stages=False, crop_cache=None):
+            crop_cache=None):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
 
         ``keep_results=True`` attaches each frame's full
@@ -510,9 +481,7 @@ class RenderSession:
         ``raster_jobs`` threads the rasteriser's independent fragment
         blocks inside each frame (bit-identical streams, see
         :func:`repro.render.splat_raster.rasterize_splats`) — orthogonal
-        to ``jobs``, which fans whole frames out.  ``collect_stages=True``
-        accumulates a wall-clock per-stage breakdown onto the result
-        (serial runs only).
+        to ``jobs``, which fans whole frames out.
 
         ``crop_cache`` hands in a caller-owned warm CROP cache instead of
         building a fresh one (the serving layer persists one per resident
@@ -522,18 +491,12 @@ class RenderSession:
         """
         if n_views <= 0:
             raise ValueError(f"n_views must be positive, got {n_views}")
-        if collect_stages and jobs is not None and jobs > 1:
-            raise ValueError(
-                "collect_stages sums wall-clock per stage and requires "
-                "serial frame execution (jobs=1)")
         caller_crop_cache = crop_cache is not None
         key = None
-        # Stage collection measures *this* run's wall clock; a cache hit
-        # would return records with no breakdown, so it bypasses the cache.
         # A caller-owned CROP cache carries request history, so its runs
-        # are not content-addressable either.
+        # are not content-addressable.
         if (self.result_cache is not None and self._cacheable
-                and not collect_stages and not caller_crop_cache):
+                and not caller_crop_cache):
             key = engine_cache.trajectory_key(
                 self.profile, self.seed, self.backend_spec,
                 self.baseline_spec, self.device_name, n_views,
@@ -571,26 +534,16 @@ class RenderSession:
         ]
         _ = self.cloud  # build once outside the workers, shared read-only
 
-        stage_ms = {} if collect_stages else None
-
-        def stage_sink(stages):
-            for name, ms, substages in stages:
-                stage_ms[name] = stage_ms.get(name, 0.0) + ms
-                for sub, sub_ms in (substages or {}).items():
-                    key = f"{name}:{sub}"
-                    stage_ms[key] = stage_ms.get(key, 0.0) + sub_ms
-
         def render_one(task):
             return self._run_frame_ladder(
-                task, carrier, crop_cache, raster_jobs, keep_results,
-                stage_sink if stage_ms is not None else None)
+                task, carrier, crop_cache, raster_jobs, keep_results)
 
         records = run_frames(render_one, tasks, jobs=jobs,
                              task_info=lambda task, _: (task.index, task.seed))
         result = TrajectoryResult(
             scene=self.profile.name, backend=self.backend_spec,
             baseline=self.baseline_spec, device=self.device_name,
-            seed=self.seed, records=records, stage_ms=stage_ms)
+            seed=self.seed, records=records)
         if key is not None:
             self.result_cache.store(key, result.to_dict())
         return result

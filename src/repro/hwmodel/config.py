@@ -81,7 +81,7 @@ class GPUConfig:
     # Vertex processing & operations: one splat = 4 vertices, 2 triangles.
     vpo_prims_per_cycle: float = 0.5
     vert_shader_cycles_per_warp: float = 16.0
-    # Rasteriser substage throughputs.
+    # Rasteriser step throughputs.
     setup_cycles_per_prim: float = 2.0      # two triangles per splat
     coarse_raster_tiles_per_cycle: float = 1.0
     fine_raster_quads_per_cycle: float = 8.0

@@ -4,9 +4,9 @@ The rasteriser runs four sequential, internally pipelined steps (Section
 V-A): edge setup, coarse raster (which 8x8-pixel raster tiles does the
 primitive touch), hierarchical-z (disabled for alpha blending — Gaussian
 splatting renders with the depth test off), and fine raster (per-pixel
-coverage, 2x2-quad assembly).  Because the substages pipeline against each
+coverage, 2x2-quad assembly).  Because the steps pipeline against each
 other, the engine's busy time over a draw call is the *maximum* of the three
-substage totals, not their sum.
+step totals, not their sum.
 
 Coverage itself comes from the functional core; this module only accounts
 cycles from primitive/raster-tile/quad counts accumulated during the draw.

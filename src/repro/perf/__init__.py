@@ -2,9 +2,11 @@
 
 The ``repro bench`` CLI subcommand drives this package: a suite (a named
 set of benchmarks over one workload layer — rasterisation, full reference
-frames, the hardware pipeline, trajectory sessions) runs each benchmark
-with warmup + repeats, takes wall-clock medians, and writes a
-``BENCH_<suite>.json`` report that later runs can be compared against.
+frames, the hardware pipeline's flush engines, the serving layer) runs
+each benchmark with warmup + repeats, takes wall-clock medians, and
+writes a ``BENCH_<suite>.json`` report that later runs can be compared
+against.  End-to-end and per-layer frame timing lives in the repo
+benchmark, ``framebench/run.py``.
 """
 
 from repro.perf.report import (

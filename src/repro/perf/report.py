@@ -128,30 +128,6 @@ def compare_to_baseline(report, baseline):
     return speedups
 
 
-def check_report(report, reference, tolerance=0.5):
-    """Compare fresh medians against a checked-in reference report.
-
-    Returns ``[(benchmark name, slowdown_ratio), ...]`` for benchmarks
-    whose fresh median exceeds the reference median by more than
-    ``tolerance`` (0.5 = 50% slower).  Benchmarks present on only one
-    side are ignored.  This powers ``repro bench --check`` — an *advisory*
-    regression tripwire, not a hard CI gate: wall-clock medians move with
-    machine load, so treat a failure as "go look", not "revert".
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    ref_rows = {row["name"]: row for row in reference.get("benchmarks", [])}
-    regressions = []
-    for row in report.get("benchmarks", []):
-        ref = ref_rows.get(row["name"])
-        if ref is None or not ref.get("median_ms"):
-            continue
-        ratio = row["median_ms"] / ref["median_ms"]
-        if ratio > 1.0 + tolerance:
-            regressions.append((row["name"], ratio))
-    return regressions
-
-
 def write_report(report, path):
     """Write ``report`` as indented JSON to ``path`` (returns the path)."""
     with open(path, "w", encoding="utf-8") as fh:

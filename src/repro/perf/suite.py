@@ -13,12 +13,9 @@ times the hot path with :func:`repro.perf.timer.time_callable`.  Suites:
 ``reference``
     Full reference frame: preprocess + rasterise + blend.
 ``hw``
-    Hardware-model digestion (``DrawWorkload.from_stream``) and simulated
-    draws under the batched flush-plan engine against the retained scalar
-    per-flush path, per variant — with their cycle/stat equality
-    re-verified inside the run.
-``trajectory``
-    Multi-frame orbit through the engine's ``RenderSession``.
+    Simulated draws under the batched flush-plan engine against the
+    retained scalar per-flush path, per variant — with their cycle/stat
+    equality re-verified inside the run.
 ``service``
     The request-serving layer under synthetic closed-loop load
     (:mod:`repro.serve`): a fault-free row and a seeded-chaos row, each
@@ -29,6 +26,12 @@ times the hot path with :func:`repro.perf.timer.time_callable`.  Suites:
 Every suite accepts ``quick=True`` — a CI-sized variant (small scene, one
 repeat) whose purpose is keeping the harness from bitrotting, not
 producing comparable numbers.
+
+These suites answer what a frame benchmark cannot: how much faster each
+fast path is than its retained oracle, plus the reference frame and the
+serving layer.  End-to-end frame times and the per-layer breakdown
+(preprocess, rasterize, coherence, digest, draw, ...) come from the
+repo benchmark, ``framebench/run.py`` (``--trace 1`` for the layers).
 """
 
 from __future__ import annotations
@@ -97,8 +100,7 @@ def _assert_identical(a, b):
             "be comparing different work")
 
 
-def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
-                     swmodel=None):
+def _suite_rasterize(quick, scene=None, repeat=None):
     scene = scene or ("lego" if quick else "bench")
     repeat = repeat or (2 if quick else 5)
     _, camera, pre = _splats_for(scene)
@@ -107,7 +109,7 @@ def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
     # Both paths get the *same* warmup so the speedup ratio compares
     # steady-state against steady-state even in quick mode.
     warmup = 0 if quick else 1
-    batched = time_callable(lambda: rasterize_splats(pre.splats, w, h, ir=ir),
+    batched = time_callable(lambda: rasterize_splats(pre.splats, w, h),
                             warmup=warmup, repeat=repeat,
                             name="rasterize/batched")
     scalar = time_callable(lambda: rasterize_splats_scalar(pre.splats, w, h),
@@ -132,8 +134,7 @@ def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
     ]
 
 
-def _suite_reference(quick, scene=None, repeat=None, ir=None, coherence=None,
-                     swmodel=None):
+def _suite_reference(quick, scene=None, repeat=None):
     from repro.render.reference import render_reference
 
     scene = scene or ("lego" if quick else "train")
@@ -165,8 +166,7 @@ def _assert_draws_identical(a, b):
             "would be comparing different work")
 
 
-def _suite_hw(quick, scene=None, repeat=None, ir=None, coherence=None,
-              swmodel=None):
+def _suite_hw(quick, scene=None, repeat=None):
     from repro.core.vrpipe import variant_config
     from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 
@@ -175,17 +175,10 @@ def _suite_hw(quick, scene=None, repeat=None, ir=None, coherence=None,
     variants = ("baseline", "het+qm") if quick else ("baseline", "qm",
                                                      "het", "het+qm")
     _, camera, pre = _splats_for(scene)
-    stream = rasterize_splats(pre.splats, camera.width, camera.height, ir=ir)
+    stream = rasterize_splats(pre.splats, camera.width, camera.height)
     n = len(stream)
 
     results = []
-    cfg_full = variant_config("het+qm")
-    digest = time_callable(
-        lambda: DrawWorkload.from_stream(stream, cfg_full, ir=ir),
-        warmup=0 if quick else 1, repeat=repeat,
-        name="hw/digest")
-    results.append(BenchResult(digest, scene, {
-        "fragments": n, "fragments_per_sec": digest.per_second(n)}))
     for variant in variants:
         cfg = variant_config(variant)
         workload = DrawWorkload.from_stream(stream, cfg)
@@ -214,108 +207,6 @@ def _suite_hw(quick, scene=None, repeat=None, ir=None, coherence=None,
     return results
 
 
-def _stage_breakdown(session, n_views):
-    """Per-frame wall-clock stage map of one serial session run.
-
-    Collected in a separate, untimed run so the instrumentation never
-    contaminates the measured repetitions; returns ``{}`` on engines whose
-    session predates stage collection (the suite also runs against older
-    checkouts to produce baseline reports — probed by signature so a real
-    ``TypeError`` inside the run still propagates).
-    """
-    import inspect
-
-    if "collect_stages" not in inspect.signature(session.run).parameters:
-        return {}
-    result = session.run(n_views=n_views, collect_stages=True)
-    return {f"stage_{name}_ms_per_frame": ms / n_views
-            for name, ms in sorted(result.stage_ms.items())}
-
-
-def _suite_trajectory(quick, scene=None, repeat=None, ir=None,
-                      coherence=None, swmodel=None):
-    """End-to-end multi-frame trajectories, per engine endpoint.
-
-    The headline suite of the frame engines: each benchmark renders a
-    whole ``RenderSession`` orbit — preprocess, rasterise, digest and
-    simulate every frame — through one variant, cold, plus warm-CROP-cache
-    rows (serial by contract) for the cache-carrying endpoints.  Rows
-    report frames/s and a wall-clock per-stage breakdown, so
-    ``BENCH_trajectory.json`` doubles as the repo's hotspot map; the
-    ``stage_render:digest`` column measures whichever digestion engine
-    ``ir`` selects (the FrameIR path by default) under the cross-frame
-    ``coherence`` mode (the ``$REPRO_COHERENCE`` default when ``None``).
-    The session — and with it the coherence carrier — persists across the
-    warmup and every measured repeat, matching the production serving
-    loop where a trajectory revisits viewpoints against warm state.
-
-    The software path rides along as ``cuda`` / ``cuda+et`` rows under
-    the ``swmodel`` engine knob: their ``cold`` rows pin the coherence
-    carrier *off* (every frame digests from scratch — the software
-    models' worst case), their ``warm`` rows pin it to ``incremental``
-    so cross-frame reuse of the rasterise/FrameIR/digest products shows
-    up as a separate measurement.
-
-    Quick mode trades the variant sweep for *scenario* coverage: the
-    ``lego`` orbit plus the sparse ``aerial`` and dense ``garden``
-    profiles, two hardware variants plus the ``cuda+et`` cold/warm pair
-    each.  Rows for non-default scenes carry the scene in their
-    benchmark name so reports stay comparable row-by-row.
-    """
-    from repro.engine.session import RenderSession
-
-    repeat = repeat or (1 if quick else 3)
-    n_views = 2 if quick else 4
-    if scene is not None:
-        scenes = [scene]
-    else:
-        scenes = ["lego", "aerial", "garden"] if quick else ["lego"]
-    cold_variants = ("baseline", "het+qm") if quick else (
-        "baseline", "qm", "het", "het+qm")
-    warm_variants = () if quick else ("baseline", "het+qm")
-    cuda_specs = ("cuda+et",) if quick else ("cuda", "cuda+et")
-
-    results = []
-    for scene_name in scenes:
-        prefix = ("trajectory" if scene_name == "lego"
-                  else f"trajectory/{scene_name}")
-        for variant, warm in ([(v, False) for v in cold_variants]
-                              + [(v, True) for v in warm_variants]):
-            session = RenderSession(scene_name, backend=f"hw:{variant}",
-                                    baseline=None, warm_crop_cache=warm,
-                                    ir=ir, coherence=coherence,
-                                    swmodel=swmodel)
-            mode = "warm" if warm else "cold"
-            timing = time_callable(
-                lambda s=session: s.run(n_views=n_views),
-                warmup=0 if quick else 1, repeat=repeat,
-                name=f"{prefix}/{variant}:{mode}")
-            metrics = {
-                "frames": n_views,
-                "ms_per_frame": timing.median_ms / n_views,
-                "frames_per_sec": timing.per_second(n_views),
-            }
-            metrics.update(_stage_breakdown(session, n_views))
-            results.append(BenchResult(timing, scene_name, metrics))
-        for spec in cuda_specs:
-            for mode, coh in (("cold", "off"), ("warm", "incremental")):
-                session = RenderSession(scene_name, backend=spec,
-                                        baseline=None, ir=ir, coherence=coh,
-                                        swmodel=swmodel)
-                timing = time_callable(
-                    lambda s=session: s.run(n_views=n_views),
-                    warmup=0 if quick else 1, repeat=repeat,
-                    name=f"{prefix}/{spec}:{mode}")
-                metrics = {
-                    "frames": n_views,
-                    "ms_per_frame": timing.median_ms / n_views,
-                    "frames_per_sec": timing.per_second(n_views),
-                }
-                metrics.update(_stage_breakdown(session, n_views))
-                results.append(BenchResult(timing, scene_name, metrics))
-    return results
-
-
 #: Seeded chaos plan of the ``service`` suite: every one of the seven
 #: injection points armed, mixing stall / raise / corrupt / oserror
 #: kinds, probabilistic so healing happens without drowning the run.
@@ -333,8 +224,7 @@ _SERVICE_KPI_KEYS = (
     "latency_p99_ms")
 
 
-def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
-                   swmodel=None):
+def _suite_service(quick, scene=None, repeat=None):
     """The serving layer under synthetic load, fault-free and under chaos.
 
     Each row drives a fresh :class:`~repro.serve.service.RenderService`
@@ -342,10 +232,9 @@ def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
     seeded closed-loop load generator: ``clean`` with no fault plan,
     ``chaos`` under :data:`SERVICE_CHAOS_PLAN` (all seven injection
     points armed).  The timing row is the whole run's wall clock; the
-    serving KPIs ride along as metrics.  ``ir``/``coherence``/``swmodel``
-    are accepted for registry uniformity and ignored — the service builds
-    its sessions with the default fast path, and frames heal through the
-    session ladder (primary → retry → reference).
+    serving KPIs ride along as metrics.  The service builds its sessions
+    with the default fast path, and frames heal through the session
+    ladder (primary → retry → reference).
 
     Full mode runs 8 concurrent clients (the acceptance bar for the
     zero-lost-requests invariant); quick mode 2.
@@ -394,29 +283,21 @@ def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
     return results
 
 
-#: Suite registry: name -> callable(quick, scene=None, repeat=None,
-#: ir=None, coherence=None, swmodel=None).
+#: Suite registry: name -> callable(quick, scene=None, repeat=None).
 SUITES = {
     "rasterize": _suite_rasterize,
     "reference": _suite_reference,
     "hw": _suite_hw,
-    "trajectory": _suite_trajectory,
     "service": _suite_service,
 }
 
 
-def run_suite(name, quick=False, scene=None, repeat=None, ir=None,
-              coherence=None, swmodel=None):
+def run_suite(name, quick=False, scene=None, repeat=None):
     """Run the suite registered under ``name`` and return a :class:`SuiteRun`.
 
     ``scene`` and ``repeat`` override the suite defaults (``repeat`` must
-    be >= 1 when given); ``quick`` selects the CI-sized variant.  ``ir``
-    selects the digestion engine the timed paths run under (see
-    :mod:`repro.render.frameir`), ``coherence`` the cross-frame reuse
-    mode of session-based suites (see :mod:`repro.render.coherence`), and
-    ``swmodel`` the software-path model engine of the ``cuda`` rows (see
-    :mod:`repro.swrender.warp_model`; suites without the corresponding
-    state accept and ignore the knobs).
+    be >= 1 when given); ``quick`` selects the CI-sized variant.  Every
+    suite times the library's default fast paths.
     """
     try:
         suite = SUITES[name]
@@ -425,6 +306,4 @@ def run_suite(name, quick=False, scene=None, repeat=None, ir=None,
             f"unknown suite {name!r}; available: {sorted(SUITES)}") from None
     if repeat is not None and repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    return SuiteRun(name, quick, suite(quick, scene=scene, repeat=repeat,
-                                       ir=ir, coherence=coherence,
-                                       swmodel=swmodel))
+    return SuiteRun(name, quick, suite(quick, scene=scene, repeat=repeat))

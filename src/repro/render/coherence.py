@@ -50,7 +50,6 @@ coherence and software-renderer suites under both ``incremental`` and
 from __future__ import annotations
 
 from collections import OrderedDict
-from time import perf_counter
 
 import numpy as np
 
@@ -236,15 +235,9 @@ class FrameCoherence:
             return
         if stream.frameir is None or not stream._use_ir_digest():
             return
-        t0 = perf_counter()
         if self._prev is not None:
             self._prev.seal()
         self._evict()
-        # Classification runs *before* the backend's render call, whose
-        # substage-delta accounting would otherwise swallow it; stash the
-        # pre-classification snapshot so the renderer attributes this
-        # frame's classification cost to its digest breakdown.
-        stream._substage_base = dict(stream.substage_ms)
         stream.coherence = self
         self._key = self._content_key(stream)
         cand = self._states.get(self._key)
@@ -267,7 +260,6 @@ class FrameCoherence:
                 self.stats["full_recomputes"] += 1
             self._prev = self._states[self._key] = _FrameState(stream)
         self._states.move_to_end(self._key)
-        stream._add_substage("pixel-group", t0)
 
     def _evict(self):
         """Drop least-recently-used states until the sealed states' bytes

@@ -18,7 +18,6 @@ All heavy quantities are computed lazily and cached.
 from __future__ import annotations
 
 import weakref
-from time import perf_counter
 
 import numpy as np
 
@@ -145,10 +144,6 @@ class FragmentStream:
         self.frameir = frameir
         self.ir = ir
         self._coherence = None
-        #: Wall-clock of the named digestion substages (ms), accumulated
-        #: as the lazy caches materialise; the hardware renderer folds
-        #: these into its per-frame stage breakdown.
-        self.substage_ms = {}
         self._cache = {}
 
     @property
@@ -169,10 +164,6 @@ class FragmentStream:
     @coherence.setter
     def coherence(self, carrier):
         self._coherence = weakref.ref(carrier) if carrier is not None else None
-
-    def _add_substage(self, name, t0):
-        self.substage_ms[name] = (self.substage_ms.get(name, 0.0)
-                                  + (perf_counter() - t0) * 1e3)
 
     # ------------------------------------------------------------------
     # Basic derived arrays
@@ -253,7 +244,6 @@ class FragmentStream:
         """
         if "pix_sorted" in self._cache:
             return
-        t0 = perf_counter()
         n = len(self)
         if self._use_ir_digest() and n:
             # The rasteriser's emission order has non-decreasing prim ids,
@@ -269,7 +259,6 @@ class FragmentStream:
             pix_sorted = self.pixel_ids[order]
             self._cache["pix_sorted"] = pix_sorted
             self._cache["pixel_starts"] = segment_boundaries(pix_sorted)
-        self._add_substage("pixel-group", t0)
 
     def _ir_pixel_counts(self):
         """Per-pixel fragment counts from the IR's row intervals.
@@ -362,7 +351,6 @@ class FragmentStream:
         if "arrival_sorted" in self._cache:
             return
         self._ensure_pixel_grouping()
-        t0 = perf_counter()
         order = self._cache["pixel_order"]
         pix_sorted = self._cache["pix_sorted"]
         starts = self._cache["pixel_starts"]
@@ -392,7 +380,6 @@ class FragmentStream:
             np.subtract(1.0, arrival_sorted, out=arrival_sorted)
         self._cache["alpha_eff_sorted"] = alpha_eff
         self._cache["arrival_sorted"] = arrival_sorted
-        self._add_substage("arrival-alpha", t0)
 
     @property
     def arrival_alpha(self):
@@ -570,13 +557,11 @@ class FragmentStream:
         """
         if "accumulated_alpha" not in self._cache:
             self._ensure_arrival_sorted()
-            t0 = perf_counter()
             weights = ((1.0 - self._cache["arrival_sorted"])
                        * self._cache["alpha_eff_sorted"].astype(np.float64))
             self._cache["accumulated_alpha"] = np.bincount(
                 self._cache["pix_sorted"], weights=weights,
                 minlength=self.n_pixels)
-            self._add_substage("arrival-alpha", t0)
         return self._cache["accumulated_alpha"]
 
     def blend_image(self, early_term=False, threshold=DEFAULT_TERMINATION_ALPHA):
@@ -704,13 +689,11 @@ class FragmentStream:
         key = ("quad_table", round(float(threshold), 9), int(lag),
                "frameir" if use_ir else "legacy")
         if key not in self._cache:
-            t0 = perf_counter()
             if use_ir:
                 self._cache[key] = QuadTable.from_ir(self, self.frameir,
                                                      threshold, lag)
             else:
                 self._cache[key] = QuadTable.from_stream(self, threshold, lag)
-            self._add_substage("chunklets", t0)
         return self._cache[key]
 
 
@@ -774,7 +757,6 @@ class _QuadColumnBuilder:
         # overflow-proof); mask columns reduce in uint8 — a bitwise OR of
         # 4-bit coverage masks can never overflow.  Results widen to the
         # table's int64 convention afterwards.
-        t0 = perf_counter()
         if name == "n_fragments":
             ones = np.ones(len(self.stream), dtype=np.int32)
             per_quad = np.add.reduceat(ones, self.starts)
@@ -784,9 +766,7 @@ class _QuadColumnBuilder:
         else:
             per_quad = np.bitwise_or.reduceat(
                 self._bits() * self._fragment_flags(name), self.starts)
-        out = per_quad[self.emit].astype(np.int64)
-        self.stream._add_substage("quad-columns", t0)
-        return out
+        return per_quad[self.emit].astype(np.int64)
 
 
 class _IRQuadColumnBuilder(_QuadColumnBuilder):
@@ -815,13 +795,9 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
         return self._bit
 
     def column(self, name):
-        t0 = perf_counter()
         if name in QuadTable._META_COLUMNS:
-            out = self.ir_quads.meta(name)
-        else:
-            out = self._aggregate(name).astype(np.int64)
-        self.stream._add_substage("quad-columns", t0)
-        return out
+            return self.ir_quads.meta(name)
+        return self._aggregate(name).astype(np.int64)
 
     def _aggregate(self, name):
         """One aggregate column in uint8 (counts are at most 4, masks 4

@@ -15,7 +15,6 @@ computes the same math).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.gaussians.camera import Camera
@@ -101,20 +100,17 @@ class CudaRenderResult:
     access (mirroring :class:`~repro.core.vrpipe.HWRenderResult`): the
     colour pass contributes nothing to the modelled kernel times, so
     trajectory runs that only consume the numeric records never pay for
-    per-frame blending.  ``wall_ms`` carries the renderer's measured
-    wall-clock stage breakdown (tiling / digest), which the trajectory
-    benchmark aggregates into its per-stage report.
+    per-frame blending.
     """
 
     def __init__(self, timing, stream, warp_exec, tiling,
-                 early_term, threshold, wall_ms=None):
+                 early_term, threshold):
         self.timing = timing
         self.stream = stream
         self.warp_exec = warp_exec
         self.tiling = tiling
         self.early_term = bool(early_term)
         self.threshold = float(threshold)
-        self.wall_ms = dict(wall_ms or {})
         self._image = None
         self._alpha = None
 
@@ -185,19 +181,10 @@ class CudaRenderer:
         (see :class:`CudaRenderResult`).
         """
         model = self.kernel_model
-        t0 = time.perf_counter()
-        # A coherence carrier that classified this stream just before the
-        # render stashes its pre-classification snapshot; prefer it so the
-        # classification cost lands in this frame's digest breakdown.
-        base_sub = stream.__dict__.pop("_substage_base", None)
-        if base_sub is None:
-            base_sub = dict(stream.substage_ms)
         tiling = _tiling_for(stream, pre)
         n_gaussians = stream.prim_colors.shape[0]
-        t1 = time.perf_counter()
         warp_exec = simulate_tile_warps(stream, self.threshold,
                                         swmodel=self.swmodel)
-        t2 = time.perf_counter()
 
         warp_rounds = (warp_exec.rounds_et if self.early_term
                        else warp_exec.rounds_no_et)
@@ -210,18 +197,9 @@ class CudaRenderer:
             raster_cycles=model.raster_cycles(warp_rounds, blend_ops),
             frequency_hz=self.frequency_hz,
         )
-        wall_ms = {"tiling": (t1 - t0) * 1e3, "digest": (t2 - t1) * 1e3}
-        # Named digestion substages, as the *delta* the warp model added
-        # to the stream's accumulators (same bookkeeping as the hardware
-        # renderer): a re-render of an already-digested stream reports
-        # only its own marginal work.
-        for name, ms in stream.substage_ms.items():
-            delta = ms - base_sub.get(name, 0.0)
-            if delta > 0.0:
-                wall_ms[f"digest:{name}"] = delta
         return CudaRenderResult(timing, stream, warp_exec, tiling,
                                 early_term=self.early_term,
-                                threshold=self.threshold, wall_ms=wall_ms)
+                                threshold=self.threshold)
 
 
 def _tiling_for(stream, pre):

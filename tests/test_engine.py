@@ -233,22 +233,6 @@ class TestLazyFrameImages:
 
 
 class TestStageCollection:
-    def test_collect_stages_sums_wall_clock(self):
-        session = RenderSession("lego", backend="hw:het+qm", baseline=None)
-        result = session.run(n_views=2, collect_stages=True)
-        stages = result.stage_ms
-        for key in ("preprocess", "rasterize", "render",
-                    "render:digest", "render:draw"):
-            assert stages[key] > 0, key
-        # Sub-stages nest inside their parent stage.
-        assert stages["render:digest"] + stages["render:draw"] \
-            <= stages["render"] * 1.05
-
-    def test_collect_stages_requires_serial(self):
-        session = RenderSession("lego", backend="hw:baseline", baseline=None)
-        with pytest.raises(ValueError, match="serial"):
-            session.run(n_views=2, jobs=2, collect_stages=True)
-
     def test_raster_jobs_records_identical(self):
         session = RenderSession("lego", backend="hw:baseline", baseline=None)
         serial = session.run(n_views=2)

@@ -49,7 +49,7 @@ class TestTimer:
 
 class TestSuites:
     def test_registry_names(self):
-        assert {"rasterize", "reference", "hw", "trajectory"} <= set(SUITES)
+        assert set(SUITES) == {"rasterize", "reference", "hw", "service"}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -71,6 +71,18 @@ class TestSuites:
         assert batched.metrics["speedup_vs_scalar"] > 0
         assert (batched.metrics["fragments"]
                 == by_name["rasterize/scalar"].metrics["fragments"])
+
+    def test_hw_quick_reports_draw_speedups(self):
+        run = run_suite("hw", quick=True)
+        names = [r.name for r in run]
+        assert names == ["hw/draw:baseline", "hw/draw:baseline:scalar",
+                         "hw/draw:het+qm", "hw/draw:het+qm:scalar"]
+        by_name = {r.name: r for r in run}
+        for variant in ("baseline", "het+qm"):
+            assert by_name[f"hw/draw:{variant}"].metrics[
+                "speedup_vs_scalar"] > 0
+            assert "speedup_vs_scalar" not in by_name[
+                f"hw/draw:{variant}:scalar"].metrics
 
 
 class TestReport:
@@ -158,55 +170,6 @@ class TestBenchSceneProfile:
         np.testing.assert_array_equal(a.positions, b.positions)
 
 
-class TestCheckMode:
-    def _tiny_report(self, medians):
-        rows = [{"name": name, "scene": "s", "median_ms": ms,
-                 "times_ms": [ms], "warmup": 0}
-                for name, ms in medians.items()]
-        return {"schema": SCHEMA_VERSION, "suite": "t", "quick": True,
-                "benchmarks": rows}
-
-    def test_check_report_flags_large_regressions_only(self):
-        from repro.perf.report import check_report
-
-        ref = self._tiny_report({"a": 10.0, "b": 10.0, "c": 10.0})
-        fresh = self._tiny_report({"a": 10.4, "b": 16.0, "d": 99.0})
-        regressions = check_report(fresh, ref, tolerance=0.5)
-        assert regressions == [("b", pytest.approx(1.6))]
-        assert check_report(fresh, ref, tolerance=0.7) == []
-        with pytest.raises(ValueError):
-            check_report(fresh, ref, tolerance=-1)
-
-    def test_cli_check_exits_nonzero_on_regression(self, tmp_path,
-                                                   monkeypatch):
-        from repro.perf import suite as suite_mod
-        from repro.perf.timer import TimingResult
-
-        def fake_suite(quick, scene=None, repeat=None, ir=None,
-                       coherence=None, swmodel=None):
-            return [BenchResult(TimingResult("fake/x", [0.2], 0), "s", {})]
-
-        monkeypatch.setitem(suite_mod.SUITES, "rasterize", fake_suite)
-        monkeypatch.chdir(tmp_path)
-        # First run writes the reference; the identical rerun passes.
-        assert cli_main(["bench", "--suite", "rasterize", "--quick"]) == 0
-        assert cli_main(["bench", "--suite", "rasterize", "--quick",
-                         "--check"]) == 0
-
-        def slow_suite(quick, scene=None, repeat=None, ir=None,
-                       coherence=None, swmodel=None):
-            return [BenchResult(TimingResult("fake/x", [2.0], 0), "s", {})]
-
-        monkeypatch.setitem(suite_mod.SUITES, "rasterize", slow_suite)
-        assert cli_main(["bench", "--suite", "rasterize", "--quick",
-                         "--check"]) == 1
-
-    def test_cli_check_requires_reference(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match="reference"):
-            cli_main(["bench", "--suite", "rasterize", "--quick", "--check"])
-
-
 class TestReportEnvironmentMetadata:
     def test_report_records_environment(self):
         from repro.perf.timer import TimingResult
@@ -217,40 +180,3 @@ class TestReportEnvironmentMetadata:
         assert report["cpu_count"] >= 1
         assert report["platform"]
         assert report["python"] and report["numpy"]
-
-
-class TestTrajectorySuite:
-    def test_quick_trajectory_rows(self):
-        run = run_suite("trajectory", quick=True)
-        names = [r.name for r in run]
-        # Quick mode trades the variant sweep for scenario coverage: the
-        # lego orbit plus the sparse aerial / dense garden profiles, two
-        # hardware variants plus the software path's cold/warm pair each.
-        assert names == [
-            "trajectory/baseline:cold", "trajectory/het+qm:cold",
-            "trajectory/cuda+et:cold", "trajectory/cuda+et:warm",
-            "trajectory/aerial/baseline:cold",
-            "trajectory/aerial/het+qm:cold",
-            "trajectory/aerial/cuda+et:cold",
-            "trajectory/aerial/cuda+et:warm",
-            "trajectory/garden/baseline:cold",
-            "trajectory/garden/het+qm:cold",
-            "trajectory/garden/cuda+et:cold",
-            "trajectory/garden/cuda+et:warm",
-        ]
-        assert [r.scene for r in run] == ["lego"] * 4 + ["aerial"] * 4 + \
-            ["garden"] * 4
-        for result in run:
-            assert result.metrics["frames"] == 2
-            assert result.metrics["ms_per_frame"] > 0
-            assert result.metrics["frames_per_sec"] > 0
-            # Serial stage breakdown rides along (new engines only).
-            stage_keys = [k for k in result.metrics
-                          if k.startswith("stage_")]
-            assert "stage_rasterize_ms_per_frame" in stage_keys
-
-    def test_scene_override_limits_rows(self):
-        run = run_suite("trajectory", quick=True, scene="lego")
-        assert [r.name for r in run] == [
-            "trajectory/baseline:cold", "trajectory/het+qm:cold",
-            "trajectory/cuda+et:cold", "trajectory/cuda+et:warm"]
