@@ -1,17 +1,12 @@
 """Executor-shared-state rule R6.
 
 :func:`repro.engine.executor.run_frames` fans work out to worker
-threads — and the serving layer's worker pool
-(:meth:`repro.serve.service.RenderService._worker_loop` and its request
-handler ``_handle_request``) adds a second, longer-lived family of
-concurrent entry points.  Any module-level mutable global written by
-code reachable from either is shared mutable state those workers race
-on.  The rule:
+threads.  Any module-level mutable global written by code reachable
+from it is shared mutable state those workers race on.  The rule:
 
 1. seeds a *reachability walk* at every module that defines or calls
-   one of the concurrency entry points in :data:`_ENTRY_POINTS`
-   (``engine/executor.py`` and ``serve/service.py`` plus their call
-   sites);
+   the frame executor's entry point in :data:`_ENTRY_POINTS`
+   (``engine/executor.py`` plus its call sites);
 2. follows the static ``import repro...`` graph from those roots — an
    over-approximation of what worker callables can touch;
 3. inside every reachable module, finds module-level mutable literals
@@ -48,10 +43,8 @@ _MUTATORS = ("append", "extend", "insert", "add", "update", "setdefault",
              "appendleft", "extendleft")
 
 #: Functions whose definitions/call sites root the reachability walk:
-#: the frame executor's fan-out plus the serving layer's worker-pool
-#: entry point and request handler (worker threads live across requests
-#: there, so anything they can import is executor-reachable too).
-_ENTRY_POINTS = ("run_frames", "_worker_loop", "_handle_request")
+#: the frame executor's fan-out.
+_ENTRY_POINTS = ("run_frames",)
 
 
 def _is_mutable_value(node):
@@ -196,4 +189,4 @@ class ExecutorSharedStateRule(Rule):
                     f"{mutable[name].lineno}) is written in "
                     f"{enclosing.name if enclosing else '<module>'}() "
                     f"without a lock; this module is reachable from "
-                    f"concurrent workers (run_frames / serve pool)")
+                    f"run_frames workers")

@@ -5,7 +5,6 @@ Usage::
     python -m repro render  --scene train --out train.ppm
     python -m repro simulate --scene truck [--variant het+qm] [--all]
     python -m repro trajectory --scene train --backend hw:het+qm --views 24
-    python -m repro serve --clients 8 --requests 3 [--faults PLAN] [--json]
     python -m repro bench [--suite rasterize] [--quick] [--baseline BENCH_prev.json]
     python -m repro experiment fig16
     python -m repro list-scenes
@@ -189,55 +188,6 @@ def cmd_trajectory(args):
     return 0
 
 
-def cmd_serve(args):
-    # Deferred import: the serving layer pulls in the worker pool and
-    # load generator, which only this subcommand needs.
-    from repro.serve import LoadSpec, RenderService, run_load
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    plan = faults.FaultPlan.parse(args.faults) if args.faults else None
-    context = (faults.active(plan) if plan is not None
-               else contextlib.nullcontext())
-    spec = LoadSpec(
-        clients=args.clients, requests_per_client=args.requests,
-        scenes=tuple(args.scenes.split(",")),
-        backends=(args.backend,),
-        views_choices=tuple(int(v) for v in args.views.split(",")),
-        seed=args.seed, deadline_ms=args.deadline_ms,
-        warm_fraction=args.warm_fraction,
-        high_fraction=args.high_fraction, think_ms=args.think_ms)
-    with context:
-        with RenderService(workers=args.workers,
-                           queue_limit=args.queue_limit,
-                           shed_at=args.shed_at, device=args.device,
-                           result_cache=cache,
-                           max_residents=args.max_residents) as service:
-            report = run_load(service, spec)
-    kpis = report.kpis()
-    if args.json:
-        json.dump({"kpis": kpis, "service": report.service_stats},
-                  sys.stdout, indent=2, sort_keys=True, default=str)
-        sys.stdout.write("\n")
-        return 0 if kpis["lost"] == 0 else 1
-    plan_note = f" under faults '{args.faults}'" if args.faults else ""
-    print(format_table(
-        ["KPI", "Value"],
-        [[key, kpis[key]] for key in sorted(kpis) if key != "by_reason"],
-        title=(f"repro serve: {spec.clients} clients x "
-               f"{spec.requests_per_client} requests{plan_note}")))
-    if kpis["by_reason"]:
-        print()
-        print(format_table(
-            ["Outcome", "Count"],
-            [[key, count]
-             for key, count in sorted(kpis["by_reason"].items())],
-            title="Rejections / failures by reason"))
-    if kpis["lost"]:
-        print(f"\nERROR: {kpis['lost']} request(s) lost", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_bench(args):
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     if args.out and len(suites) > 1:
@@ -410,58 +360,6 @@ def build_parser():
                             help="emit aggregates, incident summary and "
                                  "cache stats as JSON instead of tables")
 
-    serve = sub.add_parser(
-        "serve",
-        help="drive the request-serving layer with synthetic clients and "
-             "report serving KPIs (admission, deadlines, healing, "
-             "residency)")
-    serve.add_argument("--clients", type=int, default=4,
-                       help="closed-loop synthetic clients (default 4)")
-    serve.add_argument("--requests", type=int, default=2,
-                       help="requests submitted per client (default 2)")
-    serve.add_argument("--scenes", default="lego",
-                       help="comma-separated scene mix (default lego)")
-    serve.add_argument("--backend", default="hw:het+qm",
-                       choices=available_backends())
-    serve.add_argument("--views", default="1,2",
-                       help="comma-separated per-request view-count "
-                            "choices (default 1,2)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker-pool size (default $REPRO_SERVE_WORKERS "
-                            "or 2)")
-    serve.add_argument("--queue-limit", type=int, default=None,
-                       help="bounded queue depth (default $REPRO_SERVE_QUEUE "
-                            "or 16)")
-    serve.add_argument("--shed-at", type=int, default=None,
-                       help="queue depth at which normal-priority requests "
-                            "are shed (default 3/4 of the queue limit)")
-    serve.add_argument("--max-residents", type=int, default=4,
-                       help="bounded LRU size of resident scenes (default 4)")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       help="per-request deadline applied to every "
-                            "generated request")
-    serve.add_argument("--warm-fraction", type=float, default=0.0,
-                       help="fraction of requests opting into the resident "
-                            "warm CROP cache")
-    serve.add_argument("--high-fraction", type=float, default=0.0,
-                       help="fraction of requests submitted at high "
-                            "priority (bypasses shedding)")
-    serve.add_argument("--think-ms", type=float, default=0.0,
-                       help="client think time between requests")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="load-mix seed (per-client request streams "
-                            "derive deterministically from it)")
-    serve.add_argument("--device", default="orin",
-                       choices=("orin", "rtx3090"))
-    serve.add_argument("--cache-dir", default=None,
-                       help="shared on-disk trajectory result cache "
-                            "directory")
-    serve.add_argument("--faults", default=None,
-                       help="seeded fault-injection plan active for the "
-                            "whole run (see repro.faults)")
-    serve.add_argument("--json", action="store_true",
-                       help="emit the KPI report as JSON")
-
     bench = sub.add_parser(
         "bench", help="run a performance suite and write BENCH_<suite>.json")
     bench.add_argument("--suite", default="rasterize",
@@ -515,7 +413,6 @@ def main(argv=None):
         "render": cmd_render,
         "simulate": cmd_simulate,
         "trajectory": cmd_trajectory,
-        "serve": cmd_serve,
         "bench": cmd_bench,
         "experiment": cmd_experiment,
         "lint": cmd_lint,

@@ -33,8 +33,9 @@ from repro.render.splat_raster import rasterize_splats
 from repro.workloads.catalog import build_scene, get_profile
 
 #: Bump when the cached trajectory payload layout changes.  Schema 2
-#: added the per-payload integrity checksum.
-CACHE_SCHEMA = 2
+#: added the per-payload integrity checksum; schema 3 dropped the
+#: incidents' monotonic timestamp.
+CACHE_SCHEMA = 3
 
 _SCENARIO_MEMO = {}
 _DRAW_MEMO = {}
@@ -158,7 +159,7 @@ class ResultCache:
     images — so a hit reproduces every statistic bit-for-bit while the
     store stays small.
 
-    Hardening (the service layer's requirements):
+    Hardening (writers that share one directory, and a disk that can fail):
 
     * every payload carries a SHA-256 ``checksum``, verified on load;
     * entries that fail to parse, carry a stale schema, or fail their
@@ -169,12 +170,8 @@ class ResultCache:
       tmp-path race between concurrent writers of one key) and retries
       transient ``OSError`` with exponential backoff, degrading to
       uncached execution (``False``) when the disk stays unhappy;
-    * ``max_bytes`` bounds the on-disk footprint with a real LRU sweep:
-      stores that push the summed entry size over the budget evict the
-      least-recently-*used* entries (hits touch mtime, so recency means
-      access, not write) until the budget holds again;
-    * ``counters`` tracks hits / misses / quarantines / evictions /
-      store retries and failures, and :meth:`stats` snapshots them
+    * ``counters`` tracks hits / misses / quarantines / store retries
+      and failures, and :meth:`stats` snapshots them
       together with the current entry count, on-disk bytes and hit rate.
     """
 
@@ -183,13 +180,11 @@ class ResultCache:
     #: Base backoff between store attempts, in seconds (doubles per retry).
     BACKOFF_S = 0.01
 
-    def __init__(self, root, max_bytes=None):
+    def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.counters = {"hits": 0, "misses": 0, "quarantined": 0,
-                         "evicted": 0, "store_retries": 0,
-                         "store_failures": 0}
+                         "store_retries": 0, "store_failures": 0}
 
     def _path(self, key):
         return self.root / f"{key}.json"
@@ -246,10 +241,6 @@ class ResultCache:
             self.counters["misses"] += 1
             return None
         self.counters["hits"] += 1
-        try:
-            os.utime(path)  # recency for the LRU sweep = last *access*
-        except OSError:
-            pass
         return payload
 
     def store(self, key, payload):
@@ -272,7 +263,6 @@ class ResultCache:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     fh.write(blob if rule is None else _corrupt_text(blob))
                 tmp.replace(path)
-                self._evict_over_budget()
                 return True
             except (OSError, faults.FaultInjected):
                 try:
@@ -285,52 +275,24 @@ class ResultCache:
         self.counters["store_failures"] += 1
         return False
 
-    def _entries(self):
-        """``(path, size, mtime)`` for every stored entry (best effort)."""
-        entries = []
+    def _entry_sizes(self):
+        """Byte size of every stored entry (best effort)."""
+        sizes = []
         for path in sorted(self.root.glob("*.json")):
             try:
-                st = path.stat()
+                sizes.append(path.stat().st_size)
             except OSError:
                 continue
-            entries.append((path, st.st_size, st.st_mtime))
-        return entries
-
-    def _evict_over_budget(self):
-        """LRU-sweep stored entries until ``max_bytes`` holds again.
-
-        Recency is the entry's mtime — refreshed on every verified load —
-        so the sweep drops the least-recently-*used* entries first.  A
-        racing delete (another process sweeping too) just means less work
-        left for us; ``OSError`` on unlink is ignored.
-        """
-        if self.max_bytes is None:
-            return
-        entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        # Oldest access first; path breaks exact mtime ties stably.
-        entries.sort(key=lambda entry: (entry[2], entry[0].name))
-        for path, size, _ in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.counters["evicted"] += 1
+        return sizes
 
     def stats(self):
         """JSON-safe snapshot: counters + current footprint + hit rate."""
-        entries = self._entries()
+        sizes = self._entry_sizes()
         lookups = self.counters["hits"] + self.counters["misses"]
         return {
             **self.counters,
-            "entries": len(entries),
-            "bytes": int(sum(size for _, size, _ in entries)),
-            "max_bytes": self.max_bytes,
+            "entries": len(sizes),
+            "bytes": int(sum(sizes)),
             "hit_rate": (self.counters["hits"] / lookups if lookups else 0.0),
         }
 

@@ -18,7 +18,6 @@ failure with the frame's identity and the results completed so far.
 
 from __future__ import annotations
 
-import time
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
@@ -46,38 +45,32 @@ class FrameIncident:
     ``point`` is the named injection/failure point when the exception
     carried one.  ``wall_ms`` is the wall-clock cost of the failed
     attempt — incidents are operational telemetry, so unlike the modeled
-    per-frame numbers this is measured time.  ``ts_ms`` is a monotonic
-    timestamp (``time.monotonic() * 1e3``, captured at construction
-    unless supplied) so incident trails from concurrent requests can be
-    interleaved into one service-wide timeline.
+    per-frame numbers this is measured time.
     """
 
     __slots__ = ("frame", "rung", "point", "error", "recovered_by",
-                 "wall_ms", "ts_ms")
+                 "wall_ms")
 
     def __init__(self, frame, rung, error, point=None, recovered_by=None,
-                 wall_ms=0.0, ts_ms=None):
+                 wall_ms=0.0):
         self.frame = int(frame)
         self.rung = rung
         self.point = point
         self.error = error
         self.recovered_by = recovered_by
         self.wall_ms = float(wall_ms)
-        self.ts_ms = (time.monotonic() * 1e3 if ts_ms is None
-                      else float(ts_ms))
 
     def to_dict(self):
         return {"frame": self.frame, "rung": self.rung, "point": self.point,
                 "error": self.error, "recovered_by": self.recovered_by,
-                "wall_ms": self.wall_ms, "ts_ms": self.ts_ms}
+                "wall_ms": self.wall_ms}
 
     @classmethod
     def from_dict(cls, payload):
         return cls(payload["frame"], payload["rung"], payload["error"],
                    point=payload.get("point"),
                    recovered_by=payload.get("recovered_by"),
-                   wall_ms=payload.get("wall_ms", 0.0),
-                   ts_ms=payload.get("ts_ms", 0.0))
+                   wall_ms=payload.get("wall_ms", 0.0))
 
     def __repr__(self):
         return (f"FrameIncident(frame={self.frame}, rung={self.rung!r}, "

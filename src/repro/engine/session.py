@@ -171,8 +171,7 @@ class TrajectoryResult:
         summary["recovered_by"] = by_rung
         summary["by_point"] = by_point
         # healing_ms is the wall clock burned by *failed* attempts — the
-        # latency tax paid to heal — the serving layer attributes slow
-        # responses to it.
+        # latency tax paid to heal.
         summary["healing_ms"] = float(sum(inc.get("wall_ms", 0.0)
                                           for inc in incidents))
         return summary
@@ -414,9 +413,7 @@ class RenderSession:
         incidents = []
         last_exc = None
         carrier_snap = (carrier.snapshot() if carrier is not None else None)
-        crop_snap = (crop_cache.snapshot()
-                     if crop_cache is not None
-                     and hasattr(crop_cache, "snapshot") else None)
+        crop_snap = (crop_cache.snapshot() if crop_cache is not None else None)
         for rung in self._ladder_rungs():
             backend, baseline, use_carrier, ir = self._rung_backends(rung)
             if incidents:
@@ -452,7 +449,7 @@ class RenderSession:
         raise FrameLadderExhausted(task.index, task.seed,
                                    incidents) from last_exc
 
-    def render_frame(self, camera=None, crop_cache=None):
+    def render_frame(self, camera=None):
         """Render a single frame; defaults to the profile's camera.
 
         Preprocesses and rasterises exactly as the backend's own
@@ -466,10 +463,9 @@ class RenderSession:
         stream = rasterize_splats(pre.splats, cam.width, cam.height,
                                   ir=self.ir)
         self._carrier().begin_frame(stream)
-        return self.backend.render_stream(stream, pre, crop_cache=crop_cache)
+        return self.backend.render_stream(stream, pre)
 
-    def run(self, n_views=8, jobs=1, keep_results=False, raster_jobs=None,
-            crop_cache=None):
+    def run(self, n_views=8, jobs=1, keep_results=False, raster_jobs=None):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
 
         ``keep_results=True`` attaches each frame's full
@@ -482,21 +478,11 @@ class RenderSession:
         blocks inside each frame (bit-identical streams, see
         :func:`repro.render.splat_raster.rasterize_splats`) — orthogonal
         to ``jobs``, which fans whole frames out.
-
-        ``crop_cache`` hands in a caller-owned warm CROP cache instead of
-        building a fresh one (the serving layer persists one per resident
-        scene, so warm requests reuse it *across* trajectories).  Its
-        contents depend on everything previously rendered through it, so
-        such runs always bypass the disk result cache.
         """
         if n_views <= 0:
             raise ValueError(f"n_views must be positive, got {n_views}")
-        caller_crop_cache = crop_cache is not None
         key = None
-        # A caller-owned CROP cache carries request history, so its runs
-        # are not content-addressable.
-        if (self.result_cache is not None and self._cacheable
-                and not caller_crop_cache):
+        if self.result_cache is not None and self._cacheable:
             key = engine_cache.trajectory_key(
                 self.profile, self.seed, self.backend_spec,
                 self.baseline_spec, self.device_name, n_views,
@@ -515,13 +501,13 @@ class RenderSession:
         # how fast digestion converges.
         carrier = None if parallel else self._carrier()
 
-        if self.warm_crop_cache or caller_crop_cache:
+        crop_cache = None
+        if self.warm_crop_cache:
             if jobs is not None and jobs > 1:
                 raise ValueError(
                     "warm_crop_cache carries state across frames and "
                     "requires serial execution (jobs=1)")
-            if not caller_crop_cache:
-                crop_cache = self.backend.new_crop_cache()
+            crop_cache = self.backend.new_crop_cache()
             if crop_cache is None:
                 raise ValueError(
                     f"backend {self.backend_spec!r} has no CROP cache to "

@@ -94,16 +94,6 @@ ENV_KNOBS = {
         help="comma-separated scene subset evaluated by the pytest "
              "benchmark suite (CI uses lego,palace)",
         consumed_by=("benchmarks.conftest",)),
-    "REPRO_SERVE_WORKERS": EnvKnob(
-        "REPRO_SERVE_WORKERS", default="2", choices=None,
-        help="default worker-pool size of the request-serving layer "
-             "(repro serve / RenderService)",
-        consumed_by=("repro.serve.service.RenderService",)),
-    "REPRO_SERVE_QUEUE": EnvKnob(
-        "REPRO_SERVE_QUEUE", default="16", choices=None,
-        help="default bounded-queue depth of the request-serving layer; "
-             "submissions beyond it are rejected typed (queue_full)",
-        consumed_by=("repro.serve.service.RenderService",)),
 }
 
 

@@ -2,7 +2,7 @@
 
 The ``repro bench`` CLI subcommand drives this package: a suite (a named
 set of benchmarks over one workload layer — rasterisation, full reference
-frames, the hardware pipeline's flush engines, the serving layer) runs
+frames, the hardware pipeline's flush engines) runs
 each benchmark with warmup + repeats, takes wall-clock medians, and
 writes a ``BENCH_<suite>.json`` report that later runs can be compared
 against.  End-to-end and per-layer frame timing lives in the repo

@@ -16,20 +16,14 @@ times the hot path with :func:`repro.perf.timer.time_callable`.  Suites:
     Simulated draws under the batched flush-plan engine against the
     retained scalar per-flush path, per variant — with their cycle/stat
     equality re-verified inside the run.
-``service``
-    The request-serving layer under synthetic closed-loop load
-    (:mod:`repro.serve`): a fault-free row and a seeded-chaos row, each
-    reporting serving KPIs — latency percentiles, throughput, rejection
-    and cache-hit rates, incident counts and the lost-request count
-    (invariant: zero).
 
 Every suite accepts ``quick=True`` — a CI-sized variant (small scene, one
 repeat) whose purpose is keeping the harness from bitrotting, not
 producing comparable numbers.
 
 These suites answer what a frame benchmark cannot: how much faster each
-fast path is than its retained oracle, plus the reference frame and the
-serving layer.  End-to-end frame times and the per-layer breakdown
+fast path is than its retained oracle, plus the reference frame.
+End-to-end frame times and the per-layer breakdown
 (preprocess, rasterize, coherence, digest, draw, ...) come from the
 repo benchmark, ``framebench/run.py`` (``--trace 1`` for the layers).
 """
@@ -207,88 +201,11 @@ def _suite_hw(quick, scene=None, repeat=None):
     return results
 
 
-#: Seeded chaos plan of the ``service`` suite: every one of the seven
-#: injection points armed, mixing stall / raise / corrupt / oserror
-#: kinds, probabilistic so healing happens without drowning the run.
-SERVICE_CHAOS_PLAN = (
-    "seed=11; rasterize:raise,p=0.15; digest:stall,delay=150,p=0.15; "
-    "coherence.verify:corrupt,p=0.15; flushplan:raise,p=0.15; "
-    "lru.replay:corrupt,p=0.15; cache.load:corrupt,p=0.3; "
-    "cache.store:oserror,p=0.3")
-
-#: The KPI columns every ``service`` row reports (flat, JSON-safe).
-_SERVICE_KPI_KEYS = (
-    "submitted", "resolved", "lost", "completed", "rejected", "failed",
-    "rejection_rate", "throughput_rps", "cache_hit_rate", "from_cache",
-    "incidents", "healing_ms", "latency_p50_ms", "latency_p95_ms",
-    "latency_p99_ms")
-
-
-def _suite_service(quick, scene=None, repeat=None):
-    """The serving layer under synthetic load, fault-free and under chaos.
-
-    Each row drives a fresh :class:`~repro.serve.service.RenderService`
-    (own on-disk result cache in a temp dir, torn down after) with the
-    seeded closed-loop load generator: ``clean`` with no fault plan,
-    ``chaos`` under :data:`SERVICE_CHAOS_PLAN` (all seven injection
-    points armed).  The timing row is the whole run's wall clock; the
-    serving KPIs ride along as metrics.  The service builds its sessions
-    with the default fast path, and frames heal through the session
-    ladder (primary → retry → reference).
-
-    Full mode runs 8 concurrent clients (the acceptance bar for the
-    zero-lost-requests invariant); quick mode 2.
-    """
-    import shutil
-    import tempfile
-
-    from repro import faults
-    from repro.engine.cache import ResultCache
-    from repro.serve import LoadSpec, RenderService, run_load
-
-    scene = scene or "lego"
-    clients = 2 if quick else 8
-    spec = LoadSpec(clients=clients, requests_per_client=2 if quick else 3,
-                    scenes=(scene,), views_choices=(1, 2), seed=7)
-
-    results = []
-    for label, plan_text in (("clean", None), ("chaos", SERVICE_CHAOS_PLAN)):
-        reports = []
-
-        def run_once(plan_text=plan_text, reports=reports):
-            tmp = tempfile.mkdtemp(prefix="repro-serve-bench-")
-            try:
-                plan = (faults.FaultPlan.parse(plan_text)
-                        if plan_text else None)
-                with faults.active(plan):
-                    with RenderService(workers=2,
-                                       queue_limit=max(16, 2 * clients),
-                                       result_cache=ResultCache(tmp)
-                                       ) as service:
-                        reports.append(run_load(service, spec))
-            finally:
-                shutil.rmtree(tmp, ignore_errors=True)
-
-        timing = time_callable(run_once, warmup=0, repeat=repeat or 1,
-                               name=f"service/{label}")
-        kpis = reports[-1].kpis()
-        if kpis["lost"]:
-            raise AssertionError(
-                f"service suite ({label}): {kpis['lost']} request(s) "
-                "lost — the serving layer's core invariant is broken")
-        metrics = {"clients": clients,
-                   **{key: kpis[key] for key in _SERVICE_KPI_KEYS
-                      if key in kpis}}
-        results.append(BenchResult(timing, scene, metrics))
-    return results
-
-
 #: Suite registry: name -> callable(quick, scene=None, repeat=None).
 SUITES = {
     "rasterize": _suite_rasterize,
     "reference": _suite_reference,
     "hw": _suite_hw,
-    "service": _suite_service,
 }
 
 

@@ -1,6 +1,6 @@
 """FrameCoherence: cross-frame digestion state for trajectory rendering.
 
-Trajectory serving loops revisit viewpoints — a looped orbit, a static
+Trajectory rendering loops revisit viewpoints — a looped orbit, a static
 camera, a replayed view — whose digestion (pixel grouping, the
 arrival-alpha chain, quad chunklets and columns, termination sets) is a
 pure function of the frame's content.  This module carries the
@@ -61,7 +61,7 @@ from repro.utils.arrays import ndarray_bytes
 #: Default byte budget of a carrier's state library.  Measured sealed
 #: states hold about 17 bytes per fragment on the HET+QM path and 10 on
 #: the CUDA path, so an 8-view orbit library (``RenderSession.run``'s
-#: default sweep, and ``repro serve``'s loop) takes about 166 MiB on
+#: default sweep) takes about 166 MiB on
 #: lego (hw:het+qm, 1.1-1.4M fragments per view) and 126 MiB on garden
 #: (cuda+et, 1.6-1.9M).  The budget keeps these loops, and those of
 #: scenes a few times larger, fully resident.
@@ -150,7 +150,7 @@ class FrameCoherence:
         self.mode = resolve_coherence(mode)
         self.max_bytes = int(max_bytes)
         #: Library of digested frames keyed by content hash, LRU-bounded
-        #: by the summed bytes of its sealed states.  Trajectory serving
+        #: by the summed bytes of its sealed states.  Trajectory rendering
         #: loops over a fixed set of viewpoints, so a revisited frame keys
         #: straight back to its digested state even when other frames
         #: rendered in between.

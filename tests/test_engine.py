@@ -200,6 +200,17 @@ class TestDiskCache:
         assert not rerun.from_cache
         assert rerun.aggregates() == result.aggregates()
 
+    def test_stats_snapshot(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store("k1", {"value": 1})
+        assert cache.load("k1") is not None
+        assert cache.load("missing") is None
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] > 0
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["hit_rate"] == pytest.approx(1 / 2)
+
     def test_round_trip_dict(self):
         result = RenderSession("lego", backend="cuda+et", baseline=None).run(
             n_views=2)

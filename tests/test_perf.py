@@ -49,7 +49,7 @@ class TestTimer:
 
 class TestSuites:
     def test_registry_names(self):
-        assert set(SUITES) == {"rasterize", "reference", "hw", "service"}
+        assert set(SUITES) == {"rasterize", "reference", "hw"}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
