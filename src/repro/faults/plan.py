@@ -56,7 +56,10 @@ POINTS = (
     "rasterize",         # rasterize_splats, the batched rasterisation path
     "digest",            # FrameIR quad digestion (legacy digestion is clean)
     "coherence.verify",  # FrameCoherence classification of a new frame
-    "flushplan",         # build_flush_plan, the batched flush engine only
+    "flushplan",         # build_flush_plan, the batched flush engine only;
+                         # fires only when a schedule is planned (a cold
+                         # frame, or coherence off), never on a draw served
+                         # a memoized or carried flush digest
     "lru.replay",        # LRUCache.access_segmented (vectorized replay)
     "cache.load",        # ResultCache.load
     "cache.store",       # ResultCache.store

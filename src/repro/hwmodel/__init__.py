@@ -18,9 +18,11 @@ from repro.hwmodel.config import (
 from repro.hwmodel.stats import PipelineStats, UnitStats
 from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.flushplan import (
+    FlushDigest,
     FlushPlan,
     build_flush_plan,
-    execute_flush_plan,
+    digest_flushes,
+    replay_flushes,
 )
 from repro.hwmodel.pipeline import DrawResult, GraphicsPipeline
 from repro.hwmodel.energy import draw_energy
@@ -31,6 +33,7 @@ __all__ = [
     "compare_variants",
     "draw_report",
     "DrawTrace",
+    "FlushDigest",
     "FlushPlan",
     "GPUConfig",
     "EnergyTable",
@@ -42,6 +45,7 @@ __all__ = [
     "DrawResult",
     "GraphicsPipeline",
     "build_flush_plan",
+    "digest_flushes",
     "draw_energy",
-    "execute_flush_plan",
+    "replay_flushes",
 ]

@@ -20,6 +20,31 @@ from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.units import as_index_array
 
 
+def quad_line_tag_pairs(qx, qy, width, config):
+    """Interleaved colour-buffer line tags per quad, *without* dedup.
+
+    A 2x2 quad at quad coords (qx, qy) covers pixel rows ``2*qy`` and
+    ``2*qy + 1``; with ``bytes_per_pixel`` from the active format, each
+    row lands in one cache line horizontally (quads never straddle a
+    line boundary because 128 B covers >= 16 pixels).  Returns an int64
+    array of 2 tags per quad (row ``2*qy`` first).  This is the single
+    definition of the tag layout: :meth:`CropUnit.quad_line_tags` dedups
+    it per flush and the flush digest dedups the whole-draw stream per
+    flush downstream.
+    """
+    qx = np.asarray(qx, dtype=np.int64)
+    qy = np.asarray(qy, dtype=np.int64)
+    bpp = config.bytes_per_pixel
+    line_bytes = config.cache_line_bytes
+    lines_per_row = max(1, -(-(width * bpp) // line_bytes))
+    line_in_row = (qx * 2 * bpp) // line_bytes
+    row0 = qy * 2
+    tags = np.empty(qx.shape[0] * 2, dtype=np.int64)
+    tags[0::2] = row0 * lines_per_row + line_in_row
+    tags[1::2] = (row0 + 1) * lines_per_row + line_in_row
+    return tags
+
+
 class CropUnit:
     """Blend accounting plus an exact-LRU CROP cache.
 
@@ -98,33 +123,9 @@ class CropUnit:
         self.stats.fragments_blended += int(n_fragments.sum())
         return misses
 
-    def quad_line_tag_pairs(self, qx, qy, width):
-        """Interleaved colour-buffer line tags per quad, *without* dedup.
-
-        A 2x2 quad at quad coords (qx, qy) covers pixel rows ``2*qy`` and
-        ``2*qy + 1``; with ``bytes_per_pixel`` from the active format, each
-        row lands in one cache line horizontally (quads never straddle a
-        line boundary because 128 B covers >= 16 pixels).  Returns an int64
-        array of 2 tags per quad (row ``2*qy`` first).  This is the single
-        definition of the tag layout: :meth:`quad_line_tags` dedups it per
-        flush and the batched flush engine dedups the whole-draw stream
-        per flush downstream.
-        """
-        qx = np.asarray(qx, dtype=np.int64)
-        qy = np.asarray(qy, dtype=np.int64)
-        bpp = self.config.bytes_per_pixel
-        line_bytes = self.config.cache_line_bytes
-        lines_per_row = max(1, -(-(width * bpp) // line_bytes))
-        line_in_row = (qx * 2 * bpp) // line_bytes
-        row0 = qy * 2
-        tags = np.empty(qx.shape[0] * 2, dtype=np.int64)
-        tags[0::2] = row0 * lines_per_row + line_in_row
-        tags[1::2] = (row0 + 1) * lines_per_row + line_in_row
-        return tags
-
     def quad_line_tags(self, qx, qy, width):
-        """Line tags of :meth:`quad_line_tag_pairs`, first-occurrence-unique."""
-        tags = self.quad_line_tag_pairs(qx, qy, width)
+        """:func:`quad_line_tag_pairs`, first-occurrence-unique."""
+        tags = quad_line_tag_pairs(qx, qy, width, self.config)
         _, first_idx = np.unique(tags, return_index=True)
         return tags[np.sort(first_idx)]
 

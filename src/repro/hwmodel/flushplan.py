@@ -1,4 +1,4 @@
-"""Batched flush-plan engine: plan a draw's flush schedule, execute it at once.
+"""Batched flush engine: plan a draw's flush schedule, digest it, replay it.
 
 The scalar pipeline walks ~tens of thousands of TC-bin flushes per draw,
 paying ~30 µs of Python per flush for arithmetic that is tiny per flush but
@@ -7,7 +7,9 @@ identical in shape across flushes.  The TC/TGC bin dynamics, however, are
 :class:`~repro.hwmodel.pipeline.DrawWorkload` fixes up front — so the whole
 schedule can be computed first and the per-flush math vectorised after.
 
-The engine runs in two phases:
+The engine runs in three phases, split along the line between work that
+depends only on the frame's content and the :class:`~repro.hwmodel.config.
+GPUConfig`, and work that touches a unit, a cache or an accumulator:
 
 :func:`build_flush_plan`
     Replays the bin dynamics at *range* granularity (every inserted group
@@ -21,10 +23,19 @@ The engine runs in two phases:
     :class:`~repro.render.frameir.FrameIR` when one is present (chunklet
     runs of the raster structure) instead of per-quad reductions.
 
-:func:`execute_flush_plan`
-    Runs the ZROP termination test, QRU pair planning, SM shading, PROP and
-    CROP accounting over *all* flushes at once with ``reduceat``/``bincount``
-    segment ops.  Exactness is preserved by two rules:
+:func:`digest_flushes`
+    Runs the ZROP termination test (HET), QRU pair planning (QM) and the
+    CROP line-tag dedup over *all* flushes at once with ``reduceat``/
+    ``bincount`` segment ops, and keeps only per-flush counts and the
+    deduplicated CROP tag stream: a :class:`FlushDigest`.  It is a pure
+    function of content and config, so the draw memoizes it on the
+    fragment stream and the coherence carrier serves it on a revisited
+    frame (see :mod:`repro.render.coherence`), which then skips planning
+    and reads no per-quad column.
+
+:func:`replay_flushes`
+    Feeds a digest through the stateful units.  Exactness is preserved by
+    two rules:
 
     * every floating-point accumulator receives its per-flush contributions
       through :meth:`~repro.hwmodel.stats.UnitStats.add_sequence`, i.e. in
@@ -41,9 +52,12 @@ The engine runs in two phases:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro import faults
+from repro.hwmodel.crop import quad_line_tag_pairs
 from repro.hwmodel.prop import plan_merges_segmented
 from repro.hwmodel.tc import RangeTileCoalescer, TileCoalescer
 from repro.hwmodel.tgc import TileGridCoalescer
@@ -51,6 +65,10 @@ from repro.hwmodel.units import popcount4
 
 #: Quad positions per screen tile (8x8), the QRU pairing key space.
 N_QUAD_POSITIONS = 64
+
+#: TC flush causes, indexed by :attr:`FlushDigest.reason_code`.
+FLUSH_REASONS = (TileCoalescer.FLUSH_FULL, TileCoalescer.FLUSH_EVICT,
+                 TileCoalescer.FLUSH_TIMEOUT, TileCoalescer.FLUSH_FINAL)
 
 
 class FlushPlan:
@@ -77,11 +95,11 @@ class FlushPlan:
 
     __slots__ = ("tile", "reason", "rows", "row_splits", "raster_portions",
                  "raster_tiles", "raster_quads", "tc_flush_counts",
-                 "tgc_flush_counts", "quads_inserted")
+                 "tgc_flush_counts")
 
     def __init__(self, tile, reason, rows, row_splits, raster_portions,
                  raster_tiles, raster_quads, tc_flush_counts,
-                 tgc_flush_counts, quads_inserted):
+                 tgc_flush_counts):
         self.tile = tile
         self.reason = reason
         self.rows = rows
@@ -91,18 +109,14 @@ class FlushPlan:
         self.raster_quads = int(raster_quads)
         self.tc_flush_counts = tc_flush_counts
         self.tgc_flush_counts = tgc_flush_counts
-        self.quads_inserted = int(quads_inserted)
 
     @property
     def n_flushes(self):
         return self.tile.shape[0]
 
-    @property
-    def n_rows(self):
-        return self.rows.shape[0]
-
     def __repr__(self):
-        return (f"FlushPlan(flushes={self.n_flushes}, rows={self.n_rows}, "
+        return (f"FlushPlan(flushes={self.n_flushes}, "
+                f"rows={self.rows.shape[0]}, "
                 f"tgc={'on' if self.tgc_flush_counts is not None else 'off'})")
 
 
@@ -185,57 +199,110 @@ def build_flush_plan(workload, config):
         raster_quads=raster_quads,
         tc_flush_counts=dict(tc.flush_counts),
         tgc_flush_counts=tgc_counts,
-        quads_inserted=tc.quads_inserted,
     )
 
 
-def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
-                       trace=None):
-    """Run every flush of ``plan`` through the modelled back half at once.
+class FlushDigest:
+    """Everything of a draw's flush schedule that the stateful units read.
 
-    Vectorised equivalent of calling ``GraphicsPipeline._process_flush``
-    per flush — same counters, same cycle totals bit-for-bit, same trace.
+    A pure function of the frame's content and the ``GPUConfig``
+    (:func:`digest_flushes`); :func:`replay_flushes` feeds it through the
+    units and caches.  Its arrays are read-only from construction, so the
+    stream cache and the coherence carrier share one digest between draws.
+
+    Attributes
+    ----------
+    tile, reason_code:
+        Per-flush screen tile (int64) and flush cause (int8 index into
+        :data:`FLUSH_REASONS`; an array, unlike the plan's list of
+        strings, so sizing a sealed coherence state walks no per-flush
+        Python objects).
+    n_flush, n_surv, pairs_f, n_crop, frag_counts:
+        int64 per-flush counts: quads flushed, quads surviving the ZROP
+        termination test, QRU merge pairs, quads reaching the CROP, and
+        fragments they blend.
+    crop_tags, crop_tag_splits:
+        Per-flush first-occurrence-unique CROP line tags, concatenated in
+        flush order, and the ``(n_flushes + 1,)`` offsets delimiting them.
+    raster_portions, raster_tiles, raster_quads, tc_flush_counts, \
+tgc_flush_counts:
+        Copied from the :class:`FlushPlan`.
+    """
+
+    __slots__ = ("tile", "reason_code", "n_flush", "n_surv", "pairs_f",
+                 "n_crop", "frag_counts", "crop_tags", "crop_tag_splits",
+                 "raster_portions", "raster_tiles", "raster_quads",
+                 "tc_flush_counts", "tgc_flush_counts")
+
+    def __init__(self, plan, n_flush, n_surv, pairs_f, n_crop, frag_counts,
+                 crop_tags, crop_tag_splits):
+        self.tile = plan.tile
+        code = {reason: i for i, reason in enumerate(FLUSH_REASONS)}
+        self.reason_code = np.array([code[r] for r in plan.reason],
+                                    dtype=np.int8)
+        self.n_flush = n_flush
+        self.n_surv = n_surv
+        self.pairs_f = pairs_f
+        self.n_crop = n_crop
+        self.frag_counts = frag_counts
+        self.crop_tags = crop_tags
+        self.crop_tag_splits = crop_tag_splits
+        self.raster_portions = plan.raster_portions
+        self.raster_tiles = plan.raster_tiles
+        self.raster_quads = plan.raster_quads
+        self.tc_flush_counts = plan.tc_flush_counts
+        self.tgc_flush_counts = plan.tgc_flush_counts
+        for array in self.arrays():
+            array.flags.writeable = False
+
+    def arrays(self):
+        """The digest's ndarrays."""
+        return (self.tile, self.reason_code, self.n_flush, self.n_surv,
+                self.pairs_f, self.n_crop, self.frag_counts, self.crop_tags,
+                self.crop_tag_splits)
+
+    @property
+    def n_flushes(self):
+        return self.tile.shape[0]
+
+
+def digest_key(config):
+    """Stream-cache key of the :class:`FlushDigest` drawn under ``config``."""
+    return ("flush_digest", dataclasses.astuple(config))
+
+
+def digest_flushes(plan, workload, config):
+    """Reduce every flush of ``plan`` to the counts and tags the units see.
+
+    Vectorised over all flushes: the ZROP termination test (HET), QRU pair
+    planning (QM), the CROP-visible quads and fragments, and the per-flush
+    CROP line-tag dedup.  Touches no unit, cache or accumulator.
     """
     n_flushes = plan.n_flushes
-    if n_flushes == 0:
-        return
-    cfg = config
     quads = workload.quads
     rows = plan.rows
-    row_splits = plan.row_splits
-    n_flush = np.diff(row_splits)
+    n_flush = np.diff(plan.row_splits)
     flush_of_row = np.repeat(np.arange(n_flushes, dtype=np.int64), n_flush)
 
-    # TC insertion throughput, accounted at flush over each whole batch.
-    stats.units["tc"].add_sequence(
-        int(n_flush.sum()), n_flush / cfg.tc_quads_per_cycle)
-
-    # ZROP termination test (HET): discard fully-terminated quads before
-    # shading and replay the stencil-line traffic.
-    if cfg.enable_het:
+    # ZROP termination test (HET): fully-terminated quads are discarded
+    # before shading.
+    if config.enable_het:
         surviving = quads.mask_unterminated[rows] != 0
         surv_rows = rows[surviving]
         surv_flush = flush_of_row[surviving]
         n_surv = np.bincount(surv_flush, minlength=n_flushes)
-        zrop_misses = zrop.termination_test_plan(
-            plan.tile, n_flush, n_surv, workload.width)
         blend_masks = quads.mask_et[surv_rows]
     else:
         surv_rows = rows
         surv_flush = flush_of_row
         n_surv = n_flush
-        zrop_misses = np.zeros(n_flushes, dtype=np.int64)
         blend_masks = quads.mask_unpruned[surv_rows]
 
-    nonempty = n_surv > 0
-
-    # QRU pair planning + SM fragment shading.
-    if cfg.enable_qm:
+    # QRU pair planning.
+    if config.enable_qm:
         merge = plan_merges_segmented(surv_flush, quads.qpos[surv_rows],
                                       n_flushes, N_QUAD_POSITIONS)
         pairs_f = merge.pairs_per_segment
-        shader.shade_fragment_batches(n_surv, pairs_f)
-        stats.quads_merged_pairs += int(pairs_f.sum())
         # Post-merge output stream, in the scalar per-flush order: each
         # flush's merge pairs (position-major) first, then its singles
         # (arrival order).
@@ -270,7 +337,6 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
                               out_counts)
     else:
         pairs_f = np.zeros(n_flushes, dtype=np.int64)
-        shader.shade_fragment_batches(n_surv, pairs_f)
         out_rows = surv_rows
         out_masks = blend_masks
         out_flush = surv_flush
@@ -283,23 +349,13 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
                               weights=popcount4(out_masks[live]),
                               minlength=n_flushes).astype(np.int64)
 
-    # PROP: dispatch toward the SMs plus the ordered return into the CROP
-    # stream; skipped entirely for flushes with no survivors.
-    prop_work = cfg.prop_dispatch_weight * n_flush + n_crop
-    prop_cycles = np.where(nonempty, prop_work / cfg.prop_quads_per_cycle,
-                           0.0)
-    prop_items = int((n_flush + n_crop)[nonempty].sum())
-    stats.units["prop"].add_sequence(prop_items, prop_cycles)
-
-    # CROP blends: per-flush first-occurrence-unique line tags, replayed
-    # through the real LRU cache in flush order.
+    # CROP line tags, first-occurrence-unique within each flush.
     live_rows = out_rows[live]
-    tag_stream = crop.quad_line_tag_pairs(quads.qx[live_rows],
-                                          quads.qy[live_rows],
-                                          workload.width)
+    tag_stream = quad_line_tag_pairs(quads.qx[live_rows], quads.qy[live_rows],
+                                     workload.width, config)
     tag_flush = np.repeat(live_flush, 2)
     if live_rows.shape[0]:
-        if cfg.cache_line_bytes % (16 * cfg.bytes_per_pixel) == 0:
+        if config.cache_line_bytes % (16 * config.bytes_per_pixel) == 0:
             # Structural fast path: when a cache line spans a whole number
             # of 16px screen tiles, every quad of a flush shares one
             # line-column, so a tag is identified inside its flush by the
@@ -322,17 +378,64 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
                                      return_index=True)
             keep = np.zeros(tag_stream.shape[0], dtype=bool)
             keep[first_idx] = True
-        dedup_tags = tag_stream[keep]
-        dedup_flush = tag_flush[keep]
+        crop_tags = tag_stream[keep]
+        tag_counts = np.bincount(tag_flush[keep], minlength=n_flushes)
     else:
-        dedup_tags = np.empty(0, dtype=np.int64)
-        dedup_flush = np.empty(0, dtype=np.int64)
-    tag_splits = np.concatenate(
-        (np.zeros(1, dtype=np.int64),
-         np.cumsum(np.bincount(dedup_flush,
-                               minlength=n_flushes)))).astype(np.int64)
-    crop_misses = crop.blend_plan(n_crop, frag_counts, dedup_tags,
-                                  tag_splits)
+        crop_tags = np.empty(0, dtype=np.int64)
+        tag_counts = np.zeros(n_flushes, dtype=np.int64)
+    crop_tag_splits = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(tag_counts))).astype(np.int64)
+    return FlushDigest(plan, n_flush, n_surv, pairs_f, n_crop, frag_counts,
+                       crop_tags, crop_tag_splits)
+
+
+def replay_flushes(digest, width, config, stats, crop, zrop, shader,
+                   trace=None):
+    """Run every flush of ``digest`` through the modelled back half at once.
+
+    Vectorised equivalent of calling ``GraphicsPipeline._process_flush``
+    per flush — same counters, same cycle totals bit-for-bit, same cache
+    state, same trace — plus the TC/TGC flush-cause counters.
+    """
+    _apply_flush_counts(digest, stats)
+    n_flushes = digest.n_flushes
+    if n_flushes == 0:
+        return
+    cfg = config
+    n_flush = digest.n_flush
+    n_surv = digest.n_surv
+    pairs_f = digest.pairs_f
+    n_crop = digest.n_crop
+
+    # TC insertion throughput, accounted at flush over each whole batch.
+    stats.units["tc"].add_sequence(
+        int(n_flush.sum()), n_flush / cfg.tc_quads_per_cycle)
+
+    # ZROP termination test (HET): stencil-line traffic.
+    if cfg.enable_het:
+        zrop_misses = zrop.termination_test_plan(digest.tile, n_flush, n_surv,
+                                                 width)
+    else:
+        zrop_misses = np.zeros(n_flushes, dtype=np.int64)
+
+    # SM fragment shading (merge pairs issue their extra cycles).
+    shader.shade_fragment_batches(n_surv, pairs_f)
+    if cfg.enable_qm:
+        stats.quads_merged_pairs += int(pairs_f.sum())
+
+    # PROP: dispatch toward the SMs plus the ordered return into the CROP
+    # stream; skipped entirely for flushes with no survivors.
+    nonempty = n_surv > 0
+    prop_work = cfg.prop_dispatch_weight * n_flush + n_crop
+    prop_cycles = np.where(nonempty, prop_work / cfg.prop_quads_per_cycle,
+                           0.0)
+    prop_items = int((n_flush + n_crop)[nonempty].sum())
+    stats.units["prop"].add_sequence(prop_items, prop_cycles)
+
+    # CROP blends: the deduplicated line tags, replayed through the real
+    # LRU cache in flush order.
+    crop_misses = crop.blend_plan(n_crop, digest.frag_counts,
+                                  digest.crop_tags, digest.crop_tag_splits)
 
     # DRAM: the scalar loop interleaves the ZROP stencil fills and the
     # CROP fill+writeback traffic per flush; replicate that order.
@@ -346,19 +449,20 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
     stats.dram_bytes += float(int(zrop_bytes.sum() + crop_bytes.sum()))
 
     if trace is not None:
-        trace.record_flushes(plan.tile, plan.reason, n_flush, n_surv,
-                             pairs_f, n_crop)
+        reasons = [FLUSH_REASONS[c] for c in digest.reason_code.tolist()]
+        trace.record_flushes(digest.tile, reasons, n_flush, n_surv, pairs_f,
+                             n_crop)
 
 
-def apply_flush_counts(plan, stats):
-    """Copy the plan's TC/TGC flush-cause counters into ``stats``."""
-    tc_counts = plan.tc_flush_counts
+def _apply_flush_counts(digest, stats):
+    """Copy the digest's TC/TGC flush-cause counters into ``stats``."""
+    tc_counts = digest.tc_flush_counts
     stats.tc_flush_full = tc_counts[TileCoalescer.FLUSH_FULL]
     stats.tc_flush_evict = tc_counts[TileCoalescer.FLUSH_EVICT]
     stats.tc_flush_timeout = tc_counts[TileCoalescer.FLUSH_TIMEOUT]
     stats.tc_flush_final = tc_counts[TileCoalescer.FLUSH_FINAL]
-    if plan.tgc_flush_counts is not None:
-        tgc_counts = plan.tgc_flush_counts
+    if digest.tgc_flush_counts is not None:
+        tgc_counts = digest.tgc_flush_counts
         stats.tgc_flush_full = tgc_counts[TileGridCoalescer.FLUSH_FULL]
         stats.tgc_flush_evict = tgc_counts[TileGridCoalescer.FLUSH_EVICT]
         stats.tgc_flush_final = tgc_counts[TileGridCoalescer.FLUSH_FINAL]

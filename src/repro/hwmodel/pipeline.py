@@ -25,9 +25,10 @@ from repro.hwmodel.config import GPUConfig
 from repro.knobs import PIPELINE_ENGINES
 from repro.hwmodel.crop import CropUnit
 from repro.hwmodel.flushplan import (
-    apply_flush_counts,
     build_flush_plan,
-    execute_flush_plan,
+    digest_flushes,
+    digest_key,
+    replay_flushes,
 )
 from repro.hwmodel.prop import plan_merges
 from repro.hwmodel.raster_hw import RasterEngine
@@ -51,7 +52,7 @@ class DrawWorkload:
     """
 
     def __init__(self, quads, n_prims, width, height, n_terminated_pixels,
-                 terminated_stencil_tags, term_source=None):
+                 terminated_stencil_tags, source=None):
         self.quads = quads
         self.n_prims = int(n_prims)
         self.width = int(width)
@@ -59,14 +60,17 @@ class DrawWorkload:
         self._n_terminated = (None if n_terminated_pixels is None
                               else int(n_terminated_pixels))
         self._term_tags = terminated_stencil_tags
-        self._term_source = term_source
+        #: ``(stream, config)`` of :meth:`from_stream` (``None`` for a
+        #: hand-built workload): the deferred termination pass reads it,
+        #: and the draw memoizes its flush digest in the stream's cache.
+        self._source = source
         self._build_groups()
 
     # The termination set is consumed by the HET stencil-update pass at end
     # of draw; non-HET digestion defers the whole accumulated-alpha pass
     # behind these properties so baseline/qm draws never pay for it.
     def _compute_termination(self):
-        stream, config = self._term_source
+        stream, config = self._source
         terminated = stream.accumulated_alpha >= config.termination_alpha
         term_pixels = np.flatnonzero(terminated)
         lines_per_row = max(1, -(-stream.width // config.cache_line_bytes))
@@ -114,7 +118,7 @@ class DrawWorkload:
         workload = cls(quads, n_prims, stream.width, stream.height,
                        n_terminated_pixels=None,
                        terminated_stencil_tags=None,
-                       term_source=(stream, config))
+                       source=(stream, config))
         if config.enable_het:
             workload._compute_termination()
         return workload
@@ -364,13 +368,32 @@ class GraphicsPipeline:
     # ------------------------------------------------------------------
 
     def _draw_batched(self, workload, raster, crop, zrop, shader, stats):
-        """Plan the flush schedule, then execute every flush at once."""
-        plan = build_flush_plan(workload, self.config)
-        raster.accumulate(plan.raster_portions, plan.raster_tiles,
-                          plan.raster_quads)
-        execute_flush_plan(plan, workload, self.config, stats, crop, zrop,
-                           shader, trace=self._trace)
-        apply_flush_counts(plan, stats)
+        """Replay the draw's flush digest through the units at once."""
+        digest = self._flush_digest(workload)
+        raster.accumulate(digest.raster_portions, digest.raster_tiles,
+                          digest.raster_quads)
+        replay_flushes(digest, workload.width, self.config, stats, crop,
+                       zrop, shader, trace=self._trace)
+
+    def _flush_digest(self, workload):
+        """The workload's :class:`~repro.hwmodel.flushplan.FlushDigest`.
+
+        Memoized in the cache of the stream the workload was built from
+        under this config (where a coherence full hit installs it), so a
+        redrawn or revisited frame skips planning and reads no per-quad
+        column.  Workloads built by hand, or under another config, plan
+        afresh.
+        """
+        cfg = self.config
+        source = workload._source
+        cache = (source[0]._cache if source is not None and source[1] == cfg
+                 else {})
+        key = digest_key(cfg)
+        digest = cache.get(key)
+        if digest is None:
+            digest = cache[key] = digest_flushes(
+                build_flush_plan(workload, cfg), workload, cfg)
+        return digest
 
     def _draw_scalar(self, workload, raster, crop, zrop, shader, stats):
         """Reference path: walk TC flushes one by one."""

@@ -13,9 +13,10 @@ times the hot path with :func:`repro.perf.timer.time_callable`.  Suites:
 ``reference``
     Full reference frame: preprocess + rasterise + blend.
 ``hw``
-    Simulated draws under the batched flush-plan engine against the
-    retained scalar per-flush path, per variant — with their cycle/stat
-    equality re-verified inside the run.
+    Simulated draws under the batched flush engine against the retained
+    scalar per-flush path, per variant — with their cycle/stat equality
+    re-verified inside the run.  Every batched repeat plans its schedule
+    (the flush digest a draw memoizes on the stream is dropped first).
 
 Every suite accepts ``quick=True`` — a CI-sized variant (small scene, one
 repeat) whose purpose is keeping the harness from bitrotting, not
@@ -162,6 +163,7 @@ def _assert_draws_identical(a, b):
 
 def _suite_hw(quick, scene=None, repeat=None):
     from repro.core.vrpipe import variant_config
+    from repro.hwmodel.flushplan import digest_key
     from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 
     scene = scene or ("lego" if quick else "train")
@@ -179,10 +181,16 @@ def _suite_hw(quick, scene=None, repeat=None):
         pipe = GraphicsPipeline(cfg)
         _assert_draws_identical(pipe.draw(workload, engine="batched"),
                                 pipe.draw(workload, engine="scalar"))
-        batched = time_callable(
-            lambda p=pipe, wl=workload: p.draw(wl, engine="batched"),
-            warmup=0 if quick else 1, repeat=repeat,
-            name=f"hw/draw:{variant}")
+        key = digest_key(cfg)
+
+        def cold_draw(p=pipe, wl=workload, key=key):
+            # Drop the flush digest the previous draw memoized on the
+            # stream, so every repeat plans its schedule like a cold frame.
+            stream._cache.pop(key, None)
+            return p.draw(wl, engine="batched")
+
+        batched = time_callable(cold_draw, warmup=0 if quick else 1,
+                                repeat=repeat, name=f"hw/draw:{variant}")
         scalar = time_callable(
             lambda p=pipe, wl=workload: p.draw(wl, engine="scalar"),
             warmup=0 if quick else 1, repeat=repeat,

@@ -17,14 +17,17 @@ bit-identity.  Two outcomes:
 
 * **full hit** — every row and every alpha identical: the matched
   state's products (per-pixel accumulated alpha and termination ranks,
-  the per-pixel exit primitives, the ET counts, the per-quad aggregate
-  columns) are installed into the new stream's caches, and the matched
-  frame's FrameIR quad view is shared, before digestion starts;
+  the per-pixel exit primitives, the ET counts, the hardware draw's
+  flush digest per ``GPUConfig``) are installed into the new stream's
+  caches, and the matched frame's FrameIR quad view is shared, before
+  digestion starts.  The draw then replays the digest through its units
+  and caches without planning the flush schedule again;
 * **full recompute** — no verified match: the stream digests from
   scratch, and the products it materialises are kept for later frames.
 
 A consumer the hit does not serve (``arrival_alpha``, ``blend_image``,
-the multipass model, a column at another threshold or lag) recomputes
+the multipass model, a per-quad aggregate column, a draw under a config
+the captured frame was not drawn under) recomputes
 through the unchanged stateless path, so both outcomes are bit-identical
 by construction, pinned by ``tests/test_coherence.py``.
 
@@ -55,13 +58,12 @@ import numpy as np
 
 from repro import faults, knobs
 from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
-from repro.render.fragstream import QuadTable
 from repro.utils.arrays import ndarray_bytes
 
 #: Default byte budget of a carrier's state library.  Measured sealed
-#: states hold about 17 bytes per fragment on the HET+QM path and 10 on
+#: states hold about 16.5 bytes per fragment on the HET+QM path and 10 on
 #: the CUDA path, so an 8-view orbit library (``RenderSession.run``'s
-#: default sweep) takes about 166 MiB on
+#: default sweep) takes about 165 MiB on
 #: lego (hw:het+qm, 1.1-1.4M fragments per view) and 126 MiB on garden
 #: (cuda+et, 1.6-1.9M).  The budget keeps these loops, and those of
 #: scenes a few times larger, fully resident.
@@ -96,11 +98,12 @@ class _FrameState:
     #: Stream cache families a sealed state keeps (a cache key is either
     #: the family name or a tuple led by it): the per-pixel accumulated
     #: alpha, termination ranks and exit primitives, the two ET counts,
-    #: and every per-quad aggregate column (uint8, keyed by
-    #: ``(column, threshold, lag)``).
+    #: and the batched draw's flush digest per ``GPUConfig`` (a
+    #: :class:`~repro.hwmodel.flushplan.FlushDigest`, read-only from
+    #: construction).  The per-quad aggregate columns are not kept: only
+    #: the draw read them, and a hit serves it from the digest.
     PRODUCTS = frozenset(("accumulated_alpha", "term_rank", "exit_prim",
-                          "unpruned_count", "et_count")) \
-        | QuadTable._LAZY_COLUMNS
+                          "unpruned_count", "et_count", "flush_digest"))
 
     def __init__(self, stream):
         self.stream = stream
@@ -112,9 +115,10 @@ class _FrameState:
         self.products = None
 
     def seal(self):
-        """Keep the stream's products, frozen read-only; drop the stream
-        and the quad view's per-quad fragment slots (also when a full hit
-        on this state rebuilt them)."""
+        """Keep the stream's products, frozen read-only (a flush digest's
+        arrays are read-only from construction); drop the stream and the
+        quad view's per-quad fragment slots (also when a full hit on this
+        state rebuilt them)."""
         stream = self.stream
         if stream is not None:
             products = {}

@@ -454,6 +454,9 @@ class FragmentStream:
                 # within its pixel against the pixel's termination rank)
                 # and scatter the boolean once.
                 term_rank = self._term_rank(threshold)
+                # A coherence full hit installs ``term_rank`` without the
+                # pixel grouping it was derived from.
+                self._ensure_pixel_grouping()
                 starts = self._cache["pixel_starts"]
                 pix_sorted = self._cache["pix_sorted"]
                 lengths = np.diff(np.concatenate(

@@ -17,6 +17,7 @@ relying on the process default.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -27,7 +28,9 @@ from repro.core.vrpipe import variant_config
 from repro.engine.session import RenderSession
 from repro.gaussians import Camera
 from repro.gaussians.preprocess import preprocess
+from repro.hwmodel.flushplan import FlushDigest
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
+from repro.hwmodel.trace import DrawTrace
 from repro.render.coherence import (
     COHERENCE_MODES,
     DEFAULT_MAX_BYTES,
@@ -361,14 +364,19 @@ class TestStaleCacheGuard:
                 DrawWorkload.from_stream(stream, config))
             streams.append(stream)
         assert car.stats["full_hits"] == 1
-        shared = {key: value for key, value in car._prev.products.items()
+        products = car._prev.products
+        shared = {key: value for key, value in products.items()
                   if isinstance(value, np.ndarray)}
-        assert "accumulated_alpha" in shared and len(shared) >= 3
+        assert "accumulated_alpha" in shared and len(shared) >= 2
+        digest_key = ("flush_digest", dataclasses.astuple(config))
+        digest = products[digest_key]
         for stream in streams:
+            assert stream._cache[digest_key] is digest
             for key, value in shared.items():
                 assert stream._cache[key] is value, key
+            for value in list(shared.values()) + list(digest.arrays()):
                 with pytest.raises((ValueError, RuntimeError)):
-                    stream._cache[key][0:1] = 0
+                    value[0:1] = 0
 
     def test_mutation_after_capture_does_not_poison_library(
             self, small_pre, small_camera):
@@ -536,22 +544,26 @@ class TestSealedStates:
         sealed = car._prev
         assert sealed.stream is None
         products = sealed.products
+        digest_key = ("flush_digest", dataclasses.astuple(config))
         assert {"accumulated_alpha", "unpruned_count", ("et_count", thr),
-                ("term_rank", thr), ("mask_et", thr, lag),
-                ("mask_unterminated", thr, lag)} <= set(products)
+                ("term_rank", thr), digest_key} <= set(products)
         # Nothing that only re-runs the arrival chain or the quad
-        # reductions is kept.
+        # reductions is kept, and no per-quad aggregate column: the
+        # draw's digest replaces them.
         assert not {"pixel_order", "pix_sorted", "pixel_starts",
                     "alpha_eff_sorted", "arrival_sorted", "unpruned",
                     ("et_survivor", thr), ("unterminated", thr, lag),
-                    ("het_blended", thr, lag)} & set(products)
+                    ("het_blended", thr, lag), ("mask_et", thr, lag),
+                    ("mask_unterminated", thr, lag)} & set(products)
         assert sealed.frameir._quads._slots is None
+        digest = products[digest_key]
+        assert isinstance(digest, FlushDigest)
+        assert stream._cache[digest_key] is digest
         arrays = {key: value for key, value in products.items()
                   if isinstance(value, np.ndarray)}
         for key, value in arrays.items():
             assert stream._cache[key] is value, key
-            if key[0] in ("mask_et", "mask_unterminated"):
-                assert value.dtype == np.uint8, key
+        for value in list(arrays.values()) + list(digest.arrays()):
             with pytest.raises(ValueError):
                 value[0:1] = 0
 
@@ -660,6 +672,141 @@ class TestFullHitServing:
             assert got.n_fragments == want.n_fragments
             assert vars(got.raw.warp_exec) == vars(want.raw.warp_exec)
         assert car.stats["full_hits"] == len(cams)
+
+
+def _assert_stats_equal(a, b):
+    """Every unit counter and every scalar stat exactly equal."""
+    for name in a.units:
+        assert a.units[name].items == b.units[name].items, name
+        assert a.units[name].busy_cycles == b.units[name].busy_cycles, name
+    for attr, value in vars(a).items():
+        if attr != "units":
+            assert value == getattr(b, attr), attr
+
+
+class TestFlushDigestServing:
+    """A full hit serves the batched draw its flush digest: no schedule is
+    planned, no per-quad column is read, and the stateful replay keeps
+    every stat, trace event and cache state exact."""
+
+    def _hit_stream(self, car, pre, cam, configs):
+        """Digest and draw one frame under ``configs``, then return the
+        stream of an identical frame the carrier full-hits."""
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
+        car.begin_frame(stream)
+        for config in configs:
+            GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(stream, config))
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
+        car.begin_frame(stream)
+        assert car.stats["full_hits"] == 1
+        return stream
+
+    def test_hit_plans_nothing_and_reads_no_column(self, monkeypatch,
+                                                   deep_cloud):
+        from repro.hwmodel import pipeline
+        from repro.render import fragstream
+
+        config = variant_config("het+qm")
+        cam = _orbit_camera(0.0)
+        pre = preprocess(deep_cloud, cam)
+        car = FrameCoherence("incremental")
+        stream = self._hit_stream(car, pre, cam, [config])
+        plans, columns = [], []
+
+        def counting_plan(*args, **kwargs):
+            plans.append(1)
+            return build_flush_plan(*args, **kwargs)
+
+        def counting_column(builder, name):
+            if name in fragstream.QuadTable._LAZY_COLUMNS:
+                columns.append(name)
+            return column(builder, name)
+
+        build_flush_plan = pipeline.build_flush_plan
+        column = fragstream._IRQuadColumnBuilder.column
+        monkeypatch.setattr(pipeline, "build_flush_plan", counting_plan)
+        monkeypatch.setattr(fragstream._IRQuadColumnBuilder, "column",
+                            counting_column)
+        got = GraphicsPipeline(config).draw(
+            DrawWorkload.from_stream(stream, config))
+        assert plans == [] and columns == []
+        oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+        want = GraphicsPipeline(config).draw(
+            DrawWorkload.from_stream(oracle, config))
+        # The counters are live: a cold stream plans and reads columns.
+        assert plans == [1] and columns
+        _assert_stats_equal(got.stats, want.stats)
+
+    @pytest.mark.parametrize("variant", ["baseline", "qm", "het", "het+qm"])
+    def test_hit_draw_and_trace_match_coherence_off(self, deep_cloud,
+                                                    variant):
+        config = variant_config(variant)
+        cam = _orbit_camera(0.3)
+        pre = preprocess(deep_cloud, cam)
+        stream = self._hit_stream(FrameCoherence("incremental"), pre, cam,
+                                  [config])
+        oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+        draws = []
+        for s in (stream, oracle):
+            trace = DrawTrace()
+            draws.append((GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(s, config), trace=trace), trace))
+        (got, got_trace), (want, want_trace) = draws
+        _assert_stats_equal(got.stats, want.stats)
+        assert len(got_trace) == len(want_trace) > 0
+        assert ([e.as_row() for e in got_trace.events]
+                == [e.as_row() for e in want_trace.events])
+
+    def test_one_stream_two_configs_two_digests(self, deep_cloud):
+        configs = [variant_config("het+qm"), variant_config("baseline")]
+        cam = _orbit_camera(0.6)
+        pre = preprocess(deep_cloud, cam)
+        stream = self._hit_stream(FrameCoherence("incremental"), pre, cam,
+                                  configs)
+        digests = {key for key in stream._cache
+                   if isinstance(key, tuple) and key[0] == "flush_digest"}
+        assert digests == {("flush_digest", dataclasses.astuple(config))
+                           for config in configs}
+        for config in configs:
+            oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+            got = GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(stream, config))
+            want = GraphicsPipeline(config).draw(
+                DrawWorkload.from_stream(oracle, config), engine="scalar")
+            _assert_stats_equal(got.stats, want.stats)
+
+    def test_workload_of_another_config_is_not_memoized(self, deep_pre,
+                                                        deep_camera):
+        """A digest depends on the workload's quad table as well as the
+        pipeline config, so a workload built under one config and drawn
+        under another plans afresh and leaves the stream cache alone."""
+        stream = rasterize_splats(deep_pre.splats, deep_camera.width,
+                                  deep_camera.height)
+        workload = DrawWorkload.from_stream(stream, variant_config("het"))
+        config = variant_config("het+qm")
+        pipe = GraphicsPipeline(config)
+        got = pipe.draw(workload)
+        assert not any(isinstance(key, tuple) and key[0] == "flush_digest"
+                       for key in stream._cache)
+        _assert_stats_equal(got.stats,
+                            pipe.draw(workload, engine="scalar").stats)
+
+    def test_warm_crop_revisit_matches_coherence_off(self):
+        """Views 0, 1, 0, 1 with a warm CROP cache: the revisits are
+        digest-served full hits, and every frame's stats equal the
+        coherence-off session's cycle for cycle."""
+        cams = scene_viewpoints("lego", 2)
+        sessions = {mode: RenderSession("lego", backend="hw:het+qm",
+                                        baseline=None, warm_crop_cache=True,
+                                        coherence=mode)
+                    for mode in ("incremental", "off")}
+        for cam in (cams[0], cams[1], cams[0], cams[1]):
+            got, want = (sessions[mode].render_frame(camera=cam)
+                         for mode in ("incremental", "off"))
+            assert got.cycles == want.cycles
+            _assert_stats_equal(got.pipeline_stats, want.pipeline_stats)
+        assert sessions["incremental"]._carrier().stats["full_hits"] == 2
 
 
 class TestFrameRelease:
