@@ -5,7 +5,6 @@ Usage::
     python -m repro render  --scene train --out train.ppm
     python -m repro simulate --scene truck [--variant het+qm] [--all]
     python -m repro trajectory --scene train --backend hw:het+qm --views 24
-    python -m repro bench [--suite rasterize] [--quick] [--baseline BENCH_prev.json]
     python -m repro experiment fig16
     python -m repro list-scenes
     python -m repro lint [--format json] [--rules R1,R4]
@@ -31,20 +30,18 @@ from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
 from repro.knobs import COHERENCE_MODES, IR_MODES, SWMODEL_MODES
-from repro.perf.report import load_report, suite_report, write_report
-from repro.perf.suite import SUITES, run_suite
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
 from repro.workloads.catalog import (
-    BENCH_SCENES,
     LARGE_SCALE_SCENES,
     SCENARIO_SCENES,
     SCENES,
+    SMALL_SPLAT_SCENES,
     build_scene,
     get_profile,
 )
 
-_ALL_SCENES = {**SCENES, **LARGE_SCALE_SCENES, **BENCH_SCENES,
+_ALL_SCENES = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
                **SCENARIO_SCENES}
 
 _EXPERIMENTS = (
@@ -121,8 +118,7 @@ def cmd_trajectory(args):
     context = (faults.active(plan) if plan is not None
                else contextlib.nullcontext())
     with context:
-        trajectory = session.run(n_views=args.views, jobs=args.jobs,
-                                 raster_jobs=args.raster_jobs)
+        trajectory = session.run(n_views=args.views, jobs=args.jobs)
 
     if args.json:
         payload = {
@@ -185,50 +181,6 @@ def cmd_trajectory(args):
             ["Cache", "Value"],
             [[key, stats[key]] for key in sorted(stats)],
             title=f"Result cache: {args.cache_dir}"))
-    return 0
-
-
-def cmd_bench(args):
-    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
-    if args.out and len(suites) > 1:
-        raise SystemExit(
-            "--out names a single report file; with --suite all each suite "
-            "writes its own BENCH_<suite>.json, so drop --out or pick one "
-            "suite")
-    baseline = load_report(args.baseline) if args.baseline else None
-    for name in suites:
-        run = run_suite(name, quick=args.quick, scene=args.scene,
-                        repeat=args.repeat)
-        report = suite_report(run, baseline=baseline)
-        rows = []
-        for row in report["benchmarks"]:
-            mfrag = row.get("fragments_per_sec")
-            speedup = row.get("speedup_vs_scalar")
-            rows.append([
-                row["name"], row["scene"], f"{row['median_ms']:.2f}",
-                f"{mfrag / 1e6:.2f}" if mfrag else "-",
-                f"{speedup:.2f}x" if speedup else "-",
-            ])
-        mode = " (quick)" if args.quick else ""
-        print(format_table(
-            ["Benchmark", "Scene", "Median ms", "Mfrag/s", "Speedup"],
-            rows, title=f"Suite: {name}{mode}"))
-        comparison = report.get("speedup_vs_baseline") or {}
-        noise = report.get("noise_vs_baseline") or {}
-        for bench, speedup in sorted(comparison.items()):
-            verdict = noise.get(bench)
-            # A delta below the combined repeat spread of the two runs is
-            # scheduling jitter, not a real change — say so inline so a
-            # 0.95x row doesn't read as a regression.
-            tag = ""
-            if verdict is not None and verdict["within_noise"]:
-                tag = (f"  (within noise: ±{verdict['noise_floor']:.1%} "
-                       "repeat spread)")
-            print(f"  vs baseline {bench}: {speedup:.2f}x{tag}")
-        out = args.out or f"BENCH_{name}.json"
-        write_report(report, out)
-        print(f"wrote {out}")
-        print()
     return 0
 
 
@@ -310,10 +262,6 @@ def build_parser():
                             help="number of orbit viewpoints (default 8)")
     trajectory.add_argument("--jobs", type=int, default=1,
                             help="parallel frame workers (default serial)")
-    trajectory.add_argument("--raster-jobs", type=int, default=None,
-                            help="threads for the rasteriser's fragment "
-                                 "blocks inside each frame (bit-identical "
-                                 "streams; orthogonal to --jobs)")
     trajectory.add_argument("--seed", type=int, default=0)
     trajectory.add_argument("--device", default="orin",
                             choices=("orin", "rtx3090"))
@@ -360,22 +308,6 @@ def build_parser():
                             help="emit aggregates, incident summary and "
                                  "cache stats as JSON instead of tables")
 
-    bench = sub.add_parser(
-        "bench", help="run a performance suite and write BENCH_<suite>.json")
-    bench.add_argument("--suite", default="rasterize",
-                       choices=sorted(SUITES) + ["all"],
-                       help="benchmark suite to run (default rasterize)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized run: small scene, minimal repeats")
-    bench.add_argument("--scene", default=None, choices=sorted(_ALL_SCENES),
-                       help="override the suite's default scene")
-    bench.add_argument("--repeat", type=int, default=None,
-                       help="override the suite's repeat count")
-    bench.add_argument("--baseline", default=None,
-                       help="earlier BENCH_*.json to compute speedups against")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default BENCH_<suite>.json)")
-
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name", choices=_EXPERIMENTS)
@@ -413,7 +345,6 @@ def main(argv=None):
         "render": cmd_render,
         "simulate": cmd_simulate,
         "trajectory": cmd_trajectory,
-        "bench": cmd_bench,
         "experiment": cmd_experiment,
         "lint": cmd_lint,
     }

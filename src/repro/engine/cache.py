@@ -10,12 +10,13 @@ keep as module-level dicts.  Two layers:
 * a **content-keyed disk cache** (:class:`ResultCache`) for trajectory
   results: the key hashes everything that determines the numbers (scene
   profile contents, seed, backend/baseline specs, device, view count and
-  an engine schema version), so editing a scene or bumping the schema
-  invalidates stale entries automatically.
+  a fingerprint of the package sources), so editing a scene or any model
+  code invalidates stale entries automatically.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -32,9 +33,10 @@ from repro.gaussians.preprocess import preprocess
 from repro.render.splat_raster import rasterize_splats
 from repro.workloads.catalog import build_scene, get_profile
 
-#: Bump when the cached trajectory payload layout changes.  Schema 2
-#: added the per-payload integrity checksum; schema 3 dropped the
-#: incidents' monotonic timestamp.
+#: Bump when the cached trajectory payload layout changes:
+#: :meth:`ResultCache.load` quarantines entries of any other layout.
+#: Schema 2 added the per-payload integrity checksum; schema 3 dropped
+#: the incidents' monotonic timestamp.
 CACHE_SCHEMA = 3
 
 _SCENARIO_MEMO = {}
@@ -115,11 +117,30 @@ def content_key(payload):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def model_fingerprint():
+    """sha256 over the package's sorted ``repro/**/*.py`` sources.
+
+    Computed once per process.  Keying trajectories on it means any edit
+    to the package sources, the model included, misses every entry stored
+    before the edit, so the disk cache never serves numbers from an older
+    model.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def trajectory_key(profile, seed, backend, baseline, device_name, n_views,
                    warm_crop_cache):
     """Content key for one trajectory run's disk-cache entry."""
     return content_key({
-        "schema": CACHE_SCHEMA,
+        "model": model_fingerprint(),
         "profile": asdict(profile),
         "seed": int(seed),
         "backend": backend,

@@ -380,12 +380,11 @@ class RenderSession:
         return backend, baseline, False, "legacy"
 
     def _render_frame_attempt(self, task, backend, baseline, carrier,
-                              crop_cache, raster_jobs, keep_results, ir):
+                              crop_cache, keep_results, ir):
         """One rendering attempt of one frame (any rung's configuration)."""
         pre = preprocess(self.cloud, task.camera)
         stream = rasterize_splats(pre.splats, task.camera.width,
-                                  task.camera.height, jobs=raster_jobs,
-                                  ir=ir)
+                                  task.camera.height, ir=ir)
         if carrier is not None:
             carrier.begin_frame(stream)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
@@ -401,8 +400,7 @@ class RenderSession:
                 record.speedup = base.cycles / frame.cycles
         return record
 
-    def _run_frame_ladder(self, task, carrier, crop_cache, raster_jobs,
-                          keep_results):
+    def _run_frame_ladder(self, task, carrier, crop_cache, keep_results):
         """Render one frame through the degradation ladder.
 
         Cross-frame shared state (the coherence carrier, a warm CROP
@@ -427,7 +425,7 @@ class RenderSession:
                     record = self._render_frame_attempt(
                         task, backend, baseline,
                         carrier if use_carrier else None, crop_cache,
-                        raster_jobs, keep_results, ir)
+                        keep_results, ir)
             except Exception as exc:
                 if self.strict:
                     raise
@@ -465,7 +463,7 @@ class RenderSession:
         self._carrier().begin_frame(stream)
         return self.backend.render_stream(stream, pre)
 
-    def run(self, n_views=8, jobs=1, keep_results=False, raster_jobs=None):
+    def run(self, n_views=8, jobs=1, keep_results=False):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
 
         ``keep_results=True`` attaches each frame's full
@@ -473,11 +471,6 @@ class RenderSession:
         renderer output) to its record; the default keeps only the
         numeric summaries, so memory stays flat however long the
         trajectory is.
-
-        ``raster_jobs`` threads the rasteriser's independent fragment
-        blocks inside each frame (bit-identical streams, see
-        :func:`repro.render.splat_raster.rasterize_splats`) — orthogonal
-        to ``jobs``, which fans whole frames out.
         """
         if n_views <= 0:
             raise ValueError(f"n_views must be positive, got {n_views}")
@@ -521,8 +514,8 @@ class RenderSession:
         _ = self.cloud  # build once outside the workers, shared read-only
 
         def render_one(task):
-            return self._run_frame_ladder(
-                task, carrier, crop_cache, raster_jobs, keep_results)
+            return self._run_frame_ladder(task, carrier, crop_cache,
+                                          keep_results)
 
         records = run_frames(render_one, tasks, jobs=jobs,
                              task_info=lambda task, _: (task.index, task.seed))

@@ -22,8 +22,7 @@ golden tests in ``tests/test_golden_raster.py``):
 
 :func:`rasterize_splats_scalar`
     The original per-splat reference loop, kept as the golden baseline for
-    equivalence tests and as the ``repro bench --suite rasterize``
-    comparison point.
+    the equivalence tests.
 
 Bit-identity holds because both paths evaluate the same IEEE-754 double
 expressions per pixel in the same operand order; the batched path only
@@ -190,7 +189,7 @@ def _clipped_bounds(splats, width, height):
 
 
 def rasterize_splats(splats, width, height, max_fragments=200_000_000,
-                     jobs=None, ir=None):
+                     ir=None):
     """Rasterise sorted splats into a :class:`FragmentStream` (batched).
 
     Parameters
@@ -205,14 +204,6 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
         explodes (e.g. a degenerate scene with screen-sized splats).  The
         batched path counts fragments *before* materialising them, so the
         guard fires without allocating the stream.
-    jobs:
-        Worker threads for the fragment-fill stage.  The ~64k-fragment
-        blocks are mutually independent (each writes a disjoint output
-        slice), so they fan out over the engine's frame executor
-        (:func:`repro.engine.executor.run_frames`); the stream is
-        bit-identical for any ``jobs`` — block boundaries and all
-        arithmetic are unchanged, only the wall-clock schedule differs.
-        ``None``/``1`` keeps the single-threaded loop.
     ir:
         Frame-IR mode (see :mod:`repro.render.frameir`): ``"auto"`` /
         ``"frameir"`` attach a :class:`~repro.render.frameir.FrameIR`
@@ -266,7 +257,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     fstarts = np.concatenate(([0], np.cumsum(lengths[live])))
     prim_ids, x, y, alphas = _fill_fragments(
         splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
-        live=live, fstarts=fstarts, jobs=jobs)
+        live=live, fstarts=fstarts)
     frameir = None
     if ir != "legacy":
         # The IR carries the raster's own row-interval structure (one
@@ -386,17 +377,14 @@ def _scan_rows_exact(rows, x0r, x1r, cxr, p0r, t0, r0r, p1r, t1, r1r):
 
 
 def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
-                    live=None, fstarts=None, jobs=None):
+                    live=None, fstarts=None):
     """Materialise the fragment arrays from snapped row intervals.
 
     Every arithmetic step mirrors the scalar loop's expression order
     operation for operation (see module docstring), evaluated in blocks of
-    ~64k fragments so all intermediates stay cache-resident.  Blocks write
-    disjoint output slices, so with ``jobs > 1`` they run across the
-    engine's thread executor with bit-identical results (NumPy releases
-    the GIL inside the ufunc loops, so the conic/alpha math genuinely
-    overlaps).  ``live``/``fstarts`` (live-row indices and fragment
-    offsets) may be passed in when the caller already computed them.
+    ~64k fragments so all intermediates stay cache-resident.
+    ``live``/``fstarts`` (live-row indices and fragment offsets) may be
+    passed in when the caller already computed them.
     """
     if live is None:
         live = np.flatnonzero(lengths > 0)
@@ -423,8 +411,7 @@ def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
     alphas = np.empty(total, dtype=np.float32)
 
     # Block boundaries (in live-row space) are fixed by the fragment
-    # budget alone — identical whether the blocks then run serially or on
-    # the thread pool.
+    # budget alone.
     n_rows = live.size
     blocks = []
     r0b = 0
@@ -473,15 +460,8 @@ def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
         np.minimum(power, ALPHA_MAX, out=power)
         alphas[f0:f1] = power
 
-    if jobs is not None and jobs > 1 and len(blocks) > 1:
-        # Imported lazily: the engine package pulls in the render stack at
-        # import time, so a module-level import would be circular.
-        from repro.engine.executor import run_frames
-
-        run_frames(fill_block, blocks, jobs=jobs)
-    else:
-        for block in blocks:
-            fill_block(block)
+    for block in blocks:
+        fill_block(block)
     return prim_ids, x_out, y_out, alphas
 
 
@@ -489,11 +469,11 @@ def rasterize_splats_scalar(splats, width, height, max_fragments=200_000_000):
     """The original per-splat rasterisation loop (golden baseline).
 
     Semantically and bit-wise identical to :func:`rasterize_splats`; kept
-    as the reference the golden tests and the ``rasterize`` benchmark suite
-    compare against.  Uses open-grid broadcasting (``xs[None, :]`` /
-    ``ys[:, None]``) instead of materialised ``np.meshgrid`` planes, which
-    cuts peak memory per splat roughly 3x without changing any emitted
-    value (the per-element IEEE operations are unchanged).
+    as the reference the golden tests compare against.  Uses open-grid
+    broadcasting (``xs[None, :]`` / ``ys[:, None]``) instead of
+    materialised ``np.meshgrid`` planes, which cuts peak memory per splat
+    roughly 3x without changing any emitted value (the per-element IEEE
+    operations are unchanged).
     """
     if not isinstance(splats, Splat2D):
         raise TypeError(f"splats must be a Splat2D, got {type(splats).__name__}")

@@ -159,15 +159,15 @@ def _city_scene(profile, rng):
 
 
 def _bench_scene(profile, rng):
-    """Dense field of *small* splats for the `repro bench` suites.
+    """Dense field of *small* splats for the golden raster test.
 
     The Table II realisations are scaled ~1/5.5 linearly but keep their
     Gaussian counts in the thousands, so each splat covers ~1000 px — two
     orders of magnitude above production 3DGS captures (millions of
-    Gaussians covering tens of pixels each).  Benchmarks of per-splat
-    versus batched rasterisation costs need the realistic regime, so this
-    layout packs many small-scale Gaussians: a dominant foreground cloud
-    plus a thin background shell.
+    Gaussians covering tens of pixels each).  The batched rasteriser's
+    bit-identity with the scalar loop must also hold in the realistic
+    regime, so this layout packs many small-scale Gaussians: a dominant
+    foreground cloud plus a thin background shell.
     """
     p = profile.layout_params
     n = profile.n_gaussians
@@ -351,9 +351,10 @@ LARGE_SCALE_SCENES = {
     ),
 }
 
-#: Benchmark workloads for the ``repro bench`` suites (not part of the
-#: paper's figure sweeps, so deliberately kept out of :func:`scene_names`).
-BENCH_SCENES = {
+#: Realistic-footprint scenes (~tens of pixels per splat) covered by
+#: ``tests/test_golden_raster.py`` (not part of the paper's figure
+#: sweeps, so deliberately kept out of :func:`scene_names`).
+SMALL_SPLAT_SCENES = {
     "bench": SceneProfile(
         name="bench", dataset="procedural", scene_type="bench",
         paper_resolution=(1280, 720), paper_gaussians=1_000_000,
@@ -385,7 +386,8 @@ SCENARIO_SCENES = {
     ),
 }
 
-_ALL = {**SCENES, **LARGE_SCALE_SCENES, **BENCH_SCENES, **SCENARIO_SCENES}
+_ALL = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
+        **SCENARIO_SCENES}
 
 
 def scene_names(include_large=False):

@@ -13,6 +13,7 @@ from repro.engine import (
     frame_seed,
     get_cloud,
 )
+from repro.engine import cache as engine_cache
 from repro.engine.backends import device_kernel_model, make_device
 from repro.engine.session import TrajectoryResult
 from repro.workloads.catalog import get_profile
@@ -191,6 +192,17 @@ class TestDiskCache:
         assert not other.from_cache
         assert len(cache) == 2
 
+    def test_entry_from_older_model_is_a_miss(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(engine_cache, "model_fingerprint",
+                            lambda: "old-model")
+        RenderSession("lego", result_cache=cache).run(n_views=2)
+        monkeypatch.setattr(engine_cache, "model_fingerprint",
+                            lambda: "new-model")
+        rerun = RenderSession("lego", result_cache=cache).run(n_views=2)
+        assert not rerun.from_cache
+        assert len(cache) == 2
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = RenderSession("lego", result_cache=cache).run(n_views=2)
@@ -242,12 +254,3 @@ class TestLazyFrameImages:
         assert record.result is None
         assert record.cycles > 0
 
-
-class TestStageCollection:
-    def test_raster_jobs_records_identical(self):
-        session = RenderSession("lego", backend="hw:baseline", baseline=None)
-        serial = session.run(n_views=2)
-        threaded = session.run(n_views=2, raster_jobs=2)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.cycles == b.cycles
-            assert a.et_ratio == b.et_ratio

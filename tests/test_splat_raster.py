@@ -91,21 +91,3 @@ class TestCoverageCounts:
         counts = splat_coverage_counts(_splats([9, 9, 0], cam), 96, 96)
         assert counts[0] == 0
 
-
-class TestRasterJobs:
-    def test_jobs_streams_bit_identical(self, cam, monkeypatch):
-        from repro.render import splat_raster
-
-        # Shrink the block budget so the stream spans many blocks and the
-        # thread pool actually interleaves them.
-        monkeypatch.setattr(splat_raster, "_FRAGMENT_BLOCK", 1024)
-        rng = np.random.default_rng(3)
-        positions = rng.uniform(-0.6, 0.6, (200, 3))
-        splats = _splats(positions, cam, scale=0.05)
-        serial = rasterize_splats(splats, 96, 96)
-        threaded = rasterize_splats(splats, 96, 96, jobs=4)
-        assert np.array_equal(serial.prim_ids, threaded.prim_ids)
-        assert np.array_equal(serial.x, threaded.x)
-        assert np.array_equal(serial.y, threaded.y)
-        assert np.array_equal(serial.alphas.view(np.uint32),
-                              threaded.alphas.view(np.uint32))

@@ -7,6 +7,7 @@ from repro.workloads.catalog import (
     LARGE_SCALE_SCENES,
     SCENARIO_SCENES,
     SCENES,
+    SMALL_SPLAT_SCENES,
     build_scene,
     default_camera,
     get_profile,
@@ -34,6 +35,18 @@ class TestCatalog:
         assert "aerial" not in scene_names(include_large=True)
         assert get_profile("aerial").scene_type == "aerial"
         assert get_profile("garden").scene_type == "garden"
+
+    def test_bench_scene_registered(self):
+        assert set(SMALL_SPLAT_SCENES) == {"bench"}
+        assert get_profile("bench").scene_type == "bench"
+        # Deliberately excluded from the paper's figure sweeps.
+        assert "bench" not in scene_names(include_large=True)
+
+    def test_bench_scene_builds_deterministically(self):
+        a = build_scene("bench", seed=0)
+        b = build_scene("bench", seed=0)
+        assert len(a) == len(b) == 30000
+        np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_paper_facts(self):
         kitchen = get_profile("kitchen")
