@@ -63,7 +63,7 @@ _EXPERIMENT_MODULES = {
 }
 
 
-def _build_stream(scene_name, seed, ir=None):
+def _build_stream(scene_name, seed, ir="auto"):
     profile = get_profile(scene_name)
     cloud = build_scene(profile, seed=seed)
     camera = profile.camera()
@@ -245,11 +245,11 @@ def build_parser():
     simulate.add_argument("--all", action="store_true",
                           help="run and compare all four variants")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--ir", default=None,
+    simulate.add_argument("--ir", default="auto",
                           choices=IR_MODES,
-                          help="digestion engine: FrameIR-backed (auto/"
-                               "frameir) or the legacy sort-based oracle "
-                               "(bit-identical; default $REPRO_IR or auto)")
+                          help="digestion engine: FrameIR-backed (auto) or "
+                               "the legacy sort-based oracle "
+                               "(bit-identical; default auto)")
 
     trajectory = sub.add_parser(
         "trajectory",
@@ -274,24 +274,22 @@ def build_parser():
                                  "(serial only)")
     trajectory.add_argument("--cache-dir", default=None,
                             help="on-disk trajectory result cache directory")
-    trajectory.add_argument("--ir", default=None,
+    trajectory.add_argument("--ir", default="auto",
                             choices=IR_MODES,
-                            help="digestion engine (bit-identical; default "
-                                 "$REPRO_IR or auto)")
-    trajectory.add_argument("--coherence", default=None,
+                            help="digestion engine: FrameIR-backed (auto) "
+                                 "or the legacy sort-based oracle "
+                                 "(bit-identical; default auto)")
+    trajectory.add_argument("--coherence", default="auto",
                             choices=COHERENCE_MODES,
-                            help="cross-frame digestion reuse: incremental "
-                                 "updates against the previous frames' "
-                                 "digested state (bit-identical; serial "
-                                 "only for 'incremental'; default "
-                                 "$REPRO_COHERENCE or auto)")
-    trajectory.add_argument("--swmodel", default=None,
+                            help="cross-frame digestion reuse of revisited "
+                                 "frames (auto; serial runs only) or off "
+                                 "(bit-identical; default auto)")
+    trajectory.add_argument("--swmodel", default="auto",
                             choices=SWMODEL_MODES,
                             help="software-path model engine of the cuda "
-                                 "backends: FrameIR-native (auto/frameir) "
-                                 "or the legacy fragment-sort oracle "
-                                 "(bit-identical; default $REPRO_SWMODEL "
-                                 "or auto)")
+                                 "backends: FrameIR-native (auto) or the "
+                                 "legacy fragment-sort oracle "
+                                 "(bit-identical; default auto)")
     trajectory.add_argument("--faults", default=None,
                             help="seeded fault-injection plan, e.g. "
                                  "'seed=7; digest:raise,times=1; "

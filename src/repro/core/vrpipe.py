@@ -27,7 +27,6 @@ from repro.hwmodel.config import GPUConfig, jetson_agx_orin
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.hwmodel.prop import qru_storage_bytes
 from repro.hwmodel.tgc import TileGridCoalescer
-from repro.render.coherence import FrameCoherence, resolve_coherence
 from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.renderer import SWKernelModel
@@ -56,17 +55,15 @@ def variant_config(variant, device=None, **overrides):
     return base.variant(enable_het=het, enable_qm=qm, **overrides)
 
 
-def run_variant(stream, variant, device=None, engine="batched", ir=None,
-                **overrides):
+def run_variant(stream, variant, device=None, engine="batched", **overrides):
     """Simulate one draw call under ``variant``; returns a DrawResult."""
     config = variant_config(variant, device, **overrides)
-    return GraphicsPipeline(config).draw(stream, engine=engine, ir=ir)
+    return GraphicsPipeline(config).draw(stream, engine=engine)
 
 
-def run_all_variants(stream, device=None, engine="batched", ir=None,
-                     **overrides):
+def run_all_variants(stream, device=None, engine="batched", **overrides):
     """Simulate all four variants on the same stream."""
-    return {name: run_variant(stream, name, device, engine=engine, ir=ir,
+    return {name: run_variant(stream, name, device, engine=engine,
                               **overrides)
             for name in VARIANTS}
 
@@ -172,23 +169,18 @@ class HardwareRenderer:
         flush-plan engine) or ``"scalar"`` (the retained per-flush path);
         both are cycle- and stat-exact against each other.
     ir:
-        Digestion mode (see :mod:`repro.render.frameir`): ``"auto"``
-        (default) digests streams off their FrameIR when they carry one,
-        ``"frameir"`` requires it, ``"legacy"`` keeps the sort-based
-        oracle path.  All modes are bit-identical.
-    coherence:
-        Cross-frame digestion reuse for *standalone* renderer loops (see
-        :mod:`repro.render.coherence`): ``"auto"``/``"incremental"``
-        attach a private :class:`~repro.render.coherence.FrameCoherence`
-        carrier that serves repeated frames from digested state (bit-
-        identical by construction).  The default ``None`` — like
-        ``"off"`` — keeps the renderer stateless across frames; sessions
-        manage their own carrier and take precedence on streams they
-        already classified.
+        Digestion path of the streams :meth:`render` rasterises (see
+        :func:`~repro.render.splat_raster.rasterize_splats`):
+        ``"auto"`` (default) attaches a FrameIR, ``"legacy"`` emits bare
+        streams for the sort-based oracle.  :meth:`render_stream`
+        digests whatever stream it is given.  Both are bit-identical.
+
+    The renderer is stateless across frames; cross-frame digestion reuse
+    lives in :class:`~repro.engine.session.RenderSession`.
     """
 
     def __init__(self, config=None, kernel_model=None, engine="batched",
-                 ir=None, coherence=None):
+                 ir="auto"):
         self.config = config if config is not None else variant_config("het+qm")
         if not isinstance(self.config, GPUConfig):
             raise TypeError("config must be a GPUConfig")
@@ -198,15 +190,7 @@ class HardwareRenderer:
                 f"{GraphicsPipeline.ENGINES}")
         self.kernel_model = kernel_model or SWKernelModel()
         self.engine = engine
-        # Validate explicit knob values but keep ``None`` unresolved: the
-        # ``$REPRO_IR`` process default must stay best-effort (resolved at
-        # digestion time), not harden into a by-name requirement here.
-        self.ir = resolve_ir(ir) if ir is not None else None
-        self.coherence = (resolve_coherence(coherence)
-                          if coherence is not None else None)
-        self._carrier = (FrameCoherence(self.coherence)
-                         if self.coherence in ("auto", "incremental")
-                         else None)
+        self.ir = resolve_ir(ir)
 
     def render(self, cloud, camera, crop_cache=None):
         """Render a cloud; returns an :class:`HWRenderResult`.
@@ -239,13 +223,7 @@ class HardwareRenderer:
         n_visible = stream.prim_colors.shape[0]
         preprocess_cycles = model.preprocess_cycles(n_gaussians, 0)
         sort_cycles = model.sort_cycles(n_visible)
-        if self._carrier is not None and stream.coherence is None:
-            # Standalone renderer loop: classify the frame against this
-            # renderer's private carrier.  Streams a session already
-            # classified arrive with ``stream.coherence`` set and are
-            # left alone.
-            self._carrier.begin_frame(stream)
-        workload = DrawWorkload.from_stream(stream, self.config, ir=self.ir)
+        workload = DrawWorkload.from_stream(stream, self.config)
         draw = GraphicsPipeline(self.config).draw(workload,
                                                   crop_cache=crop_cache,
                                                   engine=self.engine)

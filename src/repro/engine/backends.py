@@ -49,8 +49,8 @@ def device_kernel_model(device):
     return SWKernelModel(issue_slots=float(device.sm_issue_slots_per_cycle))
 
 
-def make_cuda_renderer(device_name="orin", early_term=True, ir=None,
-                       swmodel=None):
+def make_cuda_renderer(device_name="orin", early_term=True, ir="auto",
+                       swmodel="auto"):
     """A CUDA-path renderer matched to the device's clock and SM count."""
     device = make_device(device_name)
     return CudaRenderer(kernel_model=device_kernel_model(device),
@@ -132,21 +132,19 @@ class HardwareBackend:
     ``engine`` selects the pipeline's flush engine: the batched flush-plan
     engine (default) or the retained scalar per-flush path — both produce
     cycle- and stat-identical results.  ``ir`` selects the digestion path
-    (FrameIR-backed or the legacy sort-based oracle, see
-    :mod:`repro.render.frameir`) — likewise bit-identical.  ``coherence``
-    enables cross-frame digestion reuse for standalone backend loops (see
-    :mod:`repro.render.coherence`); sessions manage their own carrier and
-    leave this at its stateless default.
+    of streams :meth:`render` rasterises (FrameIR-backed or the legacy
+    sort-based oracle, see :mod:`repro.render.frameir`) — likewise
+    bit-identical.  The backend is stateless across frames; cross-frame
+    digestion reuse lives in :class:`~repro.engine.session.RenderSession`.
     """
 
-    def __init__(self, spec, variant, device, engine="batched", ir=None,
-                 coherence=None):
+    def __init__(self, spec, variant, device, engine="batched", ir="auto"):
         self.spec = spec
         self.variant = variant
         self.config = variant_config(variant, device)
         self.renderer = HardwareRenderer(
             config=self.config, kernel_model=device_kernel_model(device),
-            engine=engine, ir=ir, coherence=coherence)
+            engine=engine, ir=ir)
 
     def render(self, cloud, camera, crop_cache=None):
         res = self.renderer.render(cloud, camera, crop_cache=crop_cache)
@@ -185,7 +183,7 @@ class CudaBackend:
     bit-identical mode pairs.
     """
 
-    def __init__(self, spec, device, early_term, ir=None, swmodel=None):
+    def __init__(self, spec, device, early_term, ir="auto", swmodel="auto"):
         self.spec = spec
         self.renderer = CudaRenderer(
             kernel_model=device_kernel_model(device),
@@ -226,10 +224,9 @@ class CudaBackend:
 class ReferenceBackend:
     """Ground-truth blender: functional output only, no timing model."""
 
-    def __init__(self, spec, device=None, ir=None):
+    def __init__(self, spec, device=None, ir="auto"):
         self.spec = spec
-        # None stays None so the $REPRO_IR default remains best-effort.
-        self.ir = resolve_ir(ir) if ir is not None else None
+        self.ir = resolve_ir(ir)
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
@@ -263,10 +260,10 @@ _REGISTRY = {}
 
 
 def register_backend(spec, factory):
-    """Register ``factory(spec, device, ir, coherence, engine, swmodel)
-    -> backend`` under ``spec``.
+    """Register ``factory(spec, device, ir, engine, swmodel) -> backend``
+    under ``spec``.
 
-    :func:`create_backend` passes all four knobs on every call, ``None``
+    :func:`create_backend` passes all three knobs on every call, ``None``
     meaning the backend's default; a factory ignores those that don't
     apply to its path.
     """
@@ -299,7 +296,7 @@ def backend_spec(spec_or_backend):
 
 
 def resolve_backend(spec_or_backend, device=None, device_name="orin",
-                    ir=None, coherence=None, engine=None, swmodel=None):
+                    ir=None, engine=None, swmodel=None):
     """Return a backend instance for a spec string *or* a ready instance.
 
     Backend instances (anything implementing :class:`RendererBackend`)
@@ -309,24 +306,23 @@ def resolve_backend(spec_or_backend, device=None, device_name="orin",
             spec_or_backend, "render_stream"):
         return spec_or_backend
     return create_backend(backend_spec(spec_or_backend), device=device,
-                          device_name=device_name, ir=ir,
-                          coherence=coherence, engine=engine,
+                          device_name=device_name, ir=ir, engine=engine,
                           swmodel=swmodel)
 
 
 def create_backend(spec, device=None, device_name="orin", ir=None,
-                   coherence=None, engine=None, swmodel=None):
+                   engine=None, swmodel=None):
     """Instantiate the backend registered under ``spec``.
 
     ``device`` (a :class:`~repro.hwmodel.config.GPUConfig`) overrides the
-    ``device_name`` preset.  ``ir`` sets the backend's digestion mode
-    (see :mod:`repro.render.frameir`), ``coherence`` its standalone
-    cross-frame reuse mode (see :mod:`repro.render.coherence`),
-    ``engine`` the hardware pipeline's flush engine (``"batched"`` /
-    ``"scalar"``, ``None`` = backend default), and ``swmodel`` the
-    software path's model engine (see
-    :mod:`repro.swrender.warp_model`); all are ignored by backends they
-    don't apply to.
+    ``device_name`` preset.  ``ir`` sets the digestion path of the
+    streams the backend rasterises itself (see
+    :mod:`repro.render.frameir`), ``engine`` the hardware pipeline's
+    flush engine (``"batched"`` / ``"scalar"``), and ``swmodel`` the
+    software path's model engine (see :mod:`repro.swrender.warp_model`);
+    ``None`` means the backend's default, and a knob is ignored by
+    backends it doesn't apply to.  Cross-frame digestion reuse is not a
+    backend knob: it lives in :class:`~repro.engine.session.RenderSession`.
     """
     try:
         factory = _REGISTRY[spec]
@@ -336,32 +332,28 @@ def create_backend(spec, device=None, device_name="orin", ir=None,
         ) from None
     if device is None:
         device = make_device(device_name)
-    return factory(spec, device, ir=ir, coherence=coherence, engine=engine,
-                   swmodel=swmodel)
+    return factory(spec, device, ir=ir, engine=engine, swmodel=swmodel)
 
 
 def _register_defaults():
     for variant in VARIANTS:
         register_backend(
             f"hw:{variant}",
-            lambda spec, device, ir=None, coherence=None, engine=None,
-                   swmodel=None, v=variant:
-                HardwareBackend(spec, v, device,
-                                engine=engine or "batched",
-                                ir=ir, coherence=coherence))
+            lambda spec, device, ir=None, engine=None, swmodel=None,
+                   v=variant:
+                HardwareBackend(spec, v, device, engine=engine or "batched",
+                                ir=ir))
     register_backend(
-        "cuda", lambda spec, device, ir=None, coherence=None, engine=None,
-            swmodel=None:
+        "cuda", lambda spec, device, ir=None, engine=None, swmodel=None:
             CudaBackend(spec, device, early_term=False, ir=ir,
                         swmodel=swmodel))
     register_backend(
-        "cuda+et", lambda spec, device, ir=None, coherence=None, engine=None,
-            swmodel=None:
+        "cuda+et", lambda spec, device, ir=None, engine=None, swmodel=None:
             CudaBackend(spec, device, early_term=True, ir=ir,
                         swmodel=swmodel))
     register_backend(
-        "reference", lambda spec, device, ir=None, coherence=None,
-            engine=None, swmodel=None: ReferenceBackend(spec, device, ir=ir))
+        "reference", lambda spec, device, ir=None, engine=None, swmodel=None:
+            ReferenceBackend(spec, device, ir=ir))
 
 
 _register_defaults()

@@ -239,22 +239,24 @@ class RenderSession:
         Optional :class:`~repro.engine.cache.ResultCache`; trajectory
         runs are served from disk on a content-key hit.
     ir:
-        Digestion mode shared by the session's rasterisation and both
-        backends (``"auto"`` / ``"frameir"`` / ``"legacy"``, see
-        :mod:`repro.render.frameir`).  Every mode produces bit-identical
-        frames — the knob only selects which digestion engine runs — so
-        the disk cache key is deliberately ``ir``-agnostic.
+        Digestion path of the session's rasterisation (``"auto"`` /
+        ``"legacy"``, see :mod:`repro.render.frameir`): the stream
+        carries a FrameIR or it does not, and every consumer follows it.
+        Both modes produce bit-identical frames — the knob only selects
+        which digestion engine runs — so the disk cache key is
+        deliberately ``ir``-agnostic.
     coherence:
-        Cross-frame digestion reuse (``"auto"`` / ``"incremental"`` /
-        ``"off"``, see :mod:`repro.render.coherence`).  The session owns
-        one :class:`~repro.render.coherence.FrameCoherence` carrier
-        shared by :meth:`render_frame` calls and serial :meth:`run`
-        trajectories, so revisited viewpoints reuse digested state.
-        Like ``ir``, every mode is bit-identical — the disk cache key
-        stays ``coherence``-agnostic — and ``None`` defers to the
-        ``$REPRO_COHERENCE`` process default.  Parallel runs
-        (``jobs > 1``) silently bypass the carrier under ``"auto"`` and
-        refuse under explicit ``"incremental"``.
+        Cross-frame digestion reuse (``"auto"`` / ``"off"``, see
+        :mod:`repro.render.coherence`).  The session owns the one
+        :class:`~repro.render.coherence.FrameCoherence` carrier
+        (:attr:`carrier`), shared by :meth:`render_frame` calls and
+        serial :meth:`run` trajectories, so revisited viewpoints reuse
+        digested state.  Like ``ir``, both modes are bit-identical — the
+        disk cache key stays ``coherence``-agnostic.  Parallel runs
+        (``jobs > 1``) bypass the carrier.
+    swmodel:
+        Software-model engine of the cuda backends (``"auto"`` /
+        ``"legacy"``, see :mod:`repro.swrender.warp_model`).
     strict:
         ``True`` restores raise-through semantics: a frame failure
         propagates immediately instead of entering the degradation
@@ -289,7 +291,8 @@ class RenderSession:
 
     def __init__(self, scene, backend="hw:het+qm", baseline="auto",
                  device="orin", seed=0, warm_crop_cache=False,
-                 result_cache=None, ir=None, coherence=None, swmodel=None,
+                 result_cache=None, ir="auto", coherence="auto",
+                 swmodel="auto",
                  strict=False, watchdog_ms=None):
         self.profile = (scene if isinstance(scene, SceneProfile)
                         else get_profile(scene))
@@ -305,13 +308,10 @@ class RenderSession:
         self.backend_spec = backend_spec(backend)
         self.device_name = device
         self.seed = int(seed)
-        # None stays None so the $REPRO_IR default remains best-effort.
-        self.ir = resolve_ir(ir) if ir is not None else None
-        # Same contract for the software-path model knob.
-        self.swmodel = resolve_swmodel(swmodel) if swmodel is not None \
-            else None
+        self.ir = resolve_ir(ir)
+        self.swmodel = resolve_swmodel(swmodel)
         self.backend = resolve_backend(backend, device_name=device,
-                                       ir=self.ir, swmodel=self.swmodel)
+                                       swmodel=self.swmodel)
         if baseline == "auto":
             spec = self.backend_spec
             baseline = ("hw:baseline"
@@ -319,17 +319,15 @@ class RenderSession:
                         else None)
         self.baseline_spec = backend_spec(baseline) if baseline else None
         self.baseline = (resolve_backend(baseline, device_name=device,
-                                         ir=self.ir, swmodel=self.swmodel)
+                                         swmodel=self.swmodel)
                          if baseline else None)
         self.warm_crop_cache = bool(warm_crop_cache)
         self.result_cache = result_cache
-        # None stays None so the $REPRO_COHERENCE default remains
-        # best-effort (resolved when the carrier is first built).
-        self.coherence = (resolve_coherence(coherence)
-                          if coherence is not None else None)
+        self.coherence = resolve_coherence(coherence)
+        #: The session's coherence carrier (inert under ``"off"``).
+        self.carrier = FrameCoherence(self.coherence)
         self.strict = bool(strict)
         self.watchdog_ms = watchdog_ms
-        self._coherence_carrier = None
         self._cloud = None
         # The reference rung's (backend, baseline) pair, built lazily
         # from the registry specs — possible exactly when the session
@@ -352,14 +350,6 @@ class RenderSession:
                 self._cloud = build_scene(self.profile, seed=self.seed)
         return self._cloud
 
-    def _carrier(self):
-        """The session's coherence carrier (built once, possibly inert)."""
-        if self._coherence_carrier is None:
-            mode = (self.coherence if self.coherence is not None
-                    else resolve_coherence())
-            self._coherence_carrier = FrameCoherence(mode)
-        return self._coherence_carrier
-
     def _ladder_rungs(self):
         """The rungs available to this session (see class docstring)."""
         return self.LADDER if self._cacheable else self.LADDER[:2]
@@ -372,8 +362,7 @@ class RenderSession:
             if self._reference is None:
                 self._reference = tuple(
                     resolve_backend(spec, device_name=self.device_name,
-                                    ir="legacy", engine="scalar",
-                                    swmodel="legacy")
+                                    engine="scalar", swmodel="legacy")
                     if spec is not None else None
                     for spec in (self.backend_spec, self.baseline_spec))
         backend, baseline = self._reference
@@ -460,7 +449,7 @@ class RenderSession:
         pre = preprocess(self.cloud, cam)
         stream = rasterize_splats(pre.splats, cam.width, cam.height,
                                   ir=self.ir)
-        self._carrier().begin_frame(stream)
+        self.carrier.begin_frame(stream)
         return self.backend.render_stream(stream, pre)
 
     def run(self, n_views=8, jobs=1, keep_results=False):
@@ -484,15 +473,11 @@ class RenderSession:
             if hit is not None:
                 return TrajectoryResult.from_dict(hit, from_cache=True)
 
+        # Parallel fan-out bypasses the carrier: frames are bit-identical
+        # either way, the carrier only changes how fast digestion
+        # converges.
         parallel = jobs is not None and jobs > 1
-        if parallel and self.coherence == "incremental":
-            raise ValueError(
-                "coherence='incremental' carries digestion state across "
-                "frames and requires serial execution (jobs=1)")
-        # Parallel fan-out silently bypasses the carrier under "auto":
-        # frames are bit-identical either way, the carrier only changes
-        # how fast digestion converges.
-        carrier = None if parallel else self._carrier()
+        carrier = None if parallel else self.carrier
 
         crop_cache = None
         if self.warm_crop_cache:

@@ -92,21 +92,21 @@ class DrawWorkload:
         return self._term_tags
 
     @classmethod
-    def from_stream(cls, stream, config, ir=None):
+    def from_stream(cls, stream, config):
         """Build a workload from a fragment stream under ``config``.
 
         The termination threshold baked into the quad table follows
-        ``config.termination_alpha``.  ``ir`` selects the digestion path
-        (see :mod:`repro.render.frameir`): on streams carrying a FrameIR
-        the quad table and its (prim, tile) group ranges come off the IR
-        with no fragment-level sort; ``ir="legacy"`` forces the original
-        sort-based digestion.  Both produce bit-identical workloads.
+        ``config.termination_alpha``.  On streams carrying a FrameIR the
+        quad table and its (prim, tile) group ranges come off the IR with
+        no fragment-level sort; bare streams take the original sort-based
+        digestion (see :mod:`repro.render.frameir`).  Both produce
+        bit-identical workloads.
         """
         if not isinstance(stream, FragmentStream):
             raise TypeError(
                 f"stream must be a FragmentStream, got {type(stream).__name__}")
         lag = config.het_inflight_lag if config.enable_het else 0
-        quads = stream.quad_table(config.termination_alpha, lag, ir=ir)
+        quads = stream.quad_table(config.termination_alpha, lag)
         n_prims = stream.prim_colors.shape[0]
         # Pixels whose accumulated alpha saturates generate exactly one
         # termination update each (the CROP alpha test's double-sided
@@ -313,7 +313,7 @@ class GraphicsPipeline:
     # ------------------------------------------------------------------
 
     def draw(self, workload_or_stream, crop_cache=None, trace=None,
-             engine="batched", ir=None):
+             engine="batched"):
         """Simulate one draw call; returns a :class:`DrawResult`.
 
         ``crop_cache`` optionally shares a warm CROP cache across draws
@@ -322,16 +322,13 @@ class GraphicsPipeline:
         :class:`~repro.hwmodel.trace.DrawTrace`.  ``engine`` selects the
         batched flush-plan engine (default) or the scalar per-flush path;
         both are cycle-, stat- and trace-exact against each other.
-        ``ir`` picks the digestion path when a raw stream is passed (see
-        :meth:`DrawWorkload.from_stream`); the two paths are likewise
-        bit-identical.
         """
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}")
         if isinstance(workload_or_stream, FragmentStream):
             workload = DrawWorkload.from_stream(workload_or_stream,
-                                                self.config, ir=ir)
+                                                self.config)
         elif isinstance(workload_or_stream, DrawWorkload):
             workload = workload_or_stream
         else:

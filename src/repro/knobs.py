@@ -6,11 +6,11 @@ the call graph, is declared **here** — one import-light module (stdlib
 only, importable from anywhere without cycles) that three consumers
 share:
 
-* the resolvers (:func:`repro.render.frameir.resolve_ir`,
-  :func:`repro.render.coherence.resolve_coherence`, the fault-plan
-  installer) read their defaults through :func:`env` instead of touching
-  ``os.environ`` directly;
-* the CLI builds its ``--ir`` / ``--coherence`` / ``--faults`` options
+* the fault-plan installer reads ``$REPRO_FAULTS`` through :func:`env`
+  instead of touching ``os.environ`` directly.  The path-mode knobs (``ir``, ``coherence``,
+  ``swmodel``, ``engine``) have no environment default: each is chosen
+  by the caller that takes it, and ``None`` means ``"auto"``;
+* the CLI builds its ``--ir`` / ``--coherence`` / ``--swmodel`` options
   from the same declarations, so help text and accepted values cannot
   drift from the code;
 * ``repro lint`` (see :mod:`repro.analysis`) statically cross-checks the
@@ -27,18 +27,19 @@ from __future__ import annotations
 
 import os
 
-#: Valid values of the ``ir`` digestion knob (FrameIR-backed digestion
-#: vs the retained sort-based oracle; see :mod:`repro.render.frameir`).
-IR_MODES = ("auto", "frameir", "legacy")
+#: Valid values of the ``ir`` knob of the rasteriser: attach a FrameIR
+#: (FrameIR-backed digestion) or emit a bare stream (the retained
+#: sort-based oracle); see :mod:`repro.render.frameir`.
+IR_MODES = ("auto", "legacy")
 
-#: Valid values of the cross-frame ``coherence`` knob (see
-#: :mod:`repro.render.coherence`).
-COHERENCE_MODES = ("auto", "incremental", "off")
+#: Valid values of the cross-frame ``coherence`` knob: the carrier on, or
+#: off (the full-recompute oracle); see :mod:`repro.render.coherence`.
+COHERENCE_MODES = ("auto", "off")
 
 #: Valid values of the software-path ``swmodel`` knob (FrameIR-backed
 #: CUDA warp/multipass models vs the retained fragment-sort oracles; see
 #: :mod:`repro.swrender.warp_model` and :mod:`repro.swopt.multipass`).
-SWMODEL_MODES = ("auto", "frameir", "legacy")
+SWMODEL_MODES = ("auto", "legacy")
 
 #: Valid values of the pipeline flush ``engine`` knob (batched flush
 #: plan vs the scalar per-flush oracle; see
@@ -68,22 +69,6 @@ class EnvKnob:
 #: The registered environment knobs.  ``repro lint`` rule R4 rejects any
 #: ``os.environ`` read of a ``REPRO_*`` name missing from this table.
 ENV_KNOBS = {
-    "REPRO_IR": EnvKnob(
-        "REPRO_IR", default="auto", choices=IR_MODES,
-        help="process-wide default of the ir digestion knob "
-             "(bit-identical modes; 'legacy' is the sort-based oracle)",
-        consumed_by=("repro.render.frameir.resolve_ir",)),
-    "REPRO_COHERENCE": EnvKnob(
-        "REPRO_COHERENCE", default="auto", choices=COHERENCE_MODES,
-        help="process-wide default of the cross-frame coherence knob "
-             "(bit-identical modes; 'off' is the full-recompute oracle)",
-        consumed_by=("repro.render.coherence.resolve_coherence",)),
-    "REPRO_SWMODEL": EnvKnob(
-        "REPRO_SWMODEL", default="auto", choices=SWMODEL_MODES,
-        help="process-wide default of the software-path model knob "
-             "(bit-identical modes; 'legacy' is the fragment-sort oracle "
-             "for the CUDA warp/multipass models)",
-        consumed_by=("repro.swrender.warp_model.resolve_swmodel",)),
     "REPRO_FAULTS": EnvKnob(
         "REPRO_FAULTS", default="", choices=None,
         help="seeded fault-injection plan installed at import time "

@@ -51,8 +51,3 @@ def tile_binning_probe(n_tiles, rounds=10, config=None, tile_px=16,
         "tc_timeouts": result.stats.tc_flush_timeout,
     }
 
-
-def find_bin_cliff(max_tiles=40, rounds=10, config=None):
-    """Scan N and report warps(N); the jump localises the bin count."""
-    return {n: tile_binning_probe(n, rounds, config)["warps"]
-            for n in range(2, max_tiles + 1)}

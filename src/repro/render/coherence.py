@@ -41,13 +41,11 @@ sealed states (``max_bytes``), not by a state count.
 
 The ``coherence`` knob
 ----------------------
-``"auto"`` and ``"incremental"`` enable the carrier (they differ only in
-strictness elsewhere: sessions running parallel frames silently drop the
-carrier under ``"auto"`` but refuse under ``"incremental"``), ``"off"``
-disables it entirely.  The process default is ``"auto"``, overridable via
-the ``REPRO_COHERENCE`` environment variable; CI runs the golden flush,
-coherence and software-renderer suites under both ``incremental`` and
-``off``.
+``"auto"`` (the default) enables the carrier and ``"off"`` disables it
+entirely, which makes every frame the full-recompute oracle.  The carrier
+lives in :class:`~repro.engine.session.RenderSession`, which builds one
+per session from its ``coherence`` keyword.  ``tests/test_coherence.py``
+checks the carrier against ``"off"``.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro import faults, knobs
+from repro import faults
 from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
 from repro.utils.arrays import ndarray_bytes
 
@@ -71,9 +69,9 @@ DEFAULT_MAX_BYTES = 640 * 2**20
 
 
 def resolve_coherence(mode=None):
-    """Normalise a ``coherence`` knob value (default ``$REPRO_COHERENCE``)."""
+    """Normalise a ``coherence`` knob value (``None`` means ``"auto"``)."""
     if mode is None:
-        mode = knobs.env("REPRO_COHERENCE")
+        mode = "auto"
     if mode not in COHERENCE_MODES:
         raise ValueError(
             f"unknown coherence mode {mode!r}; choose from {COHERENCE_MODES}")
@@ -150,7 +148,7 @@ class FrameCoherence:
     with each new frame's stream *before* digestion starts.
     """
 
-    def __init__(self, mode=None, max_bytes=DEFAULT_MAX_BYTES):
+    def __init__(self, mode="auto", max_bytes=DEFAULT_MAX_BYTES):
         self.mode = resolve_coherence(mode)
         self.max_bytes = int(max_bytes)
         #: Library of digested frames keyed by content hash, LRU-bounded
@@ -235,14 +233,11 @@ class FrameCoherence:
         FrameIR quad view *before* the quad table is built; a miss adds a
         live state for this frame.
         """
-        if self.mode == "off":
-            return
-        if stream.frameir is None or not stream._use_ir_digest():
+        if self.mode == "off" or stream.frameir is None:
             return
         if self._prev is not None:
             self._prev.seal()
         self._evict()
-        stream.coherence = self
         self._key = self._content_key(stream)
         cand = self._states.get(self._key)
         if faults.ENABLED and faults.checkpoint("coherence.verify") is not None:

@@ -21,7 +21,6 @@ import weakref
 
 import numpy as np
 
-from repro.render.frameir import resolve_ir
 from repro.utils.arrays import (
     segment_boundaries,
     segmented_cumsum,
@@ -106,18 +105,15 @@ class FragmentStream:
         reuse the binning instead of re-deriving it.
     frameir:
         Optional :class:`~repro.render.frameir.FrameIR` carrying the
-        rasteriser's row-interval structure; when present (and the ``ir``
-        mode allows it) the quad table and (prim, tile) group ranges are
-        derived from it instead of re-sorted from the fragments —
-        bit-identically.
-    ir:
-        Default digestion mode for this stream (``"auto"`` / ``"frameir"``
-        / ``"legacy"``, see :mod:`repro.render.frameir`); ``None`` follows
-        the process default.
+        rasteriser's row-interval structure; when present the quad table
+        and (prim, tile) group ranges are derived from it instead of
+        re-sorted from the fragments — bit-identically.  Whether a stream
+        carries one is the only digestion-path choice (see
+        :mod:`repro.render.frameir`).
     """
 
     def __init__(self, prim_ids, x, y, alphas, prim_colors, width, height,
-                 binning=None, validate=True, frameir=None, ir=None):
+                 binning=None, validate=True, frameir=None):
         self.prim_ids = np.asarray(prim_ids, dtype=np.int32)
         self.x = np.asarray(x, dtype=np.int32)
         self.y = np.asarray(y, dtype=np.int32)
@@ -142,28 +138,7 @@ class FragmentStream:
                     "fragment coordinates fall outside the framebuffer")
         self.binning = binning
         self.frameir = frameir
-        self.ir = ir
-        self._coherence = None
         self._cache = {}
-
-    @property
-    def coherence(self):
-        """Optional :class:`~repro.render.coherence.FrameCoherence` carrier
-        that classified this stream (attached by trajectory sessions and
-        standalone renderers; a full hit has installed its products in
-        the stream's caches).
-
-        Held through a weak reference: the carrier holds the stream of the
-        frame it is digesting, so a strong link back would make a cycle
-        that keeps the carrier's whole library alive until the cyclic
-        garbage collector runs.
-        """
-        ref = self._coherence
-        return ref() if ref is not None else None
-
-    @coherence.setter
-    def coherence(self, carrier):
-        self._coherence = weakref.ref(carrier) if carrier is not None else None
 
     # ------------------------------------------------------------------
     # Basic derived arrays
@@ -205,10 +180,6 @@ class FragmentStream:
             self._cache["unpruned"] = self.alphas >= PRUNE_EPS
         return self._cache["unpruned"]
 
-    def _use_ir_digest(self):
-        """Whether the sorted-domain caches may derive from the FrameIR."""
-        return self.frameir is not None and resolve_ir(self.ir) != "legacy"
-
     def _radix_pixel_keys(self):
         """Pixel sort keys in the narrowest unsigned dtype that holds them.
 
@@ -245,7 +216,7 @@ class FragmentStream:
         if "pix_sorted" in self._cache:
             return
         n = len(self)
-        if self._use_ir_digest() and n:
+        if self.frameir is not None and n:
             # The rasteriser's emission order has non-decreasing prim ids,
             # so a single stable sort on the pixel key is the (pixel, draw
             # order) lexsort.
@@ -298,7 +269,7 @@ class FragmentStream:
         """Indices lexsorting fragments by (pixel, draw order)."""
         if "pixel_order" not in self._cache:
             prim_ids = self.prim_ids
-            if self._use_ir_digest() and len(self):
+            if self.frameir is not None and len(self):
                 self._ensure_pixel_grouping()
                 return self._cache["pixel_order"]
             if prim_ids.shape[0] == 0 or (prim_ids[1:] >= prim_ids[:-1]).all():
@@ -359,7 +330,7 @@ class FragmentStream:
         # separately, one fewer full-width gather.
         alpha_eff = np.where(self.unpruned, self.alphas,
                              np.float32(0.0))[order]
-        if self._use_ir_digest():
+        if self.frameir is not None:
             # Per-scanline log-space scans: ~35% cheaper than the global
             # segmented cumsum (no offset-subtraction pass, unconditional
             # inert clamp) and deterministic per scanline content.
@@ -664,35 +635,19 @@ class FragmentStream:
     # Quad / tile structure
     # ------------------------------------------------------------------
 
-    def quad_table(self, threshold=DEFAULT_TERMINATION_ALPHA, lag=0, ir=None):
+    def quad_table(self, threshold=DEFAULT_TERMINATION_ALPHA, lag=0):
         """Aggregate fragments into 2x2 quads (see :class:`QuadTable`).
 
         ``lag`` selects the HET in-flight window baked into the table's
-        termination masks (see :meth:`unterminated_on_arrival`).  ``ir``
-        overrides the stream's digestion mode (see :mod:`repro.render.
-        frameir`): with ``"auto"``/``"frameir"`` and a stream carrying a
-        :class:`~repro.render.frameir.FrameIR`, the table materialises
-        from the IR's precomputed quad grouping; ``"legacy"`` forces the
-        original sort-based construction.  Both paths are bit-identical
-        (fuzz-pinned by ``tests/test_frameir.py``).
+        termination masks (see :meth:`unterminated_on_arrival`).  On a
+        stream carrying a :class:`~repro.render.frameir.FrameIR` the table
+        materialises from the IR's precomputed quad grouping; otherwise
+        it takes the original sort-based construction.  Both paths are
+        bit-identical (fuzz-pinned by ``tests/test_frameir.py``).
         """
-        explicit = ir if ir is not None else self.ir
-        mode = resolve_ir(explicit)
-        if mode == "frameir" and self.frameir is None:
-            # Strict only when the caller (or the stream's producer) asked
-            # for the IR by name; the ``$REPRO_IR=frameir`` process
-            # default stays best-effort so hand-built and scalar-emitted
-            # streams keep digesting through the legacy path.
-            if explicit is not None:
-                raise ValueError(
-                    "ir='frameir' requires a stream carrying a FrameIR "
-                    "(emitted by rasterize_splats); this stream has none")
-            mode = "auto"
-        use_ir = mode != "legacy" and self.frameir is not None
-        key = ("quad_table", round(float(threshold), 9), int(lag),
-               "frameir" if use_ir else "legacy")
+        key = ("quad_table", round(float(threshold), 9), int(lag))
         if key not in self._cache:
-            if use_ir:
+            if self.frameir is not None:
                 self._cache[key] = QuadTable.from_ir(self, self.frameir,
                                                      threshold, lag)
             else:
@@ -1017,10 +972,6 @@ class QuadTable:
     def quads_blended_het(self):
         """Quads surviving both the ZROP termination test and pruning."""
         return int((self.n_et_blended > 0).sum())
-
-    def quads_passing_zrop(self):
-        """Quads with >= 1 fragment arriving before pixel termination."""
-        return int((self.n_unterminated > 0).sum())
 
     def fragments_blended_baseline(self):
         return int(self.n_unpruned.sum())

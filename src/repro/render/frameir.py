@@ -33,33 +33,27 @@ oracle and pinned by the fuzz tests in ``tests/test_frameir.py``.
 
 The ``ir`` knob
 ---------------
-``"auto"``
-    Use the IR when the stream carries one (streams emitted by
-    :func:`~repro.render.splat_raster.rasterize_splats`), fall back to the
-    legacy path otherwise (hand-built streams, the scalar rasteriser).
-``"frameir"``
-    Require the IR; raise if the stream has none.
-``"legacy"``
-    Always use the original sort-based digestion (the oracle).
-
-The process-wide default is ``"auto"`` and can be overridden with the
-``REPRO_IR`` environment variable — CI runs the golden raster and golden
-flush suites under both ``REPRO_IR=frameir`` and ``REPRO_IR=legacy``.
+The digestion path is chosen once, where the stream is made:
+:func:`~repro.render.splat_raster.rasterize_splats` attaches a FrameIR
+under ``ir="auto"`` (the default) and emits a bare stream under
+``ir="legacy"``.  Every consumer then takes the IR path exactly when
+``stream.frameir is not None``; hand-built and scalar-emitted streams
+carry no IR and digest through the legacy path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import faults, knobs
+from repro import faults
 from repro.knobs import IR_MODES  # re-exported; declared centrally
 from repro.utils.arrays import popcount4, segment_boundaries
 
 
 def resolve_ir(ir=None):
-    """Normalise an ``ir`` knob value, defaulting to ``$REPRO_IR`` / auto."""
+    """Normalise an ``ir`` knob value (``None`` means ``"auto"``)."""
     if ir is None:
-        ir = knobs.env("REPRO_IR")
+        ir = "auto"
     if ir not in IR_MODES:
         raise ValueError(f"unknown ir mode {ir!r}; choose from {IR_MODES}")
     return ir

@@ -169,7 +169,6 @@ def _empty_stream(splats, width, height, ir="auto"):
         height=height,
         binning=TileBinning.empty(len(splats), width, height),
         frameir=frameir,
-        ir=ir,
     )
 
 
@@ -189,7 +188,7 @@ def _clipped_bounds(splats, width, height):
 
 
 def rasterize_splats(splats, width, height, max_fragments=200_000_000,
-                     ir=None):
+                     ir="auto"):
     """Rasterise sorted splats into a :class:`FragmentStream` (batched).
 
     Parameters
@@ -205,13 +204,13 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
         batched path counts fragments *before* materialising them, so the
         guard fires without allocating the stream.
     ir:
-        Frame-IR mode (see :mod:`repro.render.frameir`): ``"auto"`` /
-        ``"frameir"`` attach a :class:`~repro.render.frameir.FrameIR`
-        carrying the raster's row-interval structure for downstream
-        digestion; ``"legacy"`` emits a bare stream so every consumer
-        takes the original sort-based paths.  ``None`` follows the
-        process default (``$REPRO_IR`` or ``"auto"``).  The fragment
-        arrays are bit-identical in every mode.
+        Digestion path of the stream, chosen here and nowhere else (see
+        :mod:`repro.render.frameir`): ``"auto"`` attaches a
+        :class:`~repro.render.frameir.FrameIR` carrying the raster's
+        row-interval structure for downstream digestion; ``"legacy"``
+        emits a bare stream so every consumer takes the original
+        sort-based paths.  The fragment arrays are bit-identical in
+        both modes.
 
     Returns
     -------
@@ -273,7 +272,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     return FragmentStream(
         prim_ids=prim_ids, x=x, y=y, alphas=alphas,
         prim_colors=splats.colors, width=width, height=height,
-        binning=binning, validate=False, frameir=frameir, ir=ir)
+        binning=binning, validate=False, frameir=frameir)
 
 
 def _row_intervals(splats, sid, x0, y0, x1, y1):

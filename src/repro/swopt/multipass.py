@@ -186,15 +186,7 @@ def _multipass_workspace_legacy(stream):
 def _multipass_workspace(stream, swmodel):
     from repro.swrender.warp_model import resolve_swmodel
 
-    explicit = swmodel is not None
-    swmodel = resolve_swmodel(swmodel)
-    if swmodel == "frameir" and stream.frameir is None and explicit:
-        # Same contract as the warp model (and the ir knob): the env
-        # default stays best-effort, an explicit request is strict.
-        raise ValueError(
-            "swmodel='frameir' requires a stream carrying a FrameIR; "
-            "rasterize with ir='auto'/'frameir' or use swmodel='auto'")
-    if swmodel != "legacy" and stream.frameir is not None:
+    if resolve_swmodel(swmodel) != "legacy" and stream.frameir is not None:
         return _multipass_workspace_ir(stream)
     return _multipass_workspace_legacy(stream)
 

@@ -143,21 +143,22 @@ class CudaRenderer:
     early_term:
         Whether the rasterise kernel applies early termination (the paper's
         end-to-end comparison enables it for the software path).
-    ir / swmodel:
-        Digestion and software-model engine knobs, validated eagerly;
-        ``None`` stays ``None`` so the ``$REPRO_IR`` / ``$REPRO_SWMODEL``
-        process defaults remain best-effort at render time.
+    ir:
+        Digestion path of the streams :meth:`render` rasterises (see
+        :func:`~repro.render.splat_raster.rasterize_splats`).
+    swmodel:
+        Software-model engine (see :mod:`repro.swrender.warp_model`).
     """
 
     def __init__(self, kernel_model=None, frequency_hz=612e6, early_term=True,
-                 threshold=DEFAULT_TERMINATION_ALPHA, ir=None, swmodel=None):
+                 threshold=DEFAULT_TERMINATION_ALPHA, ir="auto",
+                 swmodel="auto"):
         self.kernel_model = kernel_model or SWKernelModel()
         self.frequency_hz = float(frequency_hz)
         self.early_term = bool(early_term)
         self.threshold = float(threshold)
-        self.ir = resolve_ir(ir) if ir is not None else None
-        self.swmodel = resolve_swmodel(swmodel) if swmodel is not None \
-            else None
+        self.ir = resolve_ir(ir)
+        self.swmodel = resolve_swmodel(swmodel)
 
     def render(self, cloud, camera):
         """Render a cloud and return a :class:`CudaRenderResult`."""

@@ -13,29 +13,29 @@ stream:
 * the fraction of executed thread-slots that perform blending
   (Figure 9's "threads performing blending in a warp").
 
-Two engines, selected by the ``swmodel`` knob (``"auto"`` / ``"frameir"``
-/ ``"legacy"``, process default ``$REPRO_SWMODEL``):
+Two engines, selected by the ``swmodel`` knob (``"auto"`` or
+``"legacy"``; the caller chooses, there is no process-wide default):
 
-* ``_simulate_tile_warps_ir`` reads the (prim, tile) round structure
-  straight off the stream's :class:`~repro.render.frameir.FrameIR` group
-  ranges — the chunklet pass already enumerated the unique (prim, tile)
-  pairs in emission order, so no fragment-level ``np.unique`` sort exists
-  on this path — and resolves each pixel's exit round from digestion's
-  per-pixel exit primitives (:meth:`~repro.render.fragstream.
-  FragmentStream.exit_prims`), which a coherence full hit serves without
-  any fragment-level array;
-* ``_simulate_tile_warps_legacy`` is the retained fragment-sort oracle
-  (the original ``np.unique`` over (tile, prim) keys), kept bit-exact for
-  the equivalence tests; its per-pixel reductions run over the same
-  cached chain via ``reduceat`` instead of the old ``np.minimum.at`` /
-  ``np.maximum.at`` scatters.
+* ``_simulate_tile_warps_ir`` (``"auto"`` on a stream carrying a
+  FrameIR) reads the (prim, tile) round structure straight off the
+  stream's :class:`~repro.render.frameir.FrameIR` group ranges — the
+  chunklet pass already enumerated the unique (prim, tile) pairs in
+  emission order, so no fragment-level ``np.unique`` sort exists on this
+  path — and resolves each pixel's exit round from digestion's per-pixel
+  exit primitives (:meth:`~repro.render.fragstream.FragmentStream.
+  exit_prims`), which a coherence full hit serves without any
+  fragment-level array;
+* ``_simulate_tile_warps_legacy`` (``"legacy"``, or a bare stream) is the
+  retained fragment-sort oracle (the original ``np.unique`` over (tile,
+  prim) keys), kept bit-exact for the equivalence tests; its per-pixel
+  reductions run over the same cached chain via ``reduceat`` instead of
+  the old ``np.minimum.at`` / ``np.maximum.at`` scatters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import knobs
 from repro.knobs import SWMODEL_MODES
 from repro.render.fragstream import (
     DEFAULT_TERMINATION_ALPHA,
@@ -49,10 +49,9 @@ WARP_THREADS = 32
 
 
 def resolve_swmodel(swmodel=None):
-    """Normalise a ``swmodel`` knob value, defaulting to ``$REPRO_SWMODEL``
-    / auto."""
+    """Normalise a ``swmodel`` knob value (``None`` means ``"auto"``)."""
     if swmodel is None:
-        swmodel = knobs.env("REPRO_SWMODEL")
+        swmodel = "auto"
     if swmodel not in SWMODEL_MODES:
         raise ValueError(
             f"unknown swmodel mode {swmodel!r}; choose from {SWMODEL_MODES}")
@@ -216,28 +215,20 @@ def _simulate_tile_warps_legacy(stream, threshold):
 
 
 def simulate_tile_warps(stream, threshold=DEFAULT_TERMINATION_ALPHA,
-                        swmodel=None):
+                        swmodel="auto"):
     """Run the lockstep model over a fragment stream.
 
     The stream's primitive order is the global depth order, which is also
     each tile's processing order (the CUDA renderer sorts by (tile | depth)
     keys, yielding per-tile depth-sorted lists).  ``swmodel`` selects the
     engine: ``"auto"`` reads the FrameIR whenever the stream carries one,
-    ``"legacy"`` forces the fragment-sort oracle, ``"frameir"`` requires
-    the IR.  Both engines are bit-exact.
+    ``"legacy"`` forces the fragment-sort oracle.  Both engines are
+    bit-exact.
     """
     if not isinstance(stream, FragmentStream):
         raise TypeError(
             f"stream must be a FragmentStream, got {type(stream).__name__}")
-    explicit = swmodel is not None
     swmodel = resolve_swmodel(swmodel)
-    if swmodel == "frameir" and stream.frameir is None and explicit:
-        # A $REPRO_SWMODEL=frameir *process default* stays best-effort
-        # (bare streams fall back to the oracle, same contract as the ir
-        # knob); only a by-name request hardens into a requirement.
-        raise ValueError(
-            "swmodel='frameir' requires a stream carrying a FrameIR; "
-            "rasterize with ir='auto'/'frameir' or use swmodel='auto'")
     if len(stream) == 0:
         return WarpExecution(0, 0, 0, 0)
 

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -40,6 +42,14 @@ class TestParser:
             build_parser().parse_args(
                 ["trajectory", "--scene", "train", "--backend", "vulkan"])
 
+    @pytest.mark.parametrize("flag, mode", [("--ir", "frameir"),
+                                            ("--coherence", "incremental")])
+    def test_trajectory_rejects_removed_path_modes(self, flag, mode):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["trajectory", "--scene", "lego", flag, mode])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_list_scenes(self, capsys):
@@ -78,6 +88,16 @@ class TestCommands:
         assert "Trajectory: lego / hw:het+qm" in out
         assert "geomean_speedup" in out
         assert "fps_p50" in out
+
+    def test_trajectory_reference_paths_match_default(self, capsys):
+        argv = ["trajectory", "--scene", "lego", "--views", "2", "--json"]
+        aggregates = []
+        for extra in ([], ["--ir", "legacy", "--coherence", "off",
+                           "--swmodel", "legacy"]):
+            assert main(argv + extra) == 0
+            aggregates.append(json.loads(capsys.readouterr().out)
+                              ["aggregates"])
+        assert aggregates[0] == aggregates[1]
 
     def test_trajectory_disk_cache(self, tmp_path, capsys):
         argv = ["trajectory", "--scene", "lego", "--views", "2",

@@ -8,11 +8,8 @@ exactly: same arrays, same dtypes, same termination sets, same
 quad-table columns, cycle-exact draws.  These tests pin that across
 random coherent orbit pairs and the degenerate regimes (empty frames,
 full-occlusion revisit, the max_fragments clamp boundary, HET
-termination flips between frames, warm-CROP handoff).
-
-CI runs this module under both ``REPRO_COHERENCE=incremental`` and
-``=off``; tests therefore select their mode explicitly instead of
-relying on the process default.
+termination flips between frames, warm-CROP handoff).  Session-level
+tests compare a carrier session against a ``coherence="off"`` one.
 """
 
 from __future__ import annotations
@@ -88,31 +85,23 @@ def _assert_draws_identical(sa, sb, config):
 
 class TestKnob:
     def test_modes_enumerated(self):
+        assert resolve_coherence() == "auto"
         assert resolve_coherence("auto") == "auto"
-        assert resolve_coherence("incremental") == "incremental"
         assert resolve_coherence("off") == "off"
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COHERENCE", raising=False)
-        assert resolve_coherence() == "auto"
-        monkeypatch.setenv("REPRO_COHERENCE", "incremental")
-        assert resolve_coherence() == "incremental"
-
-    def test_invalid_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="coherence"):
-            resolve_coherence("sometimes")
-        monkeypatch.setenv("REPRO_COHERENCE", "bogus")
-        with pytest.raises(ValueError, match="coherence"):
-            resolve_coherence()
+    def test_invalid_rejected(self):
+        for mode in ("sometimes", "incremental"):
+            with pytest.raises(ValueError, match="coherence"):
+                resolve_coherence(mode)
 
     def test_modes_tuple_is_contract(self):
-        assert tuple(COHERENCE_MODES) == ("auto", "incremental", "off")
+        assert tuple(COHERENCE_MODES) == ("auto", "off")
 
-    def test_incremental_refuses_parallel_run(self):
-        session = RenderSession("lego", baseline=None,
-                                coherence="incremental")
-        with pytest.raises(ValueError, match="serial"):
-            session.run(n_views=2, jobs=2)
+    def test_parallel_run_bypasses_carrier(self):
+        session = RenderSession("palace", baseline=None)
+        session.run(n_views=2, jobs=2)
+        assert not session.carrier._states
+        assert session.carrier.stats["full_recomputes"] == 0
 
 
 class TestServePaths:
@@ -122,7 +111,7 @@ class TestServePaths:
         return rasterize_splats(pre.splats, camera.width, camera.height)
 
     def test_full_hit_bit_identical(self, small_pre, small_camera):
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         s1 = self._fresh(small_pre, small_camera)
         car.begin_frame(s1)
         _digest(s1)
@@ -134,7 +123,7 @@ class TestServePaths:
         _assert_bitwise(oracle, got)
 
     def test_fallback_bit_identical(self, deep_pre, deep_camera):
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         s1 = self._fresh(deep_pre, deep_camera)
         car.begin_frame(s1)
         _digest(s1)
@@ -156,7 +145,7 @@ class TestServePaths:
         car = FrameCoherence("off")
         s1 = self._fresh(small_pre, small_camera)
         car.begin_frame(s1)
-        assert s1.coherence is None
+        assert car._key is None and not car._states
         _digest(s1)
         assert car.stats == {"full_hits": 0, "partial_hits": 0,
                              "full_recomputes": 0}
@@ -181,12 +170,11 @@ class TestRadixGroupingPin:
                             deep_camera):
         config = variant_config("het+qm")
         for pre, cam in ((small_pre, small_camera), (deep_pre, deep_camera)):
-            s_ir = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
+            s_ir = rasterize_splats(pre.splats, cam.width, cam.height)
             s_legacy = rasterize_splats(pre.splats, cam.width, cam.height,
                                         ir="legacy")
-            assert s_ir._use_ir_digest()
-            assert not s_legacy._use_ir_digest()
+            assert s_ir.frameir is not None
+            assert s_legacy.frameir is None
             d_ir, d_legacy = _digest(s_ir), _digest(s_legacy)
             _assert_bitwise({k: d_legacy[k] for k in self.ORDER_KEYS},
                             {k: d_ir[k] for k in self.ORDER_KEYS})
@@ -208,7 +196,7 @@ class TestCoherentOrbitFuzz:
     def test_orbit_pairs(self, deep_cloud):
         rng = np.random.default_rng(0xC0)
         config = variant_config("het+qm")
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         for trial in range(5):
             angle = rng.uniform(0, 2 * np.pi)
             # Nearby viewpoints of one orbit step: highly (but not fully)
@@ -234,7 +222,7 @@ class TestCoherentOrbitFuzz:
         cams = [Camera.look_at(eye=(2.2 * np.sin(t), 0.1, -2.2 * np.cos(t)),
                                target=(0, 0, 0), width=96, height=96)
                 for t in (0.0, 0.4, 0.0)]
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         streams = []
         for cam in cams:
             pre = preprocess(deep_cloud, cam)
@@ -254,7 +242,7 @@ class TestDegenerateRegimes:
         # A camera facing away from the scene: zero visible fragments.
         away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
                               width=64, height=64)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         for _ in range(2):
             pre = preprocess(small_cloud, away)
             stream = rasterize_splats(pre.splats, away.width, away.height)
@@ -267,7 +255,7 @@ class TestDegenerateRegimes:
     def test_empty_then_full_then_empty(self, small_cloud, small_camera):
         away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
                               width=96, height=96)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         for cam in (away, small_camera, away):
             pre = preprocess(small_cloud, cam)
             stream = rasterize_splats(pre.splats, cam.width, cam.height)
@@ -279,7 +267,7 @@ class TestDegenerateRegimes:
     def test_full_occlusion_revisit(self, deep_pre, deep_camera):
         """Saturating layered content: termination sets survive reuse."""
         config = variant_config("het")
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         streams = []
         for _ in range(2):
             stream = rasterize_splats(deep_pre.splats, deep_camera.width,
@@ -307,7 +295,7 @@ class TestDegenerateRegimes:
             rasterize_splats(small_pre.splats, w, h, max_fragments=n - 1)
         # The carrier never saw the aborted frame; at the exact clamp
         # boundary the stream digests normally and still full-hits.
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         s1 = rasterize_splats(small_pre.splats, w, h, max_fragments=n)
         car.begin_frame(s1)
         _digest(s1)
@@ -325,7 +313,7 @@ class TestDegenerateRegimes:
         """Alphas flip pixels across the HET threshold frame-to-frame."""
         config = variant_config("het")
         w, h = deep_camera.width, deep_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         scales = (np.float32(1.0), np.float32(0.6), np.float32(1.0))
         base = rasterize_splats(deep_pre.splats, w, h).alphas.copy()
         terminated = []
@@ -354,7 +342,7 @@ class TestStaleCacheGuard:
         stream it was captured from and in the stream it was served to."""
         config = variant_config("het+qm")
         w, h = small_camera.width, small_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         streams = []
         for _ in range(2):
             stream = rasterize_splats(small_pre.splats, w, h)
@@ -383,7 +371,7 @@ class TestStaleCacheGuard:
         """Rebinding inputs after capture must not alter what later
         frames are served: the content hash keys the *digested* state."""
         w, h = small_camera.width, small_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         s1 = rasterize_splats(small_pre.splats, w, h)
         car.begin_frame(s1)
         expected = {k: v.copy() for k, v in _digest(s1).items()}
@@ -399,30 +387,27 @@ class TestStaleCacheGuard:
 
 class TestWarmTrajectorySessions:
     def test_warm_crop_handoff_cycle_exact(self):
-        """Warm-CROP sessions under incremental vs off: identical stats."""
+        """Warm-CROP sessions with the carrier vs off: identical stats."""
         runs = {}
-        for mode in ("incremental", "off"):
+        for mode in ("auto", "off"):
             session = RenderSession("lego", backend="hw:het+qm",
                                     baseline=None, warm_crop_cache=True,
                                     coherence=mode)
             runs[mode] = session.run(n_views=2)
-        for inc, off in zip(runs["incremental"].records,
-                            runs["off"].records):
-            assert inc.cycles == off.cycles
-            assert inc.ms == off.ms
-            assert inc.et_ratio == off.et_ratio
+        for on, off in zip(runs["auto"].records, runs["off"].records):
+            assert on.cycles == off.cycles
+            assert on.ms == off.ms
+            assert on.et_ratio == off.et_ratio
 
-    def test_interleaved_cache_and_coherence_hits(self, monkeypatch,
-                                                  tmp_path):
-        """Satellite: warm sessions under REPRO_IR=frameir, interleaving
-        disk-cache-hit runs with coherence-hit revisited viewpoints,
-        bit-identical to cold recompute."""
+    def test_interleaved_cache_and_coherence_hits(self, tmp_path):
+        """Warm sessions interleaving disk-cache-hit runs with
+        coherence-hit revisited viewpoints, bit-identical to cold
+        recompute."""
         from repro.engine.cache import ResultCache
 
-        monkeypatch.setenv("REPRO_IR", "frameir")
         cache = ResultCache(tmp_path / "traj")
         warm = RenderSession("lego", backend="hw:het+qm", baseline=None,
-                             result_cache=cache, coherence="incremental")
+                             result_cache=cache, coherence="auto")
         cold = RenderSession("lego", backend="hw:het+qm", baseline=None,
                              coherence="off")
 
@@ -450,7 +435,7 @@ class TestWarmTrajectorySessions:
                 assert sw.units[unit].items == sc.units[unit].items
             assert np.array_equal(r_warm.image, r_cold.image)
             assert np.array_equal(r_warm.alpha, r_cold.alpha)
-        stats = warm._carrier().stats
+        stats = warm.carrier.stats
         assert stats["full_hits"] >= 1
 
 
@@ -479,7 +464,7 @@ class TestSealedStates:
 
     def test_full_hit_from_sealed_state(self, deep_cloud):
         config = variant_config("het+qm")
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         _render_digest(car, deep_cloud, _orbit_camera(0.0), config)
         _render_digest(car, deep_cloud, _orbit_camera(0.4), config)
         assert all(state.stream is None for state in car._states.values()
@@ -504,10 +489,10 @@ class TestSealedStates:
         retries exactly as if the attempt never ran."""
         config = variant_config("het+qm")
         thetas = (0.0, 0.3, 0.0)
-        clean = FrameCoherence("incremental")
+        clean = FrameCoherence()
         for theta in thetas:
             _render_digest(clean, deep_cloud, _orbit_camera(theta), config)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         _render_digest(car, deep_cloud, _orbit_camera(thetas[0]), config)
         for theta in thetas[1:]:
             snap = car.snapshot()
@@ -533,7 +518,7 @@ class TestSealedStates:
         thr = round(config.termination_alpha, 9)
         lag = config.het_inflight_lag
         w, h = small_camera.width, small_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         for _ in range(2):
             stream = rasterize_splats(small_pre.splats, w, h)
             car.begin_frame(stream)
@@ -569,7 +554,7 @@ class TestSealedStates:
 
     def test_library_evicts_lru_first_by_bytes(self, deep_cloud):
         config = variant_config("het+qm")
-        probe = FrameCoherence("incremental")
+        probe = FrameCoherence()
         for theta in (0.0, 0.2):
             _render_digest(probe, deep_cloud, _orbit_camera(theta), config)
         probe.begin_frame(rasterize_splats(
@@ -578,7 +563,7 @@ class TestSealedStates:
         # Room for two states of this scene, not three.
         budget = int(2.5 * max(sizes))
         assert 3 * min(sizes) > budget
-        car = FrameCoherence("incremental", max_bytes=budget)
+        car = FrameCoherence(max_bytes=budget)
         keys = []
         for theta in (0.0, 0.2, 0.4, 0.2, 0.6):
             _render_digest(car, deep_cloud, _orbit_camera(theta), config)
@@ -598,9 +583,9 @@ class TestSealedStates:
         """The default budget holds an 8-view lego sweep: the second lap
         is all full hits, and a sealed lego state stays compact."""
         session = RenderSession("lego", backend="hw:het+qm", baseline=None,
-                                coherence="incremental")
+                                coherence="auto")
         first = session.run(n_views=8)
-        car = session._carrier()
+        car = session.carrier
         assert car.stats["full_hits"] == 0
         second = session.run(n_views=8)
         assert car.stats["full_hits"] == 8
@@ -628,7 +613,7 @@ class TestFullHitServing:
         config = variant_config("het+qm")
         cam = _orbit_camera(0.0)
         pre = preprocess(deep_cloud, cam)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         for _ in range(2):
             stream = rasterize_splats(pre.splats, cam.width, cam.height)
             car.begin_frame(stream)
@@ -658,10 +643,10 @@ class TestFullHitServing:
         oracle = RenderSession("lego", backend="cuda+et", baseline=None,
                                coherence="off", swmodel="legacy")
         session = RenderSession("lego", backend="cuda+et", baseline=None,
-                                coherence="incremental")
+                                coherence="auto")
         for cam in cams:
             session.render_frame(camera=cam)
-        car = session._carrier()
+        car = session.carrier
         assert car.stats["full_hits"] == 0
         for cam in cams:
             got = session.render_frame(camera=cam)
@@ -710,7 +695,7 @@ class TestFlushDigestServing:
         config = variant_config("het+qm")
         cam = _orbit_camera(0.0)
         pre = preprocess(deep_cloud, cam)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence()
         stream = self._hit_stream(car, pre, cam, [config])
         plans, columns = [], []
 
@@ -744,7 +729,7 @@ class TestFlushDigestServing:
         config = variant_config(variant)
         cam = _orbit_camera(0.3)
         pre = preprocess(deep_cloud, cam)
-        stream = self._hit_stream(FrameCoherence("incremental"), pre, cam,
+        stream = self._hit_stream(FrameCoherence(), pre, cam,
                                   [config])
         oracle = rasterize_splats(pre.splats, cam.width, cam.height)
         draws = []
@@ -762,7 +747,7 @@ class TestFlushDigestServing:
         configs = [variant_config("het+qm"), variant_config("baseline")]
         cam = _orbit_camera(0.6)
         pre = preprocess(deep_cloud, cam)
-        stream = self._hit_stream(FrameCoherence("incremental"), pre, cam,
+        stream = self._hit_stream(FrameCoherence(), pre, cam,
                                   configs)
         digests = {key for key in stream._cache
                    if isinstance(key, tuple) and key[0] == "flush_digest"}
@@ -800,13 +785,13 @@ class TestFlushDigestServing:
         sessions = {mode: RenderSession("lego", backend="hw:het+qm",
                                         baseline=None, warm_crop_cache=True,
                                         coherence=mode)
-                    for mode in ("incremental", "off")}
+                    for mode in ("auto", "off")}
         for cam in (cams[0], cams[1], cams[0], cams[1]):
             got, want = (sessions[mode].render_frame(camera=cam)
-                         for mode in ("incremental", "off"))
+                         for mode in ("auto", "off"))
             assert got.cycles == want.cycles
             _assert_stats_equal(got.pipeline_stats, want.pipeline_stats)
-        assert sessions["incremental"]._carrier().stats["full_hits"] == 2
+        assert sessions["auto"].carrier.stats["full_hits"] == 2
 
 
 class TestFrameRelease:
@@ -814,7 +799,7 @@ class TestFrameRelease:
         """A frame's stream is freed by refcounting alone once the next
         frame has rendered and its result is dropped."""
         session = RenderSession("palace", backend="hw:het+qm",
-                                baseline=None, coherence="incremental")
+                                baseline=None, coherence="auto")
         cams = scene_viewpoints("palace", 2)
         gc.collect()
         gc.disable()
@@ -829,15 +814,16 @@ class TestFrameRelease:
             gc.enable()
 
     def test_carrier_freed_with_its_session_without_cyclic_gc(self):
-        """The last frame's stream links back to the carrier weakly, so a
-        dropped session frees its carrier (and library) by refcounting."""
+        """A dropped session frees its carrier (and library) by
+        refcounting, while the carrier still holds its last frame's
+        stream."""
         session = RenderSession("palace", backend="hw:het+qm",
-                                baseline=None, coherence="incremental")
+                                baseline=None, coherence="auto")
         gc.collect()
         gc.disable()
         try:
             session.render_frame(camera=scene_viewpoints("palace", 1)[0])
-            carrier = weakref.ref(session._carrier())
+            carrier = weakref.ref(session.carrier)
             assert carrier()._prev.stream is not None
             del session
             assert carrier() is None

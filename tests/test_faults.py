@@ -118,11 +118,11 @@ class TestFaultPlan:
 
 class TestLadder:
     @pytest.mark.parametrize("plan, backend, coherence, error", [
-        pytest.param("digest:raise", "hw:het+qm", "incremental",
+        pytest.param("digest:raise", "hw:het+qm", "auto",
                      "FaultInjected", id="digest-hw"),
-        pytest.param("digest:raise", "cuda+et", "incremental",
+        pytest.param("digest:raise", "cuda+et", "auto",
                      "FaultInjected", id="digest-cuda"),
-        pytest.param("coherence.verify:raise", "hw:het+qm", "incremental",
+        pytest.param("coherence.verify:raise", "hw:het+qm", "auto",
                      "FaultInjected", id="coherence.verify"),
         pytest.param("flushplan:raise", "hw:het+qm", None,
                      "FaultInjected", id="flushplan"),
@@ -161,7 +161,7 @@ class TestLadder:
         # Detected inline (forced verify miss), so no incident is raised —
         # the run is simply served by the full-recompute oracle.
         result = chaos_run("coherence.verify:corrupt",
-                           coherence="incremental")
+                           coherence="auto")
         assert result.aggregates() == clean_aggregates
         assert result.incidents() == []
 

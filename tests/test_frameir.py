@@ -3,7 +3,9 @@
 The FrameIR path (:mod:`repro.render.frameir`) derives the quad table, the
 (prim, tile) group ranges and the (prim, grid) pair structures from the
 rasteriser's row intervals with no fragment-level sort; the legacy path —
-retained behind ``ir="legacy"`` — re-sorts the fragment stream.  Both must
+a stream rasterised with ``ir="legacy"``, which carries no FrameIR —
+re-sorts the fragment stream.  Each test digests both streams of the same
+splats (their fragment arrays are bit-identical).  Both must
 agree **bit for bit** on every observable: every quad-table column (meta
 and aggregates, for every threshold/lag in use), the group and pair
 structures the flush planner iterates, the HET termination sets, and the
@@ -88,9 +90,19 @@ def assert_workloads_identical(wl_ir, wl_legacy):
                                   wl_legacy.terminated_stencil_tags)
 
 
-def both_workloads(stream, config):
-    return (DrawWorkload.from_stream(stream, config, ir="frameir"),
-            DrawWorkload.from_stream(stream, config, ir="legacy"))
+def stream_pair(splats, width, height, **kwargs):
+    """The same splats rasterised onto both digestion paths: a stream
+    carrying a FrameIR and a bare one (bit-identical fragment arrays)."""
+    return (rasterize_splats(splats, width, height, **kwargs),
+            rasterize_splats(splats, width, height, ir="legacy", **kwargs))
+
+
+def both_tables(pair, threshold, lag):
+    return tuple(stream.quad_table(threshold, lag) for stream in pair)
+
+
+def both_workloads(pair, config):
+    return tuple(DrawWorkload.from_stream(stream, config) for stream in pair)
 
 
 class TestFrameIRFuzz:
@@ -101,14 +113,11 @@ class TestFrameIRFuzz:
             cloud = random_cloud(rng, n)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
-            if len(stream) == 0:
+            pair = stream_pair(pre.splats, cam.width, cam.height)
+            if len(pair[0]) == 0:
                 continue
             for threshold, lag in ((0.996, 0), (0.996, 2), (0.9, 1)):
-                assert_tables_identical(
-                    stream.quad_table(threshold, lag, ir="frameir"),
-                    stream.quad_table(threshold, lag, ir="legacy"))
+                assert_tables_identical(*both_tables(pair, threshold, lag))
 
     def test_random_workloads_match_oracle(self):
         rng = np.random.default_rng(fuzz_seed("frameir-wl"))
@@ -117,12 +126,10 @@ class TestFrameIRFuzz:
                                  opacity_low=0.5)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
+            pair = stream_pair(pre.splats, cam.width, cam.height)
             for variant in ("baseline", "het+qm"):
                 cfg = variant_config(variant)
-                wl_ir, wl_legacy = both_workloads(stream, cfg)
-                assert_workloads_identical(wl_ir, wl_legacy)
+                assert_workloads_identical(*both_workloads(pair, cfg))
 
     def test_random_draws_cycle_exact(self):
         """IR-digested and legacy-digested workloads simulate identically."""
@@ -130,11 +137,10 @@ class TestFrameIRFuzz:
         cloud = random_cloud(rng, 120, opacity_low=0.4)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        pair = stream_pair(pre.splats, cam.width, cam.height)
         for variant in ("baseline", "qm", "het", "het+qm"):
             cfg = variant_config(variant)
-            wl_ir, wl_legacy = both_workloads(stream, cfg)
+            wl_ir, wl_legacy = both_workloads(pair, cfg)
             res_ir = GraphicsPipeline(cfg).draw(wl_ir)
             res_legacy = GraphicsPipeline(cfg).draw(wl_legacy)
             assert res_ir.cycles == res_legacy.cycles, variant
@@ -152,14 +158,12 @@ class TestDigestionRegimes:
         splats = project_gaussians(
             random_cloud(np.random.default_rng(0), 4), cam).subset(
                 np.array([], dtype=int))
-        stream = rasterize_splats(splats, cam.width, cam.height,
-                                  ir="frameir")
-        assert len(stream) == 0
-        assert isinstance(stream.frameir, FrameIR)
-        assert_tables_identical(stream.quad_table(0.996, 0, ir="frameir"),
-                                stream.quad_table(0.996, 0, ir="legacy"))
+        pair = stream_pair(splats, cam.width, cam.height)
+        assert len(pair[0]) == 0
+        assert isinstance(pair[0].frameir, FrameIR)
+        assert_tables_identical(*both_tables(pair, 0.996, 0))
         cfg = variant_config("het+qm")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(pair, cfg))
 
     def test_single_pixel_splats(self):
         """Subpixel splats: every primitive covers exactly one pixel, so
@@ -169,17 +173,15 @@ class TestDigestionRegimes:
                              opacity_low=0.6)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
-        assert len(stream) > 0
-        counts = np.bincount(stream.prim_ids)
+        pair = stream_pair(pre.splats, cam.width, cam.height)
+        assert len(pair[0]) > 0
+        counts = np.bincount(pair[0].prim_ids)
         # Subpixel splats: floor/ceil bound snapping caps coverage at a
         # 4x4 pixel neighbourhood per primitive.
         assert counts.max() <= 16
-        assert_tables_identical(stream.quad_table(0.996, 2, ir="frameir"),
-                                stream.quad_table(0.996, 2, ir="legacy"))
+        assert_tables_identical(*both_tables(pair, 0.996, 2))
         cfg = variant_config("het+qm")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(pair, cfg))
 
     def test_max_fragments_clamped(self):
         """At the max_fragments guard boundary the IR still rides along
@@ -190,90 +192,67 @@ class TestDigestionRegimes:
         pre = preprocess(cloud, cam)
         total = len(rasterize_splats(pre.splats, cam.width, cam.height))
         assert total > 0
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  max_fragments=total, ir="frameir")
-        assert isinstance(stream.frameir, FrameIR)
+        pair = stream_pair(pre.splats, cam.width, cam.height,
+                           max_fragments=total)
+        assert isinstance(pair[0].frameir, FrameIR)
         with pytest.raises(MemoryError):
             rasterize_splats(pre.splats, cam.width, cam.height,
                              max_fragments=total - 1)
-        assert_tables_identical(stream.quad_table(0.996, 0, ir="frameir"),
-                                stream.quad_table(0.996, 0, ir="legacy"))
+        assert_tables_identical(*both_tables(pair, 0.996, 0))
         cfg = variant_config("baseline")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(pair, cfg))
 
     def test_het_terminated(self, deep_cloud, deep_camera):
         """Depth-stacked opaque layers saturate pixels: the termination
         sets are non-trivial and must match exactly."""
         pre = preprocess(deep_cloud, deep_camera)
-        deep_stream = rasterize_splats(
-            pre.splats, deep_camera.width, deep_camera.height,
-            ir="frameir")
+        pair = stream_pair(pre.splats, deep_camera.width, deep_camera.height)
         cfg = variant_config("het+qm")
-        wl_ir, wl_legacy = both_workloads(deep_stream, cfg)
+        wl_ir, wl_legacy = both_workloads(pair, cfg)
         assert wl_ir.n_terminated_pixels > 0
         assert wl_ir.terminated_stencil_tags.size > 0
         assert_workloads_identical(wl_ir, wl_legacy)
-        assert_tables_identical(
-            deep_stream.quad_table(cfg.termination_alpha,
-                                   cfg.het_inflight_lag, ir="frameir"),
-            deep_stream.quad_table(cfg.termination_alpha,
-                                   cfg.het_inflight_lag, ir="legacy"))
+        assert_tables_identical(*both_tables(
+            pair, cfg.termination_alpha, cfg.het_inflight_lag))
 
     def test_warm_handoff(self):
-        """Whichever path digests first (warming the stream's shared
-        pixel-sort/arrival caches), the other must reproduce it exactly —
-        and the cached tables must be path-keyed, not shared."""
+        """On either path, a stream whose shared pixel-sort/arrival caches
+        an earlier consumer warmed digests exactly like a cold one, and
+        the table is cached once per (threshold, lag)."""
         rng = np.random.default_rng(fuzz_seed("warm"))
         cloud = random_cloud(rng, 80, opacity_low=0.55)
         cam = camera()
         pre = preprocess(cloud, cam)
         cfg = variant_config("het+qm")
 
-        stream_a = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_a = DrawWorkload.from_stream(stream_a, cfg, ir="frameir")
-        second_a = DrawWorkload.from_stream(stream_a, cfg, ir="legacy")
-        assert first_a.quads is not second_a.quads
-        assert_workloads_identical(first_a, second_a)
-
-        stream_b = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_b = DrawWorkload.from_stream(stream_b, cfg, ir="legacy")
-        second_b = DrawWorkload.from_stream(stream_b, cfg, ir="frameir")
-        assert_workloads_identical(second_b, first_b)
-        assert_tables_identical(second_b.quads, first_a.quads)
+        cold = both_workloads(stream_pair(pre.splats, cam.width, cam.height),
+                              cfg)
+        warm_pair = stream_pair(pre.splats, cam.width, cam.height)
+        for stream in warm_pair:
+            stream.termination_ratio(cfg.termination_alpha)
+        warm = both_workloads(warm_pair, cfg)
+        for wl_cold, wl_warm in zip(cold, warm):
+            assert_workloads_identical(wl_warm, wl_cold)
+            assert_tables_identical(wl_warm.quads, wl_cold.quads)
+        assert_workloads_identical(*warm)
+        for stream, workload in zip(warm_pair, warm):
+            assert (stream.quad_table(cfg.termination_alpha,
+                                      cfg.het_inflight_lag)
+                    is workload.quads)
 
 
 class TestIRKnob:
-    def test_resolve_ir_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IR", raising=False)
+    def test_resolve_ir(self):
         assert resolve_ir() == "auto"
-        monkeypatch.setenv("REPRO_IR", "legacy")
-        assert resolve_ir() == "legacy"
-        assert resolve_ir("frameir") == "frameir"
-        with pytest.raises(ValueError, match="ir mode"):
-            resolve_ir("warp")
+        assert resolve_ir("legacy") == "legacy"
+        for mode in ("warp", "frameir"):
+            with pytest.raises(ValueError, match="ir mode"):
+                resolve_ir(mode)
 
-    def test_frameir_mode_requires_ir(self):
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 20)
-        cam = camera()
-        pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
-        if len(bare):
-            with pytest.raises(ValueError, match="frameir"):
-                bare.quad_table(0.996, 0, ir="frameir")
-            # auto falls back to the legacy path on bare streams.
-            assert bare.quad_table(0.996, 0, ir="auto") is not None
-
-    def test_env_frameir_default_stays_best_effort(self, monkeypatch):
-        """A ``$REPRO_IR=frameir`` process default must not harden into a
-        by-name requirement inside renderers constructed under it: bare
-        streams (hand-built or scalar-rasterised) keep digesting through
-        the legacy fallback."""
-        monkeypatch.setenv("REPRO_IR", "frameir")
+    def test_bare_stream_digests_through_legacy(self):
+        """Digestion follows the stream: a bare stream (legacy-rasterised
+        or scalar-emitted) takes the sort-based path in every consumer,
+        the hardware renderer included."""
         from repro.core.vrpipe import HardwareRenderer
         from repro.render.splat_raster import rasterize_splats_scalar
 
@@ -283,6 +262,8 @@ class TestIRKnob:
         pre = preprocess(cloud, cam)
         bare = rasterize_splats_scalar(pre.splats, cam.width, cam.height)
         assert bare.frameir is None
+        table = bare.quad_table(0.996, 0)
+        assert table.ir_groups is None
         result = HardwareRenderer().render_stream(bare, pre)
         assert result.draw.cycles > 0
 
@@ -291,10 +272,10 @@ class TestIRKnob:
         cloud = random_cloud(rng, 15)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream, bare = stream_pair(pre.splats, cam.width, cam.height)
         assert isinstance(stream.frameir, FrameIR)
         assert stream.frameir.n_fragments == len(stream)
+        assert bare.frameir is None
 
 
 class TestDtypePins:
@@ -312,14 +293,13 @@ class TestDtypePins:
         cloud = random_cloud(rng, 90)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
-        assert len(stream) > 0
-        for ir in ("frameir", "legacy"):
-            table = stream.quad_table(0.996, 0, ir=ir)
+        pair = stream_pair(pre.splats, cam.width, cam.height)
+        assert len(pair[0]) > 0
+        for path, table in zip(("frameir", "legacy"),
+                               both_tables(pair, 0.996, 0)):
             for name in TABLE_COLUMNS:
-                assert getattr(table, name).dtype == np.int64, (ir, name)
+                assert getattr(table, name).dtype == np.int64, (path, name)
         config = variant_config("baseline")
-        for workload in both_workloads(stream, config):
+        for workload in both_workloads(pair, config):
             for name in GROUP_COLUMNS:
                 assert getattr(workload, name).dtype == np.int64, name

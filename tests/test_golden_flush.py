@@ -24,22 +24,25 @@ from repro.workloads.catalog import build_scene, get_profile
 
 SCENES = ("lego", "palace")
 
-#: Every scene runs under both digestion engines: the FrameIR path and
-#: the legacy sort-based oracle must drive bit-identical flush schedules
-#: (CI additionally forces each mode process-wide via ``REPRO_IR``).
-IR_MODES = ("frameir", "legacy")
+#: Every scene runs on both digestion paths, keyed by their test-id
+#: label: a stream carrying a FrameIR (``ir="auto"``) and a bare stream
+#: (``ir="legacy"``, the sort-based oracle) must drive bit-identical
+#: flush schedules.
+DIGESTION_PATHS = {"frameir": "auto", "legacy": "legacy"}
 
 
 @pytest.fixture(scope="module",
-                params=[(scene, ir) for scene in SCENES for ir in IR_MODES],
+                params=[(scene, path) for scene in SCENES
+                        for path in DIGESTION_PATHS],
                 ids=lambda p: f"{p[0]}-{p[1]}")
 def scene_stream(request):
-    scene, ir = request.param
+    scene, path = request.param
     profile = get_profile(scene)
     cloud = build_scene(profile, seed=0)
     camera = profile.camera()
     pre = preprocess(cloud, camera)
-    return rasterize_splats(pre.splats, camera.width, camera.height, ir=ir)
+    return rasterize_splats(pre.splats, camera.width, camera.height,
+                            ir=DIGESTION_PATHS[path])
 
 
 def assert_stats_identical(a, b):

@@ -64,15 +64,16 @@ def cam96():
 
 
 class TestGoldenScenes:
-    @pytest.mark.parametrize("ir", ("frameir", "legacy"))
+    @pytest.mark.parametrize("ir", (pytest.param("auto", id="frameir"),
+                                    "legacy"))
     @pytest.mark.parametrize("scene", GOLDEN_SCENES)
     def test_bit_identical_on_catalog_scene(self, scene, ir):
         # The ir knob only selects the digestion structure riding on the
         # stream; the emitted fragment arrays must stay bit-identical to
-        # the scalar golden loop in every mode.
+        # the scalar golden loop in both modes.
         splats, w, h = _scene_splats(scene)
         batched = rasterize_splats(splats, w, h, ir=ir)
-        assert (batched.frameir is not None) == (ir == "frameir")
+        assert (batched.frameir is not None) == (ir == "auto")
         assert_streams_bit_identical(batched,
                                      rasterize_splats_scalar(splats, w, h))
 

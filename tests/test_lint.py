@@ -210,14 +210,14 @@ class TestR4Registry:
     def test_flags_direct_environ_read(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "render/x.py",
-            "def f():\n    return os.environ.get('REPRO_IR', 'auto')\n",
+            "def f():\n    return os.environ.get('REPRO_FAULTS', '')\n",
             {"R4"})
         assert [f.rule for f in active(findings)] == ["R4"]
 
     def test_flags_environ_subscript(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "render/x.py",
-            "def f():\n    return os.environ['REPRO_COHERENCE']\n", {"R4"})
+            "def f():\n    return os.environ['REPRO_FAULTS']\n", {"R4"})
         assert len(active(findings)) == 1
 
     def test_flags_unregistered_knob_name(self, tmp_path):
@@ -231,7 +231,7 @@ class TestR4Registry:
         findings = lint_snippet(
             tmp_path, "render/x.py",
             "from repro import knobs\n\n"
-            "def f():\n    return knobs.env('REPRO_IR')\n", {"R4"})
+            "def f():\n    return knobs.env('REPRO_FAULTS')\n", {"R4"})
         assert [f for f in active(findings)
                 if f.path.endswith("x.py")] == []
 
@@ -254,7 +254,7 @@ class TestR5Oracles:
         findings = lint_snippet(
             tmp_path, "render/x.py",
             "def f(ir='auto', coherence='off'):\n"
-            "    return ir in ('frameir', 'legacy')\n", {"R5"})
+            "    return ir in ('auto', 'legacy')\n", {"R5"})
         assert [f for f in active(findings)
                 if f.path.endswith("x.py")] == []
 

@@ -29,7 +29,7 @@ from repro.render.frameir import FrameIR
 from repro.render.splat_raster import rasterize_splats
 from repro.swopt.multipass import multipass_sweep, run_multipass
 from repro.swrender.renderer import CudaRenderer
-from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
+from repro.swrender.warp_model import simulate_tile_warps
 
 PASS_COUNTS = (1, 2, 5, 7)
 THRESHOLDS = (0.996, 0.9)
@@ -77,13 +77,13 @@ def assert_stream_parity(stream):
     """Both engines agree exactly on every model output of one stream."""
     for threshold in THRESHOLDS:
         assert_warps_identical(
-            simulate_tile_warps(stream, threshold, swmodel="frameir"),
+            simulate_tile_warps(stream, threshold, swmodel="auto"),
             simulate_tile_warps(stream, threshold, swmodel="legacy"))
     for n in PASS_COUNTS:
         assert_multipass_identical(
-            run_multipass(stream, n, swmodel="frameir"),
+            run_multipass(stream, n, swmodel="auto"),
             run_multipass(stream, n, swmodel="legacy"))
-    assert (multipass_sweep(stream, PASS_COUNTS, swmodel="frameir")
+    assert (multipass_sweep(stream, PASS_COUNTS, swmodel="auto")
             == multipass_sweep(stream, PASS_COUNTS, swmodel="legacy"))
 
 
@@ -95,8 +95,7 @@ class TestSwmodelFuzz:
             cloud = random_cloud(rng, n, opacity_low=0.3)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
+            stream = rasterize_splats(pre.splats, cam.width, cam.height)
             if len(stream) == 0:
                 continue
             assert_stream_parity(stream)
@@ -110,11 +109,10 @@ class TestSwmodelRegimes:
         splats = project_gaussians(
             random_cloud(np.random.default_rng(0), 4), cam).subset(
                 np.array([], dtype=int))
-        stream = rasterize_splats(splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(splats, cam.width, cam.height)
         assert len(stream) == 0
         assert isinstance(stream.frameir, FrameIR)
-        for swmodel in ("frameir", "legacy"):
+        for swmodel in ("auto", "legacy"):
             warp = simulate_tile_warps(stream, swmodel=swmodel)
             assert (warp.rounds_no_et, warp.rounds_et,
                     warp.blend_ops_no_et, warp.blend_ops_et) == (0, 0, 0, 0)
@@ -129,8 +127,7 @@ class TestSwmodelRegimes:
                              opacity_low=0.6)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
         assert len(stream) > 0
         assert_stream_parity(stream)
 
@@ -144,14 +141,21 @@ class TestSwmodelRegimes:
         total = len(rasterize_splats(pre.splats, cam.width, cam.height))
         assert total > 0
         stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  max_fragments=total, ir="frameir")
+                                  max_fragments=total)
         assert isinstance(stream.frameir, FrameIR)
         assert_stream_parity(stream)
+
+    def test_small_fixture_stream(self, small_stream):
+        """``test_swrender.py`` and ``test_swopt.py`` check the models'
+        properties on the small and deep fixture streams with the default
+        engine; the oracle matches on both (the deep one below), so those
+        properties hold for it too."""
+        assert_stream_parity(small_stream)
 
     def test_het_terminated(self, deep_stream):
         """Depth-stacked opaque layers saturate pixels: the warp model's
         per-pixel exit rounds are non-trivial and must match exactly."""
-        warp = simulate_tile_warps(deep_stream, swmodel="frameir")
+        warp = simulate_tile_warps(deep_stream, swmodel="auto")
         assert warp.rounds_et < warp.rounds_no_et
         assert_stream_parity(deep_stream)
 
@@ -163,20 +167,18 @@ class TestSwmodelRegimes:
         cam = camera()
         pre = preprocess(cloud, cam)
 
-        stream_a = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_a = simulate_tile_warps(stream_a, swmodel="frameir")
+        stream_a = rasterize_splats(pre.splats, cam.width, cam.height)
+        first_a = simulate_tile_warps(stream_a, swmodel="auto")
         second_a = simulate_tile_warps(stream_a, swmodel="legacy")
         assert_warps_identical(first_a, second_a)
 
-        stream_b = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
+        stream_b = rasterize_splats(pre.splats, cam.width, cam.height)
         first_b = simulate_tile_warps(stream_b, swmodel="legacy")
-        second_b = simulate_tile_warps(stream_b, swmodel="frameir")
+        second_b = simulate_tile_warps(stream_b, swmodel="auto")
         assert_warps_identical(second_b, first_b)
         assert_warps_identical(first_a, first_b)
 
-        mp_a = run_multipass(stream_a, 4, swmodel="frameir")
+        mp_a = run_multipass(stream_a, 4, swmodel="auto")
         mp_b = run_multipass(stream_b, 4, swmodel="legacy")
         assert_multipass_identical(mp_a, mp_b)
 
@@ -189,7 +191,7 @@ class TestCudaRendererParity:
         rng = np.random.default_rng(fuzz_seed("sw-e2e"))
         cloud = random_cloud(rng, 120, opacity_low=0.4)
         cam = camera()
-        res_ir = CudaRenderer(swmodel="frameir").render(cloud, cam)
+        res_ir = CudaRenderer(swmodel="auto").render(cloud, cam)
         res_legacy = CudaRenderer(swmodel="legacy").render(cloud, cam)
         assert_warps_identical(res_ir.warp_exec, res_legacy.warp_exec)
         assert res_ir.timing.total_cycles == res_legacy.timing.total_cycles
@@ -206,38 +208,9 @@ class TestCudaRendererParity:
 
 
 class TestSwmodelKnob:
-    def test_resolve_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWMODEL", raising=False)
-        assert resolve_swmodel() == "auto"
-        monkeypatch.setenv("REPRO_SWMODEL", "legacy")
-        assert resolve_swmodel() == "legacy"
-        assert resolve_swmodel("frameir") == "frameir"
-        with pytest.raises(ValueError, match="swmodel mode"):
-            resolve_swmodel("warp")
-
-    def test_frameir_mode_requires_ir(self):
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 20, opacity_low=0.5)
-        cam = camera()
-        pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
-        if len(bare):
-            with pytest.raises(ValueError, match="frameir"):
-                simulate_tile_warps(bare, swmodel="frameir")
-            with pytest.raises(ValueError, match="frameir"):
-                run_multipass(bare, 2, swmodel="frameir")
-            # auto falls back to the oracle on bare streams.
-            assert_warps_identical(
-                simulate_tile_warps(bare, swmodel="auto"),
-                simulate_tile_warps(bare, swmodel="legacy"))
-
-    def test_env_frameir_default_stays_best_effort(self, monkeypatch):
-        """A ``$REPRO_SWMODEL=frameir`` process default must not harden
-        into a by-name requirement: bare (legacy-rasterised) streams keep
-        digesting through the oracle fallback."""
-        monkeypatch.setenv("REPRO_SWMODEL", "frameir")
+    def test_bare_stream_takes_the_oracle(self):
+        """``"auto"`` reads the FrameIR when the stream carries one; a bare
+        (legacy-rasterised) stream takes the fragment-sort oracle."""
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 30, opacity_low=0.5)
         cam = camera()
@@ -245,12 +218,13 @@ class TestSwmodelKnob:
         bare = rasterize_splats(pre.splats, cam.width, cam.height,
                                 ir="legacy")
         assert bare.frameir is None
-        warp = simulate_tile_warps(bare)
-        assert_warps_identical(warp, simulate_tile_warps(bare,
-                                                         swmodel="legacy"))
+        assert len(bare) > 0
+        assert_warps_identical(simulate_tile_warps(bare),
+                               simulate_tile_warps(bare, swmodel="legacy"))
         assert_multipass_identical(run_multipass(bare, 3),
                                    run_multipass(bare, 3, swmodel="legacy"))
 
     def test_renderer_validates_eagerly(self):
-        with pytest.raises(ValueError, match="swmodel mode"):
-            CudaRenderer(swmodel="warp")
+        for mode in ("warp", "frameir"):
+            with pytest.raises(ValueError, match="swmodel mode"):
+                CudaRenderer(swmodel=mode)

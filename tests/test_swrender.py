@@ -119,10 +119,9 @@ class TestCudaRenderer:
 
 class TestSessionRevisit:
     def test_revisited_lap_matches_sort_oracle(self):
-        """A cuda+et session revisiting its views under the process-default
-        coherence mode (CI runs this module under both
-        ``REPRO_COHERENCE=incremental`` and ``=off``) reproduces the
-        stateless fragment-sort oracle frame for frame."""
+        """A cuda+et session revisiting its views through its coherence
+        carrier reproduces the stateless fragment-sort oracle (carrier
+        off, ``swmodel="legacy"``) frame for frame."""
         from repro.engine.session import RenderSession
         from repro.workloads.viewpoints import scene_viewpoints
 
@@ -137,6 +136,4 @@ class TestSessionRevisit:
                 assert got.cycles == ref.cycles
                 assert got.et_ratio == ref.et_ratio
                 assert vars(got.raw.warp_exec) == vars(ref.raw.warp_exec)
-        carrier = session._carrier()
-        expected = 0 if carrier.mode == "off" else len(cams)
-        assert carrier.stats["full_hits"] == expected
+        assert session.carrier.stats["full_hits"] == len(cams)
