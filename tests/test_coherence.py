@@ -89,6 +89,11 @@ class TestKnob:
         assert resolve_coherence("auto") == "auto"
         assert resolve_coherence("off") == "off"
 
+    def test_env_default(self, monkeypatch):
+        """``$REPRO_COHERENCE`` is not read: the default is always auto."""
+        monkeypatch.setenv("REPRO_COHERENCE", "off")
+        assert resolve_coherence() == "auto"
+
     def test_invalid_rejected(self):
         for mode in ("sometimes", "incremental"):
             with pytest.raises(ValueError, match="coherence"):

@@ -10,10 +10,7 @@ run onto a reference path.
 from repro import knobs
 from repro.engine.session import RenderSession
 from repro.gaussians.preprocess import preprocess
-from repro.render.coherence import resolve_coherence
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
-from repro.swrender.warp_model import resolve_swmodel
 
 
 def test_environment_does_not_select_a_path(monkeypatch):
@@ -21,7 +18,6 @@ def test_environment_does_not_select_a_path(monkeypatch):
     monkeypatch.setenv("REPRO_COHERENCE", "off")
     monkeypatch.setenv("REPRO_SWMODEL", "legacy")
     assert set(knobs.ENV_KNOBS) == {"REPRO_FAULTS", "REPRO_SCENES"}
-    assert resolve_ir() == resolve_coherence() == resolve_swmodel() == "auto"
 
     session = RenderSession("palace", baseline=None)
     camera = session.profile.camera()

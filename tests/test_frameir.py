@@ -267,6 +267,24 @@ class TestIRKnob:
         result = HardwareRenderer().render_stream(bare, pre)
         assert result.draw.cycles > 0
 
+    def test_env_frameir_default_stays_best_effort(self, monkeypatch):
+        """``$REPRO_IR`` is not read: under a stale export the default is
+        still ``"auto"``, which rasterises a FrameIR and digests a bare
+        stream through the legacy fallback."""
+        from repro.core.vrpipe import HardwareRenderer
+        from repro.render.splat_raster import rasterize_splats_scalar
+
+        monkeypatch.setenv("REPRO_IR", "legacy")
+        assert resolve_ir() == "auto"
+        rng = np.random.default_rng(7)
+        cloud = random_cloud(rng, 25, opacity_low=0.5)
+        cam = camera(64, 64)
+        pre = preprocess(cloud, cam)
+        assert isinstance(rasterize_splats(pre.splats, cam.width,
+                                           cam.height).frameir, FrameIR)
+        bare = rasterize_splats_scalar(pre.splats, cam.width, cam.height)
+        assert HardwareRenderer().render_stream(bare, pre).draw.cycles > 0
+
     def test_legacy_stream_has_no_ir(self):
         rng = np.random.default_rng(4)
         cloud = random_cloud(rng, 15)

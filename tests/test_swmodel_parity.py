@@ -29,7 +29,7 @@ from repro.render.frameir import FrameIR
 from repro.render.splat_raster import rasterize_splats
 from repro.swopt.multipass import multipass_sweep, run_multipass
 from repro.swrender.renderer import CudaRenderer
-from repro.swrender.warp_model import simulate_tile_warps
+from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
 
 PASS_COUNTS = (1, 2, 5, 7)
 THRESHOLDS = (0.996, 0.9)
@@ -208,6 +208,14 @@ class TestCudaRendererParity:
 
 
 class TestSwmodelKnob:
+    def test_resolve_env_default(self, monkeypatch):
+        """``$REPRO_SWMODEL`` is not read: only the argument selects."""
+        monkeypatch.setenv("REPRO_SWMODEL", "legacy")
+        assert resolve_swmodel() == "auto"
+        assert resolve_swmodel("legacy") == "legacy"
+        with pytest.raises(ValueError, match="swmodel mode"):
+            resolve_swmodel("warp")
+
     def test_bare_stream_takes_the_oracle(self):
         """``"auto"`` reads the FrameIR when the stream carries one; a bare
         (legacy-rasterised) stream takes the fragment-sort oracle."""
