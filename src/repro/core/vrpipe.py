@@ -27,7 +27,6 @@ from repro.hwmodel.config import GPUConfig, jetson_agx_orin
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.hwmodel.prop import qru_storage_bytes
 from repro.hwmodel.tgc import TileGridCoalescer
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.renderer import SWKernelModel
 
@@ -168,19 +167,14 @@ class HardwareRenderer:
         Flush engine of the pipeline model: ``"batched"`` (default, the
         flush-plan engine) or ``"scalar"`` (the retained per-flush path);
         both are cycle- and stat-exact against each other.
-    ir:
-        Digestion path of the streams :meth:`render` rasterises (see
-        :func:`~repro.render.splat_raster.rasterize_splats`):
-        ``"auto"`` (default) attaches a FrameIR, ``"legacy"`` emits bare
-        streams for the sort-based oracle.  :meth:`render_stream`
-        digests whatever stream it is given.  Both are bit-identical.
 
-    The renderer is stateless across frames; cross-frame digestion reuse
-    lives in :class:`~repro.engine.session.RenderSession`.
+    The renderer is stateless across frames.  The digestion path follows
+    the stream (see :func:`~repro.render.splat_raster.rasterize_splats`),
+    and cross-frame digestion reuse lives in
+    :class:`~repro.engine.session.RenderSession`.
     """
 
-    def __init__(self, config=None, kernel_model=None, engine="batched",
-                 ir="auto"):
+    def __init__(self, config=None, kernel_model=None, engine="batched"):
         self.config = config if config is not None else variant_config("het+qm")
         if not isinstance(self.config, GPUConfig):
             raise TypeError("config must be a GPUConfig")
@@ -190,7 +184,6 @@ class HardwareRenderer:
                 f"{GraphicsPipeline.ENGINES}")
         self.kernel_model = kernel_model or SWKernelModel()
         self.engine = engine
-        self.ir = resolve_ir(ir)
 
     def render(self, cloud, camera, crop_cache=None):
         """Render a cloud; returns an :class:`HWRenderResult`.
@@ -206,8 +199,7 @@ class HardwareRenderer:
             raise TypeError(
                 f"camera must be a Camera, got {type(camera).__name__}")
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre, crop_cache=crop_cache)
 
     def render_stream(self, stream, pre=None, crop_cache=None):

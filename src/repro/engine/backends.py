@@ -30,7 +30,6 @@ from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.config import jetson_agx_orin, rtx_3090
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.renderer import CudaRenderer, SWKernelModel
 
@@ -49,13 +48,12 @@ def device_kernel_model(device):
     return SWKernelModel(issue_slots=float(device.sm_issue_slots_per_cycle))
 
 
-def make_cuda_renderer(device_name="orin", early_term=True, ir="auto",
-                       swmodel="auto"):
+def make_cuda_renderer(device_name="orin", early_term=True, swmodel="auto"):
     """A CUDA-path renderer matched to the device's clock and SM count."""
     device = make_device(device_name)
     return CudaRenderer(kernel_model=device_kernel_model(device),
                         frequency_hz=device.frequency_hz(),
-                        early_term=early_term, ir=ir, swmodel=swmodel)
+                        early_term=early_term, swmodel=swmodel)
 
 
 class FrameResult:
@@ -131,20 +129,19 @@ class HardwareBackend:
 
     ``engine`` selects the pipeline's flush engine: the batched flush-plan
     engine (default) or the retained scalar per-flush path — both produce
-    cycle- and stat-identical results.  ``ir`` selects the digestion path
-    of streams :meth:`render` rasterises (FrameIR-backed or the legacy
-    sort-based oracle, see :mod:`repro.render.frameir`) — likewise
-    bit-identical.  The backend is stateless across frames; cross-frame
-    digestion reuse lives in :class:`~repro.engine.session.RenderSession`.
+    cycle- and stat-identical results.  The backend is stateless across
+    frames; the digestion path is chosen where a stream is rasterised, and
+    cross-frame digestion reuse lives in
+    :class:`~repro.engine.session.RenderSession`.
     """
 
-    def __init__(self, spec, variant, device, engine="batched", ir="auto"):
+    def __init__(self, spec, variant, device, engine="batched"):
         self.spec = spec
         self.variant = variant
         self.config = variant_config(variant, device)
         self.renderer = HardwareRenderer(
             config=self.config, kernel_model=device_kernel_model(device),
-            engine=engine, ir=ir)
+            engine=engine)
 
     def render(self, cloud, camera, crop_cache=None):
         res = self.renderer.render(cloud, camera, crop_cache=crop_cache)
@@ -177,18 +174,17 @@ class HardwareBackend:
 class CudaBackend:
     """CUDA-style software rendering (Figure 5's SW path).
 
-    ``ir`` selects the digestion path of streams this backend rasterises
-    itself, and ``swmodel`` the warp-model engine (FrameIR-backed or the
-    fragment-sort oracle, see :mod:`repro.swrender.warp_model`) — both
-    bit-identical mode pairs.
+    ``swmodel`` selects the warp-model engine (FrameIR-backed or the
+    fragment-sort oracle, see :mod:`repro.swrender.warp_model`) — a
+    bit-identical mode pair.
     """
 
-    def __init__(self, spec, device, early_term, ir="auto", swmodel="auto"):
+    def __init__(self, spec, device, early_term, swmodel="auto"):
         self.spec = spec
         self.renderer = CudaRenderer(
             kernel_model=device_kernel_model(device),
             frequency_hz=device.frequency_hz(),
-            early_term=early_term, ir=ir, swmodel=swmodel)
+            early_term=early_term, swmodel=swmodel)
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
@@ -224,15 +220,13 @@ class CudaBackend:
 class ReferenceBackend:
     """Ground-truth blender: functional output only, no timing model."""
 
-    def __init__(self, spec, device=None, ir="auto"):
+    def __init__(self, spec, device=None):
         self.spec = spec
-        self.ir = resolve_ir(ir)
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre)
 
     def render_stream(self, stream, pre=None, crop_cache=None):
@@ -260,12 +254,11 @@ _REGISTRY = {}
 
 
 def register_backend(spec, factory):
-    """Register ``factory(spec, device, ir, engine, swmodel) -> backend``
+    """Register ``factory(spec, device, engine, swmodel) -> backend``
     under ``spec``.
 
-    :func:`create_backend` passes all three knobs on every call, ``None``
-    meaning the backend's default; a factory ignores those that don't
-    apply to its path.
+    :func:`create_backend` passes both knobs on every call; a factory
+    ignores the one that doesn't apply to its path.
     """
     if spec in _REGISTRY:
         raise ValueError(f"backend {spec!r} is already registered")
@@ -296,7 +289,7 @@ def backend_spec(spec_or_backend):
 
 
 def resolve_backend(spec_or_backend, device=None, device_name="orin",
-                    ir=None, engine=None, swmodel=None):
+                    engine="batched", swmodel="auto"):
     """Return a backend instance for a spec string *or* a ready instance.
 
     Backend instances (anything implementing :class:`RendererBackend`)
@@ -306,23 +299,23 @@ def resolve_backend(spec_or_backend, device=None, device_name="orin",
             spec_or_backend, "render_stream"):
         return spec_or_backend
     return create_backend(backend_spec(spec_or_backend), device=device,
-                          device_name=device_name, ir=ir, engine=engine,
+                          device_name=device_name, engine=engine,
                           swmodel=swmodel)
 
 
-def create_backend(spec, device=None, device_name="orin", ir=None,
-                   engine=None, swmodel=None):
+def create_backend(spec, device=None, device_name="orin", engine="batched",
+                   swmodel="auto"):
     """Instantiate the backend registered under ``spec``.
 
     ``device`` (a :class:`~repro.hwmodel.config.GPUConfig`) overrides the
-    ``device_name`` preset.  ``ir`` sets the digestion path of the
-    streams the backend rasterises itself (see
-    :mod:`repro.render.frameir`), ``engine`` the hardware pipeline's
-    flush engine (``"batched"`` / ``"scalar"``), and ``swmodel`` the
+    ``device_name`` preset.  ``engine`` sets the hardware pipeline's
+    flush engine (``"batched"`` / ``"scalar"``) and ``swmodel`` the
     software path's model engine (see :mod:`repro.swrender.warp_model`);
-    ``None`` means the backend's default, and a knob is ignored by
-    backends it doesn't apply to.  Cross-frame digestion reuse is not a
-    backend knob: it lives in :class:`~repro.engine.session.RenderSession`.
+    a knob is ignored by backends it doesn't apply to.  Neither the
+    digestion path nor cross-frame digestion reuse is a backend knob:
+    the first is chosen by
+    :func:`~repro.render.splat_raster.rasterize_splats`, the second
+    lives in :class:`~repro.engine.session.RenderSession`.
     """
     try:
         factory = _REGISTRY[spec]
@@ -332,28 +325,24 @@ def create_backend(spec, device=None, device_name="orin", ir=None,
         ) from None
     if device is None:
         device = make_device(device_name)
-    return factory(spec, device, ir=ir, engine=engine, swmodel=swmodel)
+    return factory(spec, device, engine=engine, swmodel=swmodel)
 
 
 def _register_defaults():
     for variant in VARIANTS:
         register_backend(
             f"hw:{variant}",
-            lambda spec, device, ir=None, engine=None, swmodel=None,
-                   v=variant:
-                HardwareBackend(spec, v, device, engine=engine or "batched",
-                                ir=ir))
+            lambda spec, device, engine, swmodel, v=variant:
+                HardwareBackend(spec, v, device, engine=engine))
     register_backend(
-        "cuda", lambda spec, device, ir=None, engine=None, swmodel=None:
-            CudaBackend(spec, device, early_term=False, ir=ir,
-                        swmodel=swmodel))
+        "cuda", lambda spec, device, engine, swmodel:
+            CudaBackend(spec, device, early_term=False, swmodel=swmodel))
     register_backend(
-        "cuda+et", lambda spec, device, ir=None, engine=None, swmodel=None:
-            CudaBackend(spec, device, early_term=True, ir=ir,
-                        swmodel=swmodel))
+        "cuda+et", lambda spec, device, engine, swmodel:
+            CudaBackend(spec, device, early_term=True, swmodel=swmodel))
     register_backend(
-        "reference", lambda spec, device, ir=None, engine=None, swmodel=None:
-            ReferenceBackend(spec, device, ir=ir))
+        "reference", lambda spec, device, engine, swmodel:
+            ReferenceBackend(spec, device))
 
 
 _register_defaults()

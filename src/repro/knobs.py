@@ -7,9 +7,9 @@ only, importable from anywhere without cycles) that three consumers
 share:
 
 * the fault-plan installer reads ``$REPRO_FAULTS`` through :func:`env`
-  instead of touching ``os.environ`` directly.  The path-mode knobs (``ir``, ``coherence``,
-  ``swmodel``, ``engine``) have no environment default: each is chosen
-  by the caller that takes it, and ``None`` means ``"auto"``;
+  instead of touching ``os.environ`` directly.  The path-mode knobs
+  (``ir``, ``coherence``, ``swmodel``, ``engine``) have no environment
+  default: each is chosen by the caller that takes it;
 * the CLI builds its ``--ir`` / ``--coherence`` / ``--swmodel`` options
   from the same declarations, so help text and accepted values cannot
   drift from the code;

@@ -68,10 +68,8 @@ from repro.utils.arrays import ndarray_bytes
 DEFAULT_MAX_BYTES = 640 * 2**20
 
 
-def resolve_coherence(mode=None):
-    """Normalise a ``coherence`` knob value (``None`` means ``"auto"``)."""
-    if mode is None:
-        mode = "auto"
+def resolve_coherence(mode="auto"):
+    """Validate a ``coherence`` knob value."""
     if mode not in COHERENCE_MODES:
         raise ValueError(
             f"unknown coherence mode {mode!r}; choose from {COHERENCE_MODES}")

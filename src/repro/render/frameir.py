@@ -50,10 +50,8 @@ from repro.knobs import IR_MODES  # re-exported; declared centrally
 from repro.utils.arrays import popcount4, segment_boundaries
 
 
-def resolve_ir(ir=None):
-    """Normalise an ``ir`` knob value (``None`` means ``"auto"``)."""
-    if ir is None:
-        ir = "auto"
+def resolve_ir(ir="auto"):
+    """Validate an ``ir`` knob value."""
     if ir not in IR_MODES:
         raise ValueError(f"unknown ir mode {ir!r}; choose from {IR_MODES}")
     return ir

@@ -192,7 +192,7 @@ def _multipass_workspace(stream, swmodel):
 
 
 def run_multipass(stream, n_passes, config=None,
-                  threshold=None, swmodel=None, _workspace=None):
+                  threshold=None, swmodel="auto", _workspace=None):
     """Simulate Algorithm 1 with ``n_passes`` over a fragment stream."""
     if not isinstance(stream, FragmentStream):
         raise TypeError(
@@ -269,7 +269,7 @@ def run_multipass(stream, n_passes, config=None,
         fragments_blended=int(blended.sum()))
 
 
-def multipass_sweep(stream, pass_counts, config=None, swmodel=None):
+def multipass_sweep(stream, pass_counts, config=None, swmodel="auto"):
     """Speedup over the single-pass baseline for each N (Figure 11).
 
     The sort/quad workspace is built once and shared across every pass

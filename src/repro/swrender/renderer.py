@@ -21,7 +21,6 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.tiling import TileAssignment, assign_tiles
 from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
@@ -143,21 +142,16 @@ class CudaRenderer:
     early_term:
         Whether the rasterise kernel applies early termination (the paper's
         end-to-end comparison enables it for the software path).
-    ir:
-        Digestion path of the streams :meth:`render` rasterises (see
-        :func:`~repro.render.splat_raster.rasterize_splats`).
     swmodel:
         Software-model engine (see :mod:`repro.swrender.warp_model`).
     """
 
     def __init__(self, kernel_model=None, frequency_hz=612e6, early_term=True,
-                 threshold=DEFAULT_TERMINATION_ALPHA, ir="auto",
-                 swmodel="auto"):
+                 threshold=DEFAULT_TERMINATION_ALPHA, swmodel="auto"):
         self.kernel_model = kernel_model or SWKernelModel()
         self.frequency_hz = float(frequency_hz)
         self.early_term = bool(early_term)
         self.threshold = float(threshold)
-        self.ir = resolve_ir(ir)
         self.swmodel = resolve_swmodel(swmodel)
 
     def render(self, cloud, camera):
@@ -169,8 +163,7 @@ class CudaRenderer:
             raise TypeError(
                 f"camera must be a Camera, got {type(camera).__name__}")
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre)
 
     def render_stream(self, stream, pre=None):

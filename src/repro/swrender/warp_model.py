@@ -48,10 +48,8 @@ WARPS_PER_TILE = TILE_SIZE // WARP_ROWS
 WARP_THREADS = 32
 
 
-def resolve_swmodel(swmodel=None):
-    """Normalise a ``swmodel`` knob value (``None`` means ``"auto"``)."""
-    if swmodel is None:
-        swmodel = "auto"
+def resolve_swmodel(swmodel="auto"):
+    """Validate a ``swmodel`` knob value."""
     if swmodel not in SWMODEL_MODES:
         raise ValueError(
             f"unknown swmodel mode {swmodel!r}; choose from {SWMODEL_MODES}")

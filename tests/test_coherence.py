@@ -21,6 +21,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.core.vrpipe import variant_config
 from repro.engine.session import RenderSession
 from repro.gaussians import Camera
@@ -90,9 +91,19 @@ class TestKnob:
         assert resolve_coherence("off") == "off"
 
     def test_env_default(self, monkeypatch):
-        """``$REPRO_COHERENCE`` is not read: the default is always auto."""
+        """The environment selects no path: with the variables that once
+        set process-wide defaults exported, the coherence default is
+        still auto and a revisited frame is a full hit."""
+        monkeypatch.setenv("REPRO_IR", "legacy")
         monkeypatch.setenv("REPRO_COHERENCE", "off")
+        monkeypatch.setenv("REPRO_SWMODEL", "legacy")
+        assert set(knobs.ENV_KNOBS) == {"REPRO_FAULTS", "REPRO_SCENES"}
         assert resolve_coherence() == "auto"
+        session = RenderSession("palace", baseline=None)
+        camera = session.profile.camera()
+        for _ in range(2):
+            session.render_frame(camera)
+        assert session.carrier.stats["full_hits"] == 1
 
     def test_invalid_rejected(self):
         for mode in ("sometimes", "incremental"):

@@ -39,7 +39,7 @@ def clean_aggregates():
     return result.aggregates()
 
 
-def chaos_run(plan_text, *, jobs=1, coherence=None, **session_kw):
+def chaos_run(plan_text, *, jobs=1, coherence="auto", **session_kw):
     session = RenderSession(SCENE, coherence=coherence, **session_kw)
     with faults.active(FaultPlan.parse(plan_text)):
         return session.run(n_views=N_VIEWS, jobs=jobs)
@@ -124,9 +124,9 @@ class TestLadder:
                      "FaultInjected", id="digest-cuda"),
         pytest.param("coherence.verify:raise", "hw:het+qm", "auto",
                      "FaultInjected", id="coherence.verify"),
-        pytest.param("flushplan:raise", "hw:het+qm", None,
+        pytest.param("flushplan:raise", "hw:het+qm", "auto",
                      "FaultInjected", id="flushplan"),
-        pytest.param("lru.replay:corrupt", "hw:het+qm", None,
+        pytest.param("lru.replay:corrupt", "hw:het+qm", "auto",
                      "CorruptDataError", id="lru.replay-corrupt"),
     ])
     def test_persistent_fault_heals_at_reference(
