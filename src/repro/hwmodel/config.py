@@ -155,6 +155,10 @@ class GPUConfig:
             raise ValueError("tc_timeout_quads must be positive or None")
         if not 0.0 < self.termination_alpha < 1.0:
             raise ValueError("termination_alpha must be in (0, 1)")
+        if self.het_inflight_lag < 0:
+            # A negative window would kill fragments before the threshold
+            # crossing itself.
+            raise ValueError("het_inflight_lag must be non-negative")
 
     @property
     def bytes_per_pixel(self):

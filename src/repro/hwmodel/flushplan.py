@@ -62,6 +62,7 @@ from repro.hwmodel.prop import plan_merges_segmented
 from repro.hwmodel.tc import RangeTileCoalescer, TileCoalescer
 from repro.hwmodel.tgc import TileGridCoalescer
 from repro.hwmodel.units import popcount4
+from repro.utils.arrays import expand_segments
 
 #: Quad positions per screen tile (8x8), the QRU pairing key space.
 N_QUAD_POSITIONS = 64
@@ -120,21 +121,6 @@ class FlushPlan:
                 f"tgc={'on' if self.tgc_flush_counts is not None else 'off'})")
 
 
-def _expand_segments(seg_starts, seg_ends):
-    """Concatenate ``arange(s, e)`` for every segment, vectorised."""
-    starts = np.asarray(seg_starts, dtype=np.int64)
-    ends = np.asarray(seg_ends, dtype=np.int64)
-    lengths = ends - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
-    rows = (np.arange(total, dtype=np.int64)
-            + np.repeat(starts - offsets[:-1], lengths))
-    return rows, offsets
-
-
 def build_flush_plan(workload, config):
     """Plan the entire flush schedule of ``workload`` under ``config``.
 
@@ -142,6 +128,11 @@ def build_flush_plan(workload, config):
     draw order, or TGC grid-group order for QM variants — through the
     range-level coalescer, so the resulting schedule is flush-for-flush
     identical to what :class:`~repro.hwmodel.tc.TileCoalescer` would emit.
+    For QM variants the TGC flush schedule is planned first and every
+    flush's (prim, tile) groups are selected in one pass
+    (:meth:`~repro.hwmodel.pipeline.DrawWorkload.select_flushed_groups`),
+    where the scalar engine selects per flush
+    (:meth:`~repro.hwmodel.pipeline.DrawWorkload.select_grid_groups`).
     """
     if faults.ENABLED:
         rule = faults.checkpoint("flushplan")
@@ -155,28 +146,14 @@ def build_flush_plan(workload, config):
     tgc_counts = None
     if config.enable_qm and config.qm_use_tgc:
         tgc = TileGridCoalescer(config.n_tgc_bins, config.tgc_bin_prims)
-        group_tile = workload.group_tile
-        group_starts = workload.group_starts
-        group_ends = workload.group_ends
-        group_n_rtiles = workload.group_n_rtiles
-        group_n_quads = workload.group_n_quads
-        portions = 0
-        selections = []
-        for grid_id, prims, _reason in tgc.plan_groups(workload.pair_grid,
-                                                       workload.pair_prim):
-            sel, n_portions = workload.select_grid_groups(grid_id, prims)
-            if not sel.size:
-                continue
-            portions += n_portions
-            selections.append(sel)
         # TGC flushes only append to the TC insertion sequence, so the
-        # whole grid-group schedule concatenates into one planning pass.
-        sel_all = (np.concatenate(selections) if selections
-                   else np.empty(0, dtype=np.int64))
-        raster_tiles = int(group_n_rtiles[sel_all].sum())
-        raster_quads = int(group_n_quads[sel_all].sum())
-        tc.plan_groups(group_tile[sel_all], group_starts[sel_all],
-                       group_ends[sel_all])
+        # whole grid-group schedule is one selection, in flush order.
+        sel, portions = workload.select_flushed_groups(
+            tgc.plan_groups(workload.pair_grid, workload.pair_prim))
+        raster_tiles = int(workload.group_n_rtiles[sel].sum())
+        raster_quads = int(workload.group_n_quads[sel].sum())
+        tc.plan_groups(workload.group_tile[sel], workload.group_starts[sel],
+                       workload.group_ends[sel])
         tgc_counts = dict(tgc.flush_counts)
     else:
         portions = len(workload.prim_group_ranges)
@@ -186,7 +163,7 @@ def build_flush_plan(workload, config):
                        workload.group_ends)
     tc.drain()
 
-    rows, seg_offsets = _expand_segments(tc.seg_starts, tc.seg_ends)
+    rows, seg_offsets = expand_segments(tc.seg_starts, tc.seg_ends)
     flush_seg_bounds = np.asarray(tc.flush_seg_bounds, dtype=np.int64)
     row_splits = seg_offsets[flush_seg_bounds]
     return FlushPlan(
@@ -341,45 +318,52 @@ def digest_flushes(plan, workload, config):
         out_masks = blend_masks
         out_flush = surv_flush
 
-    # CROP-visible quads and fragments.
+    # CROP-visible quads and fragments.  Both streams are in flush
+    # order, so per-flush fragment totals are differences of one prefix
+    # sum at the flush boundaries.
     live = out_masks != 0
     live_flush = out_flush[live]
     n_crop = np.bincount(live_flush, minlength=n_flushes)
-    frag_counts = np.bincount(live_flush,
-                              weights=popcount4(out_masks[live]),
-                              minlength=n_flushes).astype(np.int64)
+    frag_prefix = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(popcount4(out_masks[live]))))
+    frag_counts = np.diff(frag_prefix[np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(n_crop)))])
 
     # CROP line tags, first-occurrence-unique within each flush.
     live_rows = out_rows[live]
-    tag_stream = quad_line_tag_pairs(quads.qx[live_rows], quads.qy[live_rows],
-                                     workload.width, config)
-    tag_flush = np.repeat(live_flush, 2)
     if live_rows.shape[0]:
         if config.cache_line_bytes % (16 * config.bytes_per_pixel) == 0:
             # Structural fast path: when a cache line spans a whole number
             # of 16px screen tiles, every quad of a flush shares one
             # line-column, so a tag is identified inside its flush by the
-            # pixel row alone — 16 possible rows per tile.  First
-            # occurrences then come from one scatter over a dense
-            # (flush, row mod 16) key space instead of a sort over the
-            # whole tag stream.
-            qy_live = quads.qy[live_rows]
-            row_in_tile = np.empty(tag_stream.shape[0], dtype=np.int64)
-            row_in_tile[0::2] = (qy_live * 2) & 15
-            row_in_tile[1::2] = (qy_live * 2 + 1) & 15
-            key = tag_flush * 16 + row_in_tile
-            first = np.empty(n_flushes * 16, dtype=np.int64)
+            # pixel row alone — and a quad's two tags (its two pixel
+            # rows) first occur together, with the first quad of its
+            # quad row in the tile (8 per tile).  First occurrences then
+            # come from one scatter over a dense (flush, quad row) key
+            # space instead of a sort over the whole tag stream.
+            key = live_flush * 8 + (quads.qy[live_rows] & 7)
+            first = np.empty(n_flushes * 8, dtype=np.int64)
             idx = np.arange(key.shape[0], dtype=np.int64)
             first[key[::-1]] = idx[::-1]
             keep = first[key] == idx
+            kept_rows = live_rows[keep]
+            crop_tags = quad_line_tag_pairs(quads.qx[kept_rows],
+                                            quads.qy[kept_rows],
+                                            workload.width, config)
+            tag_counts = 2 * np.bincount(live_flush[keep],
+                                         minlength=n_flushes)
         else:
+            tag_stream = quad_line_tag_pairs(quads.qx[live_rows],
+                                             quads.qy[live_rows],
+                                             workload.width, config)
+            tag_flush = np.repeat(live_flush, 2)
             tag_space = int(tag_stream.max()) + 1
             _, first_idx = np.unique(tag_flush * tag_space + tag_stream,
                                      return_index=True)
             keep = np.zeros(tag_stream.shape[0], dtype=bool)
             keep[first_idx] = True
-        crop_tags = tag_stream[keep]
-        tag_counts = np.bincount(tag_flush[keep], minlength=n_flushes)
+            crop_tags = tag_stream[keep]
+            tag_counts = np.bincount(tag_flush[keep], minlength=n_flushes)
     else:
         crop_tags = np.empty(0, dtype=np.int64)
         tag_counts = np.zeros(n_flushes, dtype=np.int64)

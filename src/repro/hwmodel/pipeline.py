@@ -19,6 +19,8 @@ produces the utilisation report of Figure 6.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.hwmodel.config import GPUConfig
@@ -40,7 +42,7 @@ from repro.hwmodel.units import popcount4
 from repro.hwmodel.vpo import VertexPipeline
 from repro.hwmodel.zrop import ZropUnit
 from repro.render.fragstream import FragmentStream
-from repro.utils.arrays import segment_boundaries
+from repro.utils.arrays import expand_segments, segment_boundaries
 
 
 class DrawWorkload:
@@ -140,8 +142,6 @@ class DrawWorkload:
             self.group_grid = np.empty(0, dtype=np.int64)
             self.group_n_quads = np.empty(0, dtype=np.int64)
             self.group_n_rtiles = np.empty(0, dtype=np.int64)
-            self.prim_group_ranges = {}
-            self._prim_grids = {}
             return
         ir_groups = getattr(quads, "ir_groups", None)
         if ir_groups is not None:
@@ -174,43 +174,46 @@ class DrawWorkload:
             rt_mask = np.bitwise_or.reduceat(rt_bit, starts)
             self.group_n_rtiles = popcount4(rt_mask)
 
-        # Per-primitive ranges over the group arrays.
-        prim_starts = segment_boundaries(self.group_prim)
-        prim_ends = np.concatenate((prim_starts[1:], [self.group_prim.shape[0]]))
-        self.prim_group_ranges = {
-            int(self.group_prim[s]): (int(s), int(e))
-            for s, e in zip(prim_starts, prim_ends)
-        }
+    @property
+    def prim_group_ranges(self):
+        """``{prim: (start, end)}`` ranges over the group arrays, in draw
+        order; built on first use (the batched QM draw never reads it)."""
+        if not hasattr(self, "_prim_group_ranges"):
+            prim_starts = segment_boundaries(self.group_prim)
+            prim_ends = np.append(prim_starts[1:], self.group_prim.shape[0])
+            self._prim_group_ranges = dict(zip(
+                self.group_prim[prim_starts].tolist(),
+                zip(prim_starts.tolist(), prim_ends.tolist())))
+        return self._prim_group_ranges
+
     def _build_pair_structures(self):
         """(primitive, grid) occurrence and lookup structures (TGC path).
 
         Deferred: only QM draws with the TGC enabled consume them.
         ``pair_prim``/``pair_grid`` flatten the occurrences in TGC
         insertion order — draw order over primitives, ascending grid id
-        within each (the order ``prim_grids`` yields); groups are
-        (prim, tile)-sorted, so a unique over a combined key produces
-        exactly that sequence.
+        within each (the order ``prim_grids`` yields): the distinct keys
+        of a stable sort on the combined (prim, grid) key.
         """
         n_grids = int(self.group_grid.max()) + 1 if len(self.quads) else 1
         self._n_grids = n_grids
         pair_key = self.group_prim * n_grids + self.group_grid
-        pairs = np.unique(pair_key)
-        self._pair_prim, self._pair_grid = np.divmod(pairs, n_grids)
         # Group rows regrouped by (primitive, grid): a stable sort on the
         # pair key keeps each pair's rows in ascending group order — the
         # exact order a per-primitive `flatnonzero(grid == g)` scan yields
-        # — so `select_grid_groups` becomes per-pair range lookups instead
-        # of a per-flush scan over every group of every primitive.
+        # — so selecting a TGC flush's groups is per-pair range lookups
+        # instead of a scan over every group of every primitive.  Pair
+        # ``i`` (the ``i``-th sorted unique key) owns the rows
+        # ``[_pair_row_starts[i], _pair_row_ends[i])`` of that order.
         pair_order = np.argsort(pair_key, kind="stable")
         sorted_keys = pair_key[pair_order]
         range_starts = segment_boundaries(sorted_keys)
-        range_ends = np.concatenate((range_starts[1:], [sorted_keys.shape[0]]))
+        self._pair_keys = sorted_keys[range_starts]
+        self._pair_prim, self._pair_grid = np.divmod(self._pair_keys, n_grids)
         self._groups_by_pair = pair_order
-        self._pair_ranges = {
-            int(k): (int(s), int(e))
-            for k, s, e in zip(sorted_keys[range_starts], range_starts,
-                               range_ends)
-        }
+        self._pair_row_starts = range_starts
+        self._pair_row_ends = np.concatenate(
+            (range_starts[1:], [sorted_keys.shape[0]]))
 
     @property
     def pair_prim(self):
@@ -239,12 +242,16 @@ class DrawWorkload:
 
         Returns ``(sel, n_portions)``: the group rows in the per-primitive
         order a TGC flush dictates, and the number of primitives with at
-        least one group in the grid.  Shared by the scalar grid-group
-        rasterisation and the batched flush planner so both engines select
-        identical work in identical order.
+        least one group in the grid.  The scalar engine's per-flush
+        selection, and the reference for :meth:`select_flushed_groups`.
         """
         if not hasattr(self, "_pair_ranges"):
-            self._build_pair_structures()
+            if not hasattr(self, "_pair_keys"):
+                self._build_pair_structures()
+            self._pair_ranges = dict(zip(
+                self._pair_keys.tolist(),
+                zip(self._pair_row_starts.tolist(),
+                    self._pair_row_ends.tolist())))
         ranges = self._pair_ranges
         by_pair = self._groups_by_pair
         n_grids = self._n_grids
@@ -260,6 +267,35 @@ class DrawWorkload:
         if len(selected) == 1:
             return selected[0], 1
         return np.concatenate(selected), n_portions
+
+    def select_flushed_groups(self, flushed):
+        """:meth:`select_grid_groups` over many TGC flushes at once.
+
+        ``flushed`` lists ``(grid_id, prims, reason)`` flush groups in
+        flush order (:meth:`~repro.hwmodel.tgc.TileGridCoalescer.
+        plan_groups`).  Returns the concatenation of the per-flush
+        selections and their summed portion counts: one ``searchsorted``
+        over the sorted pair keys finds every flushed (prim, grid)
+        occurrence's row range, and one ragged expansion gathers them.
+        """
+        if not hasattr(self, "_pair_keys"):
+            self._build_pair_structures()
+        sizes = [len(prims) for _grid, prims, _reason in flushed]
+        grids = np.repeat(np.array([grid for grid, _prims, _reason in flushed],
+                                   dtype=np.int64), sizes)
+        prims = np.fromiter(
+            itertools.chain.from_iterable(
+                prims for _grid, prims, _reason in flushed),
+            dtype=np.int64, count=sum(sizes))
+        pair_keys = self._pair_keys
+        keys = prims * self._n_grids + grids
+        pos = np.searchsorted(pair_keys, keys)
+        if keys.shape[0]:
+            found = pair_keys[np.minimum(pos, pair_keys.shape[0] - 1)] == keys
+            pos = pos[found]
+        rows, _offsets = expand_segments(self._pair_row_starts[pos],
+                                         self._pair_row_ends[pos])
+        return self._groups_by_pair[rows], int(pos.shape[0])
 
     @property
     def prims_with_quads(self):

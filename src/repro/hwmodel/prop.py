@@ -136,16 +136,18 @@ def plan_merges_segmented(segment_ids, qpos, n_segments, n_positions=64):
         key = key.astype(np.uint32)
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=is_start[1:])
-    group_start = np.maximum.accumulate(np.where(is_start, np.arange(n), 0))
-    rank = np.arange(n) - group_start
-    has_next = np.zeros(n, dtype=bool)
-    has_next[:-1] = ~is_start[1:]
-    first_mask = (rank % 2 == 0) & has_next
-    first = order[first_mask]
-    second = order[np.flatnonzero(first_mask) + 1]
+    # ``same[i]``: sorted quad ``i + 1`` shares quad ``i``'s position
+    # group.  A quad pairs with its successor iff that successor is in
+    # its group and its rank in the group is even.
+    same = sorted_key[1:] == sorted_key[:-1]
+    index = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    group_start = np.zeros(n, dtype=index.dtype)
+    np.maximum.accumulate(np.where(same, 0, index[1:]), out=group_start[1:])
+    first_mask = ((index[:-1] - group_start[:-1]) & 1) == 0
+    first_mask &= same
+    first_sorted = np.flatnonzero(first_mask)
+    first = order[first_sorted]
+    second = order[first_sorted + 1]
     paired = np.zeros(n, dtype=bool)
     paired[first] = True
     paired[second] = True

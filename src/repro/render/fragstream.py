@@ -406,7 +406,19 @@ class FragmentStream:
         stencil update all take time, during which the next ``lag``
         fragments of the pixel still pass the test.  ``lag=0`` is the
         perfect fragment-granular bound.
+
+        With ``lag > 0`` the test is a pure integer one: a fragment passes
+        iff its rank within its pixel is below the pixel's termination rank
+        plus ``lag``.  On a stream carrying a FrameIR it is answered per
+        pixel (:meth:`_kill_cutoffs`) and read back in emission order as
+        ``prim_ids < cutoff[pixel]``, with no scatter; bare streams rank
+        every fragment in the pixel-sorted domain and scatter the result
+        (the reference path).  ``lag == 0`` compares arrival alphas on both.
         """
+        if lag < 0:
+            # A negative window would kill fragments before the threshold
+            # crossing itself.
+            raise ValueError(f"lag must be non-negative, got {lag}")
         key = ("unterminated", round(float(threshold), 9), int(lag))
         if key not in self._cache:
             if lag == 0:
@@ -420,6 +432,13 @@ class FragmentStream:
                     out[self._pixel_order] = (
                         self._cache["arrival_sorted"] < threshold)
                     self._cache[key] = out
+            elif self.frameir is not None:
+                cutoff = self._kill_cutoffs(threshold, int(lag))
+                if self.n_pixels < 1 << 31:
+                    pixels = self.y * np.int32(self.width) + self.x
+                else:
+                    pixels = self.pixel_ids
+                self._cache[key] = self.prim_ids < np.take(cutoff, pixels)
             else:
                 # Compare in the pixel-sorted domain (each fragment's rank
                 # within its pixel against the pixel's termination rank)
@@ -439,6 +458,35 @@ class FragmentStream:
                                           < term_rank[pix_sorted] + int(lag))
                 self._cache[key] = out
         return self._cache[key]
+
+    def _kill_cutoffs(self, threshold, lag):
+        """Per-pixel HET kill cutoff of a FrameIR stream, int32.
+
+        ``cutoff[p]`` is the primitive of pixel ``p``'s fragment at
+        pixel-sorted index ``start[p] + term_rank[p] + lag`` — the first
+        one the termination test kills — or the int32 maximum when that
+        index runs past the pixel's segment (nothing is killed).  A FrameIR
+        stream gives each splat at most one fragment per pixel and its
+        primitive ids ascend in draw order, so within a pixel a fragment's
+        rank is below ``term_rank + lag`` exactly when its primitive is
+        below the cutoff.  Derived from the cached :meth:`_term_rank`, so
+        a coherence full hit (which installs the ranks) reuses them.
+        """
+        term_rank = self._term_rank(threshold)
+        # A coherence full hit installs ``term_rank`` without the pixel
+        # grouping it was derived from.
+        self._ensure_pixel_grouping()
+        cutoff = np.full(self.n_pixels, np.iinfo(np.int32).max,
+                         dtype=np.int32)
+        starts = self._cache["pixel_starts"]
+        if starts.shape[0] == 0:
+            return cutoff
+        pixels = self._cache["pix_sorted"][starts]
+        ends = np.append(starts[1:], np.int64(len(self)))
+        kill = starts + term_rank[pixels] + lag
+        live = kill < ends
+        cutoff[pixels[live]] = self.prim_ids[self._pixel_order[kill[live]]]
+        return cutoff
 
     def het_blended_mask(self, threshold=DEFAULT_TERMINATION_ALPHA, lag=0):
         """Fragments the hardware actually blends under HET with ``lag``.
@@ -460,18 +508,22 @@ class FragmentStream:
         ``slots`` is the pixel-sorted index of the pixel's first fragment
         arriving with accumulated alpha already at/above ``threshold``
         (the first one perfect HET would kill) and ``starts`` the pixel's
-        segment offset — one first-index ``np.minimum.reduceat`` over the
-        pixel segments.
+        segment offset: the first killed index at or after each segment
+        start (one ``searchsorted`` over the killed indices), kept where
+        it still lies inside the segment.
         """
         self._ensure_arrival_sorted()
         n = len(self)
         starts = self._cache["pixel_starts"]
         if n == 0:
             return starts, starts, starts
-        index = np.where(self._cache["arrival_sorted"] >= threshold,
-                         np.arange(n, dtype=np.int64), np.int64(n))
-        first = np.minimum.reduceat(index, starts)
-        done = first < n
+        # The sentinel ``n`` lies past every segment, so each search
+        # lands on a real index.
+        killed = np.append(
+            np.flatnonzero(self._cache["arrival_sorted"] >= threshold),
+            np.int64(n))
+        first = killed[np.searchsorted(killed, starts)]
+        done = first < np.append(starts[1:], np.int64(n))
         seg_starts = starts[done]
         return (self._cache["pix_sorted"][seg_starts], first[done],
                 seg_starts)
@@ -531,8 +583,10 @@ class FragmentStream:
         """
         if "accumulated_alpha" not in self._cache:
             self._ensure_arrival_sorted()
-            weights = ((1.0 - self._cache["arrival_sorted"])
-                       * self._cache["alpha_eff_sorted"].astype(np.float64))
+            # In place: the float32 alphas widen exactly inside the
+            # multiply, so this is ``(1 - arrival) * float64(alpha)``.
+            weights = 1.0 - self._cache["arrival_sorted"]
+            weights *= self._cache["alpha_eff_sorted"]
             self._cache["accumulated_alpha"] = np.bincount(
                 self._cache["pix_sorted"], weights=weights,
                 minlength=self.n_pixels)
@@ -733,24 +787,20 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
     Metadata columns come straight from :meth:`~repro.render.frameir.
     QuadIR.meta`; aggregates reduce over the per-quad fragment *slots*
     (:meth:`~repro.render.frameir.QuadIR.slots`) — up to four direct
-    emission-stream offsets per quad, combined with padded gathers, so
-    there is no ``order`` gather and no fragment sort.  All aggregates
-    are integer sums or bitwise ORs, so the regrouped reduction is
-    exactly the per-quad value the legacy builder computes.
+    emission-stream offsets per quad, one per coverage bit, combined with
+    padded gathers, so there is no ``order`` gather, no fragment sort and
+    no per-fragment coverage bit.  All aggregates are integer sums or
+    bitwise ORs, so the regrouped reduction is exactly the per-quad value
+    the legacy builder computes.
     """
+
+    #: The two HET masks, built together by one nibble-packed reduction.
+    _TERMINATION_MASKS = ("mask_unterminated", "mask_et")
 
     def __init__(self, stream, threshold, lag, ir_quads):
         super().__init__(stream, threshold, lag, order=None, starts=None,
                          emit=None)
         self.ir_quads = ir_quads
-
-    def _bits(self):
-        """Coverage bit (y & 1) * 2 + (x & 1) per *emission* fragment."""
-        if self._bit is None:
-            stream = self.stream
-            shift = ((stream.y & 1) * 2 + (stream.x & 1)).astype(np.uint8)
-            self._bit = np.left_shift(np.uint8(1), shift)
-        return self._bit
 
     def column(self, name):
         if name in QuadTable._META_COLUMNS:
@@ -763,18 +813,33 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
         lag)`` — where a coherence full hit installs it, so a revisited
         frame's draw never rebuilds the quad slots."""
         stream = self.stream
-        key = (name, round(float(self.threshold), 9), int(self.lag))
-        out = stream._cache.get(key)
+        tag = (round(float(self.threshold), 9), int(self.lag))
+        out = stream._cache.get((name,) + tag)
         if out is None:
             if name == "n_fragments":
-                out = self.ir_quads.frag_counts()
+                columns = {name: self.ir_quads.frag_counts()}
             elif name.startswith("n_"):
-                out = self.ir_quads.reduce_add(self._fragment_flags(name))
+                columns = {name: self.ir_quads.reduce_add(
+                    self._fragment_flags(name))}
+            elif name in self._TERMINATION_MASKS:
+                # ``mask_et`` blends exactly the unpruned fragments of
+                # ``mask_unterminated``: pack both flags into one byte and
+                # split the per-quad nibbles.
+                unterminated = stream.unterminated_on_arrival(
+                    self.threshold, self.lag).view(np.uint8)
+                packed = stream.unpruned.view(np.uint8) << 4
+                packed |= 1
+                packed *= unterminated
+                both = self.ir_quads.reduce_mask(packed)
+                columns = {"mask_unterminated": both & 15,
+                           "mask_et": both >> 4}
             else:
-                out = self.ir_quads.reduce_or(
-                    self._bits() * self._fragment_flags(name))
-            out.flags.writeable = False
-            stream._cache[key] = out
+                columns = {name: self.ir_quads.reduce_mask(
+                    self._fragment_flags(name))}
+            for key, value in columns.items():
+                value.flags.writeable = False
+                stream._cache[(key,) + tag] = value
+            out = columns[name]
         return out
 
 

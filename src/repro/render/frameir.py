@@ -96,13 +96,14 @@ class QuadIR:
     ranges when the draw first touches them.
 
     Per-quad aggregates never touch a permuted fragment stream: a quad
-    holds at most four fragments — up to two consecutive on its even
-    scanline, up to two on its odd scanline — and row intervals are
-    contiguous fragment runs, so all four emission offsets are direct
-    integer arithmetic (the *slot table*).  Each aggregate column is then
-    four padded gathers combined with adds or ORs; the quad-table
-    aggregates are integer sums and bitwise ORs, both associative, so the
-    regrouped reduction is exactly the legacy per-quad value.
+    covers at most the four pixels of its 2x2 footprint, each on an even
+    or odd scanline of its pair, and row intervals are contiguous
+    fragment runs, so the emission offset of each pixel's fragment is
+    direct integer arithmetic (the *slot table*).  Each aggregate column
+    is then four padded gathers combined with adds, or with shifted ORs
+    into a coverage bitmap; the quad-table aggregates are integer sums and
+    bitwise ORs, both associative, so the regrouped reduction is exactly
+    the legacy per-quad value.
     """
 
     def __init__(self, groups, chunk_state, p_qy, slot_state, n_quads,
@@ -115,7 +116,6 @@ class QuadIR:
         self._n_fragments = int(n_fragments)
         self._meta = {}
         self._slots = None
-        self._q_pair = None
 
     def __len__(self):
         return self._n_quads
@@ -133,7 +133,6 @@ class QuadIR:
         column = self._meta.get(name)
         if column is None:
             column = self._meta[name] = self._build_meta(name)
-            self._release_inputs()
         return column
 
     def _build_meta(self, name):
@@ -144,35 +143,18 @@ class QuadIR:
             per_group = {"prim_ids": groups.prim, "tile_ids": groups.tile,
                          "grid_ids": groups.grid}[name]
             return np.repeat(per_group, groups.ends - groups.starts)
+        c_pair, c_qa, nq_c, q_offsets = self._chunk_state
         if name == "qx":
-            _c_pair, c_qa, nq_c, q_offsets = self._chunk_state
             # Fused ragged expansion: ``repeat(base - offset)`` plus a
             # global arange *is* ``base + local``.
             return (np.repeat(c_qa - q_offsets[:-1], nq_c)
                     + np.arange(self._n_quads, dtype=np.int64))
         if name == "qy":
-            return self._p_qy[self._pair_index()]
+            # Constant over each chunklet (one scanline pair).
+            return np.repeat(self._p_qy[c_pair], nq_c)
         if name == "qpos":
             return (self.meta("qy") & 7) * 8 + (self.meta("qx") & 7)
         raise KeyError(f"unknown quad metadata column {name!r}")
-
-    def _pair_index(self):
-        """Scanline-pair index per quad; only ``qy`` and the slots read
-        it, so it is dropped once both exist (and rebuilt from the
-        chunklet runs if released slots are rebuilt)."""
-        if self._q_pair is None:
-            c_pair, _c_qa, nq_c, _q_offsets = self._chunk_state
-            self._q_pair = np.repeat(c_pair, nq_c)
-        return self._q_pair
-
-    def _release_inputs(self):
-        """Drop the per-quad pair index once ``qy`` and the slots are
-        built.  The chunklet runs and the per-pair slot inputs stay (they
-        are per chunklet and per scanline pair, far smaller than the
-        quads), so :meth:`release_slots` can drop the slots for good."""
-        if "qy" in self._meta and self._slots is not None:
-            self._q_pair = None
-            self._p_qy = None
 
     def release_slots(self):
         """Drop the four per-quad slot arrays; :meth:`slots` rebuilds the
@@ -181,44 +163,57 @@ class QuadIR:
         the draw read, so only other consumers rebuild."""
         if self._slot_state is not None:
             self._slots = None
-            self._q_pair = None
 
     def slots(self):
         """The four per-quad fragment slots, as emission-stream offsets.
 
-        Returns ``(s0, s1, s2, s3)`` int64 arrays — first/second fragment
-        of the even scanline span, then of the odd span — where absent
-        slots hold ``n_fragments`` (reductions append a zero pad there).
+        Returns ``(s0, s1, s2, s3)``: slot ``k`` holds the fragment at the
+        quad's pixel with coverage bit ``k = (y & 1) * 2 + (x & 1)`` —
+        left and right pixel of the even scanline, then of the odd one —
+        or ``n_fragments`` where that pixel is not covered (reductions
+        append a zero pad there).  int32 whenever the stream's offsets fit
+        (int64 otherwise), expanded straight from the chunklet runs.
         Built on first use: the digest phase never needs it, only the
         draw's aggregate columns do.
         """
         if self._slots is None:
-            (e_xlo, e_xhi, o_xlo, o_xhi,
-             e_fstart, o_fstart) = self._slot_state
-            q_pair = self._pair_index()
-            n = np.int64(self._n_fragments)
-            x2 = self.meta("qx") << 1
-            qe_xlo = e_xlo[q_pair]
-            qo_xlo = o_xlo[q_pair]
-            e_lo = np.maximum(x2, qe_xlo)
-            e_hi = np.minimum(x2 + 1, e_xhi[q_pair])
-            o_lo = np.maximum(x2, qo_xlo)
-            o_hi = np.minimum(x2 + 1, o_xhi[q_pair])
-            # Sentinel bounds of absent scanlines clip to negative counts.
-            ec = np.maximum(e_hi - e_lo + 1, 0)
-            oc = np.maximum(o_hi - o_lo + 1, 0)
-            e_src = e_fstart[q_pair] + (e_lo - qe_xlo)
-            o_src = o_fstart[q_pair] + (o_lo - qo_xlo)
-            self._slots = (np.where(ec >= 1, e_src, n),
-                           np.where(ec == 2, e_src + 1, n),
-                           np.where(oc >= 1, o_src, n),
-                           np.where(oc == 2, o_src + 1, n))
-            got = int(ec.sum()) + int(oc.sum())
-            if got != self._n_fragments:
+            n = self._n_fragments
+            # Every intermediate below is bounded by ``2 * n``.
+            narrow = 2 * n < np.iinfo(np.int32).max
+            dtype, unsigned = ((np.int32, np.uint32) if narrow
+                               else (np.int64, np.uint64))
+            c_pair, c_qa, nq_c, q_offsets = self._chunk_state
+            # Per chunklet and scanline (even, then odd): the offset of the
+            # chunklet's first quad's left pixel inside the scanline's
+            # interval, the interval length (zero when the scanline is
+            # absent) and its first fragment, each gathered to every quad
+            # of the chunklet.  ``2 * qx`` is the fused ragged expansion
+            # of the chunklets' first quad columns (see :meth:`meta`).
+            x2_base = (c_qa - q_offsets[:-1]) << 1
+            chunk = np.repeat(np.arange(c_pair.shape[0], dtype=np.intp), nq_c)
+            steps = np.arange(0, 2 * self._n_quads, 2, dtype=dtype)
+            slots = []
+            got = 0
+            state = self._slot_state
+            for xlo, length, fstart in (state[:3], state[3:]):
+                rel = np.take((x2_base - xlo[c_pair]).astype(dtype), chunk)
+                rel += steps
+                length = np.take(length[c_pair].astype(unsigned), chunk)
+                src = np.take(fstart[c_pair].astype(dtype), chunk)
+                src += rel
+                for _side in range(2):
+                    # The pixel is covered iff its offset lies in
+                    # ``[0, length)``: one unsigned compare.
+                    absent = rel.view(unsigned) >= length
+                    got += self._n_quads - int(np.count_nonzero(absent))
+                    slots.append(np.where(absent, dtype(n), src))
+                    rel += 1
+                    src += 1
+            if got != n:
                 raise RuntimeError(
                     f"FrameIR quad slots lost fragments: got {got}, "
-                    f"stream has {self._n_fragments}")
-            self._release_inputs()
+                    f"stream has {n}")
+            self._slots = tuple(slots)
         return self._slots
 
     def frag_counts(self):
@@ -229,28 +224,31 @@ class QuadIR:
             counts += slot < n
         return counts
 
+    def _padded_gathers(self, values):
+        padded = np.append(values, np.zeros(1, dtype=values.dtype))
+        return [np.take(padded, slot) for slot in self.slots()]
+
     def reduce_add(self, values):
         """Per-quad sums of an emission-order integer array, in its dtype
         (exact: the quad-table count columns are integer sums of at most
         four 0/1 flags, so regrouping by slot is associative and a uint8
         sum cannot overflow)."""
-        s0, s1, s2, s3 = self.slots()
-        padded = np.concatenate((values, np.zeros(1, dtype=values.dtype)))
-        out = padded[s0]
-        out += padded[s1]
-        out += padded[s2]
-        out += padded[s3]
+        out, *rest = self._padded_gathers(values)
+        for part in rest:
+            out += part
         return out
 
-    def reduce_or(self, values):
-        """Per-quad bitwise OR of an emission-order integer array, in its
-        dtype."""
-        s0, s1, s2, s3 = self.slots()
-        padded = np.concatenate((values, np.zeros(1, dtype=values.dtype)))
-        out = padded[s0]
-        out |= padded[s1]
-        out |= padded[s2]
-        out |= padded[s3]
+    def reduce_mask(self, flags):
+        """Per-quad coverage bitmaps of an emission-order uint8 flag array.
+
+        Each set bit ``b`` of a fragment's flags lands on bit
+        ``b + k`` of its quad's result, ``k`` its coverage bit: 0/1 flags
+        give the 4-bit coverage mask, and a nibble-packed ``u | v << 4``
+        gives both masks at once (low and high nibble)."""
+        out, *rest = self._padded_gathers(flags)
+        for k, part in enumerate(rest, start=1):
+            part <<= k
+            out |= part
         return out
 
 
@@ -359,8 +357,6 @@ class FrameIR:
         e_xhi = np.where(e_ok, xhi[e_idx], -big)
         o_xlo = np.where(o_ok, xlo[o_idx], big)
         o_xhi = np.where(o_ok, xhi[o_idx], -big)
-        e_fstart = fstart[e_idx]
-        o_fstart = fstart[o_idx]
 
         # --- per-pair quad-x runs.  The pair's quad columns are the union
         # of its two rows' qx ranges: one run when they overlap or touch,
@@ -432,7 +428,12 @@ class FrameIR:
         groups = _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets,
                                n_quads, p_prim, p_qy, tiles_x, grids_x)
         chunk_state = (c_pair, c_qa, nq_c, q_offsets)
-        slot_state = (e_xlo, e_xhi, o_xlo, o_xhi, e_fstart, o_fstart)
+        # Per pair and scanline: the interval's first pixel, its length
+        # (zero when the scanline is absent) and its first fragment.
+        slot_state = (xlo[e_idx], np.maximum(e_xhi - e_xlo + 1, 0),
+                      fstart[e_idx],
+                      xlo[o_idx], np.maximum(o_xhi - o_xlo + 1, 0),
+                      fstart[o_idx])
         return QuadIR(groups, chunk_state, p_qy, slot_state, n_quads,
                       self.n_fragments)
 

@@ -72,6 +72,25 @@ def segment_boundaries(segment_ids):
     return np.flatnonzero(is_start)
 
 
+def expand_segments(seg_starts, seg_ends):
+    """Concatenate ``arange(s, e)`` for every segment, vectorised.
+
+    Returns ``(rows, offsets)``: the concatenated indices and the
+    ``(n_segments + 1,)`` offsets of each segment in them.
+    """
+    starts = np.asarray(seg_starts, dtype=np.int64)
+    ends = np.asarray(seg_ends, dtype=np.int64)
+    lengths = ends - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    offsets = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
+    rows = (np.arange(total, dtype=np.int64)
+            + np.repeat(starts - offsets[:-1], lengths))
+    return rows, offsets
+
+
 def segmented_sum(values, segment_ids, starts=None):
     """Sum ``values`` within each segment; returns one value per segment.
 

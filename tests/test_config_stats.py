@@ -45,6 +45,11 @@ class TestGPUConfig:
         with pytest.raises(ValueError):
             GPUConfig(termination_alpha=1.5)
 
+    def test_rejects_negative_inflight_lag(self):
+        with pytest.raises(ValueError):
+            GPUConfig(het_inflight_lag=-3)
+        assert GPUConfig(het_inflight_lag=0).het_inflight_lag == 0
+
     def test_rejects_nonpositive_bins(self):
         with pytest.raises(ValueError):
             GPUConfig(n_tc_bins=0)

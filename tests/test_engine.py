@@ -254,3 +254,39 @@ class TestLazyFrameImages:
         assert record.result is None
         assert record.cycles > 0
 
+
+
+class TestFlatMemory:
+    """Cold frames leave nothing behind: the per-stream caches (pixel
+    grouping, arrival chain, termination masks, quad slots, the flush
+    digest) die with their frame without the cyclic garbage collector."""
+
+    #: Allowed growth of traced memory between frame 2 and frame 6.  One
+    #: leaked lego frame holds tens of MB; the session's own per-frame
+    #: bookkeeping stays in the KB range.
+    MARGIN_BYTES = 256 * 1024
+
+    def test_cold_frames_keep_traced_memory_flat(self):
+        import gc
+        import tracemalloc
+
+        from repro.workloads.viewpoints import scene_viewpoints
+
+        session = RenderSession("lego", backend="hw:het+qm", baseline=None,
+                                coherence="off")
+        cameras = scene_viewpoints(session.profile, 6)
+        traced = []
+        gc.collect()
+        gc.disable()
+        # NumPy reports its data buffers to tracemalloc, so the traced
+        # total counts every array a frame leaves alive — deterministic,
+        # unlike the process RSS.
+        tracemalloc.start()
+        try:
+            for camera in cameras:
+                session.render_frame(camera)
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert traced[5] - traced[1] < self.MARGIN_BYTES, traced

@@ -26,6 +26,7 @@ from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.gaussians.projection import project_gaussians
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
+from repro.render.fragstream import PRUNE_EPS, FragmentStream
 from repro.render.frameir import FrameIR, resolve_ir
 from repro.render.splat_raster import rasterize_splats
 
@@ -239,6 +240,111 @@ class TestDigestionRegimes:
             assert (stream.quad_table(cfg.termination_alpha,
                                       cfg.het_inflight_lag)
                     is workload.quads)
+
+
+def row_stream_pair(rng, n_prims, width=40, height=36, max_rows=9,
+                    max_span=14):
+    """A hand-built IR stream and the same fragments as a bare stream.
+
+    Every primitive covers one random pixel interval on each of a run of
+    consecutive scanlines (the rasteriser's row contract: prim-major,
+    scanlines ascending, fragments contiguous per row).  Alphas mix
+    pruned fragments (below 1/255), faint ones that leave pixels
+    unterminated and near-opaque ones that saturate pixels after a few
+    layers.
+    """
+    rows = []
+    for prim in range(n_prims):
+        if rng.random() < 0.1:
+            continue  # a primitive without fragments
+        y0 = int(rng.integers(0, height))
+        for y in range(y0, min(height, y0 + int(rng.integers(1, max_rows)))):
+            xlo = int(rng.integers(0, width))
+            xhi = min(width - 1, xlo + int(rng.integers(0, max_span)))
+            rows.append((prim, y, xlo, xhi))
+    prim, y, xlo, xhi = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    counts = xhi - xlo + 1
+    fstart = np.cumsum(counts) - counts
+    n = int(counts.sum())
+    local = np.arange(n) - np.repeat(fstart, counts)
+    kind = rng.random(n)
+    alphas = np.where(kind < 0.15, rng.uniform(0.0, PRUNE_EPS, n),
+                      np.where(kind < 0.45, rng.uniform(PRUNE_EPS, 0.05, n),
+                               rng.uniform(0.3, 0.99, n)))
+    # Faint columns: pixels there never reach the threshold.
+    xs = np.repeat(xlo, counts) + local
+    alphas = np.where(xs % 7 == 0, np.minimum(alphas, 0.02), alphas)
+    fields = dict(prim_ids=np.repeat(prim, counts), x=xs,
+                  y=np.repeat(y, counts), alphas=alphas.astype(np.float32),
+                  prim_colors=rng.uniform(size=(n_prims, 3)),
+                  width=width, height=height)
+    frameir = FrameIR(prim, y, xlo, xhi, fstart, n, width, height)
+    return (FragmentStream(frameir=frameir, **fields),
+            FragmentStream(**fields))
+
+
+class TestKillCutoffFuzz:
+    """The per-pixel kill cutoffs (the FrameIR path of
+    ``unterminated_on_arrival`` with ``lag > 0``) against the sorted-rank
+    test on the same fragments rebuilt without an IR."""
+
+    LAGS = (1, 16, 10_000)
+    QUAD_COLUMNS = ("mask_unterminated", "mask_et", "n_et_blended",
+                    "n_unterminated")
+
+    def assert_pair_matches(self, pair, threshold):
+        ir_stream, bare = pair
+        for lag in self.LAGS:
+            np.testing.assert_array_equal(
+                ir_stream.unterminated_on_arrival(threshold, lag),
+                bare.unterminated_on_arrival(threshold, lag),
+                err_msg=f"lag={lag}")
+            ir_table, bare_table = (stream.quad_table(threshold, lag)
+                                    for stream in pair)
+            assert len(ir_table) == len(bare_table)
+            for name in self.QUAD_COLUMNS:
+                a, b = getattr(ir_table, name), getattr(bare_table, name)
+                assert a.dtype == b.dtype == np.int64, name
+                np.testing.assert_array_equal(a, b,
+                                              err_msg=f"{name} lag={lag}")
+
+    def test_random_row_streams_match_oracle(self):
+        rng = np.random.default_rng(fuzz_seed("kill-cutoff"))
+        regimes = dict(pruned=0, never=0, past=0, killed=0)
+        for trial in range(12):
+            pair = row_stream_pair(rng, int(rng.integers(5, 90)))
+            ir_stream, bare = pair
+            assert ir_stream.frameir is not None and bare.frameir is None
+            threshold = (0.996, 0.9)[trial % 2]
+            self.assert_pair_matches(pair, threshold)
+            # The regimes the cutoff table must get right all occur.
+            n = len(bare)
+            counts = np.bincount(bare.pixel_ids, minlength=bare.n_pixels)
+            term_rank = bare._term_rank(threshold)
+            covered = counts > 0
+            regimes["pruned"] += int((bare.alphas < PRUNE_EPS).sum())
+            regimes["never"] += int((covered & (term_rank > n)).sum())
+            regimes["past"] += int((covered & (term_rank <= n)
+                                    & (term_rank + 1 >= counts)).sum())
+            regimes["killed"] += int(
+                (~bare.unterminated_on_arrival(threshold, 1)).sum())
+        assert min(regimes.values()) > 0, regimes
+
+    def test_rasterised_streams_match_oracle(self, deep_cloud, deep_camera):
+        pre = preprocess(deep_cloud, deep_camera)
+        pair = stream_pair(pre.splats, deep_camera.width, deep_camera.height)
+        assert (~pair[1].unterminated_on_arrival(0.996, 1)).any()
+        self.assert_pair_matches(pair, 0.996)
+
+    def test_empty_stream(self):
+        pair = row_stream_pair(np.random.default_rng(0), 0)
+        assert len(pair[0]) == 0
+        self.assert_pair_matches(pair, 0.996)
+
+    def test_negative_lag_rejected(self):
+        for stream in row_stream_pair(np.random.default_rng(1), 10):
+            with pytest.raises(ValueError, match="lag"):
+                stream.unterminated_on_arrival(0.996, -1)
 
 
 class TestIRKnob:

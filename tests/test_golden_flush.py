@@ -100,6 +100,14 @@ class TestGoldenEquivalence:
         batched, scalar, *_ = draw_both_engines(scene_stream, cfg)
         assert_stats_identical(batched.stats, scalar.stats)
 
+    def test_lines_narrower_than_a_tile(self, scene_stream):
+        """A 64 B line holds 8 RGBA16F pixels, half a screen-tile row, so
+        the digest dedups CROP tags by sorting instead of by quad row."""
+        cfg = variant_config("het+qm", cache_line_bytes=64)
+        batched, scalar, ta, tb = draw_both_engines(scene_stream, cfg)
+        assert batched.cycles == scalar.cycles
+        assert_stats_identical(batched.stats, scalar.stats)
+
 
 class TestWarmCropCache:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -10,12 +10,17 @@ from repro.core.quad_merge import (
     merge_quad_pair,
     rop_blend_sequence,
 )
+from repro.core.vrpipe import variant_config
+from repro.hwmodel.flushplan import build_flush_plan
+from repro.hwmodel.pipeline import DrawWorkload
 from repro.hwmodel.prop import (
     plan_merges,
     plan_merges_segmented,
     qru_storage_bytes,
 )
+from repro.hwmodel.tgc import TileGridCoalescer
 from repro.render.blending import premultiply
+from repro.render.splat_raster import rasterize_splats
 
 
 class TestPlanMerges:
@@ -51,28 +56,40 @@ class TestPlanMerges:
         plan = plan_merges(np.array([0, 0, 1, 2]))
         assert plan.n_quads_out == 3  # one pair + two singles
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_segmented_matches_per_flush(self, seed):
-        """Segmented pairing over many flushes == per-flush plan_merges,
-        including the (position, arrival) pair order and arrival-order
-        singles the CROP tag stream depends on."""
-        rng = np.random.default_rng(seed)
-        seg_lengths = rng.integers(0, 30, size=12)
+    @staticmethod
+    def assert_segmented_matches_per_flush(rng, n_segments):
+        seg_lengths = rng.integers(0, 30, size=n_segments)
         qpos = rng.integers(0, 64, size=int(seg_lengths.sum()))
-        segment_ids = np.repeat(np.arange(12), seg_lengths)
-        seg = plan_merges_segmented(segment_ids, qpos, 12)
+        segment_ids = np.repeat(np.arange(n_segments), seg_lengths)
+        seg = plan_merges_segmented(segment_ids, qpos, n_segments)
         offset = 0
-        firsts, seconds, singles = [], [], []
+        firsts, seconds, singles, pairs = [], [], [], []
         for length in seg_lengths:
             plan = plan_merges(qpos[offset:offset + length])
             firsts.extend((plan.first + offset).tolist())
             seconds.extend((plan.second + offset).tolist())
             singles.extend((plan.singles + offset).tolist())
+            pairs.append(plan.n_pairs)
             offset += length
         assert seg.first.tolist() == firsts
         assert seg.second.tolist() == seconds
         assert seg.singles.tolist() == singles
-        assert int(seg.pairs_per_segment.sum()) == len(firsts)
+        assert seg.pairs_per_segment.tolist() == pairs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_segmented_matches_per_flush(self, seed):
+        """Segmented pairing over many flushes == per-flush plan_merges,
+        including the (position, arrival) pair order and arrival-order
+        singles the CROP tag stream depends on."""
+        self.assert_segmented_matches_per_flush(
+            np.random.default_rng(seed), 12)
+
+    def test_segmented_matches_per_flush_wide_keys(self):
+        """Past 1024 flushes the (segment, position) key no longer fits
+        16 bits, so the pairing sorts on a wider key; it must still be
+        the per-flush pairing."""
+        self.assert_segmented_matches_per_flush(
+            np.random.default_rng(3), 1500)
 
     def test_segmented_empty(self):
         seg = plan_merges_segmented(np.empty(0, int), np.empty(0, int), 3)
@@ -159,3 +176,46 @@ class TestMergeExactness:
         with pytest.raises(ValueError):
             merge_flush_batch(np.zeros(2), np.zeros((2, 4, 4)),
                               np.zeros((3, 4), bool))
+
+
+class TestGridGroupSelection:
+    """The batched flush planner selects every TGC flush's (prim, tile)
+    groups in one pass; the scalar engine selects per flush."""
+
+    def test_batched_matches_per_flush(self, deep_pre, deep_camera):
+        stream = rasterize_splats(deep_pre.splats, deep_camera.width,
+                                  deep_camera.height)
+        # Few, small TGC bins: grids are both evicted and filled.
+        config = variant_config("het+qm", n_tgc_bins=3, tgc_bin_prims=4)
+        workload = DrawWorkload.from_stream(stream, config)
+        tgc = TileGridCoalescer(config.n_tgc_bins, config.tgc_bin_prims)
+        flushed = tgc.plan_groups(workload.pair_grid, workload.pair_prim)
+        assert tgc.flush_counts[TileGridCoalescer.FLUSH_EVICT] > 0
+        assert tgc.flush_counts[TileGridCoalescer.FLUSH_FULL] > 0
+
+        selections, portions = [], 0
+        for grid_id, prims, _reason in flushed:
+            sel, n_portions = workload.select_grid_groups(grid_id, prims)
+            selections.append(sel)
+            portions += n_portions
+        expected = np.concatenate(selections)
+
+        sel, n_portions = workload.select_flushed_groups(flushed)
+        np.testing.assert_array_equal(sel, expected)
+        assert n_portions == portions
+
+        plan = build_flush_plan(workload, config)
+        assert plan.raster_portions == portions
+        assert plan.raster_tiles == int(workload.group_n_rtiles[expected].sum())
+        assert plan.raster_quads == int(workload.group_n_quads[expected].sum())
+        assert plan.tgc_flush_counts == tgc.flush_counts
+
+    def test_unknown_occurrences_select_nothing(self, deep_pre, deep_camera):
+        stream = rasterize_splats(deep_pre.splats, deep_camera.width,
+                                  deep_camera.height)
+        workload = DrawWorkload.from_stream(stream, variant_config("qm"))
+        missing = [(0, [workload.n_prims + 5], TileGridCoalescer.FLUSH_FULL)]
+        sel, n_portions = workload.select_flushed_groups(missing)
+        assert sel.size == 0 and n_portions == 0
+        sel, n_portions = workload.select_flushed_groups([])
+        assert sel.size == 0 and n_portions == 0
