@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
 Each benchmark regenerates one paper table/figure through the experiment
-modules and prints the same rows/series the paper reports (run with ``-s``
-to see them).  The in-process scenario cache in
-:mod:`repro.experiments.runner` is shared across benchmarks, so the suite
-simulates each (scene, variant) pair exactly once.
+modules, asserts on the data and prints it as the paper's rows/series with
+the module's ``main(data)`` (run with ``-s`` to see them), so no figure
+runs twice.  The engine memo (:mod:`repro.engine.cache`) keeps every
+(scene, variant) draw but only the most recent scene's fragment stream.
 
 ``REPRO_SCENES`` (comma-separated) restricts the evaluated scenes, e.g.
 ``REPRO_SCENES=lego,palace pytest benchmarks/`` for a quick pass.

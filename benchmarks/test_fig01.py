@@ -8,4 +8,4 @@ def test_fig01(benchmark):
     rows = data["rows"]
     assert rows[-1]["shading_norm"] > 4.0   # 16384 / 3584
     assert rows[-1]["rop_norm"] == 2.0      # 176 / 88
-    fig01_unit_counts.main()
+    fig01_unit_counts.main(data)

@@ -1,7 +1,6 @@
 """Figure 5 bench: CUDA vs OpenGL rendering breakdown on two devices."""
 
 from repro.experiments import fig05_sw_vs_hw
-from repro.experiments.runner import format_table
 
 
 def test_fig05(benchmark, scenes):
@@ -14,8 +13,5 @@ def test_fig05(benchmark, scenes):
             assert d["opengl"]["sort"] < d["cuda"]["sort"]
             # Rasterisation dominates the hardware path (paper: > 70%).
             assert d["opengl"]["rasterize"] / d["opengl_total"] > 0.7
-        rows = [[s, d["cuda_total"], d["opengl_total"]]
-                for s, d in per_scene.items()]
-        print()
-        print(format_table(["Scene", "CUDA total (ms)", "OpenGL total (ms)"],
-                           rows, title=f"Figure 5 ({device}) totals"))
+    print()
+    fig05_sw_vs_hw.main(data)

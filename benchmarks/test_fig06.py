@@ -14,4 +14,4 @@ def test_fig06(benchmark, scenes):
         assert util["sm"] < 0.5
         assert util["raster"] < 0.6
     print()
-    fig06_utilization.main()
+    fig06_utilization.main(data)

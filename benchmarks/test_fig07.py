@@ -12,4 +12,4 @@ def test_fig07(benchmark):
     assert stats["max_with"] <= stats["max_without"]
     assert stats["reduction"] > 1.3
     print()
-    fig07_frags_per_pixel.main()
+    fig07_frags_per_pixel.main(data)

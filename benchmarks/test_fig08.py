@@ -15,4 +15,4 @@ def test_fig08(benchmark, scenes):
         assert d["speedup"] < d["frag_reduction"] * 1.05, scene
         assert d["frag_reduction"] > 1.5, scene
     print()
-    fig08_cuda_early_term.main()
+    fig08_cuda_early_term.main(data)

@@ -10,4 +10,4 @@ def test_fig09(benchmark, scenes):
     for scene, frac in data.items():
         assert 0.0 < frac < 0.40, scene
     print()
-    fig09_warp_occupancy.main()
+    fig09_warp_occupancy.main(data)

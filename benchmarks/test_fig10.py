@@ -12,4 +12,4 @@ def test_fig10(benchmark, scenes):
         # The unguarded path is close to the ROP path.
         assert d["no_interlock"] < 1.6, scene
     print()
-    fig10_inshader.main()
+    fig10_inshader.main(data)

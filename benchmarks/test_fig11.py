@@ -19,4 +19,4 @@ def test_fig11(benchmark, scenes):
         assert sweep[best_n] > 1.0, scene
         assert 1 < best_n < 30, scene
     print()
-    fig11_multipass.main()
+    fig11_multipass.main(data)

@@ -23,4 +23,4 @@ def test_fig16(benchmark, scenes):
         assert data["train"]["het"] > data["bonsai"]["het"]
         assert data["truck"]["het"] > data["bonsai"]["het"]
     print()
-    fig16_speedup.main()
+    fig16_speedup.main(data)

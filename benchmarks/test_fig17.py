@@ -18,4 +18,4 @@ def test_fig17(benchmark, scenes):
     assert 1.2 < gm["speedup_vs_hw"] < 3.2
     assert 1.0 < gm["speedup_vs_sw"] < 3.5
     print()
-    fig17_end_to_end.main()
+    fig17_end_to_end.main(data)

@@ -1,7 +1,7 @@
 """Figure 18 bench: ROP quad/fragment reduction ratios."""
 
 from repro.experiments import fig18_reduction
-from repro.experiments.runner import geomean
+from repro.engine import geomean
 
 
 def test_fig18(benchmark, scenes):
@@ -21,4 +21,4 @@ def test_fig18(benchmark, scenes):
     het_frag = geomean(d["het"]["fragment_reduction"] for d in data.values())
     assert 1.5 < het_frag < 3.2
     print()
-    fig18_reduction.main()
+    fig18_reduction.main(data)

@@ -10,4 +10,4 @@ def test_fig19(benchmark, scenes):
         assert eff > 1.0, scene
     assert 1.2 < data["geomean"] < 3.0
     print()
-    fig19_energy.main()
+    fig19_energy.main(data)

@@ -28,4 +28,4 @@ def test_fig20(benchmark):
     assert warps[32] < data["tile_binning"][32]["rects"] / 2
 
     print()
-    fig20_microbench.main()
+    fig20_microbench.main(data)

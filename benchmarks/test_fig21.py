@@ -14,4 +14,4 @@ def test_fig21(benchmark, scenes):
     if {"train", "bonsai"} <= set(data):
         assert data["train"]["mean"] > data["bonsai"]["mean"]
     print()
-    fig21_et_ratio.main()
+    fig21_et_ratio.main(data)

@@ -11,4 +11,4 @@ def test_fig22(benchmark, scenes):
         assert 1.0 < slowdown < 6.0, scene
     assert 1.2 < data["geomean"] < 4.0
     print()
-    fig22_gscore.main()
+    fig22_gscore.main(data)

@@ -12,4 +12,4 @@ def test_fig23(benchmark):
         # VR-Pipe keeps helping (paper: ~1.8-2.1x).
         assert d["speedup"] > 1.4, scene
     print()
-    fig23_large_scale.main()
+    fig23_large_scale.main(data)

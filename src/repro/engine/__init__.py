@@ -21,7 +21,6 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import (
     ResultCache,
-    Scenario,
     clear_cache,
     get_cloud,
     get_draw,
@@ -50,7 +49,6 @@ __all__ = [
     "RendererBackend",
     "RenderSession",
     "ResultCache",
-    "Scenario",
     "TrajectoryResult",
     "available_backends",
     "backend_spec",

@@ -3,10 +3,10 @@
 This module owns the caches that :mod:`repro.experiments.runner` used to
 keep as module-level dicts.  Two layers:
 
-* an **in-process memo** of expensive intermediates — scene clouds,
-  preprocessed fragment streams (:class:`Scenario`), and per-variant
-  pipeline draws — so a figure suite simulates each (scene, variant)
-  pair exactly once per process;
+* a bounded **in-process memo**: scene clouds, the most recent
+  scenario's preprocess and fragment stream (one slot), and per-variant
+  draw results, which keep no stream.  Figures loop scenes outermost, so
+  a figure's calls for one scene share its stream and digestion;
 * a **content-keyed disk cache** (:class:`ResultCache`) for trajectory
   results: the key hashes everything that determines the numbers (scene
   profile contents, seed, backend/baseline specs, device, view count and
@@ -39,7 +39,9 @@ from repro.workloads.catalog import build_scene, get_profile
 #: the incidents' monotonic timestamp.
 CACHE_SCHEMA = 3
 
-_SCENARIO_MEMO = {}
+_CLOUD_MEMO = {}
+#: The most recent scenario only: ``{(name, seed): (pre, stream)}``.
+_SCENARIO_SLOT = {}
 _DRAW_MEMO = {}
 
 #: Guards the memo dicts: the memoised builders are reachable from
@@ -49,46 +51,30 @@ _DRAW_MEMO = {}
 _MEMO_LOCK = threading.RLock()
 
 
-class Scenario:
-    """Everything derived from one (scene, viewpoint): cloud -> stream."""
-
-    def __init__(self, profile, cloud, camera, pre, stream):
-        self.profile = profile
-        self.cloud = cloud
-        self.camera = camera
-        self.pre = pre
-        self.stream = stream
-
-    @property
-    def name(self):
-        return self.profile.name
-
-
 def get_cloud(name, seed=0):
     """Build (or fetch) the Gaussian cloud for a catalogued scene."""
     key = (name, seed)
     with _MEMO_LOCK:
-        if key not in _SCENARIO_MEMO:
-            _SCENARIO_MEMO[key] = build_scene(get_profile(name), seed=seed)
-        return _SCENARIO_MEMO[key]
+        if key not in _CLOUD_MEMO:
+            _CLOUD_MEMO[key] = build_scene(get_profile(name), seed=seed)
+        return _CLOUD_MEMO[key]
 
 
-def get_scenario(name, seed=0, camera=None, view_key=None):
-    """Build (or fetch) the scenario for a scene's default viewpoint.
+def get_scenario(name, seed=0):
+    """``(pre, stream)`` for a scene's default viewpoint.
 
-    ``camera``/``view_key`` support viewpoint sweeps: pass an explicit
-    camera and a hashable key identifying it.
+    Only the most recent scenario is kept: a new one evicts the old
+    before it is built, so the memo never holds two streams.
     """
-    key = (name, seed, view_key)
+    key = (name, seed)
     with _MEMO_LOCK:
-        if key not in _SCENARIO_MEMO:
-            profile = get_profile(name)
-            cloud = get_cloud(name, seed)
-            cam = camera if camera is not None else profile.camera()
-            pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height)
-            _SCENARIO_MEMO[key] = Scenario(profile, cloud, cam, pre, stream)
-        return _SCENARIO_MEMO[key]
+        if key not in _SCENARIO_SLOT:
+            _SCENARIO_SLOT.clear()
+            camera = get_profile(name).camera()
+            pre = preprocess(get_cloud(name, seed), camera)
+            stream = rasterize_splats(pre.splats, camera.width, camera.height)
+            _SCENARIO_SLOT[key] = (pre, stream)
+        return _SCENARIO_SLOT[key]
 
 
 def get_draw(name, variant, device_name="orin", seed=0):
@@ -98,16 +84,17 @@ def get_draw(name, variant, device_name="orin", seed=0):
     key = (name, variant, device_name, seed)
     with _MEMO_LOCK:
         if key not in _DRAW_MEMO:
-            scenario = get_scenario(name, seed)
-            device = make_device(device_name)
-            _DRAW_MEMO[key] = run_variant(scenario.stream, variant, device)
+            stream = get_scenario(name, seed)[1]
+            _DRAW_MEMO[key] = run_variant(stream, variant,
+                                          make_device(device_name))
         return _DRAW_MEMO[key]
 
 
 def clear_cache():
-    """Drop all memoised scenarios and draws (tests use this)."""
+    """Drop all memoised clouds, the scenario slot and draws."""
     with _MEMO_LOCK:
-        _SCENARIO_MEMO.clear()
+        _CLOUD_MEMO.clear()
+        _SCENARIO_SLOT.clear()
         _DRAW_MEMO.clear()
 
 

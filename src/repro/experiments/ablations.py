@@ -17,7 +17,8 @@ these ablations quantify them on this model:
 from __future__ import annotations
 
 from repro.core.vrpipe import variant_config
-from repro.experiments.runner import format_table, get_scenario, make_device
+from repro.engine import get_scenario, make_device
+from repro.experiments.runner import format_table
 from repro.hwmodel.pipeline import GraphicsPipeline
 
 
@@ -26,7 +27,7 @@ def tgc_ablation(scenes=("truck", "bonsai"), device_name="orin"):
     device = make_device(device_name)
     out = {}
     for name in scenes:
-        stream = get_scenario(name).stream
+        stream = get_scenario(name)[1]
         base = GraphicsPipeline(variant_config("baseline", device)).draw(stream)
         with_tgc = GraphicsPipeline(variant_config("qm", device)).draw(stream)
         without = GraphicsPipeline(
@@ -44,7 +45,7 @@ def het_lag_sensitivity(scene="truck", lags=(0, 4, 8, 16, 32, 64),
                         device_name="orin"):
     """HET speedup over baseline as a function of the in-flight window."""
     device = make_device(device_name)
-    stream = get_scenario(scene).stream
+    stream = get_scenario(scene)[1]
     base = GraphicsPipeline(variant_config("baseline", device)).draw(stream)
     out = {}
     for lag in lags:
@@ -62,7 +63,7 @@ def rop_width_scaling(scene="truck", widths=(1.0, 2.0, 4.0, 8.0),
     paper's width for comparison.
     """
     device = make_device(device_name)
-    stream = get_scenario(scene).stream
+    stream = get_scenario(scene)[1]
     reference = GraphicsPipeline(variant_config("baseline", device)).draw(stream)
     out = {"widths": {}}
     for width in widths:
@@ -84,7 +85,7 @@ def tc_bin_count_sweep(scene="truck", bin_counts=(8, 16, 32, 64, 128),
     quad merging.
     """
     device = make_device(device_name)
-    stream = get_scenario(scene).stream
+    stream = get_scenario(scene)[1]
     base = GraphicsPipeline(variant_config("baseline", device)).draw(stream)
     out = {}
     for n_bins in bin_counts:
@@ -105,7 +106,7 @@ def format_sensitivity(scene="truck", device_name="orin"):
     quantifying how the contributions depend on the blend-bandwidth wall.
     """
     device = make_device(device_name)
-    stream = get_scenario(scene).stream
+    stream = get_scenario(scene)[1]
     out = {}
     for fmt in ("rgba16f", "rgba8"):
         base = GraphicsPipeline(

@@ -36,8 +36,8 @@ def run():
     return {"rows": rows}
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     print(format_table(
         ["GPU", "Architecture", "Shading units", "ROPs",
          "SU (norm)", "ROP (norm)"],

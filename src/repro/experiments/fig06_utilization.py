@@ -7,7 +7,8 @@ pipeline is ROP-bound.
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table, get_draw
+from repro.engine import get_draw
+from repro.experiments.runner import format_table
 from repro.workloads.catalog import scene_names
 
 #: The units the paper plots.
@@ -26,8 +27,8 @@ def run(scenes=None):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name] + [f"{d[u] * 100:.1f}%" for u in REPORTED_UNITS]
             + [d["bottleneck"]] for name, d in data.items()]
     print(format_table(

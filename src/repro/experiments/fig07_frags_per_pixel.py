@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.runner import format_table, get_scenario
+from repro.engine import get_scenario
+from repro.experiments.runner import format_table
 
 
 def run(scene="bonsai"):
     """Maps and stats: ``{"without_et": map, "with_et": map, ...}``."""
-    scenario = get_scenario(scene)
-    stream = scenario.stream
+    stream = get_scenario(scene)[1]
     without = stream.fragments_per_pixel("unpruned")
     with_et = stream.fragments_per_pixel("early_term")
     return {
@@ -51,8 +51,8 @@ def ascii_heatmap(counts, cols=48):
     return "\n".join(lines)
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     s = data["stats"]
     print(format_table(
         ["Metric", "w/o early term", "w/ early term"],

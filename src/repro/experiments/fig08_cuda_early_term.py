@@ -7,7 +7,8 @@ stops when *all 32* pixels terminate.
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table, get_scenario
+from repro.engine import get_scenario
+from repro.experiments.runner import format_table
 from repro.swrender.warp_model import simulate_tile_warps
 from repro.workloads.catalog import scene_names
 
@@ -17,17 +18,17 @@ def run(scenes=None):
     scenes = list(scenes) if scenes is not None else scene_names()
     out = {}
     for name in scenes:
-        scenario = get_scenario(name)
-        warp_exec = simulate_tile_warps(scenario.stream)
+        stream = get_scenario(name)[1]
+        warp_exec = simulate_tile_warps(stream)
         out[name] = {
             "speedup": warp_exec.et_speedup(),
-            "frag_reduction": scenario.stream.termination_ratio(),
+            "frag_reduction": stream.termination_ratio(),
         }
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, d["speedup"], d["frag_reduction"]]
             for name, d in data.items()]
     print(format_table(

@@ -8,7 +8,8 @@ mostly wasted, which is the motivation for letting fixed-function hardware
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table, get_scenario
+from repro.engine import get_scenario
+from repro.experiments.runner import format_table
 from repro.swrender.warp_model import simulate_tile_warps
 from repro.workloads.catalog import scene_names
 
@@ -18,14 +19,13 @@ def run(scenes=None):
     scenes = list(scenes) if scenes is not None else scene_names()
     out = {}
     for name in scenes:
-        scenario = get_scenario(name)
-        warp_exec = simulate_tile_warps(scenario.stream)
+        warp_exec = simulate_tile_warps(get_scenario(name)[1])
         out[name] = warp_exec.blending_thread_fraction(early_term=True)
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, f"{frac * 100:.1f}%"] for name, frac in data.items()]
     print(format_table(
         ["Scene", "Threads blending in a warp"], rows,

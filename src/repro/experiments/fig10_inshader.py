@@ -7,8 +7,8 @@ demonstrating the cost is the lock, not the raster operations.
 
 from __future__ import annotations
 
-from repro.engine.cache import get_draw
-from repro.experiments.runner import format_table, get_scenario, make_device
+from repro.engine import get_draw, get_scenario, make_device
+from repro.experiments.runner import format_table
 from repro.swopt.inshader import inshader_comparison
 from repro.workloads.catalog import scene_names
 
@@ -19,11 +19,10 @@ def run(scenes=None, device_name="orin"):
     device = make_device(device_name)
     out = {}
     for name in scenes:
-        scenario = get_scenario(name)
         # The ROP-based reference is the plain baseline draw — reuse the
         # engine's memoised simulation instead of re-running the pipeline.
         cmp = inshader_comparison(
-            scenario.stream, device,
+            get_scenario(name)[1], device,
             baseline_draw=get_draw(name, "baseline", device_name))
         out[name] = {
             "rop": 1.0,
@@ -33,8 +32,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, d["rop"], d["interlock"], d["no_interlock"]]
             for name, d in data.items()]
     print(format_table(

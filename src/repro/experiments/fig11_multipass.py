@@ -9,7 +9,8 @@ scene, which is the practicality argument for hardware support.
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table, get_scenario, make_device
+from repro.engine import get_scenario, make_device
+from repro.experiments.runner import format_table
 from repro.swopt.multipass import multipass_sweep
 from repro.workloads.catalog import scene_names
 
@@ -22,8 +23,8 @@ def run(scenes=None, pass_counts=DEFAULT_PASS_COUNTS, device_name="orin"):
     device = make_device(device_name)
     out = {}
     for name in scenes:
-        scenario = get_scenario(name)
-        out[name] = multipass_sweep(scenario.stream, pass_counts, device)
+        out[name] = multipass_sweep(get_scenario(name)[1], pass_counts,
+                                    device)
     return out
 
 
@@ -32,8 +33,8 @@ def best_pass_count(sweep):
     return max(sweep, key=sweep.get)
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     counts = sorted(next(iter(data.values())))
     rows = [[name] + [d[n] for n in counts] + [best_pass_count(d)]
             for name, d in data.items()]

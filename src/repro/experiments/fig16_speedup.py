@@ -8,8 +8,8 @@ Paper results to match in shape: QM up to ~1.5x, HET ~1.8x average, HET+QM
 from __future__ import annotations
 
 from repro.core.vrpipe import VARIANTS
-from repro.engine.cache import get_draw
-from repro.experiments.runner import format_table, geomean
+from repro.engine import geomean, get_draw
+from repro.experiments.runner import format_table
 from repro.workloads.catalog import scene_names
 
 
@@ -30,8 +30,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     variants = list(VARIANTS)
     rows = [[name] + [d[v] for v in variants] for name, d in data.items()]
     print(format_table(

@@ -9,13 +9,8 @@ VR-Pipe's speedup over both and its absolute FPS.
 from __future__ import annotations
 
 from repro.core.vrpipe import HardwareRenderer, variant_config
-from repro.experiments.runner import (
-    format_table,
-    geomean,
-    get_scenario,
-    make_cuda_renderer,
-    make_device,
-)
+from repro.engine import geomean, get_scenario, make_cuda_renderer, make_device
+from repro.experiments.runner import format_table
 from repro.swrender.renderer import SWKernelModel
 from repro.workloads.catalog import scene_names
 
@@ -32,10 +27,10 @@ def run(scenes=None, device_name="orin"):
         config=variant_config("het+qm", device), kernel_model=kernel)
     out = {}
     for name in scenes:
-        scenario = get_scenario(name)
-        sw = cuda.render_stream(scenario.stream, scenario.pre)
-        hw = hw_plain.render_stream(scenario.stream, scenario.pre)
-        vp = vrpipe.render_stream(scenario.stream, scenario.pre)
+        pre, stream = get_scenario(name)
+        sw = cuda.render_stream(stream, pre)
+        hw = hw_plain.render_stream(stream, pre)
+        vp = vrpipe.render_stream(stream, pre)
         out[name] = {
             "sw_ms": sw.timing.total_ms(),
             "hw_ms": hw.total_ms(),
@@ -51,8 +46,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = []
     for name, d in data.items():
         if name == "geomean":

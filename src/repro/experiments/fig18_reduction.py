@@ -10,7 +10,8 @@ further ~1.3x on both by pairing overlapping quads.
 from __future__ import annotations
 
 from repro.core.vrpipe import VARIANTS
-from repro.experiments.runner import format_table, get_draw
+from repro.engine import get_draw
+from repro.experiments.runner import format_table
 from repro.workloads.catalog import scene_names
 
 
@@ -33,8 +34,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = []
     for name, per_variant in data.items():
         for variant, d in per_variant.items():

@@ -6,7 +6,8 @@ paper reports 1.65x average, up to 2.15x, with the outdoor scenes highest.
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table, geomean, get_draw
+from repro.engine import geomean, get_draw
+from repro.experiments.runner import format_table
 from repro.hwmodel.energy import draw_energy, efficiency_ratio
 from repro.workloads.catalog import scene_names
 
@@ -27,8 +28,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, data["breakdowns"][name]["baseline_uj"],
              data["breakdowns"][name]["vrpipe_uj"], eff]
             for name, eff in data["per_scene"].items()]

@@ -47,8 +47,8 @@ def run(rect_sizes=RECT_SIZES, bin_probe_tiles=(16, 32, 33, 36),
     }
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     print(format_table(
         ["Rect size", "Max fitting data (KB)"],
         [[f"{w}x{h}", kb / 1024.0]

@@ -36,8 +36,8 @@ def run(scenes=None, n_views=8, jobs=1):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, d["mean"], d["min"], d["max"]] for name, d in data.items()]
     print(format_table(
         ["Scene", "Mean ratio", "Min", "Max"], rows,

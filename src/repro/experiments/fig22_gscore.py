@@ -8,7 +8,8 @@ VR-Pipe's generality — with a geomean around ~2x.
 from __future__ import annotations
 
 from repro.accel.gscore import GSCoreModel
-from repro.experiments.runner import format_table, geomean, get_draw, get_scenario
+from repro.engine import geomean, get_draw, get_scenario
+from repro.experiments.runner import format_table
 from repro.workloads.catalog import scene_names
 
 
@@ -18,15 +19,15 @@ def run(scenes=None, device_name="orin"):
     model = GSCoreModel()
     out = {"per_scene": {}}
     for name in scenes:
-        scenario = get_scenario(name)
+        stream = get_scenario(name)[1]
         vrp = get_draw(name, "het+qm", device_name)
-        out["per_scene"][name] = model.slowdown_of(vrp, scenario.stream)
+        out["per_scene"][name] = model.slowdown_of(vrp, stream)
     out["geomean"] = geomean(out["per_scene"].values())
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name, s] for name, s in data["per_scene"].items()]
     rows.append(["geomean", data["geomean"]])
     print(format_table(

@@ -7,7 +7,7 @@ shows ~1.8-2.1x).
 
 from __future__ import annotations
 
-from repro.engine.cache import get_draw
+from repro.engine import get_draw
 from repro.experiments.fig06_utilization import REPORTED_UNITS
 from repro.experiments.runner import format_table
 from repro.workloads.catalog import LARGE_SCALE_SCENES
@@ -29,8 +29,8 @@ def run(scenes=None, device_name="orin"):
     return out
 
 
-def main():
-    data = run()
+def main(data=None):
+    data = run() if data is None else data
     rows = [[name]
             + [f"{d['utilization'][u] * 100:.1f}%" for u in REPORTED_UNITS]
             + [d["speedup"]] for name, d in data.items()]

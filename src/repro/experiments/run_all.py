@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.experiments.run_all
 
-Shared scenarios are cached in :mod:`repro.experiments.runner`, so the full
-sweep simulates each (scene, variant) pair once.  Expect a few minutes for
-the complete set.
+Draws are memoised per (scene, variant) in :mod:`repro.engine.cache`;
+fragment streams are rebuilt per figure, since only the most recent one is
+kept.  Expect a few minutes for the complete set.
 """
 
 from __future__ import annotations

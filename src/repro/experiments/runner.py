@@ -1,24 +1,9 @@
-"""Shared experiment helpers: cached scenarios/draws and table formatting.
+"""Shared experiment helper: the plain-text table renderer.
 
-Scenario construction and draw memoisation live in the engine layer now
-(:mod:`repro.engine.cache` — one in-process memo shared by figures,
-sessions, and the CLI); this module re-exports them so figure modules
-keep their historical imports, and owns the plain-text table renderer.
+Figures reach scenarios and draws through :mod:`repro.engine`.
 """
 
 from __future__ import annotations
-
-from repro.engine.backends import (  # noqa: F401  (re-exports)
-    make_cuda_renderer,
-    make_device,
-)
-from repro.engine.cache import (  # noqa: F401  (re-exports)
-    Scenario,
-    clear_cache,
-    get_scenario,
-    get_draw,
-)
-from repro.engine.session import geomean  # noqa: F401  (re-export)
 
 
 def format_table(headers, rows, title=None):

@@ -43,7 +43,7 @@ def draw_energy(result):
     # the whole framebuffer through DRAM regardless of variant — one of the
     # reasons measured efficiency (Figure 19: 1.65x) trails the speedup
     # (Figure 16: 2.07x).
-    framebuffer_bytes = (result.workload.width * result.workload.height
+    framebuffer_bytes = (result.width * result.height
                          * cfg.bytes_per_pixel * 2.0)
 
     components = {

@@ -304,12 +304,14 @@ class DrawWorkload:
 
 
 class DrawResult:
-    """Outcome of a simulated draw call."""
+    """Outcome of a simulated draw call: statistics and the frame size,
+    not the workload (a memoized result must not pin the stream)."""
 
-    def __init__(self, stats, config, workload):
+    def __init__(self, stats, config, width, height):
         self.stats = stats
         self.config = config
-        self.workload = workload
+        self.width = width
+        self.height = height
 
     @property
     def cycles(self):
@@ -396,7 +398,7 @@ class GraphicsPipeline:
         raster.finalize()
         stats.finalize(cfg.pipeline_fill_cycles)
         self._trace = None
-        return DrawResult(stats, cfg, workload)
+        return DrawResult(stats, cfg, workload.width, workload.height)
 
     # ------------------------------------------------------------------
 

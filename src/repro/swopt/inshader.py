@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hwmodel.pipeline import GraphicsPipeline
 from repro.hwmodel.units import warps_for_quads
 from repro.render.fragstream import FragmentStream
@@ -48,8 +46,9 @@ def inshader_comparison(stream, config, model=None, baseline_draw=None):
     """Compare the three blending strategies on one fragment stream.
 
     ``baseline_draw`` optionally supplies a precomputed baseline-variant
-    :class:`~repro.hwmodel.pipeline.DrawResult` for this stream (e.g. the
-    engine's memoised ``get_draw(scene, "baseline", ...)``), saving the
+    :class:`~repro.hwmodel.pipeline.DrawResult` for this stream (e.g.
+    ``repro.engine.get_draw(scene, "baseline", ...)``, whose memo keeps
+    the draw's statistics but not the stream), saving the
     full pipeline re-simulation — it must be the same computation as the
     inline draw: ``config.variant(enable_het=False, enable_qm=False)``.
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel.gscore import GSCoreConfig, GSCoreModel
-from repro.core.vrpipe import run_variant
+from repro.core.vrpipe import VARIANTS, run_variant
 from repro.hwmodel.energy import draw_energy, efficiency_ratio
 
 
@@ -51,3 +51,26 @@ class TestEnergy:
     def test_repr(self, small_stream):
         res = run_variant(small_stream, "baseline")
         assert "total" in repr(draw_energy(res))
+
+    def test_framebuffer_term(self, deep_stream):
+        res = run_variant(deep_stream, "het+qm")
+        cfg = res.config
+        assert (draw_energy(res).components["framebuffer"]
+                == deep_stream.width * deep_stream.height
+                * cfg.bytes_per_pixel * 2 * cfg.energy.dram_byte_pj * 1e-12)
+
+    #: ``draw_energy(...).total_j`` per variant on ``deep_stream``.  Only
+    #: a deliberate change to the energy model or the draw moves these.
+    TOTALS_J = {
+        "baseline": 0.0010795265162091504,
+        "qm": 0.0010095606824183007,
+        "het": 0.001058329268261438,
+        "het+qm": 0.0009948827417385622,
+    }
+
+    def test_totals_pinned(self, deep_stream):
+        assert set(self.TOTALS_J) == set(VARIANTS)
+        for variant, total in self.TOTALS_J.items():
+            res = run_variant(deep_stream, variant)
+            assert draw_energy(res).total_j == pytest.approx(total,
+                                                             rel=1e-12)

@@ -256,6 +256,33 @@ class TestLazyFrameImages:
 
 
 
+class TestBoundedMemo:
+    """The figure memo holds at most one scenario stream: a new scene
+    evicts the last one, and a memoized draw keeps no stream alive."""
+
+    def test_scenario_slot_evicts_previous_stream(self):
+        import gc
+        import weakref
+
+        clear_cache()
+        lego = weakref.ref(engine_cache.get_scenario("lego")[1])
+        engine_cache.get_scenario("palace")
+        gc.collect()
+        assert lego() is None
+
+    def test_memoized_draw_keeps_no_stream(self):
+        import gc
+        import weakref
+
+        clear_cache()
+        draw = engine_cache.get_draw("lego", "het+qm")
+        stream = weakref.ref(engine_cache.get_scenario("lego")[1])
+        engine_cache.get_scenario("palace")
+        gc.collect()
+        assert stream() is None
+        assert engine_cache.get_draw("lego", "het+qm") is draw
+
+
 class TestFlatMemory:
     """Cold frames leave nothing behind: the per-stream caches (pixel
     grouping, arrival chain, termination masks, quad slots, the flush

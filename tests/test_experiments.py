@@ -23,7 +23,8 @@ from repro.experiments import (
     fig22_gscore,
     tables,
 )
-from repro.experiments.runner import format_table, geomean, get_scenario
+from repro.engine import geomean, get_scenario
+from repro.experiments.runner import format_table
 
 SMALL = ["lego", "palace"]
 

@@ -58,7 +58,7 @@ class TestWarpModel:
 
     def test_rounds_count_shallow_scene(self):
         """One full-tile splat -> 8 warps x 1 round."""
-        from tests.test_fragstream import make_stream
+        from test_fragstream import make_stream
         frags = [(0, x, y, 0.5) for x in range(16) for y in range(16)]
         s = make_stream(frags, width=16, height=16)
         we = simulate_tile_warps(s)
