@@ -94,9 +94,8 @@ class HWRenderResult:
 
     The blended ``image``/``alpha`` maps are materialised lazily on first
     access: the colour pass contributes nothing to the simulated cycle
-    counts, so trajectory runs that only consume the numeric records
-    (``keep_results=False`` sessions, the benchmark suites) never pay for
-    per-frame blending.
+    counts, so trajectory runs, which keep only numeric records, never
+    pay for per-frame blending.
     """
 
     def __init__(self, draw_result, preprocess_cycles,

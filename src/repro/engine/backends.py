@@ -1,12 +1,12 @@
-"""Unified renderer backends: one protocol over every rendering path.
+"""Renderer backends: every rendering path behind one spec string.
 
-The library grew three divergent entry points — the hardware pipeline
+The library has three rendering paths — the hardware pipeline
 (:class:`~repro.core.vrpipe.HardwareRenderer`), the CUDA-style software
 renderer (:class:`~repro.swrender.renderer.CudaRenderer`), and the
-reference blender — each with its own result type.  This module puts them
-behind a single :class:`RendererBackend` protocol returning a common
-:class:`FrameResult`, and a string-keyed registry so callers (sessions,
-the CLI, experiments) select a path by spec:
+reference blender — each with its own result type.  A backend wraps one
+path and returns the common :class:`FrameResult`; :func:`create_backend`
+builds it from a spec in the constant :data:`BACKENDS` table, so callers
+(sessions, the CLI) select a path by string:
 
 ==============  ======================================================
 spec            path
@@ -22,8 +22,6 @@ spec            path
 """
 
 from __future__ import annotations
-
-from typing import Protocol, runtime_checkable
 
 from repro.core.vrpipe import VARIANTS, HardwareRenderer, variant_config
 from repro.gaussians.preprocess import preprocess
@@ -61,8 +59,7 @@ class FrameResult:
 
     ``cycles``/``ms``/``fps`` are ``None`` for the reference backend,
     which is functional-only.  ``n_fragments`` counts the rasterised
-    fragments of the frame (the benchmark harness derives fragments/sec
-    from it).  ``kernels`` is the per-kernel millisecond
+    fragments of the frame (framebench records it).  ``kernels`` is the per-kernel millisecond
     breakdown (preprocess / sort / rasterize) when the path models it.
     ``pipeline_stats`` carries the hardware model's
     :class:`~repro.hwmodel.stats.PipelineStats` when available, and
@@ -103,25 +100,6 @@ class FrameResult:
         if self._alpha is None and self._image_source is not None:
             self._alpha = self._image_source.alpha
         return self._alpha
-
-
-@runtime_checkable
-class RendererBackend(Protocol):
-    """What every registered backend implements."""
-
-    spec: str
-
-    def render(self, cloud, camera, crop_cache=None) -> FrameResult:
-        """Render a Gaussian cloud from a camera."""
-        ...
-
-    def render_stream(self, stream, pre=None, crop_cache=None) -> FrameResult:
-        """Render an already-rasterised fragment stream."""
-        ...
-
-    def new_crop_cache(self):
-        """A persistent CROP cache for cross-frame reuse, or ``None``."""
-        ...
 
 
 class HardwareBackend:
@@ -171,7 +149,19 @@ class HardwareBackend:
         )
 
 
-class CudaBackend:
+class _CachelessBackend:
+    """A backend without a CROP cache to persist across frames."""
+
+    def new_crop_cache(self):
+        return None
+
+    def _check_no_cache(self, crop_cache):
+        if crop_cache is not None:
+            raise ValueError(
+                f"backend {self.spec!r} has no CROP cache to persist")
+
+
+class CudaBackend(_CachelessBackend):
     """CUDA-style software rendering (Figure 5's SW path).
 
     ``swmodel`` selects the warp-model engine (FrameIR-backed or the
@@ -194,14 +184,6 @@ class CudaBackend:
         self._check_no_cache(crop_cache)
         return self._wrap(self.renderer.render_stream(stream, pre))
 
-    def new_crop_cache(self):
-        return None
-
-    def _check_no_cache(self, crop_cache):
-        if crop_cache is not None:
-            raise ValueError(
-                f"backend {self.spec!r} has no CROP cache to persist")
-
     def _wrap(self, res):
         return FrameResult(
             backend=self.spec,
@@ -217,10 +199,10 @@ class CudaBackend:
         )
 
 
-class ReferenceBackend:
+class ReferenceBackend(_CachelessBackend):
     """Ground-truth blender: functional output only, no timing model."""
 
-    def __init__(self, spec, device=None):
+    def __init__(self, spec):
         self.spec = spec
 
     def render(self, cloud, camera, crop_cache=None):
@@ -241,108 +223,46 @@ class ReferenceBackend:
             raw=stream,
         )
 
-    def new_crop_cache(self):
-        return None
-
-    def _check_no_cache(self, crop_cache):
-        if crop_cache is not None:
-            raise ValueError(
-                f"backend {self.spec!r} has no CROP cache to persist")
 
 
-_REGISTRY = {}
 
-
-def register_backend(spec, factory):
-    """Register ``factory(spec, device, engine, swmodel) -> backend``
-    under ``spec``.
-
-    :func:`create_backend` passes both knobs on every call; a factory
-    ignores the one that doesn't apply to its path.
-    """
-    if spec in _REGISTRY:
-        raise ValueError(f"backend {spec!r} is already registered")
-    # repro-lint: ok(R6): populated once at import time before workers exist; read-only afterwards
-    _REGISTRY[spec] = factory
+#: Every backend spec: ``spec -> (path, argument)``.  The argument is the
+#: hardware variant for ``"hw"`` and the early-termination flag for
+#: ``"cuda"``.
+BACKENDS = {
+    **{f"hw:{variant}": ("hw", variant) for variant in VARIANTS},
+    "cuda": ("cuda", False),
+    "cuda+et": ("cuda", True),
+    "reference": ("reference", None),
+}
 
 
 def available_backends():
-    """Registered backend specs, sorted."""
-    return sorted(_REGISTRY)
+    """Every backend spec, sorted."""
+    return sorted(BACKENDS)
 
 
-def backend_spec(spec_or_backend):
-    """Normalise a backend spec string or backend instance to its spec.
-
-    The single place spec strings come from: callers that branch on the
-    spec (``"hw:"`` prefixes, cache keys, reports) use this instead of
-    assuming they were handed a string.
-    """
-    if isinstance(spec_or_backend, str):
-        return spec_or_backend
-    spec = getattr(spec_or_backend, "spec", None)
-    if isinstance(spec, str):
-        return spec
-    raise TypeError(
-        "expected a backend spec string or a backend instance with a "
-        f"'spec' attribute, got {type(spec_or_backend).__name__}")
-
-
-def resolve_backend(spec_or_backend, device=None, device_name="orin",
-                    engine="batched", swmodel="auto"):
-    """Return a backend instance for a spec string *or* a ready instance.
-
-    Backend instances (anything implementing :class:`RendererBackend`)
-    pass through unchanged; strings go through :func:`create_backend`.
-    """
-    if not isinstance(spec_or_backend, str) and hasattr(
-            spec_or_backend, "render_stream"):
-        return spec_or_backend
-    return create_backend(backend_spec(spec_or_backend), device=device,
-                          device_name=device_name, engine=engine,
-                          swmodel=swmodel)
-
-
-def create_backend(spec, device=None, device_name="orin", engine="batched",
+def create_backend(spec, device_name="orin", engine="batched",
                    swmodel="auto"):
-    """Instantiate the backend registered under ``spec``.
+    """Build the backend named by ``spec`` on the ``device_name`` preset.
 
-    ``device`` (a :class:`~repro.hwmodel.config.GPUConfig`) overrides the
-    ``device_name`` preset.  ``engine`` sets the hardware pipeline's
-    flush engine (``"batched"`` / ``"scalar"``) and ``swmodel`` the
-    software path's model engine (see :mod:`repro.swrender.warp_model`);
-    a knob is ignored by backends it doesn't apply to.  Neither the
-    digestion path nor cross-frame digestion reuse is a backend knob:
-    the first is chosen by
-    :func:`~repro.render.splat_raster.rasterize_splats`, the second
-    lives in :class:`~repro.engine.session.RenderSession`.
+    ``engine`` sets the hardware pipeline's flush engine (``"batched"`` /
+    ``"scalar"``) and ``swmodel`` the software path's model engine (see
+    :mod:`repro.swrender.warp_model`); each reaches only the path it
+    belongs to.  Neither the digestion path nor cross-frame digestion
+    reuse is a backend knob: the first is chosen by
+    :func:`~repro.render.splat_raster.rasterize_splats`, the second lives
+    in :class:`~repro.engine.session.RenderSession`.
     """
     try:
-        factory = _REGISTRY[spec]
+        path, arg = BACKENDS[spec]
     except KeyError:
         raise ValueError(
             f"unknown backend {spec!r}; available: {available_backends()}"
         ) from None
-    if device is None:
-        device = make_device(device_name)
-    return factory(spec, device, engine=engine, swmodel=swmodel)
-
-
-def _register_defaults():
-    for variant in VARIANTS:
-        register_backend(
-            f"hw:{variant}",
-            lambda spec, device, engine, swmodel, v=variant:
-                HardwareBackend(spec, v, device, engine=engine))
-    register_backend(
-        "cuda", lambda spec, device, engine, swmodel:
-            CudaBackend(spec, device, early_term=False, swmodel=swmodel))
-    register_backend(
-        "cuda+et", lambda spec, device, engine, swmodel:
-            CudaBackend(spec, device, early_term=True, swmodel=swmodel))
-    register_backend(
-        "reference", lambda spec, device, engine, swmodel:
-            ReferenceBackend(spec, device))
-
-
-_register_defaults()
+    device = make_device(device_name)
+    if path == "hw":
+        return HardwareBackend(spec, arg, device, engine=engine)
+    if path == "cuda":
+        return CudaBackend(spec, device, early_term=arg, swmodel=swmodel)
+    return ReferenceBackend(spec)

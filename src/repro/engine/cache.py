@@ -36,8 +36,9 @@ from repro.workloads.catalog import build_scene, get_profile
 #: Bump when the cached trajectory payload layout changes:
 #: :meth:`ResultCache.load` quarantines entries of any other layout.
 #: Schema 2 added the per-payload integrity checksum; schema 3 dropped
-#: the incidents' monotonic timestamp.
-CACHE_SCHEMA = 3
+#: the incidents' monotonic timestamp; schema 4 dropped the per-frame
+#: seed.
+CACHE_SCHEMA = 4
 
 _CLOUD_MEMO = {}
 #: The most recent scenario only: ``{(name, seed): (pre, stream)}``.

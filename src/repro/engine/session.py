@@ -26,9 +26,9 @@ import numpy as np
 
 from repro import faults
 from repro.engine import cache as engine_cache
-from repro.engine.backends import backend_spec, resolve_backend
+from repro.engine.backends import create_backend
 from repro.engine.executor import (FrameIncident, FrameLadderExhausted,
-                                   frame_seed, run_frames)
+                                   run_frames)
 from repro.gaussians.preprocess import preprocess
 from repro.render.coherence import FrameCoherence, resolve_coherence
 from repro.render.frameir import resolve_ir
@@ -51,11 +51,8 @@ def geomean(values):
 class FrameRecord:
     """Numeric summary of one trajectory frame.
 
-    ``result`` holds the full :class:`~repro.engine.backends.FrameResult`
-    (with images) only when the session ran with ``keep_results=True``;
-    by default — and for records restored from the disk cache — it is
-    ``None``, so long trajectories never pin every frame's image and
-    fragment stream in memory at once.
+    Records keep no images or fragment streams, so long trajectories
+    never pin every frame's output in memory at once.
 
     ``incidents`` lists the faults the self-healing executor recovered
     while producing this frame (as
@@ -64,16 +61,14 @@ class FrameRecord:
     whether a frame rendered cleanly or through the reference rung.
     """
 
-    _FIELDS = ("index", "backend", "seed", "cycles", "ms", "fps",
-               "et_ratio", "kernels", "baseline_cycles", "speedup",
-               "incidents")
+    _FIELDS = ("index", "backend", "cycles", "ms", "fps", "et_ratio",
+               "kernels", "baseline_cycles", "speedup", "incidents")
 
-    def __init__(self, index, backend, seed, cycles=None, ms=None, fps=None,
+    def __init__(self, index, backend, cycles=None, ms=None, fps=None,
                  et_ratio=None, kernels=None, baseline_cycles=None,
-                 speedup=None, incidents=None, result=None):
+                 speedup=None, incidents=None):
         self.index = int(index)
         self.backend = backend
-        self.seed = int(seed)
         self.cycles = cycles
         self.ms = ms
         self.fps = fps
@@ -82,7 +77,6 @@ class FrameRecord:
         self.baseline_cycles = baseline_cycles
         self.speedup = speedup
         self.incidents = list(incidents) if incidents else []
-        self.result = result
 
     def to_dict(self):
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -205,15 +199,6 @@ class TrajectoryResult:
                 f"from_cache={self.from_cache})")
 
 
-class _FrameTask:
-    """One frame's inputs: orbit index, camera, deterministic seed."""
-
-    def __init__(self, index, camera, seed):
-        self.index = index
-        self.camera = camera
-        self.seed = seed
-
-
 class RenderSession:
     """Simulate frame sequences of one scene through one backend.
 
@@ -222,7 +207,7 @@ class RenderSession:
     scene:
         Catalogue scene name or a :class:`SceneProfile`.
     backend:
-        Backend spec (see :mod:`repro.engine.backends`).
+        Backend spec string (see :data:`repro.engine.backends.BACKENDS`).
     baseline:
         Spec of a second backend rendered on the *same* per-frame stream
         for speedup statistics.  ``"auto"`` picks ``hw:baseline`` for
@@ -230,8 +215,7 @@ class RenderSession:
     device:
         Device preset name (``orin`` / ``rtx3090``).
     seed:
-        Scene-construction seed; per-frame seeds derive from it
-        deterministically via :func:`repro.engine.executor.frame_seed`.
+        Scene-construction seed.
     warm_crop_cache:
         Persist the backend's CROP cache across the trajectory's frames
         (forces serial execution; hardware backends only).
@@ -280,9 +264,7 @@ class RenderSession:
     A healed frame's record is bit-identical to a clean one; only
     wall-clock changes.  Recoveries are logged as structured incidents
     on the frame's record; a frame that fails every rung raises
-    :class:`~repro.engine.executor.FrameLadderExhausted`.  The reference
-    rung rebuilds backends from their registry specs, so sessions
-    handed ready backend *instances* stop after the retry rung.
+    :class:`~repro.engine.executor.FrameLadderExhausted`.
     """
 
     #: The degradation ladder.  Every rung is bit-identical in its
@@ -296,31 +278,23 @@ class RenderSession:
                  strict=False, watchdog_ms=None):
         self.profile = (scene if isinstance(scene, SceneProfile)
                         else get_profile(scene))
-        # Specs are normalised once here: ``backend``/``baseline`` may be
-        # registry spec strings or ready backend instances alike.  The
-        # on-disk result cache is keyed by (spec, device) strings, which
-        # only describe instances the registry itself would build — so
-        # caching is disabled when a ready instance is passed (its actual
-        # configuration is not part of the key and a differently-built
-        # instance sharing a spec must not collide).
-        self._cacheable = (isinstance(backend, str)
-                           and (baseline is None or isinstance(baseline, str)))
-        self.backend_spec = backend_spec(backend)
+        if not isinstance(backend, str):
+            raise TypeError("backend must be a backend spec string, got "
+                            f"{type(backend).__name__}")
+        if baseline is not None and not isinstance(baseline, str):
+            raise TypeError("baseline must be a backend spec string or "
+                            f"None, got {type(baseline).__name__}")
+        if baseline == "auto":
+            baseline = ("hw:baseline" if backend.startswith("hw:")
+                        and backend != "hw:baseline" else None)
+        self.backend_spec = backend
+        self.baseline_spec = baseline
         self.device_name = device
         self.seed = int(seed)
         self.ir = resolve_ir(ir)
         self.swmodel = resolve_swmodel(swmodel)
-        self.backend = resolve_backend(backend, device_name=device,
-                                       swmodel=self.swmodel)
-        if baseline == "auto":
-            spec = self.backend_spec
-            baseline = ("hw:baseline"
-                        if spec.startswith("hw:") and spec != "hw:baseline"
-                        else None)
-        self.baseline_spec = backend_spec(baseline) if baseline else None
-        self.baseline = (resolve_backend(baseline, device_name=device,
-                                         swmodel=self.swmodel)
-                         if baseline else None)
+        self.backend, self.baseline = self._build_backends(
+            swmodel=self.swmodel)
         self.warm_crop_cache = bool(warm_crop_cache)
         self.result_cache = result_cache
         self.coherence = resolve_coherence(coherence)
@@ -329,9 +303,7 @@ class RenderSession:
         self.strict = bool(strict)
         self.watchdog_ms = watchdog_ms
         self._cloud = None
-        # The reference rung's (backend, baseline) pair, built lazily
-        # from the registry specs — possible exactly when the session
-        # was handed spec strings, i.e. when ``_cacheable``.
+        # The reference rung's (backend, baseline) pair, built lazily.
         self._reference = None
         self._reference_lock = threading.Lock()
 
@@ -350,9 +322,12 @@ class RenderSession:
                 self._cloud = build_scene(self.profile, seed=self.seed)
         return self._cloud
 
-    def _ladder_rungs(self):
-        """The rungs available to this session (see class docstring)."""
-        return self.LADDER if self._cacheable else self.LADDER[:2]
+    def _build_backends(self, **knobs):
+        """The session's ``(backend, baseline)`` pair built with ``knobs``."""
+        return tuple(
+            create_backend(spec, device_name=self.device_name, **knobs)
+            if spec is not None else None
+            for spec in (self.backend_spec, self.baseline_spec))
 
     def _rung_backends(self, rung):
         """``(backend, baseline, use_carrier, ir)`` for one ladder rung."""
@@ -360,36 +335,27 @@ class RenderSession:
             return self.backend, self.baseline, True, self.ir
         with self._reference_lock:
             if self._reference is None:
-                self._reference = tuple(
-                    resolve_backend(spec, device_name=self.device_name,
-                                    engine="scalar", swmodel="legacy")
-                    if spec is not None else None
-                    for spec in (self.backend_spec, self.baseline_spec))
+                self._reference = self._build_backends(engine="scalar",
+                                                       swmodel="legacy")
         backend, baseline = self._reference
         return backend, baseline, False, "legacy"
 
-    def _render_frame_attempt(self, task, backend, baseline, carrier,
-                              crop_cache, keep_results, ir):
-        """One rendering attempt of one frame (any rung's configuration)."""
-        pre = preprocess(self.cloud, task.camera)
-        stream = rasterize_splats(pre.splats, task.camera.width,
-                                  task.camera.height, ir=ir)
+    def _render(self, camera, backend, carrier, ir, crop_cache=None,
+                baseline=None):
+        """One frame: preprocess, rasterise, feed ``carrier`` (if any),
+        render through ``backend`` and, on the same stream, through
+        ``baseline`` (if any).  Returns ``(frame, baseline_frame)``."""
+        pre = preprocess(self.cloud, camera)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height,
+                                  ir=ir)
         if carrier is not None:
             carrier.begin_frame(stream)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
-        record = FrameRecord(
-            index=task.index, backend=self.backend_spec, seed=task.seed,
-            cycles=frame.cycles, ms=frame.ms, fps=frame.fps,
-            et_ratio=frame.et_ratio, kernels=frame.kernels,
-            result=frame if keep_results else None)
-        if baseline is not None:
-            base = baseline.render_stream(stream, pre)
-            record.baseline_cycles = base.cycles
-            if base.cycles and frame.cycles:
-                record.speedup = base.cycles / frame.cycles
-        return record
+        base = (baseline.render_stream(stream, pre)
+                if baseline is not None else None)
+        return frame, base
 
-    def _run_frame_ladder(self, task, carrier, crop_cache, keep_results):
+    def _run_frame_ladder(self, index, camera, carrier, crop_cache):
         """Render one frame through the degradation ladder.
 
         Cross-frame shared state (the coherence carrier, a warm CROP
@@ -401,7 +367,7 @@ class RenderSession:
         last_exc = None
         carrier_snap = (carrier.snapshot() if carrier is not None else None)
         crop_snap = (crop_cache.snapshot() if crop_cache is not None else None)
-        for rung in self._ladder_rungs():
+        for rung in self.LADDER:
             backend, baseline, use_carrier, ir = self._rung_backends(rung)
             if incidents:
                 if carrier_snap is not None:
@@ -411,30 +377,35 @@ class RenderSession:
             t0 = time.perf_counter()
             try:
                 with faults.watchdog(self.watchdog_ms):
-                    record = self._render_frame_attempt(
-                        task, backend, baseline,
-                        carrier if use_carrier else None, crop_cache,
-                        keep_results, ir)
+                    frame, base = self._render(
+                        camera, backend, carrier if use_carrier else None,
+                        ir, crop_cache, baseline)
             except Exception as exc:
                 if self.strict:
                     raise
                 last_exc = exc
                 incidents.append(FrameIncident(
-                    task.index, rung, f"{type(exc).__name__}: {exc}",
+                    index, rung, f"{type(exc).__name__}: {exc}",
                     point=getattr(exc, "point", None),
                     wall_ms=(time.perf_counter() - t0) * 1e3))
                 continue
-            if incidents:
-                for incident in incidents:
-                    incident.recovered_by = rung
-                record.incidents = [inc.to_dict() for inc in incidents]
+            for incident in incidents:
+                incident.recovered_by = rung
+            record = FrameRecord(
+                index=index, backend=self.backend_spec, cycles=frame.cycles,
+                ms=frame.ms, fps=frame.fps, et_ratio=frame.et_ratio,
+                kernels=frame.kernels,
+                incidents=[inc.to_dict() for inc in incidents])
+            if base is not None:
+                record.baseline_cycles = base.cycles
+                if base.cycles and frame.cycles:
+                    record.speedup = base.cycles / frame.cycles
             return record
         if carrier_snap is not None:
             carrier.restore(carrier_snap)
         if crop_snap is not None:
             crop_cache.restore(crop_snap)
-        raise FrameLadderExhausted(task.index, task.seed,
-                                   incidents) from last_exc
+        raise FrameLadderExhausted(index, incidents) from last_exc
 
     def render_frame(self, camera=None):
         """Render a single frame; defaults to the profile's camera.
@@ -446,25 +417,19 @@ class RenderSession:
         camera, revisited viewpoints) reuse digested state.
         """
         cam = camera if camera is not None else self.profile.camera()
-        pre = preprocess(self.cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir=self.ir)
-        self.carrier.begin_frame(stream)
-        return self.backend.render_stream(stream, pre)
+        frame, _ = self._render(cam, self.backend, self.carrier, self.ir)
+        return frame
 
-    def run(self, n_views=8, jobs=1, keep_results=False):
+    def run(self, n_views=8, jobs=1):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
 
-        ``keep_results=True`` attaches each frame's full
-        :class:`~repro.engine.backends.FrameResult` (image, alpha, raw
-        renderer output) to its record; the default keeps only the
-        numeric summaries, so memory stays flat however long the
-        trajectory is.
+        Each frame keeps only its numeric :class:`FrameRecord`, so memory
+        stays flat however long the trajectory is.
         """
         if n_views <= 0:
             raise ValueError(f"n_views must be positive, got {n_views}")
         key = None
-        if self.result_cache is not None and self._cacheable:
+        if self.result_cache is not None:
             key = engine_cache.trajectory_key(
                 self.profile, self.seed, self.backend_spec,
                 self.baseline_spec, self.device_name, n_views,
@@ -481,7 +446,7 @@ class RenderSession:
 
         crop_cache = None
         if self.warm_crop_cache:
-            if jobs is not None and jobs > 1:
+            if parallel:
                 raise ValueError(
                     "warm_crop_cache carries state across frames and "
                     "requires serial execution (jobs=1)")
@@ -492,18 +457,13 @@ class RenderSession:
                     "keep warm")
 
         cameras = scene_viewpoints(self.profile, n_views)
-        tasks = [
-            _FrameTask(k, cam, frame_seed(self.profile.name, self.seed, k))
-            for k, cam in enumerate(cameras)
-        ]
         _ = self.cloud  # build once outside the workers, shared read-only
 
         def render_one(task):
-            return self._run_frame_ladder(task, carrier, crop_cache,
-                                          keep_results)
+            index, camera = task
+            return self._run_frame_ladder(index, camera, carrier, crop_cache)
 
-        records = run_frames(render_one, tasks, jobs=jobs,
-                             task_info=lambda task, _: (task.index, task.seed))
+        records = run_frames(render_one, enumerate(cameras), jobs=jobs)
         result = TrajectoryResult(
             scene=self.profile.name, backend=self.backend_spec,
             baseline=self.baseline_spec, device=self.device_name,

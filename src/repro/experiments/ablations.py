@@ -121,40 +121,49 @@ def format_sensitivity(scene="truck", device_name="orin"):
     return out
 
 
-def main():
-    tgc = tgc_ablation()
+def run():
+    """Every ablation's data: ``{"tgc", "het_lag", "rop_width", "tc_bins",
+    "format"}``, each as its function returns it."""
+    return {
+        "tgc": tgc_ablation(),
+        "het_lag": het_lag_sensitivity(),
+        "rop_width": rop_width_scaling(),
+        "tc_bins": tc_bin_count_sweep(),
+        "format": format_sensitivity(),
+    }
+
+
+def main(data=None):
+    data = run() if data is None else data
     print(format_table(
         ["Scene", "Pairs w/ TGC", "Pairs w/o TGC", "Speedup w/ TGC",
          "Speedup w/o TGC"],
         [[name, d["pairs_with_tgc"], d["pairs_without_tgc"],
           d["speedup_with_tgc"], d["speedup_without_tgc"]]
-         for name, d in tgc.items()],
+         for name, d in data["tgc"].items()],
         title="Ablation: TGC unit contribution to quad merging"))
     print()
-    lag = het_lag_sensitivity()
     print(format_table(
         ["In-flight lag (frags)", "HET speedup"],
-        [[k, v] for k, v in lag.items()],
+        [[k, v] for k, v in data["het_lag"].items()],
         title="Ablation: HET in-flight window sensitivity (truck)"))
     print()
-    rop = rop_width_scaling()
+    rop = data["rop_width"]
     rows = [[f"{w:g} quads/cycle", s] for w, s in rop["widths"].items()]
     rows.append(["VR-Pipe HET+QM @ 2 quads/cycle", rop["het+qm"]])
     print(format_table(
         ["Configuration", "Speedup over baseline"],
         rows, title="Ablation: widening ROPs vs VR-Pipe (truck)"))
     print()
-    bins = tc_bin_count_sweep()
     print(format_table(
         ["# TC bins", "Merged pairs", "QM speedup"],
-        [[n, d["pairs"], d["speedup"]] for n, d in bins.items()],
+        [[n, d["pairs"], d["speedup"]] for n, d in data["tc_bins"].items()],
         title="Ablation: TC bin count vs quad merging (truck)"))
     print()
-    fmt = format_sensitivity()
     print(format_table(
         ["Format", "Baseline cycles", "HET+QM cycles", "Speedup"],
         [[f.upper(), d["baseline_cycles"], d["hetqm_cycles"], d["speedup"]]
-         for f, d in fmt.items()],
+         for f, d in data["format"].items()],
         title="Ablation: colour-format sensitivity (truck)"))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from repro.gaussians.camera import Camera
 from repro.gaussians.culling import frustum_cull
 from repro.gaussians.gaussian import GaussianCloud
-from repro.gaussians.projection import Splat2D, project_gaussians
+from repro.gaussians.projection import project_gaussians
 from repro.gaussians.sh import eval_sh
 from repro.gaussians.sorting import depth_sort_indices
 

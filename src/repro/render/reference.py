@@ -14,13 +14,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA, FragmentStream
-from repro.render.splat_raster import rasterize_splats, rasterize_splats_scalar
-
-#: Selectable rasterisation paths (bit-identical; see splat_raster).
-RASTER_PATHS = {
-    "batched": rasterize_splats,
-    "scalar": rasterize_splats_scalar,
-}
+from repro.render.splat_raster import rasterize_splats
 
 
 class RenderResult:
@@ -58,7 +52,7 @@ class RenderResult:
 
 
 def render_reference(cloud, camera, early_term=False,
-                     threshold=DEFAULT_TERMINATION_ALPHA, raster="batched"):
+                     threshold=DEFAULT_TERMINATION_ALPHA):
     """Render a Gaussian cloud from ``camera`` and return a RenderResult.
 
     Parameters
@@ -71,24 +65,13 @@ def render_reference(cloud, camera, early_term=False,
         Apply the early-termination rule; the resulting image differs from
         the exact composite by at most the residual transmittance
         (``1 - threshold``) per channel.
-    raster:
-        ``"batched"`` (default, the tile-binned vectorised rasteriser) or
-        ``"scalar"`` (the per-splat golden loop).  Both emit bit-identical
-        streams; the knob exists for the benchmark harness and the golden
-        equivalence tests.
     """
     if not isinstance(cloud, GaussianCloud):
         raise TypeError(f"cloud must be a GaussianCloud, got {type(cloud).__name__}")
     if not isinstance(camera, Camera):
         raise TypeError(f"camera must be a Camera, got {type(camera).__name__}")
-    try:
-        rasterize = RASTER_PATHS[raster]
-    except KeyError:
-        raise ValueError(
-            f"unknown raster path {raster!r}; use one of {sorted(RASTER_PATHS)}"
-        ) from None
     pre = preprocess(cloud, camera)
-    stream = rasterize(pre.splats, camera.width, camera.height)
+    stream = rasterize_splats(pre.splats, camera.width, camera.height)
     image, alpha = stream.blend_image(early_term=early_term, threshold=threshold)
     return RenderResult(image=image, alpha=alpha, stream=stream,
                         preprocess_result=pre)

@@ -16,12 +16,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.engine import (
-    FrameExecutionError,
-    FrameLadderExhausted,
-    ResultCache,
-    run_frames,
-)
+from repro.engine import FrameLadderExhausted, ResultCache, run_frames
 from repro.engine.cache import CACHE_SCHEMA, payload_checksum
 from repro.engine.session import RenderSession
 from repro.faults import FaultPlan
@@ -215,16 +210,16 @@ class TestLadder:
             "primary", "retry", "reference"]
         assert isinstance(err.__cause__, faults.FaultInjected)
 
-    def test_instance_backends_only_retry(self, clean_aggregates):
-        # A ready backend instance can't be rebuilt from a spec, so the
-        # ladder stops after the retry rung.
-        from repro.engine import create_backend
-        backend = create_backend("hw:het+qm")
-        session = RenderSession(SCENE, backend=backend, baseline=None)
-        assert session._ladder_rungs() == ("primary", "retry")
-        with faults.active("digest:raise"):
-            with pytest.raises(FrameLadderExhausted):
-                session.run(n_views=1)
+    def test_parallel_exhaustion_names_its_frame(self):
+        session = RenderSession(SCENE, backend="hw:baseline", baseline=None)
+        with faults.active("rasterize:raise"):
+            with pytest.raises(FrameLadderExhausted) as excinfo:
+                session.run(n_views=2, jobs=2)
+        err = excinfo.value
+        assert err.index in (0, 1)
+        assert f"frame {err.index} failed" in str(err)
+        assert [inc.rung for inc in err.incidents] == list(
+            RenderSession.LADDER)
 
     def test_incidents_survive_the_disk_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -365,25 +360,27 @@ class TestCacheHardening:
 
 
 # ----------------------------------------------------------------------
-# Executor failure wrapping and state snapshots
+# Executor failure propagation and state snapshots
 # ----------------------------------------------------------------------
 
 class TestExecutor:
-    def test_parallel_failure_wrapped_with_frame_identity(self):
-        def fn(task):
-            if task == 2:
-                raise ValueError("boom")
-            return task * 10
+    def test_parallel_failure_reraises_worker_exception(self):
+        boom = ValueError("boom")
+        ran = []
 
-        with pytest.raises(FrameExecutionError) as excinfo:
-            run_frames(fn, [0, 1, 2, 3], jobs=2,
-                       task_info=lambda task, _: (task, 100 + task))
-        err = excinfo.value
-        assert err.index == 2
-        assert err.seed == 102
-        assert isinstance(err.__cause__, ValueError)
-        assert set(err.completed) <= {0, 1, 3}
-        assert all(err.completed[k] == k * 10 for k in err.completed)
+        def fn(task):
+            if task == 0:
+                raise boom
+            ran.append(task)
+            time.sleep(0.05)
+            return task
+
+        tasks = list(range(20))
+        with pytest.raises(ValueError) as excinfo:
+            run_frames(fn, tasks, jobs=2)
+        assert excinfo.value is boom
+        # Frames that had not started when the failure landed never run.
+        assert len(ran) < len(tasks) - 1
 
     def test_serial_failure_propagates_unwrapped(self):
         def fn(task):

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render.fragstream import (
-    DEFAULT_TERMINATION_ALPHA,
-    FragmentStream,
-    PRUNE_EPS,
-    QuadTable,
-)
+from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA, FragmentStream
 
 
 def make_stream(frags, width=8, height=8, n_prims=None):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.hwmodel.config import jetson_agx_orin
 from repro.micro.crop_cache import probe_crop_cache_capacity
 from repro.micro.rop_throughput import (
     pixels_per_cycle_by_format,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gaussians import Camera, synthetic
+from repro.gaussians import synthetic
 from repro.gaussians.preprocess import preprocess
 
 
