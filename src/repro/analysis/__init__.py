@@ -4,32 +4,15 @@ A stdlib-``ast`` invariant checker (no third-party deps) enforcing the
 contracts the test suite can only sample: bit-exact reduction dtypes
 (R1), determinism of iteration and randomness (R2), pinned columnar
 dtypes (R3), knob/fault-point registry consistency (R4), oracle-pair
-coverage (R5), and executor-shared-state hygiene (R6).  See
-``README.md`` ("Static analysis") for the rule catalogue, the
-``# repro-lint: ok(RULE): reason`` pragma and the baseline workflow.
+coverage (R5), and executor-shared-state hygiene (R6).  Every finding
+fails the gate unless an argued ``# repro-lint: ok(RULE): reason``
+pragma suppresses it; see ``README.md`` ("Static analysis") for the
+rule catalogue.
 
 Entry points: the ``repro lint`` CLI subcommand and :func:`run_lint`.
 """
 
-from repro.analysis.engine import (
-    BASELINE_NAME,
-    counts,
-    format_json,
-    format_text,
-    repo_root,
-    run_lint,
-)
-from repro.analysis.findings import Finding, write_baseline
-from repro.analysis.rules import RULE_REGISTRY
+from repro.analysis.engine import RULES, counts, format_text, run_lint
+from repro.analysis.findings import Finding
 
-__all__ = [
-    "BASELINE_NAME",
-    "Finding",
-    "RULE_REGISTRY",
-    "counts",
-    "format_json",
-    "format_text",
-    "repo_root",
-    "run_lint",
-    "write_baseline",
-]
+__all__ = ["Finding", "RULES", "counts", "format_text", "run_lint"]

@@ -1,39 +1,27 @@
-"""The ``repro lint`` driver: scan, rule dispatch, pragmas, baseline.
+"""The ``repro lint`` runner: scan, rule dispatch, pragmas.
 
 :func:`run_lint` is the programmatic entry point (the CLI and the test
 suite both call it).  It walks the source tree, parses every module
-once, runs each registered rule's per-module and project-wide checks,
-then classifies findings as ``active`` / ``suppressed`` (pragma) /
-``baselined`` (key present in the committed baseline file).
-
-The JSON report (:func:`format_json`) is **stable**: findings sort on
-``(path, line, col, rule)``, the payload carries no timestamps or
-absolute paths, and keys are emitted sorted — so two runs on the same
-tree are byte-identical and reports diff cleanly across PRs.
+once, runs each rule in :data:`RULES` per module and then once over the
+whole tree, and marks the findings an argued pragma covers as
+``suppressed``.  Every other finding is ``active`` and fails the gate.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
-from repro.analysis.findings import (
-    BASELINE_VERSION,
-    load_baseline,
-    parse_pragmas,
-    suppressed_by_pragma,
-)
-from repro.analysis.rules import RULE_REGISTRY, build_parents
+from repro.analysis.findings import parse_pragmas, suppressed_by_pragma
+from repro.analysis.rules import build_parents
+from repro.analysis.rules_determinism import DeterminismRule
+from repro.analysis.rules_numeric import DtypeDriftRule, FloatReduceatRule
+from repro.analysis.rules_registry import OracleCoverageRule, RegistryRule
+from repro.analysis.rules_state import ExecutorSharedStateRule
 
-# Import the rule modules for their registration side effects.
-from repro.analysis import rules_determinism  # noqa: F401
-from repro.analysis import rules_numeric  # noqa: F401
-from repro.analysis import rules_registry  # noqa: F401
-from repro.analysis import rules_state  # noqa: F401
-
-#: Default baseline filename at the repository root.
-BASELINE_NAME = ".repro-lint-baseline.json"
+#: Every lint rule, R1-R6.
+RULES = (FloatReduceatRule, DeterminismRule, DtypeDriftRule, RegistryRule,
+         OracleCoverageRule, ExecutorSharedStateRule)
 
 
 def repo_root():
@@ -44,8 +32,8 @@ def repo_root():
 class ScannedModule:
     """One parsed source module plus the derived lookup structures."""
 
-    __slots__ = ("path", "rel", "name", "package", "source", "lines",
-                 "tree", "parents", "pragmas")
+    __slots__ = ("path", "rel", "name", "package", "source", "tree",
+                 "parents", "pragmas")
 
     def __init__(self, path, rel, source):
         self.path = path
@@ -56,20 +44,14 @@ class ScannedModule:
         self.package = parts[2] if len(parts) > 3 and parts[:2] == [
             "src", "repro"] else ""
         self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=rel)
         self.parents = build_parents(self.tree)
-        self.pragmas = parse_pragmas(self.lines)
+        self.pragmas = parse_pragmas(source.splitlines())
 
     def walk(self, node_types):
         for node in ast.walk(self.tree):
             if isinstance(node, node_types):
                 yield node
-
-    def line(self, lineno):
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def scope_of(self, node):
         """Qualified enclosing scope: ``Class.method`` or ``<module>``."""
@@ -121,15 +103,13 @@ def _collect(root, paths):
     return modules
 
 
-def run_lint(paths=None, ref_paths=None, rules=None, baseline=None,
-             root=None):
+def run_lint(paths=None, ref_paths=None, root=None):
     """Lint ``paths`` and return the classified, sorted findings.
 
     ``paths`` defaults to ``src`` under the repo root; ``ref_paths``
     (reference corpus for coverage rules — parsed, never flagged)
-    defaults to ``tests`` + ``benchmarks``.  ``rules`` restricts to the
-    given ids; ``baseline`` is a baseline-file path (pass ``None`` to
-    auto-use the committed one when present, ``False`` to disable).
+    defaults to ``tests`` + ``benchmarks``.  Findings sort on
+    ``(path, line, col, rule)``.
     """
     root = Path(root) if root is not None else repo_root()
     modules = _collect(root, paths if paths is not None else ["src"])
@@ -137,72 +117,40 @@ def run_lint(paths=None, ref_paths=None, rules=None, baseline=None,
         root, ref_paths if ref_paths is not None
         else [p for p in ("tests", "benchmarks") if (root / p).is_dir()])
     context = LintContext(modules, ref_modules)
-
-    selected = []
-    for rule_id, cls in RULE_REGISTRY.items():
-        if rules is None or rule_id in rules:
-            selected.append(cls())
-    if rules is not None:
-        unknown = set(rules) - set(RULE_REGISTRY)
-        if unknown:
-            raise ValueError(
-                f"unknown lint rule(s): {', '.join(sorted(unknown))}")
+    rules = [cls() for cls in RULES]
 
     findings = []
     for module in modules:
-        for rule in selected:
+        for rule in rules:
             findings.extend(rule.check(module, context))
-    for rule in selected:
+    for rule in rules:
         findings.extend(rule.check_project(context))
 
     by_rel = {module.rel: module for module in modules}
-    if baseline is None:
-        default = root / BASELINE_NAME
-        baseline = default if default.is_file() else False
-    baseline_keys = load_baseline(baseline) if baseline else set()
-
     for finding in findings:
         module = by_rel.get(finding.path)
         if module is not None and suppressed_by_pragma(
                 finding, module.pragmas):
             finding.status = "suppressed"
-        elif finding.key() in baseline_keys:
-            finding.status = "baselined"
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
 def counts(findings):
-    summary = {"active": 0, "suppressed": 0, "baselined": 0}
+    summary = {"active": 0, "suppressed": 0}
     for finding in findings:
         summary[finding.status] += 1
     return summary
 
 
-def format_text(findings, show_all=False):
-    """Human-readable report; active findings only unless ``show_all``."""
+def format_text(findings):
+    """Human-readable report: every finding, suppressed ones tagged."""
     lines = []
     for finding in findings:
-        if finding.status != "active" and not show_all:
-            continue
         tag = "" if finding.status == "active" else f" [{finding.status}]"
-        lines.append(f"{finding.location()}: {finding.rule} "
-                     f"{finding.severity}{tag}: {finding.message} "
-                     f"({finding.scope})")
+        lines.append(f"{finding.location()}: {finding.rule}{tag}: "
+                     f"{finding.message} ({finding.scope})")
     summary = counts(findings)
     lines.append(f"repro lint: {summary['active']} active, "
-                 f"{summary['suppressed']} suppressed, "
-                 f"{summary['baselined']} baselined")
+                 f"{summary['suppressed']} suppressed")
     return "\n".join(lines)
-
-
-def format_json(findings):
-    """Stable machine-readable report (sorted, no timestamps/abspaths)."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "rules": {rule_id: {"severity": cls.severity, "title": cls.title}
-                  for rule_id, cls in sorted(RULE_REGISTRY.items())},
-        "counts": counts(findings),
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,7 @@
-"""Findings, suppression pragmas and the committed baseline.
+"""Findings and the suppression pragma.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.key` deliberately omits the line *number*: the key is
-``rule | path | enclosing scope | normalised source line``, so baselined
-findings survive unrelated edits that shift lines, while any change to
-the offending line itself (or moving it to another function) re-raises
-the finding for review.
+A :class:`Finding` is one rule violation at one source location.  Every
+finding fails the gate unless a pragma suppresses it.
 
 Suppression pragma
 ------------------
@@ -16,62 +12,31 @@ A finding is suppressed in source with::
 on the offending line or the line directly above it.  Multiple rules:
 ``ok(R1,R6)``.  The reason text after the colon is optional but
 conventional — the pragma is an *argued* exemption, not a mute button.
-
-Baseline
---------
-``repro lint --write-baseline`` records every currently-active finding
-key into a JSON file (committed as ``.repro-lint-baseline.json``).  On
-later runs, baselined findings report with status ``baselined`` and do
-not fail the gate; anything new does.  The file is sorted and versioned
-so its diffs stay reviewable across PRs.
 """
 
 from __future__ import annotations
 
-import json
 import re
-
-#: Finding severities, most severe first.
-SEVERITIES = ("error", "warning")
 
 #: ``# repro-lint: ok(R1)`` / ``ok(R1,R6): reason`` suppression pragma.
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*ok\(\s*([A-Za-z0-9_,\s]+?)\s*\)(?::.*)?")
 
-#: Schema version of the baseline file and the JSON report.
-BASELINE_VERSION = 1
-
 
 class Finding:
     """One rule violation at one source location."""
 
-    __slots__ = ("rule", "severity", "path", "line", "col", "message",
-                 "scope", "source", "status")
+    __slots__ = ("rule", "path", "line", "col", "message", "scope",
+                 "status")
 
-    def __init__(self, rule, severity, path, line, col, message,
-                 scope="<module>", source=""):
+    def __init__(self, rule, path, line, col, message, scope="<module>"):
         self.rule = rule
-        self.severity = severity
         self.path = path          # repo-relative, posix separators
         self.line = int(line)
         self.col = int(col)
         self.message = message
         self.scope = scope
-        self.source = source      # offending source line, stripped
-        self.status = "active"    # active | suppressed | baselined
-
-    def key(self):
-        """Line-number-free identity used by the baseline file."""
-        norm = re.sub(r"\s+", " ", self.source).strip()
-        return f"{self.rule}|{self.path}|{self.scope}|{norm}"
-
-    def to_dict(self):
-        return {
-            "rule": self.rule, "severity": self.severity,
-            "path": self.path, "line": self.line, "col": self.col,
-            "scope": self.scope, "message": self.message,
-            "key": self.key(), "status": self.status,
-        }
+        self.status = "active"    # active | suppressed
 
     def location(self):
         return f"{self.path}:{self.line}:{self.col}"
@@ -102,30 +67,3 @@ def suppressed_by_pragma(finding, pragmas):
         if rules and finding.rule in rules:
             return True
     return False
-
-
-def load_baseline(path):
-    """The set of baselined finding keys stored at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise ValueError(f"{path} is not a repro-lint baseline file")
-    entries = payload["entries"]
-    keys = set()
-    for entry in entries:
-        # Entries are either bare keys or {"key": ..., "reason": ...}.
-        keys.add(entry["key"] if isinstance(entry, dict) else str(entry))
-    return keys
-
-
-def write_baseline(path, findings):
-    """Persist the active findings' keys (sorted, with context) to ``path``."""
-    entries = sorted(
-        {f.key(): {"key": f.key(), "rule": f.rule, "message": f.message}
-         for f in findings if f.status == "active"}.values(),
-        key=lambda entry: entry["key"])
-    payload = {"version": BASELINE_VERSION, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(entries)

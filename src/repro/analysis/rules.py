@@ -2,9 +2,9 @@
 
 A rule subclasses :class:`Rule` and implements :meth:`Rule.check` (per
 module) and/or :meth:`Rule.check_project` (once, over the whole scanned
-tree — for cross-file registry/coverage invariants).  Rules register
-themselves via :func:`register_rule`; the engine instantiates each once
-per run.
+tree — for cross-file registry/coverage invariants).  The engine's
+``RULES`` tuple lists every rule class; each is instantiated once per
+run.
 
 The helpers here are the shared static-analysis vocabulary: a parent map
 (``ast`` has no parent pointers), dotted-name resolution, enclosing-
@@ -19,32 +19,17 @@ import ast
 
 from repro.analysis.findings import Finding
 
-#: rule id -> Rule subclass, in registration order.
-RULE_REGISTRY = {}
-
-
-def register_rule(cls):
-    """Class decorator adding a :class:`Rule` subclass to the registry."""
-    if cls.id in RULE_REGISTRY:
-        raise ValueError(f"duplicate lint rule id {cls.id!r}")
-    RULE_REGISTRY[cls.id] = cls
-    return cls
-
 
 class Rule:
     """Base class of one lint rule."""
 
     id = None
-    severity = "error"
-    title = ""
 
     def finding(self, module, node, message):
         """Build a :class:`Finding` anchored at ``node`` in ``module``."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        source = module.line(line)
-        return Finding(self.id, self.severity, module.rel, line, col,
-                       message, scope=module.scope_of(node), source=source)
+        return Finding(self.id, module.rel, getattr(node, "lineno", 1),
+                       getattr(node, "col_offset", 0), message,
+                       scope=module.scope_of(node))
 
     def check(self, module, context):
         """Yield findings for one scanned module."""

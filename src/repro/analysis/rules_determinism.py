@@ -22,7 +22,6 @@ from repro.analysis.rules import (
     Rule,
     call_name,
     has_ancestor_call,
-    register_rule,
 )
 
 #: Seeded-constructor names exempt from the unseeded-randomness check
@@ -45,13 +44,10 @@ def _is_random_namespace(name):
         parts[1] == "random")
 
 
-@register_rule
 class DeterminismRule(Rule):
     """R2 — nondeterministic randomness / iteration order."""
 
     id = "R2"
-    severity = "error"
-    title = "nondeterministic source: unseeded RNG or unordered iteration"
 
     def check(self, module, context):
         in_numeric_pkg = module.package in _ORDERED_PACKAGES

@@ -28,7 +28,6 @@ from repro.analysis.rules import (
     keyword_arg,
     local_assignments,
     proves_integer,
-    register_rule,
 )
 
 #: ufunc reduction methods R1 inspects.
@@ -50,13 +49,10 @@ _ORDER_SENSITIVE_UFUNCS = {
 }
 
 
-@register_rule
 class FloatReduceatRule(Rule):
     """R1 — float reductions through ufunc reduce/reduceat/accumulate."""
 
     id = "R1"
-    severity = "error"
-    title = "order-sensitive ufunc reduction on possibly-float operands"
 
     def check(self, module, context):
         for node in module.walk(ast.Call):
@@ -110,13 +106,10 @@ def _is_typed_literal(node):
                     "uint32", "uint64", "float32", "float64", "bool_")
 
 
-@register_rule
 class DtypeDriftRule(Rule):
     """R3 — inferred dtypes in the columnar modules."""
 
     id = "R3"
-    severity = "error"
-    title = "array construction without explicit dtype in columnar module"
 
     def check(self, module, context):
         if module.name not in _COLUMNAR_MODULES:

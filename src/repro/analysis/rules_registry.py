@@ -30,7 +30,6 @@ import ast
 from repro.analysis.rules import (
     Rule,
     call_name,
-    register_rule,
     str_const,
     terminal_name,
 )
@@ -56,13 +55,10 @@ def _environ_read_name(node):
     return None
 
 
-@register_rule
 class RegistryRule(Rule):
     """R4 — fault-point and environment-knob registry consistency."""
 
     id = "R4"
-    severity = "error"
-    title = "unregistered fault point or out-of-registry environment read"
 
     def check(self, module, context):
         for node in module.walk((ast.Call, ast.Subscript)):
@@ -101,7 +97,7 @@ class RegistryRule(Rule):
                         f"— declare it in repro.knobs.ENV_KNOBS")
 
     def check_project(self, context):
-        # Warn on registered fault points no src site ever checkpoints.
+        # Flag registered fault points no src site ever checkpoints.
         seen = set()
         for module in context.modules:
             for node in module.walk(ast.Call):
@@ -114,12 +110,10 @@ class RegistryRule(Rule):
         if missing:
             anchor = context.module_by_suffix("faults/plan.py")
             if anchor is not None:
-                finding = self.finding(
+                yield self.finding(
                     anchor, anchor.tree,
                     f"registered fault points never checkpointed in src: "
                     f"{', '.join(sorted(missing))}")
-                finding.severity = "warning"
-                yield finding
 
 
 #: Parameter/attribute names treated as mode knobs (keys of MODE_KNOBS).
@@ -180,22 +174,19 @@ def _knob_usages(module):
                     yield arg.arg, value, node
 
 
-@register_rule
 class OracleCoverageRule(Rule):
     """R5 — mode-knob branch completeness and oracle test coverage."""
 
     id = "R5"
-    severity = "error"
-    title = "undeclared mode literal / untested oracle path"
 
     def check(self, module, context):
         for knob, literal, node in _knob_usages(module):
-            if literal not in MODE_KNOBS[knob]["modes"]:
+            if literal not in MODE_KNOBS[knob]:
                 yield self.finding(
                     module, node,
                     f"{knob}={literal!r} is not a declared mode "
                     f"(knobs.MODE_KNOBS[{knob!r}] allows "
-                    f"{', '.join(MODE_KNOBS[knob]['modes'])})")
+                    f"{', '.join(MODE_KNOBS[knob])})")
 
     def check_project(self, context):
         used = {knob: set() for knob in _KNOB_NAMES}
@@ -204,7 +195,7 @@ class OracleCoverageRule(Rule):
                 used[knob].add(literal)
         anchor = context.module_by_suffix("repro/knobs.py")
         for knob in _KNOB_NAMES:
-            dead = [mode for mode in MODE_KNOBS[knob]["modes"]
+            dead = [mode for mode in MODE_KNOBS[knob]
                     if mode not in used[knob]]
             if dead and anchor is not None:
                 yield self.finding(

@@ -29,7 +29,6 @@ from repro.analysis.rules import (
     call_name,
     dotted_name,
     enclosing_function,
-    register_rule,
     under_lock,
 )
 
@@ -96,13 +95,10 @@ def _base_name(target):
     return None
 
 
-@register_rule
 class ExecutorSharedStateRule(Rule):
     """R6 — unsynchronised writes to executor-reachable module globals."""
 
     id = "R6"
-    severity = "error"
-    title = "module-level mutable global written in executor-reachable code"
 
     def _reachable(self, context):
         by_name = {}

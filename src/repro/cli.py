@@ -7,7 +7,7 @@ Usage::
     python -m repro trajectory --scene train --backend hw:het+qm --views 24
     python -m repro experiment fig16
     python -m repro list-scenes
-    python -m repro lint [--format json] [--rules R1,R4]
+    python -m repro lint [paths ...]
 
 The CLI wraps the library's main entry points so the reproduction can be
 driven without writing Python.
@@ -194,29 +194,10 @@ def cmd_experiment(args):
 def cmd_lint(args):
     # Deferred import: the analysis engine is only needed by this
     # subcommand and pulls in the whole-tree scanner.
-    from repro.analysis import (
-        BASELINE_NAME,
-        counts,
-        format_json,
-        format_text,
-        repo_root,
-        run_lint,
-        write_baseline,
-    )
+    from repro.analysis import counts, format_text, run_lint
 
-    rules = ([rule.strip() for rule in args.rules.split(",")
-              if rule.strip()] if args.rules else None)
-    findings = run_lint(paths=args.paths or None, rules=rules,
-                        baseline=args.baseline)
-    if args.write_baseline:
-        target = args.baseline or str(repo_root() / BASELINE_NAME)
-        written = write_baseline(target, findings)
-        print(f"wrote {written} baseline entries to {target}")
-        return 0
-    if args.fmt == "json":
-        sys.stdout.write(format_json(findings))
-    else:
-        print(format_text(findings, show_all=args.show_all))
+    findings = run_lint(paths=args.paths or None)
+    print(format_text(findings))
     return 1 if counts(findings)["active"] else 0
 
 
@@ -316,22 +297,6 @@ def build_parser():
     lint.add_argument("paths", nargs="*",
                       help="files/directories to scan, repo-relative "
                            "(default: src)")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file of grandfathered findings "
-                           "(default: .repro-lint-baseline.json at the "
-                           "repo root when present)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record current active findings into the "
-                           "baseline file and exit 0")
-    lint.add_argument("--format", dest="fmt", default="text",
-                      choices=("text", "json"),
-                      help="report format; json is sorted and "
-                           "timestamp-free, stable to diff across PRs")
-    lint.add_argument("--show-all", action="store_true",
-                      help="also list suppressed and baselined findings "
-                           "in text output")
     return parser
 
 

@@ -164,17 +164,15 @@ class _CachelessBackend:
 class CudaBackend(_CachelessBackend):
     """CUDA-style software rendering (Figure 5's SW path).
 
-    ``swmodel`` selects the warp-model engine (FrameIR-backed or the
-    fragment-sort oracle, see :mod:`repro.swrender.warp_model`) — a
-    bit-identical mode pair.
+    ``renderer`` comes from :func:`make_cuda_renderer`; its ``swmodel``
+    selects the warp-model engine (FrameIR-backed or the fragment-sort
+    oracle, see :mod:`repro.swrender.warp_model`) — a bit-identical mode
+    pair.
     """
 
-    def __init__(self, spec, device, early_term, swmodel="auto"):
+    def __init__(self, spec, renderer):
         self.spec = spec
-        self.renderer = CudaRenderer(
-            kernel_model=device_kernel_model(device),
-            frequency_hz=device.frequency_hz(),
-            early_term=early_term, swmodel=swmodel)
+        self.renderer = renderer
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
@@ -260,9 +258,10 @@ def create_backend(spec, device_name="orin", engine="batched",
         raise ValueError(
             f"unknown backend {spec!r}; available: {available_backends()}"
         ) from None
+    if path == "cuda":
+        return CudaBackend(spec, make_cuda_renderer(
+            device_name, early_term=arg, swmodel=swmodel))
     device = make_device(device_name)
     if path == "hw":
         return HardwareBackend(spec, arg, device, engine=engine)
-    if path == "cuda":
-        return CudaBackend(spec, device, early_term=arg, swmodel=swmodel)
     return ReferenceBackend(spec)

@@ -31,7 +31,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import faults
-from repro.knobs import LRU_ENGINES
 
 #: Below this stream length the scalar loop wins (vectorisation overhead
 #: dominates); measured crossover is ~2-4k accesses.
@@ -371,12 +370,6 @@ class LRUCache:
         items, self.hits, self.misses, self.evictions, self.writebacks = state
         self._lines = OrderedDict(items)
 
-    def reset_counters(self):
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-
     def flush(self):
         """Drop all lines (counts dirty ones as writebacks)."""
         self.writebacks += sum(1 for dirty in self._lines.values() if dirty)
@@ -417,7 +410,7 @@ class LRUCache:
             self.access_line(int(tag), write=write)
         return self.misses - before
 
-    def access_segmented(self, tags, seg_splits, write=False, engine="auto"):
+    def access_segmented(self, tags, seg_splits, write=False):
         """Replay a segmented tag stream; returns per-segment miss counts.
 
         ``seg_splits`` is an ascending int array of ``n_segments + 1``
@@ -425,17 +418,15 @@ class LRUCache:
         one :meth:`access_many` call per segment — LRU state and the
         hit/miss/eviction/writeback counters evolve identically.
 
-        ``engine`` selects the replay implementation: ``"auto"`` (default)
-        uses the vectorized exact-LRU engine for long streams and the
-        scalar loop otherwise; ``"scalar"`` forces the loop and
-        ``"vector"`` starts from the vectorized engine (which still
-        degrades to the scalar loop if an adversarial stream exhausts the
-        exact-scan budget — the results are identical either way, only
-        the speed differs).  All engines are bit-identical in every
-        observable (per-segment
-        misses, counters, and the cache's final contents in LRU order with
-        dirty bits); the vectorized engine is what lets the batched flush
-        engine replay a whole draw's cache traffic at once.
+        Streams of at least :data:`VECTOR_MIN_STREAM` accesses (or any
+        non-empty stream while an ``lru.replay`` fault rule is armed) go
+        through the vectorized exact-LRU engine, which still degrades to
+        the scalar loop if an adversarial stream exhausts the exact-scan
+        budget; shorter streams run the scalar loop.  Both are
+        bit-identical in every observable (per-segment misses, counters,
+        and the cache's final contents in LRU order with dirty bits); the
+        vectorized engine is what lets the batched flush engine replay a
+        whole draw's cache traffic at once.
         """
         tags = np.asarray(tags, dtype=np.int64)
         bounds = np.asarray(seg_splits, dtype=np.int64)
@@ -444,15 +435,9 @@ class LRUCache:
         if (bounds[0] != 0 or bounds[-1] != tags.shape[0]
                 or np.any(np.diff(bounds) < 0)):
             raise ValueError("seg_splits must ascend from 0 to len(tags)")
-        if engine not in LRU_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
         rule = faults.checkpoint("lru.replay") if faults.ENABLED else None
-        use_vector = (engine == "vector"
-                      or (engine == "auto"
-                          and tags.shape[0] >= VECTOR_MIN_STREAM)
-                      or (rule is not None and engine != "scalar"
-                          and tags.shape[0] > 0))
-        if use_vector:
+        if (tags.shape[0] >= VECTOR_MIN_STREAM
+                or (rule is not None and tags.shape[0] > 0)):
             replay = replay_tag_stream(
                 np.ascontiguousarray(tags, dtype=np.int64), self.n_lines,
                 list(self._lines.items()), bool(write))

@@ -297,11 +297,6 @@ class DrawWorkload:
                                          self._pair_row_ends[pos])
         return self._groups_by_pair[rows], int(pos.shape[0])
 
-    @property
-    def prims_with_quads(self):
-        """Primitive rows that produced at least one quad, in draw order."""
-        return sorted(self.prim_group_ranges)
-
 
 class DrawResult:
     """Outcome of a simulated draw call: statistics and the frame size,

@@ -4,14 +4,11 @@ The TGC/TC bin dynamics are where VR-Pipe's quad merging lives, so being
 able to *see* every flush — its tile, size, cause, and how many pairs the
 QRU found — matters for debugging and for reproducing the paper's binning
 analysis.  Pass a :class:`DrawTrace` to
-:meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw` and export the events
-as CSV, or summarise them in-process.
+:meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw` and summarise the
+events in-process.
 """
 
 from __future__ import annotations
-
-import csv
-import io
 
 
 class FlushEvent:
@@ -37,9 +34,6 @@ class FlushEvent:
 
 class DrawTrace:
     """Collects :class:`FlushEvent` records during one simulated draw."""
-
-    COLUMNS = ("index", "tile_id", "reason", "n_quads", "n_survivors",
-               "n_pairs", "n_crop_quads")
 
     def __init__(self):
         self.events = []
@@ -74,33 +68,6 @@ class DrawTrace:
         return len(self.events)
 
     # ------------------------------------------------------------------
-
-    def to_csv(self, path=None):
-        """Write events as CSV to ``path``, or return the text."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.COLUMNS)
-        for event in self.events:
-            writer.writerow(event.as_row())
-        text = buffer.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-        return path
-
-    def flush_size_histogram(self, bins=(1, 8, 32, 64, 128)):
-        """Count flushes by size bucket (``size <= edge``)."""
-        histogram = {edge: 0 for edge in bins}
-        histogram["larger"] = 0
-        for event in self.events:
-            for edge in bins:
-                if event.n_quads <= edge:
-                    histogram[edge] += 1
-                    break
-            else:
-                histogram["larger"] += 1
-        return histogram
 
     def merge_rate(self):
         """Fraction of surviving quads that merged into pairs."""

@@ -1027,19 +1027,3 @@ class QuadTable:
         )
         table.ir_groups = quads.groups
         return table
-
-    # Convenience aggregates used by the experiments -------------------
-
-    def quads_blended_baseline(self):
-        """Quads the baseline CROP blends (>= 1 unpruned fragment)."""
-        return int((self.n_unpruned > 0).sum())
-
-    def quads_blended_het(self):
-        """Quads surviving both the ZROP termination test and pruning."""
-        return int((self.n_et_blended > 0).sum())
-
-    def fragments_blended_baseline(self):
-        return int(self.n_unpruned.sum())
-
-    def fragments_blended_het(self):
-        return int(self.n_et_blended.sum())

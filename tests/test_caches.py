@@ -54,12 +54,6 @@ class TestLRUCache:
         cache = LRUCache(8 * 128, 128)
         assert cache.access_many([0, 1, 2, 0]) == 3
 
-    def test_reset_counters(self):
-        cache = LRUCache(4 * 128, 128)
-        cache.access_line(0)
-        cache.reset_counters()
-        assert cache.misses == 0
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             LRUCache(0, 128)

@@ -105,6 +105,14 @@ class TestKnob:
             session.render_frame(camera)
         assert session.carrier.stats["full_hits"] == 1
 
+    def test_env_reads_registered_names_only(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCENES", raising=False)
+        assert knobs.env("REPRO_SCENES") == ""
+        monkeypatch.setenv("REPRO_SCENES", "lego")
+        assert knobs.env("REPRO_SCENES") == "lego"
+        with pytest.raises(KeyError):
+            knobs.env("REPRO_IR")
+
     def test_invalid_rejected(self):
         for mode in ("sometimes", "incremental"):
             with pytest.raises(ValueError, match="coherence"):

@@ -78,7 +78,6 @@ def assert_workloads_identical(wl_ir, wl_legacy):
         np.testing.assert_array_equal(getattr(wl_ir, name),
                                       getattr(wl_legacy, name), err_msg=name)
     assert wl_ir.prim_group_ranges == wl_legacy.prim_group_ranges
-    assert wl_ir.prims_with_quads == wl_legacy.prims_with_quads
     # (prim, grid) pair structures the TGC flush planner consumes.
     np.testing.assert_array_equal(wl_ir.pair_prim, wl_legacy.pair_prim)
     np.testing.assert_array_equal(wl_ir.pair_grid, wl_legacy.pair_grid)

@@ -80,9 +80,28 @@ def assert_caches_equal(vec, ref):
 STYLES = ("uniform", "cyclic", "sorted", "pareto", "dwell")
 
 
+@pytest.fixture
+def vector_replays(monkeypatch):
+    """Send every ``access_segmented`` call down the vectorized engine and
+    count the replays it completed, so a fuzz test can prove it compared
+    the vector engine (not the scalar fallback) against the oracle."""
+    completed = []
+    real = caches.replay_tag_stream
+
+    def counted(*args, **kwargs):
+        replay = real(*args, **kwargs)
+        if replay is not None:
+            completed.append(1)
+        return replay
+
+    monkeypatch.setattr(caches, "VECTOR_MIN_STREAM", 0)
+    monkeypatch.setattr(caches, "replay_tag_stream", counted)
+    return completed
+
+
 class TestVectorizedReplayFuzz:
     @pytest.mark.parametrize("style", STYLES)
-    def test_cold_replay_matches_scalar(self, style):
+    def test_cold_replay_matches_scalar(self, style, vector_replays):
         rng = np.random.default_rng(style_seed(style))
         for trial in range(25):
             n_lines = int(rng.integers(1, 40))
@@ -93,14 +112,14 @@ class TestVectorizedReplayFuzz:
             splits = random_splits(rng, n)
             vec = LRUCache(n_lines * 64, 64)
             ref = LRUCache(n_lines * 64, 64)
-            got = vec.access_segmented(tags, splits, write=write,
-                                       engine="vector")
+            got = vec.access_segmented(tags, splits, write=write)
             want = scalar_replay(ref, tags, splits, write)
             assert got.tolist() == want.tolist(), (style, trial)
             assert_caches_equal(vec, ref)
+        assert len(vector_replays) == 25
 
     @pytest.mark.parametrize("style", STYLES)
-    def test_warm_handoff_between_two_streams(self, style):
+    def test_warm_handoff_between_two_streams(self, style, vector_replays):
         """Replay stream A, hand the warm cache to stream B: the second
         vectorized replay must start from the exact warm state (LRU order
         and dirty bits) and still match the scalar oracle, and a final
@@ -116,16 +135,16 @@ class TestVectorizedReplayFuzz:
                 write = bool(rng.integers(0, 2))
                 tags = random_stream(rng, style, n, universe)
                 splits = random_splits(rng, n)
-                got = vec.access_segmented(tags, splits, write=write,
-                                           engine="vector")
+                got = vec.access_segmented(tags, splits, write=write)
                 want = scalar_replay(ref, tags, splits, write)
                 assert got.tolist() == want.tolist(), (style, trial, phase)
                 assert_caches_equal(vec, ref)
             vec.flush()
             ref.flush()
             assert vec.writebacks == ref.writebacks
+        assert len(vector_replays) == 30
 
-    def test_mixed_scalar_then_vector(self):
+    def test_mixed_scalar_then_vector(self, vector_replays):
         """Scalar accesses may interleave with vectorized replays (the
         pipeline mixes access_line/access_many with access_segmented)."""
         rng = np.random.default_rng(99)
@@ -138,11 +157,11 @@ class TestVectorizedReplayFuzz:
                 assert vec.access_line(t, write=w) == ref.access_line(t, write=w)
             tags = random_stream(rng, "uniform", 300, 25)
             splits = random_splits(rng, 300)
-            got = vec.access_segmented(tags, splits, write=True,
-                                       engine="vector")
+            got = vec.access_segmented(tags, splits, write=True)
             want = scalar_replay(ref, tags, splits, True)
             assert got.tolist() == want.tolist()
             assert_caches_equal(vec, ref)
+        assert len(vector_replays) == 6
 
 
 class TestEngineDispatch:
@@ -162,22 +181,17 @@ class TestEngineDispatch:
     def test_budget_exhaustion_falls_back_to_scalar(self, monkeypatch):
         """With a zero scan budget the vector engine bails; results must
         still be exact via the scalar fallback."""
+        monkeypatch.setattr(caches, "VECTOR_MIN_STREAM", 0)
         monkeypatch.setattr(caches, "SCAN_BUDGET_FACTOR", -10 ** 9)
         rng = np.random.default_rng(5)
         tags = random_stream(rng, "dwell", 800, 12)
         splits = random_splits(rng, 800)
         vec = LRUCache(4 * 64, 64)
         ref = LRUCache(4 * 64, 64)
-        got = vec.access_segmented(tags, splits, write=True, engine="vector")
+        got = vec.access_segmented(tags, splits, write=True)
         want = scalar_replay(ref, tags, splits, True)
         assert got.tolist() == want.tolist()
         assert_caches_equal(vec, ref)
-
-    def test_rejects_unknown_engine(self):
-        cache = LRUCache(4 * 64, 64)
-        with pytest.raises(ValueError, match="engine"):
-            cache.access_segmented(np.asarray([1]), np.asarray([0, 1]),
-                                   engine="warp")
 
     def test_replay_tag_stream_empty_warm(self):
         hit, counters, items = replay_tag_stream(

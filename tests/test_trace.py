@@ -1,4 +1,4 @@
-"""Draw-call tracing: per-flush events, export, and analysis."""
+"""Draw-call tracing: per-flush events and their summaries."""
 
 import pytest
 
@@ -38,24 +38,6 @@ class TestDrawTrace:
     def test_merge_rate_in_range(self, traced):
         trace, _ = traced
         assert 0.0 < trace.merge_rate() < 1.0
-
-    def test_histogram_covers_all(self, traced):
-        trace, _ = traced
-        histogram = trace.flush_size_histogram()
-        assert sum(histogram.values()) == len(trace)
-
-    def test_csv_export(self, traced, tmp_path):
-        trace, _ = traced
-        path = trace.to_csv(tmp_path / "trace.csv")
-        lines = open(path).read().splitlines()
-        assert lines[0].startswith("index,tile_id,reason")
-        assert len(lines) == len(trace) + 1
-
-    def test_csv_string(self):
-        trace = DrawTrace()
-        trace.record_flush(3, "full", 10, 8, 2, 6)
-        text = trace.to_csv()
-        assert "3,full,10,8,2,6" in text
 
     def test_summary(self, traced):
         trace, _ = traced
