@@ -19,8 +19,9 @@ R5 (project-wide)
     * every declared mode must be *used* somewhere in ``src`` or the
       test corpus (a declared-but-dead branch is a coverage hole);
     * every declared scalar/legacy oracle symbol must exist in ``src``
-      and be exercised from ``tests/`` — by direct reference or through
-      its knob's oracle mode.
+      and be exercised from ``tests/`` — by a code reference to it (a
+      name, attribute or import; a string literal or comment naming it
+      does not count) or through its knob's oracle mode.
 """
 
 from __future__ import annotations
@@ -174,6 +175,21 @@ def _knob_usages(module):
                     yield arg.arg, value, node
 
 
+def _identifiers(module):
+    """Identifiers a module's code refers to: names, attribute names and
+    imported names.  String literals, comments and the names of the
+    module's own definitions do not count as a reference."""
+    names = set()
+    for node in module.walk((ast.Name, ast.Attribute, ast.alias)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        else:
+            names.update(node.name.split("."))
+    return names
+
+
 class OracleCoverageRule(Rule):
     """R5 — mode-knob branch completeness and oracle test coverage."""
 
@@ -209,8 +225,10 @@ class OracleCoverageRule(Rule):
             for node in module.walk((ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 definitions.setdefault(node.name, (module, node))
-        ref_text = "\n".join(m.source for m in context.ref_modules
-                             if "tests/" in m.rel)
+        ref_names = set()
+        for module in context.ref_modules:
+            if "tests/" in module.rel:
+                ref_names |= _identifiers(module)
         ref_usage = {(knob, literal)
                      for module in context.ref_modules
                      if "tests/" in module.rel
@@ -226,7 +244,7 @@ class OracleCoverageRule(Rule):
                         f"in src")
                 continue
             module, node = definitions[symbol]
-            covered = symbol in ref_text
+            covered = symbol in ref_names
             if not covered and oracle["knob"] is not None:
                 covered = (oracle["knob"], oracle["mode"]) in ref_usage
             if not covered:

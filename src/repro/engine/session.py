@@ -234,10 +234,11 @@ class RenderSession:
         :mod:`repro.render.coherence`).  The session owns the one
         :class:`~repro.render.coherence.FrameCoherence` carrier
         (:attr:`carrier`), shared by :meth:`render_frame` calls and
-        serial :meth:`run` trajectories, so revisited viewpoints reuse
-        digested state.  Like ``ir``, both modes are bit-identical — the
-        disk cache key stays ``coherence``-agnostic.  Parallel runs
-        (``jobs > 1``) bypass the carrier.
+        serial :meth:`run` trajectories, so revisited viewpoints skip
+        rasterisation and reuse digested state.  Like ``ir``, both
+        modes are bit-identical — the disk cache key stays
+        ``coherence``-agnostic.  Parallel runs (``jobs > 1``) bypass the
+        carrier.
     swmodel:
         Software-model engine of the cuda backends (``"auto"`` /
         ``"legacy"``, see :mod:`repro.swrender.warp_model`).
@@ -342,14 +343,19 @@ class RenderSession:
 
     def _render(self, camera, backend, carrier, ir, crop_cache=None,
                 baseline=None):
-        """One frame: preprocess, rasterise, feed ``carrier`` (if any),
-        render through ``backend`` and, on the same stream, through
-        ``baseline`` (if any).  Returns ``(frame, baseline_frame)``."""
+        """One frame: preprocess; take the stream from ``carrier`` (if
+        any) or rasterise and feed it to the carrier; render through
+        ``backend`` and, on the same stream, through ``baseline`` (if
+        any).  Returns ``(frame, baseline_frame)``."""
         pre = preprocess(self.cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=ir)
-        if carrier is not None:
-            carrier.begin_frame(stream)
+        width, height = camera.width, camera.height
+        # A served stream carries a FrameIR, which ``ir="legacy"`` omits.
+        stream = (carrier.serve(pre.splats, width, height)
+                  if carrier is not None and ir != "legacy" else None)
+        if stream is None:
+            stream = rasterize_splats(pre.splats, width, height, ir=ir)
+            if carrier is not None:
+                carrier.begin_frame(stream, splats=pre.splats)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
         base = (baseline.render_stream(stream, pre)
                 if baseline is not None else None)
@@ -410,11 +416,13 @@ class RenderSession:
     def render_frame(self, camera=None):
         """Render a single frame; defaults to the profile's camera.
 
-        Preprocesses and rasterises exactly as the backend's own
-        ``render`` would — the output stays bit-identical to calling the
-        underlying renderer directly — but feeds the stream through the
-        session's coherence carrier first, so repeated frames (static
-        camera, revisited viewpoints) reuse digested state.
+        Preprocesses as the backend's own ``render`` would, then asks the
+        session's coherence carrier for the frame: a repeated frame
+        (static camera, revisited viewpoint) is served its captured
+        stream and digested state without rasterising, and any other
+        frame is rasterised as ``render`` would and captured.  Either way
+        the output is bit-identical to calling the underlying renderer
+        directly.
         """
         cam = camera if camera is not None else self.profile.camera()
         frame, _ = self._render(cam, self.backend, self.carrier, self.ir)

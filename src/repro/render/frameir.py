@@ -57,6 +57,29 @@ def resolve_ir(ir="auto"):
     return ir
 
 
+def row_fragments(row_prim, row_y, row_xlo, row_fstart, n_fragments):
+    """``(prim_ids, x, y)`` int32 per fragment of contiguous row runs.
+
+    Row ``r`` emits fragments ``row_fstart[r]`` up to the next row's
+    start (``n_fragments`` for the last row), at pixels ``row_xlo[r],
+    row_xlo[r] + 1, ...`` of scanline ``row_y[r]``.  The one producer of
+    a stream's coordinates from its rows: the rasteriser emits them this
+    way, and the coherence carrier rebuilds a served frame's from its
+    FrameIR.
+    """
+    n = int(n_fragments)
+    counts = np.diff(row_fstart, append=n)
+    prim_ids = np.repeat(row_prim.astype(np.int32), counts)
+    y = np.repeat(row_y.astype(np.int32), counts)
+    # Fused ragged expansion: ``x = xlo + (f - fstart)`` is a repeat of
+    # ``xlo - fstart`` plus the global fragment index; every term fits
+    # the index dtype.
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    x = np.repeat((row_xlo - row_fstart).astype(dtype), counts)
+    x += np.arange(n, dtype=dtype)
+    return prim_ids, x.astype(np.int32, copy=False), y
+
+
 class GroupIR:
     """(primitive, screen-tile) group ranges over the IR's quad order.
 

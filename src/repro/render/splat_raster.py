@@ -37,7 +37,7 @@ import numpy as np
 from repro import faults
 from repro.gaussians.projection import ALPHA_EPS, ALPHA_MAX, Splat2D
 from repro.render.fragstream import TILE_SIZE, FragmentStream
-from repro.render.frameir import FrameIR, resolve_ir
+from repro.render.frameir import FrameIR, resolve_ir, row_fragments
 from repro.utils.validation import check_positive
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -254,18 +254,19 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
 
     live = np.flatnonzero(lengths > 0)
     fstarts = np.concatenate(([0], np.cumsum(lengths[live])))
-    prim_ids, x, y, alphas = _fill_fragments(
-        splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
-        live=live, fstarts=fstarts)
+    # One covered pixel interval per live scanline, as contiguous
+    # fragment runs: the coordinates expand from these rows, and the IR
+    # carries them as the source every IR-derived grouping is built from.
+    row_prim, row_y = sid[rs[live]], yrow[live]
+    row_xlo, row_fstart = xlo[live], fstarts[:-1]
+    prim_ids, x, y = row_fragments(row_prim, row_y, row_xlo, row_fstart,
+                                   total)
+    alphas = _fill_alphas(splats, sid, rs[live], dy[live], x, fstarts)
     frameir = None
     if ir != "legacy":
-        # The IR carries the raster's own row-interval structure (one
-        # covered pixel interval per live scanline, contiguous fragment
-        # runs) — the source every IR-derived grouping is built from.
         frameir = FrameIR(
-            row_prim=sid[rs[live]], row_y=yrow[live],
-            row_xlo=xlo[live], row_xhi=xhi[live],
-            row_fstart=fstarts[:-1], n_fragments=total,
+            row_prim=row_prim, row_y=row_y, row_xlo=row_xlo,
+            row_xhi=xhi[live], row_fstart=row_fstart, n_fragments=total,
             width=width, height=height)
     # Coordinates come from bounds clipped to the framebuffer and prim ids
     # from splat rows, so the stream skips the range re-validation.
@@ -375,43 +376,29 @@ def _scan_rows_exact(rows, x0r, x1r, cxr, p0r, t0, r0r, p1r, t1, r1r):
     return first, last
 
 
-def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
-                    live=None, fstarts=None):
-    """Materialise the fragment arrays from snapped row intervals.
+def _fill_alphas(splats, sid, rsl, row_dy, x, fstarts):
+    """Conic alpha of every fragment of the live rows.
 
-    Every arithmetic step mirrors the scalar loop's expression order
-    operation for operation (see module docstring), evaluated in blocks of
-    ~64k fragments so all intermediates stay cache-resident.
-    ``live``/``fstarts`` (live-row indices and fragment offsets) may be
-    passed in when the caller already computed them.
+    ``rsl`` maps each live row to its kept-splat slot, ``row_dy`` is its
+    scanline's ``y + 0.5 - cy``, ``x`` the fragments' pixel columns and
+    ``fstarts`` the rows' fragment offsets (plus the total).  Every
+    arithmetic step mirrors the scalar loop's expression order operation
+    for operation (see module docstring), evaluated in blocks of ~64k
+    fragments so all intermediates stay cache-resident.
     """
-    if live is None:
-        live = np.flatnonzero(lengths > 0)
-    rsl = rs[live]
-    counts = lengths[live]
-    if fstarts is None:
-        fstarts = np.concatenate(([0], np.cumsum(counts)))
-
+    counts = np.diff(fstarts)
     row_cx = splats.centers[sid, 0][rsl]
     row_a = splats.conics[sid, 0][rsl]
     row_b = splats.conics[sid, 1][rsl]
     row_op = splats.opacities[sid][rsl]
-    row_dy = dy[live]
     # c * cdy * cdy is row-constant; precompute it with the scalar path's
     # exact association: (c * cdy) * cdy.
     row_cyy = (splats.conics[sid, 2][rsl] * row_dy) * row_dy
-    row_y32 = yrow[live].astype(np.int32)
-    row_prim32 = sid[rsl].astype(np.int32)
-    row_shift = fstarts[:-1] - xlo[live]
-
-    prim_ids = np.empty(total, dtype=np.int32)
-    x_out = np.empty(total, dtype=np.int32)
-    y_out = np.empty(total, dtype=np.int32)
-    alphas = np.empty(total, dtype=np.float32)
+    alphas = np.empty(x.shape[0], dtype=np.float32)
 
     # Block boundaries (in live-row space) are fixed by the fragment
     # budget alone.
-    n_rows = live.size
+    n_rows = counts.size
     blocks = []
     r0b = 0
     while r0b < n_rows:
@@ -433,14 +420,9 @@ def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
             # but np.repeat streams instead of gathering.
             return np.repeat(row_values[r0:r1], reps)
 
-        xg = np.arange(f0, f1, dtype=np.int64) - spread(row_shift)
-        x_out[f0:f1] = xg
-        y_out[f0:f1] = spread(row_y32)
-        prim_ids[f0:f1] = spread(row_prim32)
-
         # alpha = min(op * exp(-max(0.5*((a*dx)*dx + (c*dy)*dy)
         #                           + (b*dx)*dy, 0)), ALPHA_MAX)
-        dx = xg.astype(np.float64)
+        dx = x[f0:f1].astype(np.float64)
         dx += 0.5
         dx -= spread(row_cx)
         power = spread(row_a)
@@ -461,7 +443,7 @@ def _fill_fragments(splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
 
     for block in blocks:
         fill_block(block)
-    return prim_ids, x_out, y_out, alphas
+    return alphas
 
 
 def rasterize_splats_scalar(splats, width, height, max_fragments=200_000_000):

@@ -32,10 +32,12 @@ from repro.hwmodel.trace import DrawTrace
 from repro.render.coherence import (
     COHERENCE_MODES,
     DEFAULT_MAX_BYTES,
+    SPLAT_FIELDS,
     FrameCoherence,
     resolve_coherence,
 )
 from repro.render.splat_raster import rasterize_splats
+from repro.utils.arrays import ndarray_bytes
 from repro.workloads.viewpoints import scene_viewpoints
 
 #: The sorted-domain digestion caches compared with the oracle's.
@@ -622,6 +624,227 @@ class TestSealedStates:
             if state is not car._prev:
                 assert state.stream is None
                 assert state.nbytes <= 18 * state.n, state.nbytes / state.n
+
+    def test_sizes_cached_at_seal_equal_a_fresh_walk(self):
+        """Each state is sized once per seal; at every frame start (when
+        the library is trimmed) the cached sizes equal a fresh walk of
+        the arrays the state holds."""
+        session = RenderSession("lego", backend="hw:het+qm", baseline=None)
+        car = session.carrier
+        cams = scene_viewpoints("lego", 3)
+        for cam in cams + cams + cams[:1]:
+            session.render_frame(camera=cam)
+            for state in car._states.values():
+                if state is car._prev:
+                    continue
+                assert state._nbytes is not None
+                assert state.nbytes == ndarray_bytes(
+                    state.frameir, state.alphas, state.products,
+                    state.splats, state.binning)
+        assert car.stats["full_hits"] == 4
+        # The next frame start seals the last frame: every cached size,
+        # and so the total the library is trimmed by, is fresh again.
+        car.serve(preprocess(session.cloud, cams[1]).splats,
+                  cams[1].width, cams[1].height)
+        fresh = [ndarray_bytes(state.frameir, state.alphas, state.products,
+                               state.splats, state.binning)
+                 for state in car._states.values()]
+        assert [state.nbytes for state in car._states.values()] == fresh
+        assert _library_bytes(car) == sum(fresh)
+
+
+def _copy_splats(splats):
+    return splats.subset(np.arange(len(splats)))
+
+
+def _capture(car, splats, width, height):
+    """One missed carrier frame, recorded with its splats."""
+    assert car.serve(splats, width, height) is None
+    stream = rasterize_splats(splats, width, height)
+    car.begin_frame(stream, splats=splats)
+    _digest(stream)
+    return stream
+
+
+def _assert_streams_identical(want, got):
+    """Fragment arrays, raster structure and binning bit for bit."""
+    for name in ("prim_ids", "x", "y", "alphas", "prim_colors"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (want.width, want.height) == (got.width, got.height)
+    wir, gir = want.frameir, got.frameir
+    assert wir.n_fragments == gir.n_fragments
+    for name in ("row_prim", "row_y", "row_xlo", "row_xhi", "row_fstart"):
+        assert np.array_equal(getattr(wir, name), getattr(gir, name)), name
+    wb, gb = want.binning, got.binning
+    for name in ("splat_ids", "tx0", "tx1", "ty0", "ty1", "pair_splat",
+                 "pair_tile"):
+        assert np.array_equal(getattr(wb, name), getattr(gb, name)), name
+    assert ((wb.n_splats, wb.tiles_x, wb.tiles_y)
+            == (gb.n_splats, gb.tiles_x, gb.tiles_y))
+
+
+class TestPreRasterServe:
+    """:meth:`FrameCoherence.serve` answers a revisit from the frame's
+    splats before rasterisation, and only on exact input equality."""
+
+    @pytest.mark.parametrize("backend", ["hw:het+qm", "cuda+et"])
+    def test_served_revisits_match_off_and_skip_the_rasterizer(
+            self, backend, monkeypatch):
+        from repro.engine import session as session_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return rasterize_splats(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "rasterize_splats", counting)
+        on = RenderSession("lego", backend=backend, baseline=None)
+        off = RenderSession("lego", backend=backend, baseline=None,
+                            coherence="off")
+        first = on.run(n_views=3)
+        assert len(calls) == 3
+        second = on.run(n_views=3)
+        assert len(calls) == 3  # every revisit was served
+        assert on.carrier.stats["full_hits"] == 3
+        oracle = off.run(n_views=3)
+        assert len(calls) == 6
+        for run in (first, second):
+            assert ([r.to_dict() for r in run.records]
+                    == [r.to_dict() for r in oracle.records])
+        for cam in scene_viewpoints("lego", 3):
+            got = on.render_frame(camera=cam)
+            want = off.render_frame(camera=cam)
+            assert got.cycles == want.cycles
+            assert got.n_fragments == want.n_fragments
+            assert np.array_equal(got.image.view(np.uint64),
+                                  want.image.view(np.uint64))
+            assert np.array_equal(got.alpha.view(np.uint64),
+                                  want.alpha.view(np.uint64))
+        assert len(calls) == 9
+        assert on.carrier.stats["full_hits"] == 6
+
+    def test_served_stream_is_the_raster(self, small_cloud, small_camera):
+        away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
+                              width=64, height=64)
+        for cam in (small_camera, away):
+            car = FrameCoherence()
+            pre = preprocess(small_cloud, cam)
+            _capture(car, pre.splats, cam.width, cam.height)
+            served = car.serve(pre.splats, cam.width, cam.height)
+            assert served is not None
+            assert car.stats["full_hits"] == 1
+            oracle = rasterize_splats(pre.splats, cam.width, cam.height)
+            _assert_streams_identical(oracle, served)
+            _assert_bitwise(_digest(oracle), _digest(served))
+
+    def test_one_ulp_change_to_each_verified_field_misses(self, small_pre,
+                                                          small_camera):
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence()
+        _capture(car, small_pre.splats, w, h)
+        live = car._prev
+        for name in SPLAT_FIELDS:
+            splats = _copy_splats(small_pre.splats)
+            field = getattr(splats, name).reshape(-1)
+            field[0] = np.nextafter(field[0], np.inf)
+            assert car.serve(splats, w, h) is None, name
+        exact = _copy_splats(small_pre.splats)
+        assert car.serve(exact, w + 1, h) is None
+        assert car.serve(exact, w, h + 1) is None
+        # A miss changes nothing: the frame is still live and uncounted.
+        assert car._prev is live and live.stream is not None
+        assert car.stats == {"full_hits": 0, "partial_hits": 0,
+                             "full_recomputes": 0}
+        # Depths are not a rasteriser input: the copy with other depths
+        # is still this frame.
+        exact.depths = exact.depths + 1.0
+        assert car.serve(exact, w, h) is not None
+        assert car.stats["full_hits"] == 1
+
+    def test_mutating_splats_after_capture_never_serves_stale(
+            self, small_pre, small_camera):
+        w, h = small_camera.width, small_camera.height
+        splats = _copy_splats(small_pre.splats)
+        pristine = _copy_splats(small_pre.splats)
+        car = FrameCoherence()
+        _capture(car, splats, w, h)
+        original = splats.opacities[3]
+        # In-place writes to the caller's arrays change the inputs, so the
+        # frame is no longer a hit ...
+        splats.opacities[3] = original * 0.5
+        assert car.serve(splats, w, h) is None
+        # ... and leave the carrier's copy alone: the captured inputs are
+        # still served their own raster.
+        served = car.serve(pristine, w, h)
+        assert served is not None
+        _assert_streams_identical(rasterize_splats(pristine, w, h), served)
+        car.begin_frame(rasterize_splats(splats, w, h), splats=splats)
+        assert car.stats == {"full_hits": 1, "partial_hits": 0,
+                             "full_recomputes": 1}
+        # Whatever the caller writes, a serve is a miss or the raster of
+        # the splats as they are now.  (Both versions share their rows,
+        # so the library keeps only the later capture.)
+        hits = []
+        for value in (original * 0.5, original, original * 0.5):
+            splats.opacities[3] = value
+            served = car.serve(splats, w, h)
+            if served is not None:
+                _assert_streams_identical(rasterize_splats(splats, w, h),
+                                          served)
+                hits.append(value)
+        assert hits == [original * 0.5, original * 0.5]
+        # The served raster is shared with the library and read-only.
+        for array in (served.alphas, served.frameir.row_xlo):
+            with pytest.raises(ValueError):
+                array[0:1] = 0
+
+    def test_snapshot_restore_rewinds_the_splat_record(self, small_cloud):
+        cams = [_orbit_camera(theta) for theta in (0.0, 0.5)]
+        pres = [preprocess(small_cloud, cam) for cam in cams]
+        car = FrameCoherence()
+        _capture(car, pres[0].splats, 96, 96)
+        snap = car.snapshot()
+        _capture(car, pres[1].splats, 96, 96)
+        assert car.serve(pres[1].splats, 96, 96) is not None
+        car.restore(snap)
+        assert car.stats["full_hits"] == 0
+        assert car.serve(pres[1].splats, 96, 96) is None
+        assert car.serve(pres[0].splats, 96, 96) is not None
+        assert car.stats["full_hits"] == 1
+
+    def test_rebound_inputs_drop_the_splat_record(self, small_pre,
+                                                  small_camera):
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence()
+        stream = _capture(car, small_pre.splats, w, h)
+        stream.alphas = stream.alphas * np.float32(0.5)
+        # The revisit seals the frame, which drops its record: a miss.
+        assert car.serve(small_pre.splats, w, h) is None
+        state = car._prev
+        assert state.stream is None
+        assert state.splats is None and state.products == {}
+        # Only the post-raster check can serve that content now.
+        car.begin_frame(rasterize_splats(small_pre.splats, w, h),
+                        splats=small_pre.splats)
+        assert car.stats["full_hits"] == 1
+        assert car.serve(small_pre.splats, w, h) is None
+
+    def test_forced_verify_miss_on_both_entries(self, small_pre,
+                                                small_camera):
+        from repro import faults
+
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence()
+        _capture(car, small_pre.splats, w, h)
+        with faults.active("coherence.verify:corrupt") as plan:
+            assert car.serve(small_pre.splats, w, h) is None
+            car.begin_frame(rasterize_splats(small_pre.splats, w, h),
+                            splats=small_pre.splats)
+            assert plan.fired("coherence.verify") == 2
+        assert car.stats["full_hits"] == 0
+        assert car.stats["full_recomputes"] == 1
 
 
 class TestFullHitServing:

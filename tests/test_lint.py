@@ -11,6 +11,8 @@ over the live tree reports **zero** active (non-suppressed) findings.
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis import RULES, counts, format_text, run_lint
 from repro.analysis.findings import parse_pragmas
 
@@ -37,6 +39,13 @@ def lint_snippet(tmp_path, rel, code, rule, tests=None):
 
 def active(findings):
     return [f for f in findings if f.status == "active"]
+
+
+@pytest.fixture(scope="module")
+def live_findings():
+    """One in-process lint of the live tree, shared by the tests that
+    read it."""
+    return run_lint()
 
 
 class TestR1FloatReduceat:
@@ -259,8 +268,30 @@ class TestR5Oracles:
         assert len(flagged) == 1
         assert "'access_many'" in flagged[0].message
 
-    def test_live_tree_oracles_covered(self):
-        findings = [f for f in run_lint() if f.rule == "R5"]
+    def test_string_literal_does_not_cover_an_oracle(self, tmp_path):
+        # A tests/ tree that only spells the oracle's name in a string, a
+        # comment and a test name: none of these exercises it.
+        code = ("class LRUCache:\n"
+                "    def access_many(self, tags):\n        return 0\n")
+        findings = lint_snippet(
+            tmp_path, "hwmodel/caches.py", code, "R5",
+            tests="NAME = 'access_many'  # access_many\n\n"
+                  "def test_access_many():\n    assert NAME\n")
+        flagged = [f for f in active(findings)
+                   if "'access_many'" in f.message]
+        assert len(flagged) == 1
+
+    def test_code_reference_covers_an_oracle(self, tmp_path):
+        code = ("class LRUCache:\n"
+                "    def access_many(self, tags):\n        return 0\n")
+        findings = lint_snippet(
+            tmp_path, "hwmodel/caches.py", code, "R5",
+            tests="def test_lru(cache):\n"
+                  "    assert cache.access_many([0]) == 0\n")
+        assert active(findings) == []
+
+    def test_live_tree_oracles_covered(self, live_findings):
+        findings = [f for f in live_findings if f.rule == "R5"]
         assert active(findings) == []
 
 
@@ -327,10 +358,9 @@ class TestEngine:
 
 
 class TestLiveTree:
-    def test_live_tree_has_zero_active_findings(self):
+    def test_live_tree_has_zero_active_findings(self, live_findings):
         """The CI gate: the committed tree lints clean."""
-        findings = run_lint()
-        assert active(findings) == [], format_text(findings)
+        assert active(live_findings) == [], format_text(live_findings)
 
     def test_cli_exit_codes(self):
         clean = subprocess.run(
@@ -350,8 +380,7 @@ class TestLiveTree:
         assert run.returncode == 1
         assert "R1" in run.stdout
 
-    def test_counts_helper(self):
-        findings = run_lint()
-        summary = counts(findings)
+    def test_counts_helper(self, live_findings):
+        summary = counts(live_findings)
         assert summary["active"] == 0
         assert set(summary) == {"active", "suppressed"}
