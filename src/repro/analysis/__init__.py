@@ -3,7 +3,7 @@
 A stdlib-``ast`` invariant checker (no third-party deps) enforcing the
 contracts the test suite can only sample: bit-exact reduction dtypes
 (R1), determinism of iteration and randomness (R2), pinned columnar
-dtypes (R3), knob/fault-point registry consistency (R4), oracle-pair
+dtypes (R3), environment-knob registry consistency (R4), oracle-pair
 coverage (R5), and executor-shared-state hygiene (R6).  Every finding
 fails the gate unless an argued ``# repro-lint: ok(RULE): reason``
 pragma suppresses it; see ``README.md`` ("Static analysis") for the

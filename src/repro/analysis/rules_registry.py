@@ -1,13 +1,11 @@
-"""Registry-consistency rules: R4 (knobs/fault points) and R5 (oracles).
+"""Registry-consistency rules: R4 (environment knobs) and R5 (oracles).
 
 Both rules cross-check the tree against the central declarations in
-:mod:`repro.knobs` and :mod:`repro.faults.plan` — the point is that an
-undeclared knob, a misspelled fault point, or an oracle path no test
-exercises becomes a lint failure instead of a silent convention.
+:mod:`repro.knobs` — the point is that an undeclared knob or an oracle
+path no test exercises becomes a lint failure instead of a silent
+convention.
 
 R4 (per module)
-    * ``faults.checkpoint("<point>")`` string literals must name a
-      registered :data:`repro.faults.plan.POINTS` entry;
     * any ``os.environ`` / ``os.getenv`` read of a ``REPRO_*`` name
       outside :mod:`repro.knobs` bypasses the registry;
     * ``knobs.env("<name>")`` literals must be registered in
@@ -34,7 +32,6 @@ from repro.analysis.rules import (
     str_const,
     terminal_name,
 )
-from repro.faults.plan import POINTS
 from repro.knobs import ENV_KNOBS, MODE_KNOBS, ORACLES
 
 #: The module holding the sanctioned ``os.environ`` access path.
@@ -57,7 +54,7 @@ def _environ_read_name(node):
 
 
 class RegistryRule(Rule):
-    """R4 — fault-point and environment-knob registry consistency."""
+    """R4 — environment-knob registry consistency."""
 
     id = "R4"
 
@@ -78,17 +75,7 @@ class RegistryRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name is None:
-                continue
-            bare = name.split(".")[-1]
-            if bare == "checkpoint" and node.args:
-                point = str_const(node.args[0])
-                if point is not None and point not in POINTS:
-                    yield self.finding(
-                        module, node,
-                        f"faults.checkpoint({point!r}) names a point not "
-                        f"registered in repro.faults.plan.POINTS")
-            if bare == "env" and name in ("env", "knobs.env", "repro.knobs.env"):
+            if name in ("env", "knobs.env", "repro.knobs.env"):
                 knob = str_const(node.args[0]) if node.args else None
                 if knob is not None and knob.startswith("REPRO_") and (
                         knob not in ENV_KNOBS):
@@ -96,25 +83,6 @@ class RegistryRule(Rule):
                         module, node,
                         f"knobs.env({knob!r}) names an unregistered knob "
                         f"— declare it in repro.knobs.ENV_KNOBS")
-
-    def check_project(self, context):
-        # Flag registered fault points no src site ever checkpoints.
-        seen = set()
-        for module in context.modules:
-            for node in module.walk(ast.Call):
-                name = call_name(node)
-                if name and name.split(".")[-1] == "checkpoint" and node.args:
-                    point = str_const(node.args[0])
-                    if point is not None:
-                        seen.add(point)
-        missing = [point for point in POINTS if point not in seen]
-        if missing:
-            anchor = context.module_by_suffix("faults/plan.py")
-            if anchor is not None:
-                yield self.finding(
-                    anchor, anchor.tree,
-                    f"registered fault points never checkpointed in src: "
-                    f"{', '.join(sorted(missing))}")
 
 
 #: Parameter/attribute names treated as mode knobs (keys of MODE_KNOBS).

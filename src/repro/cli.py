@@ -16,12 +16,10 @@ driven without writing Python.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import json
 import sys
 
-from repro import faults
 from repro.core.vrpipe import VARIANTS, run_all_variants, run_variant
 from repro.engine.backends import available_backends
 from repro.engine.cache import ResultCache
@@ -110,15 +108,8 @@ def cmd_trajectory(args):
         args.scene, backend=args.backend, baseline=baseline,
         device=args.device, seed=args.seed,
         warm_crop_cache=args.warm_crop_cache, result_cache=cache,
-        ir=args.ir, coherence=args.coherence, swmodel=args.swmodel,
-        strict=args.strict, watchdog_ms=args.watchdog_ms)
-    # --faults overrides any $REPRO_FAULTS plan for this run; without it
-    # the environment plan (if any) stays in effect.
-    plan = faults.FaultPlan.parse(args.faults) if args.faults else None
-    context = (faults.active(plan) if plan is not None
-               else contextlib.nullcontext())
-    with context:
-        trajectory = session.run(n_views=args.views, jobs=args.jobs)
+        ir=args.ir, coherence=args.coherence, swmodel=args.swmodel)
+    trajectory = session.run(n_views=args.views, jobs=args.jobs)
 
     if args.json:
         payload = {
@@ -129,8 +120,6 @@ def cmd_trajectory(args):
             "views": trajectory.n_frames,
             "from_cache": trajectory.from_cache,
             "aggregates": trajectory.aggregates(),
-            "incident_summary": trajectory.incident_summary(),
-            "incidents": trajectory.incidents(),
         }
         if cache is not None:
             payload["cache"] = cache.stats()
@@ -159,21 +148,6 @@ def cmd_trajectory(args):
         ["Aggregate", "Value"],
         [[key, agg[key]] for key in sorted(agg)],
         title="Aggregates"))
-    incidents = trajectory.incidents()
-    if incidents:
-        print()
-        rows = [[inc["frame"], inc["rung"], inc.get("point") or "-",
-                 inc.get("recovered_by") or "-",
-                 f"{inc.get('wall_ms', 0.0):.1f}",
-                 inc["error"]]
-                for inc in incidents]
-        summary = trajectory.incident_summary()
-        print(format_table(
-            ["Frame", "Failed rung", "Point", "Recovered by", "Lost ms",
-             "Error"], rows,
-            title=(f"Incidents: {summary['count']} on "
-                   f"{summary.get('frames_affected', 0)} frame(s) — all "
-                   "frames bit-identical to the fault-free run")))
     if cache is not None:
         stats = cache.stats()
         print()
@@ -271,21 +245,9 @@ def build_parser():
                                  "backends: FrameIR-native (auto) or the "
                                  "legacy fragment-sort oracle "
                                  "(bit-identical; default auto)")
-    trajectory.add_argument("--faults", default=None,
-                            help="seeded fault-injection plan, e.g. "
-                                 "'seed=7; digest:raise,times=1; "
-                                 "lru.replay:corrupt,p=0.5' (overrides "
-                                 "$REPRO_FAULTS; see repro.faults)")
-    trajectory.add_argument("--strict", action="store_true",
-                            help="raise frame failures through instead of "
-                                 "healing them via the degradation ladder")
-    trajectory.add_argument("--watchdog-ms", type=float, default=None,
-                            help="per-frame-attempt wall-clock budget; "
-                                 "overruns fail the attempt and enter the "
-                                 "degradation ladder")
     trajectory.add_argument("--json", action="store_true",
-                            help="emit aggregates, incident summary and "
-                                 "cache stats as JSON instead of tables")
+                            help="emit aggregates and cache stats as JSON "
+                                 "instead of tables")
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")

@@ -3,10 +3,9 @@
 The engine runs the paper's multi-view aggregates.  It builds each
 rendering path from a spec string (:mod:`repro.engine.backends`),
 simulates multi-frame trajectories through
-:class:`~repro.engine.session.RenderSession` with a self-healing
-degradation ladder, fans independent frames out over the threaded
-executor, and memoises results in-process and on disk
-(:mod:`repro.engine.cache`).
+:class:`~repro.engine.session.RenderSession`, fans independent frames
+out over the threaded executor (a failing frame raises), and memoises
+results in-process and on disk (:mod:`repro.engine.cache`).
 """
 
 from repro.engine.backends import (
@@ -23,11 +22,7 @@ from repro.engine.cache import (
     get_draw,
     get_scenario,
 )
-from repro.engine.executor import (
-    FrameIncident,
-    FrameLadderExhausted,
-    run_frames,
-)
+from repro.engine.executor import run_frames
 from repro.engine.session import (
     FrameRecord,
     RenderSession,
@@ -36,8 +31,6 @@ from repro.engine.session import (
 )
 
 __all__ = [
-    "FrameIncident",
-    "FrameLadderExhausted",
     "FrameRecord",
     "FrameResult",
     "RenderSession",

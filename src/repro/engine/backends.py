@@ -105,21 +105,19 @@ class FrameResult:
 class HardwareBackend:
     """Hardware (OpenGL-path) rendering under one VR-Pipe variant.
 
-    ``engine`` selects the pipeline's flush engine: the batched flush-plan
-    engine (default) or the retained scalar per-flush path — both produce
-    cycle- and stat-identical results.  The backend is stateless across
-    frames; the digestion path is chosen where a stream is rasterised, and
-    cross-frame digestion reuse lives in
+    The pipeline runs its default batched flush engine; the scalar
+    per-flush engine is a test oracle only.  The backend is stateless
+    across frames; the digestion path is chosen where a stream is
+    rasterised, and cross-frame digestion reuse lives in
     :class:`~repro.engine.session.RenderSession`.
     """
 
-    def __init__(self, spec, variant, device, engine="batched"):
+    def __init__(self, spec, variant, device):
         self.spec = spec
         self.variant = variant
         self.config = variant_config(variant, device)
         self.renderer = HardwareRenderer(
-            config=self.config, kernel_model=device_kernel_model(device),
-            engine=engine)
+            config=self.config, kernel_model=device_kernel_model(device))
 
     def render(self, cloud, camera, crop_cache=None):
         res = self.renderer.render(cloud, camera, crop_cache=crop_cache)
@@ -240,15 +238,13 @@ def available_backends():
     return sorted(BACKENDS)
 
 
-def create_backend(spec, device_name="orin", engine="batched",
-                   swmodel="auto"):
+def create_backend(spec, device_name="orin", swmodel="auto"):
     """Build the backend named by ``spec`` on the ``device_name`` preset.
 
-    ``engine`` sets the hardware pipeline's flush engine (``"batched"`` /
-    ``"scalar"``) and ``swmodel`` the software path's model engine (see
-    :mod:`repro.swrender.warp_model`); each reaches only the path it
-    belongs to.  Neither the digestion path nor cross-frame digestion
-    reuse is a backend knob: the first is chosen by
+    ``swmodel`` sets the software path's model engine (see
+    :mod:`repro.swrender.warp_model`) and reaches only that path.  Neither
+    the digestion path nor cross-frame digestion reuse is a backend knob:
+    the first is chosen by
     :func:`~repro.render.splat_raster.rasterize_splats`, the second lives
     in :class:`~repro.engine.session.RenderSession`.
     """
@@ -263,5 +259,5 @@ def create_backend(spec, device_name="orin", engine="batched",
             device_name, early_term=arg, swmodel=swmodel))
     device = make_device(device_name)
     if path == "hw":
-        return HardwareBackend(spec, arg, device, engine=engine)
+        return HardwareBackend(spec, arg, device)
     return ReferenceBackend(spec)

@@ -26,7 +26,6 @@ import uuid
 from dataclasses import asdict
 from pathlib import Path
 
-from repro import faults
 from repro.core.vrpipe import VARIANTS, run_variant
 from repro.engine.backends import make_device
 from repro.gaussians.preprocess import preprocess
@@ -37,8 +36,8 @@ from repro.workloads.catalog import build_scene, get_profile
 #: :meth:`ResultCache.load` quarantines entries of any other layout.
 #: Schema 2 added the per-payload integrity checksum; schema 3 dropped
 #: the incidents' monotonic timestamp; schema 4 dropped the per-frame
-#: seed.
-CACHE_SCHEMA = 4
+#: seed; schema 5 dropped the per-frame ``incidents`` list.
+CACHE_SCHEMA = 5
 
 _CLOUD_MEMO = {}
 #: The most recent scenario only: ``{(name, seed): (pre, stream)}``.
@@ -152,15 +151,6 @@ def payload_checksum(payload):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _corrupt_text(text):
-    """Bump the first decimal digit (fault injection: a flipped payload
-    value that stays valid JSON, so only the checksum can catch it)."""
-    for i, ch in enumerate(text):
-        if ch.isdigit():
-            return text[:i] + str((int(ch) + 1) % 10) + text[i + 1:]
-    return text + "\x00"
-
-
 class ResultCache:
     """On-disk JSON store for trajectory results, keyed by content hash.
 
@@ -222,17 +212,12 @@ class ResultCache:
         quarantined (see class docstring) and read as misses.
         """
         path = self._path(key)
-        rule = None
         try:
-            if faults.ENABLED:
-                rule = faults.checkpoint("cache.load")
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, faults.FaultInjected):
+        except OSError:
             self.counters["misses"] += 1
             return None
-        if rule is not None:
-            text = _corrupt_text(text)
         try:
             payload = json.loads(text)
             if not isinstance(payload, dict):
@@ -267,13 +252,11 @@ class ResultCache:
         for attempt in range(self.MAX_STORE_ATTEMPTS):
             tmp = self.root / f"{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
             try:
-                rule = (faults.checkpoint("cache.store")
-                        if faults.ENABLED else None)
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(blob if rule is None else _corrupt_text(blob))
+                    fh.write(blob)
                 tmp.replace(path)
                 return True
-            except (OSError, faults.FaultInjected):
+            except OSError:
                 try:
                     tmp.unlink()
                 except OSError:

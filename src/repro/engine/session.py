@@ -19,16 +19,11 @@ executor and return bit-identical records in either mode.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
 
-from repro import faults
 from repro.engine import cache as engine_cache
 from repro.engine.backends import create_backend
-from repro.engine.executor import (FrameIncident, FrameLadderExhausted,
-                                   run_frames)
+from repro.engine.executor import run_frames
 from repro.gaussians.preprocess import preprocess
 from repro.render.coherence import FrameCoherence, resolve_coherence
 from repro.render.frameir import resolve_ir
@@ -53,20 +48,14 @@ class FrameRecord:
 
     Records keep no images or fragment streams, so long trajectories
     never pin every frame's output in memory at once.
-
-    ``incidents`` lists the faults the self-healing executor recovered
-    while producing this frame (as
-    :meth:`~repro.engine.executor.FrameIncident.to_dict` payloads);
-    empty for clean frames.  The numeric fields are bit-identical
-    whether a frame rendered cleanly or through the reference rung.
     """
 
     _FIELDS = ("index", "backend", "cycles", "ms", "fps", "et_ratio",
-               "kernels", "baseline_cycles", "speedup", "incidents")
+               "kernels", "baseline_cycles", "speedup")
 
     def __init__(self, index, backend, cycles=None, ms=None, fps=None,
                  et_ratio=None, kernels=None, baseline_cycles=None,
-                 speedup=None, incidents=None):
+                 speedup=None):
         self.index = int(index)
         self.backend = backend
         self.cycles = cycles
@@ -76,7 +65,6 @@ class FrameRecord:
         self.kernels = dict(kernels) if kernels else {}
         self.baseline_cycles = baseline_cycles
         self.speedup = speedup
-        self.incidents = list(incidents) if incidents else []
 
     def to_dict(self):
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -138,38 +126,6 @@ class TrajectoryResult:
             agg["geomean_speedup"] = geomean(speedups)
         return agg
 
-    def incidents(self):
-        """Flat list of every frame's incident payloads, in frame order.
-
-        Deliberately *not* part of :meth:`aggregates`: the aggregate
-        statistics are bit-identical between a chaos run and its
-        fault-free oracle (every ladder rung is exact), while incidents
-        describe the run's operational history.
-        """
-        return [inc for r in self.records for inc in (r.incidents or [])]
-
-    def incident_summary(self):
-        """Operational rollup of the run's incidents (empty run: count 0)."""
-        incidents = self.incidents()
-        summary = {"count": len(incidents)}
-        if not incidents:
-            return summary
-        summary["frames_affected"] = len({inc["frame"] for inc in incidents})
-        by_rung = {}
-        by_point = {}
-        for inc in incidents:
-            rung = inc.get("recovered_by") or "unrecovered"
-            by_rung[rung] = by_rung.get(rung, 0) + 1
-            point = inc.get("point") or "unknown"
-            by_point[point] = by_point.get(point, 0) + 1
-        summary["recovered_by"] = by_rung
-        summary["by_point"] = by_point
-        # healing_ms is the wall clock burned by *failed* attempts — the
-        # latency tax paid to heal.
-        summary["healing_ms"] = float(sum(inc.get("wall_ms", 0.0)
-                                          for inc in incidents))
-        return summary
-
     def to_dict(self):
         return {
             "scene": self.scene,
@@ -178,7 +134,6 @@ class TrajectoryResult:
             "device": self.device,
             "seed": self.seed,
             "records": [r.to_dict() for r in self.records],
-            "incidents": self.incidents(),
         }
 
     @classmethod
@@ -242,41 +197,12 @@ class RenderSession:
     swmodel:
         Software-model engine of the cuda backends (``"auto"`` /
         ``"legacy"``, see :mod:`repro.swrender.warp_model`).
-    strict:
-        ``True`` restores raise-through semantics: a frame failure
-        propagates immediately instead of entering the degradation
-        ladder (see :data:`LADDER`).
-    watchdog_ms:
-        Per-frame-attempt wall-clock budget.  Attempts exceeding it
-        raise :class:`~repro.faults.WatchdogTimeout` at the next
-        instrumented checkpoint (the watchdog is cooperative — the
-        simulator is pure compute with checkpoints on every fast path),
-        and the ladder treats the timeout like any other frame fault.
-        ``None`` (default) disables the watchdog entirely.
-
-    Self-healing
-    ------------
-    Every trajectory frame runs through a bounded three-rung ladder
-    (:data:`LADDER`): the primary attempt, one retry as-is (transient
-    faults), then the ``reference`` rung, which re-renders the frame
-    with every retained bit-exact oracle at once — coherence carrier
-    off, ``ir="legacy"``, ``swmodel="legacy"``, ``engine="scalar"`` —
-    so it bypasses every vectorized fast path and its failure modes.
-    A healed frame's record is bit-identical to a clean one; only
-    wall-clock changes.  Recoveries are logged as structured incidents
-    on the frame's record; a frame that fails every rung raises
-    :class:`~repro.engine.executor.FrameLadderExhausted`.
     """
-
-    #: The degradation ladder.  Every rung is bit-identical in its
-    #: outputs; ``reference`` swaps in the oracle configuration.
-    LADDER = ("primary", "retry", "reference")
 
     def __init__(self, scene, backend="hw:het+qm", baseline="auto",
                  device="orin", seed=0, warm_crop_cache=False,
                  result_cache=None, ir="auto", coherence="auto",
-                 swmodel="auto",
-                 strict=False, watchdog_ms=None):
+                 swmodel="auto"):
         self.profile = (scene if isinstance(scene, SceneProfile)
                         else get_profile(scene))
         if not isinstance(backend, str):
@@ -294,19 +220,16 @@ class RenderSession:
         self.seed = int(seed)
         self.ir = resolve_ir(ir)
         self.swmodel = resolve_swmodel(swmodel)
-        self.backend, self.baseline = self._build_backends(
-            swmodel=self.swmodel)
+        self.backend, self.baseline = (
+            create_backend(spec, device_name=device, swmodel=self.swmodel)
+            if spec is not None else None
+            for spec in (backend, baseline))
         self.warm_crop_cache = bool(warm_crop_cache)
         self.result_cache = result_cache
         self.coherence = resolve_coherence(coherence)
         #: The session's coherence carrier (inert under ``"off"``).
         self.carrier = FrameCoherence(self.coherence)
-        self.strict = bool(strict)
-        self.watchdog_ms = watchdog_ms
         self._cloud = None
-        # The reference rung's (backend, baseline) pair, built lazily.
-        self._reference = None
-        self._reference_lock = threading.Lock()
 
     @property
     def cloud(self):
@@ -323,95 +246,25 @@ class RenderSession:
                 self._cloud = build_scene(self.profile, seed=self.seed)
         return self._cloud
 
-    def _build_backends(self, **knobs):
-        """The session's ``(backend, baseline)`` pair built with ``knobs``."""
-        return tuple(
-            create_backend(spec, device_name=self.device_name, **knobs)
-            if spec is not None else None
-            for spec in (self.backend_spec, self.baseline_spec))
-
-    def _rung_backends(self, rung):
-        """``(backend, baseline, use_carrier, ir)`` for one ladder rung."""
-        if rung != "reference":
-            return self.backend, self.baseline, True, self.ir
-        with self._reference_lock:
-            if self._reference is None:
-                self._reference = self._build_backends(engine="scalar",
-                                                       swmodel="legacy")
-        backend, baseline = self._reference
-        return backend, baseline, False, "legacy"
-
-    def _render(self, camera, backend, carrier, ir, crop_cache=None,
-                baseline=None):
+    def _render(self, camera, carrier, crop_cache=None, baseline=None):
         """One frame: preprocess; take the stream from ``carrier`` (if
-        any) or rasterise and feed it to the carrier; render through
-        ``backend`` and, on the same stream, through ``baseline`` (if
-        any).  Returns ``(frame, baseline_frame)``."""
+        any) or rasterise and feed it to the carrier; render through the
+        session's backend and, on the same stream, through ``baseline``
+        (if any).  Returns ``(frame, baseline_frame)``."""
         pre = preprocess(self.cloud, camera)
         width, height = camera.width, camera.height
         # A served stream carries a FrameIR, which ``ir="legacy"`` omits.
         stream = (carrier.serve(pre.splats, width, height)
-                  if carrier is not None and ir != "legacy" else None)
+                  if carrier is not None and self.ir != "legacy" else None)
         if stream is None:
-            stream = rasterize_splats(pre.splats, width, height, ir=ir)
+            stream = rasterize_splats(pre.splats, width, height, ir=self.ir)
             if carrier is not None:
                 carrier.begin_frame(stream, splats=pre.splats)
-        frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
+        frame = self.backend.render_stream(stream, pre,
+                                           crop_cache=crop_cache)
         base = (baseline.render_stream(stream, pre)
                 if baseline is not None else None)
         return frame, base
-
-    def _run_frame_ladder(self, index, camera, carrier, crop_cache):
-        """Render one frame through the degradation ladder.
-
-        Cross-frame shared state (the coherence carrier, a warm CROP
-        cache) is snapshotted before the first attempt and rewound
-        before every retry, so a fault that struck mid-mutation cannot
-        leak half-updated state into the healed frame or its successors.
-        """
-        incidents = []
-        last_exc = None
-        carrier_snap = (carrier.snapshot() if carrier is not None else None)
-        crop_snap = (crop_cache.snapshot() if crop_cache is not None else None)
-        for rung in self.LADDER:
-            backend, baseline, use_carrier, ir = self._rung_backends(rung)
-            if incidents:
-                if carrier_snap is not None:
-                    carrier.restore(carrier_snap)
-                if crop_snap is not None:
-                    crop_cache.restore(crop_snap)
-            t0 = time.perf_counter()
-            try:
-                with faults.watchdog(self.watchdog_ms):
-                    frame, base = self._render(
-                        camera, backend, carrier if use_carrier else None,
-                        ir, crop_cache, baseline)
-            except Exception as exc:
-                if self.strict:
-                    raise
-                last_exc = exc
-                incidents.append(FrameIncident(
-                    index, rung, f"{type(exc).__name__}: {exc}",
-                    point=getattr(exc, "point", None),
-                    wall_ms=(time.perf_counter() - t0) * 1e3))
-                continue
-            for incident in incidents:
-                incident.recovered_by = rung
-            record = FrameRecord(
-                index=index, backend=self.backend_spec, cycles=frame.cycles,
-                ms=frame.ms, fps=frame.fps, et_ratio=frame.et_ratio,
-                kernels=frame.kernels,
-                incidents=[inc.to_dict() for inc in incidents])
-            if base is not None:
-                record.baseline_cycles = base.cycles
-                if base.cycles and frame.cycles:
-                    record.speedup = base.cycles / frame.cycles
-            return record
-        if carrier_snap is not None:
-            carrier.restore(carrier_snap)
-        if crop_snap is not None:
-            crop_cache.restore(crop_snap)
-        raise FrameLadderExhausted(index, incidents) from last_exc
 
     def render_frame(self, camera=None):
         """Render a single frame; defaults to the profile's camera.
@@ -425,7 +278,7 @@ class RenderSession:
         directly.
         """
         cam = camera if camera is not None else self.profile.camera()
-        frame, _ = self._render(cam, self.backend, self.carrier, self.ir)
+        frame, _ = self._render(cam, self.carrier)
         return frame
 
     def run(self, n_views=8, jobs=1):
@@ -469,7 +322,17 @@ class RenderSession:
 
         def render_one(task):
             index, camera = task
-            return self._run_frame_ladder(index, camera, carrier, crop_cache)
+            frame, base = self._render(camera, carrier, crop_cache,
+                                       self.baseline)
+            record = FrameRecord(
+                index=index, backend=self.backend_spec, cycles=frame.cycles,
+                ms=frame.ms, fps=frame.fps, et_ratio=frame.et_ratio,
+                kernels=frame.kernels)
+            if base is not None:
+                record.baseline_cycles = base.cycles
+                if base.cycles and frame.cycles:
+                    record.speedup = base.cycles / frame.cycles
+            return record
 
         records = run_frames(render_one, enumerate(cameras), jobs=jobs)
         result = TrajectoryResult(

@@ -24,7 +24,10 @@ def run(scenes=None, n_views=8, jobs=1):
     scenes = list(scenes) if scenes is not None else scene_names()
     out = {}
     for name in scenes:
-        session = RenderSession(name, backend="reference", baseline=None)
+        # One sweep of distinct views revisits nothing, so the coherence
+        # carrier would only hold captured frames.
+        session = RenderSession(name, backend="reference", baseline=None,
+                                coherence="off")
         trajectory = session.run(n_views=n_views, jobs=jobs)
         agg = trajectory.aggregates()
         out[name] = {

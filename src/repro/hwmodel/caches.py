@@ -30,8 +30,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro import faults
-
 #: Below this stream length the scalar loop wins (vectorisation overhead
 #: dominates); measured crossover is ~2-4k accesses.
 VECTOR_MIN_STREAM = 4096
@@ -304,30 +302,6 @@ def replay_tag_stream(tags, n_lines, warm_items, write):
     return stream_hit, (hits, misses, evictions, writebacks), final_items
 
 
-def _corrupt_replay(counters):
-    """A fault-injected perturbation of vectorized replay counters."""
-    hits, misses, evictions, writebacks = counters
-    return hits + 1, misses, evictions, writebacks
-
-
-def _validate_replay(n, n_lines, stream_hit, counters, final_items):
-    """Replay invariants (checked only while the fault harness is on).
-
-    The hit flags, the counters and the final state are derived from one
-    another, so any single-field corruption breaks a cross-check here.
-    """
-    hits, misses, evictions, writebacks = counters
-    if (stream_hit.shape[0] != n
-            or hits != int(stream_hit.sum())
-            or hits + misses != n
-            or evictions < 0 or writebacks < 0
-            or len(final_items) > n_lines):
-        faults.corrupt_detected(
-            "lru.replay",
-            f"vectorized LRU replay failed its invariants: n={n}, "
-            f"counters={counters}, resident={len(final_items)}/{n_lines}")
-
-
 class LRUCache:
     """Fully-associative LRU cache over line addresses.
 
@@ -355,20 +329,6 @@ class LRUCache:
 
     def __len__(self):
         return len(self._lines)
-
-    def snapshot(self):
-        """Full replayable state (lines in LRU order + counters).
-
-        With :meth:`restore` this lets a frame executor rewind a shared
-        warm cache after a failed attempt mutated it mid-draw.
-        """
-        return (list(self._lines.items()), self.hits, self.misses,
-                self.evictions, self.writebacks)
-
-    def restore(self, state):
-        """Restore a :meth:`snapshot` (contents and counters)."""
-        items, self.hits, self.misses, self.evictions, self.writebacks = state
-        self._lines = OrderedDict(items)
 
     def flush(self):
         """Drop all lines (counts dirty ones as writebacks)."""
@@ -418,8 +378,7 @@ class LRUCache:
         one :meth:`access_many` call per segment — LRU state and the
         hit/miss/eviction/writeback counters evolve identically.
 
-        Streams of at least :data:`VECTOR_MIN_STREAM` accesses (or any
-        non-empty stream while an ``lru.replay`` fault rule is armed) go
+        Streams of at least :data:`VECTOR_MIN_STREAM` accesses go
         through the vectorized exact-LRU engine, which still degrades to
         the scalar loop if an adversarial stream exhausts the exact-scan
         budget; shorter streams run the scalar loop.  Both are
@@ -435,19 +394,12 @@ class LRUCache:
         if (bounds[0] != 0 or bounds[-1] != tags.shape[0]
                 or np.any(np.diff(bounds) < 0)):
             raise ValueError("seg_splits must ascend from 0 to len(tags)")
-        rule = faults.checkpoint("lru.replay") if faults.ENABLED else None
-        if (tags.shape[0] >= VECTOR_MIN_STREAM
-                or (rule is not None and tags.shape[0] > 0)):
+        if tags.shape[0] >= VECTOR_MIN_STREAM:
             replay = replay_tag_stream(
                 np.ascontiguousarray(tags, dtype=np.int64), self.n_lines,
                 list(self._lines.items()), bool(write))
             if replay is not None:
                 stream_hit, counters, final_items = replay
-                if rule is not None:
-                    counters = _corrupt_replay(counters)
-                if faults.ENABLED:
-                    _validate_replay(tags.shape[0], self.n_lines,
-                                     stream_hit, counters, final_items)
                 hits, misses, evictions, writebacks = counters
                 self.hits += hits
                 self.misses += misses

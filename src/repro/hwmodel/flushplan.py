@@ -56,7 +56,6 @@ import dataclasses
 
 import numpy as np
 
-from repro import faults
 from repro.hwmodel.crop import quad_line_tag_pairs
 from repro.hwmodel.prop import plan_merges_segmented
 from repro.hwmodel.tc import RangeTileCoalescer, TileCoalescer
@@ -134,13 +133,6 @@ def build_flush_plan(workload, config):
     where the scalar engine selects per flush
     (:meth:`~repro.hwmodel.pipeline.DrawWorkload.select_grid_groups`).
     """
-    if faults.ENABLED:
-        rule = faults.checkpoint("flushplan")
-        if rule is not None:
-            # A corrupted plan would silently skew every downstream cycle
-            # count; the scalar flush engine is the recovery path, so
-            # model the corruption as detected here.
-            faults.corrupt_detected("flushplan")
     tc = RangeTileCoalescer(config.n_tc_bins, config.tc_bin_quads,
                             config.tc_timeout_quads)
     tgc_counts = None

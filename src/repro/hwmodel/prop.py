@@ -165,7 +165,7 @@ def qru_storage_bytes(n_quad_buffer=128, cbe_pointer_bytes=4,
     """Table III storage cost of the quad reorder unit.
 
     ``(4 B CBE pointer + 6-bit quad pos.) * 128 + 64 * 1 B + 16 B = 688 B``
-    with the defaults.
+    with the default sizes.
     """
     buffer_bits = (cbe_pointer_bytes * 8 + qpos_bits) * n_quad_buffer
     register_bits = n_registers * register_bytes * 8

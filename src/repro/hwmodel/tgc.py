@@ -141,7 +141,7 @@ class TileGridCoalescer:
         """Table III storage cost of this unit's bins.
 
         ``(4 B CBE pointer * 3 vertices * 16 entries + 2 B grid id) * 128``
-        = 24.25 KB with the defaults.
+        = 24.25 KB with the default sizes.
         """
         per_bin = (cbe_pointer_bytes * vertices_per_prim * self.bin_capacity
                    + grid_id_bytes)

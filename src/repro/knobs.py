@@ -6,11 +6,10 @@ through the call graph, is declared **here** — one import-light module
 (stdlib only, importable from anywhere without cycles) that three
 consumers share:
 
-* the fault-plan installer (``$REPRO_FAULTS``) and the benchmark suite's
-  scene filter (``$REPRO_SCENES``) read the environment through
-  :func:`env` instead of touching ``os.environ`` directly.  The path-mode
-  knobs have no environment default: each is chosen by the caller that
-  takes it;
+* the benchmark suite's scene filter (``$REPRO_SCENES``, the one
+  environment knob) reads the environment through :func:`env` instead
+  of touching ``os.environ`` directly.  The path-mode knobs have no
+  environment default: each is chosen by the caller that takes it;
 * the CLI builds its ``--ir`` / ``--coherence`` / ``--swmodel`` options
   from the same declarations, so help text and accepted values cannot
   drift from the code;
@@ -49,12 +48,11 @@ SWMODEL_MODES = ("auto", "legacy")
 #: :class:`repro.hwmodel.pipeline.GraphicsPipeline`).
 PIPELINE_ENGINES = ("batched", "scalar")
 
-#: The registered ``REPRO_*`` environment knobs: ``REPRO_FAULTS`` (the
-#: seeded fault-injection plan installed at import time, grammar in
-#: :mod:`repro.faults.plan`) and ``REPRO_SCENES`` (the scene subset the
-#: pytest benchmark suite evaluates).  ``repro lint`` rule R4 rejects any
-#: ``os.environ`` read of a ``REPRO_*`` name missing from this tuple.
-ENV_KNOBS = ("REPRO_FAULTS", "REPRO_SCENES")
+#: The registered ``REPRO_*`` environment knobs: ``REPRO_SCENES`` (the
+#: scene subset the pytest benchmark suite evaluates).  ``repro lint``
+#: rule R4 rejects any ``os.environ`` read of a ``REPRO_*`` name missing
+#: from this tuple.
+ENV_KNOBS = ("REPRO_SCENES",)
 
 
 def env(name):

@@ -75,7 +75,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro import faults
 from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
 from repro.render.fragstream import FragmentStream
 from repro.render.frameir import row_fragments
@@ -263,13 +262,19 @@ class FrameCoherence:
             self._pows = pows
         return pows[:n]
 
+    def _hash_bits(self, array):
+        """Position-weighted 64-bit hash of an array's raw bits."""
+        bits = _bits(array)
+        return int((bits * self._powers(bits.size)).sum())
+
     def _content_key(self, stream):
         """Position-weighted 64-bit hash of a frame's row structure, plus
         its sizes.  The alphas are left out: rows are ~20x fewer than
         fragments, and the hash only *selects* a library candidate —
         :meth:`_verify` then compares rows and alpha bits exactly before
-        any reuse, so a collision (two frames with identical rows) can
-        cost a missed hit, never bit-identity.
+        any reuse.  Two frames with identical rows (an opacity edit)
+        collide here; :meth:`begin_frame` then folds the alpha bits into
+        the second frame's key.
         """
         ir = stream.frameir
         mix = (ir.row_y.astype(np.uint64)
@@ -284,10 +289,8 @@ class FrameCoherence:
         bits, plus the framebuffer size.  Like :meth:`_content_key` it
         only selects a candidate: :meth:`_FrameState.matches_splats`
         compares every field exactly before any reuse."""
-        hashes = []
-        for name in SPLAT_FIELDS:
-            bits = _bits(getattr(splats, name))
-            hashes.append(int((bits * self._powers(bits.size)).sum()))
+        hashes = [self._hash_bits(getattr(splats, name))
+                  for name in SPLAT_FIELDS]
         return (int(width), int(height), len(splats), *hashes)
 
     @staticmethod
@@ -306,37 +309,6 @@ class FrameCoherence:
                 and np.array_equal(stream.alphas.view(np.uint32),
                                    cand.alphas.view(np.uint32)))
 
-    @staticmethod
-    def _forced_miss():
-        """Injected corruption of the carried state.  Exact verification
-        would reject a poisoned candidate, so the detection is modelled
-        as a forced miss: the frame takes the always-available full
-        recompute path, which is bit-identical by construction.  Each
-        entry draws the ``coherence.verify`` checkpoint once."""
-        return (faults.ENABLED
-                and faults.checkpoint("coherence.verify") is not None)
-
-    def snapshot(self):
-        """Rewindable copy of the carrier's cross-frame state.
-
-        Shallow per-entry copies are sound: a :class:`_FrameState`'s
-        content never changes after capture (its raster, splat copies and
-        products are frozen or private); sealing only drops the stream
-        the state was read from, slots that rebuild identically and, with
-        rebound inputs, the products and splat record together, so a
-        restored entry sealed in the meantime serves the same frames or
-        fewer.  Used by the self-healing frame executor to rewind the
-        carrier after a failed attempt.
-        """
-        return (list(self._states.items()), self._key, self._prev,
-                dict(self.stats))
-
-    def restore(self, state):
-        """Restore a :meth:`snapshot` (library, cursors and counters)."""
-        items, self._key, self._prev, stats = state
-        self._states = OrderedDict(items)
-        self.stats = dict(stats)
-
     def serve(self, splats, width, height):
         """A revisited frame's stream, before rasterisation, or ``None``.
 
@@ -352,8 +324,6 @@ class FrameCoherence:
         if self.mode == "off":
             return None
         skey = self._splat_key(splats, width, height)
-        if self._forced_miss():
-            return None
         for key, cand in self._states.items():
             if cand.splat_key == skey and cand.matches_splats(splats):
                 break
@@ -380,7 +350,8 @@ class FrameCoherence:
         full hit installs the matched state's products and shares its
         FrameIR quad view *before* the quad table is built; a miss adds a
         live state for this frame, recording ``splats`` (the splats the
-        stream was rasterised from) for later :meth:`serve` hits.
+        stream was rasterised from) for later :meth:`serve` hits.  A miss
+        whose rows match a library state's keeps both states.
         """
         if self.mode == "off" or stream.frameir is None:
             return
@@ -389,8 +360,11 @@ class FrameCoherence:
         self._evict()
         key = self._content_key(stream)
         cand = self._states.get(key)
-        if self._forced_miss():
-            cand = None
+        if cand is not None and not self._verify(stream, cand):
+            # Same rows, other alphas (an opacity edit): key this frame by
+            # its alpha bits too, so neither state replaces the other.
+            key += (self._hash_bits(stream.alphas),)
+            cand = self._states.get(key)
         if cand is not None and self._verify(stream, cand):
             self._install(key, stream, cand)
         else:

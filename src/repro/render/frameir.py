@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import faults
 from repro.knobs import IR_MODES  # re-exported; declared centrally
 from repro.utils.arrays import popcount4, segment_boundaries
 
@@ -318,14 +317,6 @@ class FrameIR:
     def quads(self):
         """The cached :class:`QuadIR` of this frame (built on first use)."""
         if self._quads is None:
-            if faults.ENABLED:
-                rule = faults.checkpoint("digest")
-                if rule is not None:
-                    # FrameIR digestion has no independent integrity
-                    # oracle at this layer; model the corruption as
-                    # immediately detected so the executor can heal by
-                    # degrading to the legacy digestion path.
-                    faults.corrupt_detected("digest")
             self._quads = self._build_quads()
         return self._quads
 

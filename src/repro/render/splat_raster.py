@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import faults
 from repro.gaussians.projection import ALPHA_EPS, ALPHA_MAX, Splat2D
 from repro.render.fragstream import TILE_SIZE, FragmentStream
 from repro.render.frameir import FrameIR, resolve_ir, row_fragments
@@ -223,13 +222,6 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     width = int(check_positive("width", width))
     height = int(check_positive("height", height))
     ir = resolve_ir(ir)
-    if faults.ENABLED:
-        rule = faults.checkpoint("rasterize")
-        if rule is not None:
-            # No corruptible data channel here: a corrupted raster would
-            # be undetectable downstream (and break bit-identity), so
-            # model it as detected at the source.
-            faults.corrupt_detected("rasterize")
 
     sid, x0, y0, x1, y1 = _clipped_bounds(splats, width, height)
     if sid.size == 0:

@@ -1,5 +1,9 @@
 """Engine layer: backend specs, sessions, parallel execution, caching."""
 
+import json
+import pathlib
+import time
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,10 @@ from repro.engine import (
     clear_cache,
     create_backend,
     get_cloud,
+    run_frames,
 )
 from repro.engine import cache as engine_cache
+from repro.engine.cache import CACHE_SCHEMA, payload_checksum
 from repro.engine.backends import device_kernel_model, make_device
 from repro.engine.session import TrajectoryResult
 from repro.workloads.catalog import get_profile
@@ -51,16 +57,15 @@ class TestRegistry:
 
 class TestBackendSpecs:
     def test_session_rejects_backend_instance(self):
-        """Sessions take spec strings only, so every session has the
-        whole ladder (the reference rung rebuilds its backends from the
-        specs) and can use the disk cache."""
+        """Sessions take spec strings only, so every session can key the
+        disk cache by its specs."""
         with pytest.raises(TypeError, match="spec string"):
             RenderSession("lego", backend=create_backend("hw:het+qm"))
         with pytest.raises(TypeError, match="spec string"):
             RenderSession("lego", backend="hw:het",
                           baseline=create_backend("hw:baseline"))
         session = RenderSession("lego", backend="hw:het+qm")
-        assert session._rung_backends("reference")[0].spec == "hw:het+qm"
+        assert session.backend.spec == "hw:het+qm"
 
     def test_auto_baseline_follows_the_spec(self):
         assert RenderSession("lego", backend="hw:het").baseline_spec == (
@@ -198,6 +203,189 @@ class TestDiskCache:
         assert restored.aggregates() == result.aggregates()
 
 
+def _flip_first_digit(path):
+    """Bit rot on disk: bump the entry's first decimal digit, so it stays
+    valid JSON and only its checksum can catch the change."""
+    text = path.read_text(encoding="utf-8")
+    i = next(i for i, ch in enumerate(text) if ch.isdigit())
+    path.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:],
+                    encoding="utf-8")
+
+
+def _failing_replace(monkeypatch, times=None):
+    """Make ``Path.replace`` raise ``OSError`` (``times`` times, or always)
+    and return the list of failed calls."""
+    real_replace = pathlib.Path.replace
+    failed = []
+
+    def replace(self, target):
+        if times is None or len(failed) < times:
+            failed.append(self)
+            raise OSError("disk unhappy")
+        return real_replace(self, target)
+
+    monkeypatch.setattr(pathlib.Path, "replace", replace)
+    return failed
+
+
+class TestCacheHardening:
+    def test_store_survives_transient_oserror(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        failed = _failing_replace(monkeypatch, times=1)
+        assert cache.store("k1", {"value": 42}) is True
+        assert len(failed) == 1
+        assert cache.counters["store_retries"] == 1
+        assert len(cache) == 1
+        assert cache.load("k1")["value"] == 42
+
+    def test_store_degrades_to_uncached_on_persistent_oserror(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        failed = _failing_replace(monkeypatch)
+        assert cache.store("k1", {"value": 42}) is False
+        assert len(failed) == ResultCache.MAX_STORE_ATTEMPTS
+        assert cache.counters["store_failures"] == 1
+        assert len(cache) == 0
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_session_completes_when_store_always_fails(self, tmp_path,
+                                                       monkeypatch):
+        clean = RenderSession("lego").run(n_views=2)
+        cache = ResultCache(tmp_path)
+        _failing_replace(monkeypatch)
+        result = RenderSession("lego", result_cache=cache).run(n_views=2)
+        assert result.aggregates() == clean.aggregates()
+        assert len(cache) == 0
+        assert cache.counters["store_failures"] == 1
+
+    def test_corrupted_load_quarantines_and_recomputes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        clean = RenderSession("lego", result_cache=cache).run(n_views=2)
+        assert len(cache) == 1
+        (entry,) = tmp_path.glob("*.json")
+        _flip_first_digit(entry)
+        result = RenderSession("lego", result_cache=cache).run(n_views=2)
+        assert not result.from_cache
+        assert result.aggregates() == clean.aggregates()
+        # The bad entry went to quarantine and the recomputed result was
+        # re-stored, so the cache healed itself.
+        assert len(cache) == 1
+        assert list(cache.quarantine_dir.glob("*.checksum.json"))
+        assert cache.counters["quarantined"] == 1
+        follow_up = RenderSession("lego", result_cache=cache).run(n_views=2)
+        assert follow_up.from_cache
+
+    def test_corrupted_store_is_caught_at_load(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.store("k1", {"value": 42}) is True
+        _flip_first_digit(cache._path("k1"))
+        assert json.loads(cache._path("k1").read_text())["value"] == 52
+        assert cache.load("k1") is None
+        assert list(cache.quarantine_dir.glob("k1.checksum.json"))
+
+    def test_unparseable_entry_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache._path("bad").write_text("{not json", encoding="utf-8")
+        assert cache.load("bad") is None
+        assert len(cache) == 0
+        assert list(cache.quarantine_dir.glob("bad.corrupt.json"))
+
+    def test_schema_mismatch_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        stale = {"schema": CACHE_SCHEMA - 1, "value": 1}
+        cache._path("old").write_text(json.dumps(stale), encoding="utf-8")
+        assert len(cache) == 1
+        assert cache.load("old") is None
+        assert len(cache) == 0
+        assert list(cache.quarantine_dir.glob("old.schema.json"))
+
+    def test_checksum_mismatch_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.store("k1", {"value": 42})
+        path = cache._path("k1")
+        tampered = path.read_text(encoding="utf-8").replace("42", "43")
+        path.write_text(tampered, encoding="utf-8")
+        assert cache.load("k1") is None
+        assert list(cache.quarantine_dir.glob("k1.checksum.json"))
+
+    def test_payload_checksum_excludes_itself(self):
+        payload = {"value": 1}
+        digest = payload_checksum(payload)
+        assert payload_checksum(dict(payload, checksum=digest)) == digest
+
+    def test_clear_sweeps_tmp_and_quarantine(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store("k1", {"value": 1})
+        (tmp_path / "stray.12345.deadbeef.tmp").write_text("partial")
+        cache._path("bad").write_text("{not json", encoding="utf-8")
+        cache.load("bad")  # quarantined
+        cache.clear()
+        assert len(cache) == 0
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(cache.quarantine_dir.glob("*.json")) == []
+
+    def test_store_uses_unique_tmp_names(self, tmp_path, monkeypatch):
+        # Two writers of one key must never share a tmp path: each store
+        # draws a fresh uuid suffix (plus the pid) for its tmp file.
+        import uuid
+
+        cache = ResultCache(tmp_path)
+        produced = []
+        real_uuid4 = uuid.uuid4
+
+        def spy():
+            value = real_uuid4()
+            produced.append(value.hex[:8])
+            return value
+
+        monkeypatch.setattr(uuid, "uuid4", spy)
+        cache.store("k1", {"value": 2})
+        cache.store("k1", {"value": 3})
+        assert len(produced) == 2
+        assert len(set(produced)) == 2  # distinct suffix per store
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert cache.load("k1")["value"] == 3
+
+
+class TestExecutor:
+    def test_parallel_failure_reraises_worker_exception(self):
+        boom = ValueError("boom")
+        ran = []
+
+        def fn(task):
+            if task == 0:
+                raise boom
+            ran.append(task)
+            time.sleep(0.05)
+            return task
+
+        tasks = list(range(20))
+        with pytest.raises(ValueError) as excinfo:
+            run_frames(fn, tasks, jobs=2)
+        assert excinfo.value is boom
+        # Frames that had not started when the failure landed never run.
+        assert len(ran) < len(tasks) - 1
+
+    def test_serial_failure_propagates_unwrapped(self):
+        def fn(task):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            run_frames(fn, [0], jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_frame_raises_through_the_session(self, jobs,
+                                                      monkeypatch):
+        session = RenderSession("lego", backend="hw:baseline", baseline=None)
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken frame")
+
+        monkeypatch.setattr(session.backend, "render_stream", broken)
+        with pytest.raises(ValueError, match="broken frame"):
+            session.run(n_views=2, jobs=jobs)
+
+
 class TestLazyFrameImages:
     def test_hw_frame_image_materialises_lazily(self):
         backend = create_backend("hw:het")
@@ -220,13 +408,10 @@ class TestLazyFrameImages:
             raise AssertionError("a trajectory run blended an image")
 
         monkeypatch.setattr(FragmentStream, "blend_image", no_blend)
-        session = RenderSession("lego", backend="hw:baseline", baseline=None,
-                                strict=True)
+        session = RenderSession("lego", backend="hw:baseline", baseline=None)
         record = session.run(n_views=1).records[0]
         assert record.cycles > 0
-        assert record.incidents == []
         assert not hasattr(record, "result")
-
 
 
 class TestBoundedMemo:

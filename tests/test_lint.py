@@ -176,33 +176,17 @@ class TestR3DtypeDrift:
 
 
 class TestR4Registry:
-    def test_flags_unregistered_checkpoint(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "render/x.py",
-            "from repro import faults\n\n"
-            "def f():\n    return faults.checkpoint('bogus.point')\n",
-            "R4")
-        assert [f.rule for f in active(findings)] == ["R4"]
-
-    def test_registered_checkpoint_is_legal(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "render/x.py",
-            "from repro import faults\n\n"
-            "def f():\n    return faults.checkpoint('rasterize')\n", "R4")
-        assert [f for f in active(findings)
-                if f.path.endswith("x.py")] == []
-
     def test_flags_direct_environ_read(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "render/x.py",
-            "def f():\n    return os.environ.get('REPRO_FAULTS', '')\n",
+            "def f():\n    return os.environ.get('REPRO_SCENES', '')\n",
             "R4")
         assert [f.rule for f in active(findings)] == ["R4"]
 
     def test_flags_environ_subscript(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "render/x.py",
-            "def f():\n    return os.environ['REPRO_FAULTS']\n", "R4")
+            "def f():\n    return os.environ['REPRO_SCENES']\n", "R4")
         assert len(active(findings)) == 1
 
     def test_flags_unregistered_knob_name(self, tmp_path):
@@ -216,7 +200,7 @@ class TestR4Registry:
         findings = lint_snippet(
             tmp_path, "render/x.py",
             "from repro import knobs\n\n"
-            "def f():\n    return knobs.env('REPRO_FAULTS')\n", "R4")
+            "def f():\n    return knobs.env('REPRO_SCENES')\n", "R4")
         assert [f for f in active(findings)
                 if f.path.endswith("x.py")] == []
 
