@@ -42,7 +42,7 @@ def main():
 
     reference = render_reference(scene, camera)
     stream = reference.stream
-    print(f"visible splats: {reference.preprocess.n_visible:,}   "
+    print(f"visible splats: {reference.pre.n_visible:,}   "
           f"fragments: {len(stream):,}   "
           f"early-termination ratio: {stream.termination_ratio():.2f}")
 

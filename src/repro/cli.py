@@ -42,12 +42,6 @@ from repro.workloads.catalog import (
 _ALL_SCENES = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
                **SCENARIO_SCENES}
 
-_EXPERIMENTS = (
-    "fig01", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
-    "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-    "tables", "ablations", "all",
-)
-
 _EXPERIMENT_MODULES = {
     "fig01": "fig01_unit_counts", "fig05": "fig05_sw_vs_hw",
     "fig06": "fig06_utilization", "fig07": "fig07_frags_per_pixel",
@@ -251,7 +245,7 @@ def build_parser():
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")
-    experiment.add_argument("name", choices=_EXPERIMENTS)
+    experiment.add_argument("name", choices=_EXPERIMENT_MODULES)
 
     lint = sub.add_parser(
         "lint", help="run the repo's static invariant checker (rules "

@@ -12,22 +12,19 @@ het       on (stencil MSB)       off
 het+qm    on                     on
 ========  ====================  ==================
 
-:class:`HardwareRenderer` wraps preprocessing (single global sort — no
-per-tile duplication) plus the pipeline simulation into the paper's
-"hardware-based (OpenGL) rendering" path, with the Figure 5/17 kernel
-breakdown.
+:class:`HardwareRenderer` adds the preprocessing and sort kernel costs
+(single global sort — no per-tile duplication) to the pipeline simulation
+of a fragment stream: the paper's "hardware-based (OpenGL) rendering"
+path, with the Figure 5/17 kernel breakdown.
 """
 
 from __future__ import annotations
 
-from repro.gaussians.camera import Camera
-from repro.gaussians.gaussian import GaussianCloud
-from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.config import GPUConfig, jetson_agx_orin
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.hwmodel.prop import qru_storage_bytes
 from repro.hwmodel.tgc import TileGridCoalescer
-from repro.render.splat_raster import rasterize_splats
+from repro.render.reference import RenderResult
 from repro.swrender.renderer import SWKernelModel
 
 #: The evaluated hardware variants: name -> (enable_het, enable_qm).
@@ -89,41 +86,21 @@ def hardware_cost_bytes(config=None):
             "total": tgc_bytes + qru_bytes}
 
 
-class HWRenderResult:
-    """Output of :class:`HardwareRenderer.render`.
+class HWRenderResult(RenderResult):
+    """Output of :meth:`HardwareRenderer.render_stream`.
 
-    The blended ``image``/``alpha`` maps are materialised lazily on first
-    access: the colour pass contributes nothing to the simulated cycle
-    counts, so trajectory runs, which keep only numeric records, never
-    pay for per-frame blending.
+    The image blends under the draw's termination rule (HET on or off),
+    deferred as in :class:`~repro.render.reference.RenderResult`.
     """
 
     def __init__(self, draw_result, preprocess_cycles,
                  sort_cycles, stream, pre):
+        config = draw_result.config
+        super().__init__(stream, pre, early_term=config.enable_het,
+                         threshold=config.termination_alpha)
         self.draw = draw_result
         self.preprocess_cycles = float(preprocess_cycles)
         self.sort_cycles = float(sort_cycles)
-        self.stream = stream
-        self.pre = pre
-        self._image = None
-        self._alpha = None
-
-    def _blend(self):
-        if self._image is None:
-            config = self.draw.config
-            self._image, self._alpha = self.stream.blend_image(
-                early_term=config.enable_het,
-                threshold=config.termination_alpha)
-
-    @property
-    def image(self):
-        self._blend()
-        return self._image
-
-    @property
-    def alpha(self):
-        self._blend()
-        return self._alpha
 
     @property
     def total_cycles(self):
@@ -184,29 +161,14 @@ class HardwareRenderer:
         self.kernel_model = kernel_model or SWKernelModel()
         self.engine = engine
 
-    def render(self, cloud, camera, crop_cache=None):
-        """Render a cloud; returns an :class:`HWRenderResult`.
-
-        ``crop_cache`` optionally carries a warm CROP cache across frames
-        (see :meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw`); the
-        termination stencil is still cleared per draw, as in hardware.
-        """
-        if not isinstance(cloud, GaussianCloud):
-            raise TypeError(
-                f"cloud must be a GaussianCloud, got {type(cloud).__name__}")
-        if not isinstance(camera, Camera):
-            raise TypeError(
-                f"camera must be a Camera, got {type(camera).__name__}")
-        pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height)
-        return self.render_stream(stream, pre, crop_cache=crop_cache)
-
     def render_stream(self, stream, pre=None, crop_cache=None):
-        """Render an existing fragment stream (skips re-rasterisation).
+        """Render a fragment stream; returns an :class:`HWRenderResult`.
 
-        The colour blend is deferred (see :class:`HWRenderResult`);
-        accessing ``result.image`` produces exactly the image the eager
-        path built.
+        ``pre`` sizes the preprocessing kernel (the stream's visible
+        splats otherwise).  ``crop_cache`` optionally carries a warm CROP
+        cache across frames (see
+        :meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw`); the
+        termination stencil is still cleared per draw, as in hardware.
         """
         model = self.kernel_model
         n_gaussians = (pre.n_input if pre is not None

@@ -12,7 +12,6 @@ from repro.engine.backends import (
     FrameResult,
     available_backends,
     create_backend,
-    make_cuda_renderer,
     make_device,
 )
 from repro.engine.cache import (
@@ -43,7 +42,6 @@ __all__ = [
     "get_cloud",
     "get_draw",
     "get_scenario",
-    "make_cuda_renderer",
     "make_device",
     "run_frames",
 ]

@@ -269,13 +269,12 @@ class RenderSession:
     def render_frame(self, camera=None):
         """Render a single frame; defaults to the profile's camera.
 
-        Preprocesses as the backend's own ``render`` would, then asks the
-        session's coherence carrier for the frame: a repeated frame
-        (static camera, revisited viewpoint) is served its captured
-        stream and digested state without rasterising, and any other
-        frame is rasterised as ``render`` would and captured.  Either way
-        the output is bit-identical to calling the underlying renderer
-        directly.
+        Preprocesses, then asks the session's coherence carrier for the
+        frame: a repeated frame (static camera, revisited viewpoint) is
+        served its captured stream and digested state without
+        rasterising, and any other frame is rasterised and captured.
+        Either way the output is bit-identical to rendering a freshly
+        rasterised stream through the backend.
         """
         cam = camera if camera is not None else self.profile.camera()
         frame, _ = self._render(cam, self.carrier)

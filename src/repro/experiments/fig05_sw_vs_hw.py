@@ -9,25 +9,18 @@ dominates the hardware path's time.
 
 from __future__ import annotations
 
-from repro.core.vrpipe import HardwareRenderer, variant_config
-from repro.engine import get_scenario, make_cuda_renderer, make_device
+from repro.engine import create_backend, get_scenario
 from repro.experiments.runner import format_table
-from repro.swrender.renderer import SWKernelModel
 from repro.workloads.catalog import scene_names
 
 
 def run(scenes=None, devices=("orin", "rtx3090")):
     """Breakdowns in ms: ``{device: {scene: {"cuda": {...}, "opengl": {...}}}}``."""
     scenes = list(scenes) if scenes is not None else scene_names()
-    renderers = {}
-    for device_name in devices:
-        device = make_device(device_name)
-        kernel = SWKernelModel(
-            issue_slots=float(device.sm_issue_slots_per_cycle))
-        renderers[device_name] = (
-            make_cuda_renderer(device_name, early_term=True),
-            HardwareRenderer(config=variant_config("baseline", device),
-                             kernel_model=kernel))
+    renderers = {
+        device_name: tuple(create_backend(spec, device_name).renderer
+                           for spec in ("cuda+et", "hw:baseline"))
+        for device_name in devices}
     out = {device_name: {} for device_name in devices}
     for name in scenes:  # outermost: each scene's stream is built once
         pre, stream = get_scenario(name)

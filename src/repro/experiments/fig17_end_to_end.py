@@ -8,23 +8,17 @@ VR-Pipe's speedup over both and its absolute FPS.
 
 from __future__ import annotations
 
-from repro.core.vrpipe import HardwareRenderer, variant_config
-from repro.engine import geomean, get_scenario, make_cuda_renderer, make_device
+from repro.engine import create_backend, geomean, get_scenario
 from repro.experiments.runner import format_table
-from repro.swrender.renderer import SWKernelModel
 from repro.workloads.catalog import scene_names
 
 
 def run(scenes=None, device_name="orin"):
     """``{scene: {"speedup_vs_sw", "speedup_vs_hw", "fps", ...}}``."""
     scenes = list(scenes) if scenes is not None else scene_names()
-    device = make_device(device_name)
-    kernel = SWKernelModel(issue_slots=float(device.sm_issue_slots_per_cycle))
-    cuda = make_cuda_renderer(device_name, early_term=True)
-    hw_plain = HardwareRenderer(
-        config=variant_config("baseline", device), kernel_model=kernel)
-    vrpipe = HardwareRenderer(
-        config=variant_config("het+qm", device), kernel_model=kernel)
+    cuda, hw_plain, vrpipe = (create_backend(spec, device_name).renderer
+                              for spec in ("cuda+et", "hw:baseline",
+                                           "hw:het+qm"))
     out = {}
     for name in scenes:
         pre, stream = get_scenario(name)

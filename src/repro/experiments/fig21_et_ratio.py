@@ -6,10 +6,9 @@ termination to those blended with it.  Paper claims to reproduce: outdoor
 scenes average higher than indoor/synthetic, and every scene's average
 exceeds 1.5 (>= 33% of fragments eliminable).
 
-Routing through the session means each viewpoint is rendered (one
-vectorised reference blend) rather than only ratio-counted — the price
-of sharing the engine's trajectory machinery, parallelism (``jobs``),
-and disk cache with every other consumer.
+The session shares the engine's trajectory machinery, parallelism
+(``jobs``) and disk cache with every other consumer; the reference
+backend defers its blend, so each viewpoint is only ratio-counted.
 """
 
 from __future__ import annotations

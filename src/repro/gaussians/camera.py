@@ -83,11 +83,6 @@ class Camera:
         """World-space camera position."""
         return -self.rotation.T @ self.translation
 
-    @property
-    def resolution(self):
-        """``(width, height)`` tuple."""
-        return (self.width, self.height)
-
     def to_camera_space(self, points):
         """Transform ``(n, 3)`` world points into camera space."""
         points = check_shape("points", np.asarray(points, dtype=np.float64), (None, 3))

@@ -41,18 +41,3 @@ def depth_sort_indices(depths, front_to_back=True):
     if front_to_back:
         return np.argsort(depths, kind="stable")
     return np.argsort(-depths, kind="stable")
-
-
-def sort_cost_model(n_items, comparisons_per_cycle=32.0):
-    """Analytic cycle estimate of a GPU radix/merge sort of ``n_items`` keys.
-
-    Used by the end-to-end timing model (Figure 5 / 17): the CUB device sort
-    the paper uses is bandwidth-bound and roughly linear in item count for
-    fixed key width, so we model ``cycles = c * n`` with the constant set so
-    one item costs ``1 / comparisons_per_cycle`` cycles.
-    """
-    if n_items < 0:
-        raise ValueError(f"n_items must be >= 0, got {n_items}")
-    if comparisons_per_cycle <= 0:
-        raise ValueError("comparisons_per_cycle must be positive")
-    return float(n_items) / float(comparisons_per_cycle)

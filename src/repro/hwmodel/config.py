@@ -177,11 +177,6 @@ class GPUConfig:
         return self.rop_quads_per_cycle * scale
 
     @property
-    def tile_grid_px(self):
-        """Tile-grid side length in pixels (4x4 screen tiles = 64)."""
-        return self.screen_tile_px * self.tile_grid_tiles
-
-    @property
     def sm_issue_slots_per_cycle(self):
         """Aggregate warp-instruction issue slots per cycle across the GPC."""
         return self.n_sm * self.warp_schedulers_per_sm

@@ -3,7 +3,8 @@
 ``splat_raster`` turns depth-sorted 2D splats into a deterministic
 :class:`FragmentStream`; ``fragstream`` computes per-pixel blending orders,
 transmittances, early-termination ranks and quad groupings from that stream;
-``reference`` produces ground-truth images.  All timing models (hardware
+``reference`` produces ground-truth images and the deferred-blend
+:class:`RenderResult` every render path returns.  All timing models (hardware
 pipeline, CUDA-style software renderer, software optimisations) consume the
 same stream, so functional results are comparable across variants and the
 paper's invariants are directly testable.
@@ -24,7 +25,7 @@ from repro.render.splat_raster import (
 )
 from repro.render.fragstream import FragmentStream, QuadTable
 from repro.render.reference import RenderResult, render_reference
-from repro.render.metrics import image_report, psnr, ssim
+from repro.render.metrics import psnr, ssim
 from repro.render.image_io import read_ppm, write_ppm
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "resolve_ir",
     "RenderResult",
     "render_reference",
-    "image_report",
     "psnr",
     "ssim",
     "read_ppm",

@@ -68,16 +68,3 @@ def ssim(a, b, peak=1.0, block=8, k1=0.01, k2=0.03):
         denominator = (mu_x ** 2 + mu_y ** 2 + c1) * (xx + yy + c2)
         scores.append(float(np.mean(numerator / denominator)))
     return float(np.mean(scores))
-
-
-def image_report(reference, candidate, label="candidate"):
-    """One-line fidelity summary: PSNR, SSIM, max abs error."""
-    reference = np.asarray(reference, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    max_err = float(np.abs(reference - candidate).max()) if reference.size else 0.0
-    return {
-        "label": label,
-        "psnr_db": psnr(reference, candidate),
-        "ssim": ssim(reference, candidate),
-        "max_abs_error": max_err,
-    }

@@ -8,47 +8,59 @@ reaches 0.996) at perfect fragment granularity.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
-from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA, FragmentStream
+from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
 from repro.render.splat_raster import rasterize_splats
 
 
 class RenderResult:
-    """Output of :func:`render_reference`.
+    """A rendered frame: its fragment stream and a deferred blend.
+
+    Every render path returns one (the hardware and CUDA results
+    subclass it).  The ``image``/``alpha`` maps are blended from
+    ``stream`` on first access: the colour pass adds nothing to any
+    simulated cycle count, so callers that keep only numeric records
+    never pay for it.
 
     Attributes
     ----------
+    stream:
+        The :class:`~repro.render.fragstream.FragmentStream` the image is
+        blended from, shared with the timing simulators.
+    pre:
+        The :class:`~repro.gaussians.preprocess.PreprocessResult`, or
+        ``None`` when the stream came without one.
+    early_term, threshold:
+        The termination rule of the blend.
     image:
         ``(h, w, 3)`` float RGB (premultiplied composite over black).
     alpha:
         ``(h, w)`` accumulated alpha.
-    stream:
-        The :class:`FragmentStream` the image was blended from — reused by
-        the timing simulators so they never re-rasterise.
-    preprocess:
-        The :class:`~repro.gaussians.preprocess.PreprocessResult`.
     """
 
-    def __init__(self, image, alpha, stream, preprocess_result):
-        self.image = image
-        self.alpha = alpha
+    def __init__(self, stream, pre=None, early_term=False,
+                 threshold=DEFAULT_TERMINATION_ALPHA):
         self.stream = stream
-        self.preprocess = preprocess_result
+        self.pre = pre
+        self.early_term = bool(early_term)
+        self.threshold = float(threshold)
+        self._blended = None
 
-    def psnr_against(self, other_image, peak=1.0):
-        """PSNR (dB) of this image against ``other_image``."""
-        other_image = np.asarray(other_image, dtype=np.float64)
-        if other_image.shape != self.image.shape:
-            raise ValueError(
-                f"shape mismatch: {other_image.shape} vs {self.image.shape}")
-        mse = float(np.mean((self.image - other_image) ** 2))
-        if mse == 0.0:
-            return float("inf")
-        return 10.0 * np.log10(peak * peak / mse)
+    def _blend(self):
+        if self._blended is None:
+            self._blended = self.stream.blend_image(
+                early_term=self.early_term, threshold=self.threshold)
+        return self._blended
+
+    @property
+    def image(self):
+        return self._blend()[0]
+
+    @property
+    def alpha(self):
+        return self._blend()[1]
 
 
 def render_reference(cloud, camera, early_term=False,
@@ -72,15 +84,5 @@ def render_reference(cloud, camera, early_term=False,
         raise TypeError(f"camera must be a Camera, got {type(camera).__name__}")
     pre = preprocess(cloud, camera)
     stream = rasterize_splats(pre.splats, camera.width, camera.height)
-    image, alpha = stream.blend_image(early_term=early_term, threshold=threshold)
-    return RenderResult(image=image, alpha=alpha, stream=stream,
-                        preprocess_result=pre)
-
-
-def render_stream(stream, early_term=False,
-                  threshold=DEFAULT_TERMINATION_ALPHA):
-    """Blend an existing fragment stream (no re-rasterisation)."""
-    if not isinstance(stream, FragmentStream):
-        raise TypeError(
-            f"stream must be a FragmentStream, got {type(stream).__name__}")
-    return stream.blend_image(early_term=early_term, threshold=threshold)
+    return RenderResult(stream, pre, early_term=early_term,
+                        threshold=threshold)

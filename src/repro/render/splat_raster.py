@@ -515,24 +515,4 @@ def rasterize_splats_scalar(splats, width, height, max_fragments=200_000_000):
     )
 
 
-def splat_coverage_counts(splats, width, height):
-    """Per-splat covered-pixel counts without materialising fragments.
-
-    Cheaper helper for workload sizing: uses the OBB area clipped to screen
-    as the exact coverage is the OBB rectangle.
-    """
-    if not isinstance(splats, Splat2D):
-        raise TypeError(f"splats must be a Splat2D, got {type(splats).__name__}")
-    counts = np.zeros(len(splats), dtype=np.int64)
-    bboxes = splats.bounding_boxes()
-    area = 4.0 * splats.radii[:, 0] * splats.radii[:, 1]
-    on_screen = (
-        (bboxes[:, 2] > 0) & (bboxes[:, 0] < width)
-        & (bboxes[:, 3] > 0) & (bboxes[:, 1] < height)
-        & (splats.radii > 0).all(axis=1)
-    )
-    counts[on_screen] = np.maximum(area[on_screen].astype(np.int64), 1)
-    return counts
-
-
 ALPHA_PRUNE_THRESHOLD = ALPHA_EPS

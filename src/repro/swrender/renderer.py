@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gaussians.camera import Camera
-from repro.gaussians.gaussian import GaussianCloud
-from repro.gaussians.preprocess import preprocess
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
-from repro.render.splat_raster import rasterize_splats
+from repro.render.reference import RenderResult
 from repro.swrender.tiling import TileAssignment, assign_tiles
 from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
 
@@ -92,41 +89,19 @@ class CudaRenderTiming:
         return 1000.0 / total if total > 0 else float("inf")
 
 
-class CudaRenderResult:
-    """Timing + functional output of the CUDA-style renderer.
+class CudaRenderResult(RenderResult):
+    """Timing and functional output of :meth:`CudaRenderer.render_stream`.
 
-    The blended ``image``/``alpha`` maps are materialised lazily on first
-    access (mirroring :class:`~repro.core.vrpipe.HWRenderResult`): the
-    colour pass contributes nothing to the modelled kernel times, so
-    trajectory runs that only consume the numeric records never pay for
-    per-frame blending.
+    The image blends under the renderer's termination rule, deferred as
+    in :class:`~repro.render.reference.RenderResult`.
     """
 
     def __init__(self, timing, stream, warp_exec, tiling,
                  early_term, threshold):
+        super().__init__(stream, early_term=early_term, threshold=threshold)
         self.timing = timing
-        self.stream = stream
         self.warp_exec = warp_exec
         self.tiling = tiling
-        self.early_term = bool(early_term)
-        self.threshold = float(threshold)
-        self._image = None
-        self._alpha = None
-
-    def _blend(self):
-        if self._image is None:
-            self._image, self._alpha = self.stream.blend_image(
-                early_term=self.early_term, threshold=self.threshold)
-
-    @property
-    def image(self):
-        self._blend()
-        return self._image
-
-    @property
-    def alpha(self):
-        self._blend()
-        return self._alpha
 
 
 class CudaRenderer:
@@ -154,25 +129,12 @@ class CudaRenderer:
         self.threshold = float(threshold)
         self.swmodel = resolve_swmodel(swmodel)
 
-    def render(self, cloud, camera):
-        """Render a cloud and return a :class:`CudaRenderResult`."""
-        if not isinstance(cloud, GaussianCloud):
-            raise TypeError(
-                f"cloud must be a GaussianCloud, got {type(cloud).__name__}")
-        if not isinstance(camera, Camera):
-            raise TypeError(
-                f"camera must be a Camera, got {type(camera).__name__}")
-        pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height)
-        return self.render_stream(stream, pre)
-
     def render_stream(self, stream, pre=None):
-        """Render from an existing fragment stream (shared with other paths).
+        """Render a fragment stream; returns a :class:`CudaRenderResult`.
 
         Tile duplication comes from ``pre`` when given; otherwise the
         stream's own :class:`~repro.render.splat_raster.TileBinning` is
-        consumed directly (no re-binning).  The colour blend is deferred
-        (see :class:`CudaRenderResult`).
+        consumed directly (no re-binning).
         """
         model = self.kernel_model
         tiling = _tiling_for(stream, pre)
@@ -212,5 +174,5 @@ def _tiling_for(stream, pre):
         return TileAssignment(binning.pairs_per_splat())
     raise ValueError(
         "render_stream needs the PreprocessResult to size tile duplication; "
-        "pass pre=, use render(), or pass a stream produced by "
-        "rasterize_splats (which carries its TileBinning)")
+        "pass pre= or a stream produced by rasterize_splats (which carries "
+        "its TileBinning)")

@@ -25,8 +25,6 @@ class TileAssignment:
         ``(n,)`` tiles each splat is assigned to (0 for off-screen splats).
     n_pairs:
         Total duplicated (splat, tile) pairs — the CUDA sort's key count.
-    duplication_factor:
-        ``n_pairs / n_splats_on_screen``.
     """
 
     def __init__(self, pairs_per_splat):
@@ -35,13 +33,6 @@ class TileAssignment:
     @property
     def n_pairs(self):
         return int(self.pairs_per_splat.sum())
-
-    @property
-    def duplication_factor(self):
-        on_screen = int((self.pairs_per_splat > 0).sum())
-        if on_screen == 0:
-            return 0.0
-        return self.n_pairs / on_screen
 
 
 def assign_tiles(splats, width, height, tile_size=TILE_SIZE):

@@ -7,10 +7,7 @@ from repro.utils.validation import (
 )
 from repro.utils.arrays import (
     segment_boundaries,
-    segmented_cumprod_exclusive,
     segmented_cumsum,
-    segmented_first_index_where,
-    segmented_sum,
 )
 
 __all__ = [
@@ -18,8 +15,5 @@ __all__ = [
     "check_positive",
     "check_shape",
     "segment_boundaries",
-    "segmented_cumprod_exclusive",
     "segmented_cumsum",
-    "segmented_first_index_where",
-    "segmented_sum",
 ]

@@ -1,10 +1,10 @@
-"""Segmented (per-group) array reductions on sorted segment ids.
+"""Segmented (per-group) array scans and small array helpers.
 
-The functional rendering core groups millions of fragments by pixel and needs
-per-pixel prefix products of transmittance and per-pixel sums of weighted
-colours.  These helpers implement the classic "segmented scan" primitives on
-top of NumPy: all of them take a ``segment_ids`` array that must be sorted
-ascending (fragments are lexsorted by pixel first), and operate within each
+The functional rendering core groups millions of fragments by pixel and
+scans each group, e.g. the per-pixel arrival alpha of front-to-back
+blending.  The segment helpers implement the classic "segmented scan"
+primitives on top of NumPy: they take a ``segment_ids`` array sorted
+ascending (or its segment ``starts``/slice bounds) and operate within each
 run of equal ids.
 """
 
@@ -91,21 +91,6 @@ def expand_segments(seg_starts, seg_ends):
     return rows, offsets
 
 
-def segmented_sum(values, segment_ids, starts=None):
-    """Sum ``values`` within each segment; returns one value per segment.
-
-    ``values`` may be 1-D ``(n,)`` or 2-D ``(n, k)`` (summed per column).
-    """
-    values = np.asarray(values)
-    if starts is None:
-        starts = segment_boundaries(segment_ids)
-    if values.shape[0] == 0:
-        shape = (0,) if values.ndim == 1 else (0, values.shape[1])
-        return np.empty(shape, dtype=values.dtype)
-    # repro-lint: ok(R1): reference helper, no golden-path float callers; grouping stable per layout
-    return np.add.reduceat(values, starts, axis=0)
-
-
 def segmented_cumsum(values, segment_ids, starts=None):
     """Inclusive prefix sum of ``values`` restarting at each segment start."""
     values = np.asarray(values, dtype=np.float64)
@@ -146,54 +131,3 @@ def sliced_cumsum(values, bounds, out=None):
         a, b = bounds[i], bounds[i + 1]
         np.cumsum(values[a:b], out=out[a:b])
     return out
-
-
-def segmented_cumprod_exclusive(values, segment_ids, starts=None):
-    """Exclusive prefix product within each segment.
-
-    Element ``i`` of the result is the product of all *earlier* values in the
-    same segment (1.0 for the first element of a segment).  This is exactly
-    the transmittance term ``prod_{j<i} (1 - alpha_j)`` of front-to-back
-    alpha blending.
-
-    Values must be positive; zeros are clamped to a tiny epsilon so the
-    computation can run in log space without producing ``-inf`` (a fragment
-    with alpha exactly 1 terminates its pixel, and the clamp keeps downstream
-    transmittance at ~1e-30 which is exactly zero for rendering purposes).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values.copy()
-    if starts is None:
-        starts = segment_boundaries(segment_ids)
-    clamped = np.maximum(values, 1e-30)
-    logs = np.log(clamped)
-    inclusive = segmented_cumsum(logs, segment_ids, starts=starts)
-    exclusive = inclusive - logs
-    return np.exp(exclusive)
-
-
-def segmented_first_index_where(mask, segment_ids, starts=None):
-    """Per-segment index (local rank) of the first True in ``mask``.
-
-    Returns an int64 array with one entry per segment; segments with no True
-    entries get the segment length (i.e. "never"), which makes the result
-    directly usable as a per-pixel blended-fragment count under early
-    termination.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    segment_ids = np.asarray(segment_ids)
-    if starts is None:
-        starts = segment_boundaries(segment_ids)
-    n_segments = starts.size
-    if mask.size == 0:
-        return np.empty(0, dtype=np.int64)
-    lengths = np.diff(np.concatenate((starts, [mask.size])))
-    # Global index of the first True per segment via a minimum-reduction over
-    # candidate indices (non-True entries get a sentinel beyond the array).
-    candidates = np.where(mask, np.arange(mask.size, dtype=np.int64), np.int64(mask.size))
-    first_global = np.minimum.reduceat(candidates, starts)
-    local = first_global - starts
-    none_found = first_global >= starts + lengths
-    local[none_found] = lengths[none_found]
-    return local

@@ -13,7 +13,6 @@ from repro.workloads.catalog import (
     SCENES,
     SceneProfile,
     build_scene,
-    default_camera,
     get_profile,
     scene_names,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "SCENES",
     "SceneProfile",
     "build_scene",
-    "default_camera",
     "get_profile",
     "scene_names",
     "scene_viewpoints",

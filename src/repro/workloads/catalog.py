@@ -433,10 +433,3 @@ def build_scene(name_or_profile, seed=0):
         filler = np.arange(deficit) % len(cloud)
         cloud = GaussianCloud.concatenate([cloud, cloud.subset(filler)])
     return cloud
-
-
-def default_camera(name_or_profile):
-    """The scene's default evaluation viewpoint."""
-    profile = (name_or_profile if isinstance(name_or_profile, SceneProfile)
-               else get_profile(name_or_profile))
-    return profile.camera()

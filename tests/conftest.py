@@ -29,6 +29,15 @@ def small_camera():
 
 
 @pytest.fixture(scope="session")
+def frame_inputs():
+    """``(cloud, camera) -> (pre, stream)``: what a renderer consumes."""
+    def build(cloud, camera):
+        pre = preprocess(cloud, camera)
+        return pre, rasterize_splats(pre.splats, camera.width, camera.height)
+    return build
+
+
+@pytest.fixture(scope="session")
 def small_stream(small_cloud, small_camera):
     pre = preprocess(small_cloud, small_camera)
     return rasterize_splats(pre.splats, small_camera.width,

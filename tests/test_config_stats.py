@@ -15,7 +15,7 @@ class TestGPUConfig:
         assert cfg.lanes_per_sm == 64
         assert cfg.crop_cache_kb == 16
         assert cfg.raster_tile_px == 8
-        assert cfg.tile_grid_px == 64
+        assert cfg.screen_tile_px * cfg.tile_grid_tiles == 64
         assert cfg.n_tgc_bins == 128
         assert cfg.tgc_bin_prims == 16
         assert cfg.n_tc_bins == 32

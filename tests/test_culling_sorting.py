@@ -6,7 +6,7 @@ import pytest
 from repro.gaussians.camera import Camera
 from repro.gaussians.culling import frustum_cull
 from repro.gaussians.gaussian import GaussianCloud
-from repro.gaussians.sorting import depth_sort_indices, sort_cost_model
+from repro.gaussians.sorting import depth_sort_indices
 
 
 def _cloud(positions, opacity=0.8, scale=0.05):
@@ -65,15 +65,6 @@ class TestDepthSort:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             depth_sort_indices(np.zeros((2, 2)))
-
-
-class TestSortCost:
-    def test_linear(self):
-        assert sort_cost_model(64, 32.0) == pytest.approx(2.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sort_cost_model(-1)
 
 
 class TestDepthSortTies:

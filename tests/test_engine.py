@@ -1,8 +1,10 @@
 """Engine layer: backend specs, sessions, parallel execution, caching."""
 
+import gc
 import json
 import pathlib
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.engine import cache as engine_cache
 from repro.engine.cache import CACHE_SCHEMA, payload_checksum
 from repro.engine.backends import device_kernel_model, make_device
 from repro.engine.session import TrajectoryResult
+from repro.render.fragstream import FragmentStream
 from repro.workloads.catalog import get_profile
 
 
@@ -37,20 +40,22 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown device"):
             create_backend("hw:het", device_name="a100")
 
-    def test_frame_result_schema(self):
+    def test_frame_result_schema(self, frame_inputs):
         backend = create_backend("cuda+et")
-        profile = get_profile("lego")
-        frame = backend.render(get_cloud("lego"), profile.camera())
+        pre, stream = frame_inputs(get_cloud("lego"),
+                                   get_profile("lego").camera())
+        frame = backend.render_stream(stream, pre)
         assert frame.backend == "cuda+et"
         assert frame.cycles > 0 and frame.ms > 0 and frame.fps > 0
         assert set(frame.kernels) == {"preprocess", "sort", "rasterize"}
         assert frame.et_ratio > 1.0
         assert frame.pipeline_stats is None  # software path has no hw stats
 
-    def test_reference_backend_functional_only(self):
+    def test_reference_backend_functional_only(self, frame_inputs):
         backend = create_backend("reference")
         profile = get_profile("lego")
-        frame = backend.render(get_cloud("lego"), profile.camera())
+        pre, stream = frame_inputs(get_cloud("lego"), profile.camera())
+        frame = backend.render_stream(stream, pre)
         assert frame.cycles is None and frame.ms is None
         assert frame.image.shape == (profile.height, profile.width, 3)
 
@@ -75,17 +80,18 @@ class TestBackendSpecs:
 
 
 class TestSingleFrame:
-    def test_bit_identical_to_hardware_renderer(self):
-        """RenderSession frame == direct HardwareRenderer.render output."""
+    def test_bit_identical_to_hardware_renderer(self, frame_inputs):
+        """RenderSession frame == direct HardwareRenderer output."""
         session = RenderSession("lego", backend="hw:het+qm", baseline=None)
         frame = session.render_frame()
 
-        profile = get_profile("lego")
+        pre, stream = frame_inputs(get_cloud("lego"),
+                                   get_profile("lego").camera())
         device = make_device("orin")
         direct = HardwareRenderer(
             config=variant_config("het+qm", device),
             kernel_model=device_kernel_model(device),
-        ).render(get_cloud("lego"), profile.camera())
+        ).render_stream(stream, pre)
 
         assert np.array_equal(frame.image, direct.image)
         assert np.array_equal(frame.alpha, direct.alpha)
@@ -387,31 +393,66 @@ class TestExecutor:
 
 
 class TestLazyFrameImages:
-    def test_hw_frame_image_materialises_lazily(self):
-        backend = create_backend("hw:het")
-        profile = get_profile("lego")
-        frame = backend.render(get_cloud("lego"), profile.camera())
+    """Every backend defers its blend to the first ``image``/``alpha``
+    read, and a frame holds nothing that outlives it."""
+
+    #: backend spec -> the termination rule its image blends under.
+    EARLY_TERM = {"hw:het": True, "cuda+et": True, "reference": False}
+
+    @pytest.fixture
+    def blends(self, monkeypatch):
+        """Every ``FragmentStream.blend_image`` call, as its stream."""
+        calls = []
+        blend_image = FragmentStream.blend_image
+
+        def counting(stream, *args, **kwargs):
+            calls.append(stream)
+            return blend_image(stream, *args, **kwargs)
+
+        monkeypatch.setattr(FragmentStream, "blend_image", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec", sorted(EARLY_TERM))
+    def test_frame_image_materialises_lazily(self, spec, blends,
+                                             small_stream, small_pre):
+        frame = create_backend(spec).render_stream(small_stream, small_pre)
+        assert frame.raw.stream is small_stream
         # The blend is deferred until the image is actually read...
-        assert frame._image is None
-        image = frame.image
-        assert image.shape == (profile.height, profile.width, 3)
-        # ...and equals the stream's eager blend exactly.
-        expected, alpha = frame.raw.stream.blend_image(
-            early_term=True, threshold=backend.config.termination_alpha)
+        assert blends == []
+        image, alpha = frame.image, frame.alpha
+        assert blends == [small_stream]  # one blend serves both maps
+        # ...and equals the stream's own blend exactly.
+        expected, expected_alpha = small_stream.blend_image(
+            early_term=self.EARLY_TERM[spec])
         assert np.array_equal(image, expected)
-        assert np.array_equal(frame.alpha, alpha)
+        assert np.array_equal(alpha, expected_alpha)
 
-    def test_session_discards_images_without_blending(self, monkeypatch):
-        from repro.render.fragstream import FragmentStream
-
-        def no_blend(*args, **kwargs):
-            raise AssertionError("a trajectory run blended an image")
-
-        monkeypatch.setattr(FragmentStream, "blend_image", no_blend)
-        session = RenderSession("lego", backend="hw:baseline", baseline=None)
+    @pytest.mark.parametrize("spec", ["hw:baseline", "cuda+et", "reference"])
+    def test_session_discards_images_without_blending(self, spec, blends):
+        session = RenderSession("lego", backend=spec, baseline=None)
         record = session.run(n_views=1).records[0]
-        assert record.cycles > 0
+        assert blends == []
+        assert record.et_ratio > 1.0
         assert not hasattr(record, "result")
+
+    @pytest.mark.parametrize("spec", sorted(EARLY_TERM))
+    def test_dropped_frame_frees_its_stream(self, spec, frame_inputs,
+                                            small_cloud, small_camera):
+        """Refcounting alone frees a read frame's stream: the deferred
+        blend forms no reference cycle."""
+        pre, stream = frame_inputs(small_cloud, small_camera)
+        frame = create_backend(spec).render_stream(stream, pre)
+        assert frame.image is not None
+        ref = weakref.ref(stream)
+        del pre, stream
+        gc.collect()
+        gc.disable()
+        try:
+            assert ref() is not None
+            del frame
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBoundedMemo:
@@ -419,9 +460,6 @@ class TestBoundedMemo:
     evicts the last one, and a memoized draw keeps no stream alive."""
 
     def test_scenario_slot_evicts_previous_stream(self):
-        import gc
-        import weakref
-
         clear_cache()
         lego = weakref.ref(engine_cache.get_scenario("lego")[1])
         engine_cache.get_scenario("palace")
@@ -429,9 +467,6 @@ class TestBoundedMemo:
         assert lego() is None
 
     def test_memoized_draw_keeps_no_stream(self):
-        import gc
-        import weakref
-
         clear_cache()
         draw = engine_cache.get_draw("lego", "het+qm")
         stream = weakref.ref(engine_cache.get_scenario("lego")[1])
@@ -452,7 +487,6 @@ class TestFlatMemory:
     MARGIN_BYTES = 256 * 1024
 
     def test_cold_frames_keep_traced_memory_flat(self):
-        import gc
         import tracemalloc
 
         from repro.workloads.viewpoints import scene_viewpoints

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gaussians.camera import Camera
-from repro.render.reference import render_reference, render_stream
+from repro.render.metrics import psnr
+from repro.render.reference import render_reference
 
 
 class TestRenderReference:
@@ -28,27 +29,28 @@ class TestRenderReference:
     def test_early_term_high_psnr(self, deep_cloud, deep_camera):
         exact = render_reference(deep_cloud, deep_camera)
         et = render_reference(deep_cloud, deep_camera, early_term=True)
-        assert exact.psnr_against(et.image) > 50.0
+        assert psnr(exact.image, et.image) > 50.0
 
     def test_psnr_identical_inf(self, small_cloud, small_camera):
         res = render_reference(small_cloud, small_camera)
-        assert res.psnr_against(res.image) == float("inf")
+        assert psnr(res.image, res.image) == float("inf")
 
     def test_psnr_shape_check(self, small_cloud, small_camera):
         res = render_reference(small_cloud, small_camera)
         with pytest.raises(ValueError):
-            res.psnr_against(np.zeros((2, 2, 3)))
+            psnr(res.image, np.zeros((2, 2, 3)))
 
     def test_render_stream_matches(self, small_cloud, small_camera):
-        res = render_reference(small_cloud, small_camera)
-        image, alpha = render_stream(res.stream)
-        assert image == pytest.approx(res.image)
+        """The deferred image is the stream's own blend, bit for bit."""
+        res = render_reference(small_cloud, small_camera, early_term=True)
+        image, alpha = res.stream.blend_image(early_term=True)
+        np.testing.assert_array_equal(res.image, image)
+        np.testing.assert_array_equal(res.alpha, alpha)
+        assert res.pre.n_visible == res.stream.prim_colors.shape[0]
 
     def test_type_checks(self, small_camera):
         with pytest.raises(TypeError):
             render_reference("cloud", small_camera)
-        with pytest.raises(TypeError):
-            render_stream("stream")
 
     def test_empty_scene(self):
         from repro.gaussians.gaussian import GaussianCloud

@@ -6,7 +6,7 @@ import pytest
 from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.projection import ALPHA_EPS, project_gaussians
-from repro.render.splat_raster import rasterize_splats, splat_coverage_counts
+from repro.render.splat_raster import rasterize_splats
 
 
 def _splats(positions, cam, opacity=0.9, scale=0.06):
@@ -76,18 +76,4 @@ class TestRasterize:
     def test_type_check(self):
         with pytest.raises(TypeError):
             rasterize_splats("nope", 96, 96)
-
-
-class TestCoverageCounts:
-    def test_matches_rasterizer_roughly(self, cam):
-        splats = _splats([[0, 0, 0], [0.2, 0, 0.3]], cam)
-        counts = splat_coverage_counts(splats, 96, 96)
-        stream = rasterize_splats(splats, 96, 96)
-        actual = np.bincount(stream.prim_ids, minlength=2)
-        for est, act in zip(counts, actual):
-            assert est == pytest.approx(act, rel=0.5)
-
-    def test_offscreen_zero(self, cam):
-        counts = splat_coverage_counts(_splats([9, 9, 0], cam), 96, 96)
-        assert counts[0] == 0
 

@@ -184,15 +184,19 @@ class TestSwmodelRegimes:
 
 
 class TestCudaRendererParity:
-    def test_end_to_end_exact(self):
+    def test_end_to_end_exact(self, frame_inputs):
         """Whole CudaRenderer frames agree across engines: kernel cycles,
         warp counts, tile-duplication pair counts, and the (lazy) blended
         image."""
         rng = np.random.default_rng(fuzz_seed("sw-e2e"))
         cloud = random_cloud(rng, 120, opacity_low=0.4)
         cam = camera()
-        res_ir = CudaRenderer(swmodel="auto").render(cloud, cam)
-        res_legacy = CudaRenderer(swmodel="legacy").render(cloud, cam)
+        # One stream per engine, so neither reads the other's caches.
+        pre, stream = frame_inputs(cloud, cam)
+        res_ir = CudaRenderer(swmodel="auto").render_stream(stream, pre)
+        pre, stream = frame_inputs(cloud, cam)
+        res_legacy = CudaRenderer(swmodel="legacy").render_stream(stream,
+                                                                  pre)
         assert_warps_identical(res_ir.warp_exec, res_legacy.warp_exec)
         assert res_ir.timing.total_cycles == res_legacy.timing.total_cycles
         assert (res_ir.timing.breakdown_ms()
@@ -200,11 +204,8 @@ class TestCudaRendererParity:
         np.testing.assert_array_equal(res_ir.tiling.pairs_per_splat,
                                       res_legacy.tiling.pairs_per_splat)
         assert res_ir.tiling.n_pairs == res_legacy.tiling.n_pairs
-        # The blend is deferred until the image is actually read.
-        assert res_ir._image is None
         np.testing.assert_array_equal(res_ir.image, res_legacy.image)
         np.testing.assert_array_equal(res_ir.alpha, res_legacy.alpha)
-        assert res_ir._image is not None
 
 
 class TestSwmodelKnob:

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.arrays import (
-    segment_boundaries,
-    segmented_cumprod_exclusive,
-    segmented_cumsum,
-    segmented_first_index_where,
-    segmented_sum,
-)
+from repro.utils.arrays import segment_boundaries, segmented_cumsum
 
 
 class TestSegmentBoundaries:
@@ -34,22 +28,6 @@ class TestSegmentBoundaries:
             segment_boundaries(np.zeros((2, 2)))
 
 
-class TestSegmentedSum:
-    def test_basic(self):
-        ids = np.array([0, 0, 1, 1, 1])
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert segmented_sum(vals, ids).tolist() == [3.0, 12.0]
-
-    def test_2d_values(self):
-        ids = np.array([0, 0, 1])
-        vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        out = segmented_sum(vals, ids)
-        assert out.tolist() == [[3.0, 30.0], [3.0, 30.0]]
-
-    def test_empty(self):
-        assert segmented_sum(np.array([]), np.array([])).size == 0
-
-
 class TestSegmentedCumsum:
     def test_restarts_each_segment(self):
         ids = np.array([0, 0, 0, 1, 1])
@@ -67,42 +45,6 @@ class TestSegmentedCumsum:
         assert segmented_cumsum(np.array([]), np.array([])).size == 0
 
 
-class TestSegmentedCumprodExclusive:
-    def test_first_element_is_one(self):
-        ids = np.array([0, 0, 1])
-        vals = np.array([0.5, 0.5, 0.25])
-        out = segmented_cumprod_exclusive(vals, ids)
-        assert out[0] == pytest.approx(1.0)
-        assert out[2] == pytest.approx(1.0)
-
-    def test_product_semantics(self):
-        ids = np.zeros(4, dtype=int)
-        vals = np.array([0.5, 0.4, 0.9, 0.1])
-        out = segmented_cumprod_exclusive(vals, ids)
-        expected = [1.0, 0.5, 0.2, 0.18]
-        assert out == pytest.approx(expected)
-
-    def test_zero_clamped(self):
-        ids = np.zeros(3, dtype=int)
-        vals = np.array([1.0, 0.0, 0.5])
-        out = segmented_cumprod_exclusive(vals, ids)
-        assert out[2] <= 1e-25  # effectively zero, not -inf/nan
-        assert np.all(np.isfinite(out))
-
-
-class TestSegmentedFirstIndexWhere:
-    def test_finds_first(self):
-        ids = np.array([0, 0, 0, 1, 1])
-        mask = np.array([False, True, True, False, False])
-        out = segmented_first_index_where(mask, ids)
-        assert out.tolist() == [1, 2]  # segment 1 has none -> length
-
-    def test_all_false_returns_length(self):
-        ids = np.array([0, 0, 1])
-        mask = np.zeros(3, dtype=bool)
-        assert segmented_first_index_where(mask, ids).tolist() == [2, 1]
-
-
 @st.composite
 def segmented_data(draw):
     n_segments = draw(st.integers(1, 5))
@@ -111,20 +53,6 @@ def segmented_data(draw):
     vals = np.array(draw(st.lists(
         st.floats(0.01, 0.99), min_size=int(ids.size), max_size=int(ids.size))))
     return ids, vals
-
-
-@settings(max_examples=50, deadline=None)
-@given(segmented_data())
-def test_cumprod_matches_python_loop(data):
-    ids, vals = data
-    out = segmented_cumprod_exclusive(vals, ids)
-    # Oracle: per-element exclusive product via Python.
-    for i in range(ids.size):
-        product = 1.0
-        for j in range(i):
-            if ids[j] == ids[i]:
-                product *= vals[j]
-        assert out[i] == pytest.approx(product, rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

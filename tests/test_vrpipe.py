@@ -59,40 +59,39 @@ class TestSpeedups:
 
 
 class TestHardwareRenderer:
-    def test_end_to_end(self, small_cloud, small_camera):
+    def test_end_to_end(self, small_stream, small_pre):
         renderer = HardwareRenderer()
-        result = renderer.render(small_cloud, small_camera)
+        result = renderer.render_stream(small_stream, small_pre)
         assert result.image.shape == (96, 96, 3)
         assert result.total_cycles > result.draw.cycles
         breakdown = result.breakdown_ms()
         assert set(breakdown) == {"preprocess", "sort", "rasterize"}
         assert result.fps() > 0
 
-    def test_rasterize_dominates(self, small_cloud, small_camera):
+    def test_rasterize_dominates(self, small_stream, small_pre):
         """The paper: rasterisation is >70% of hardware-path time."""
         renderer = HardwareRenderer(config=variant_config("baseline"))
-        result = renderer.render(small_cloud, small_camera)
+        result = renderer.render_stream(small_stream, small_pre)
         b = result.breakdown_ms()
         total = sum(b.values())
         assert b["rasterize"] / total > 0.7
 
-    def test_vrpipe_faster_than_baseline(self, small_cloud, small_camera):
+    def test_vrpipe_faster_than_baseline(self, small_stream, small_pre):
         base = HardwareRenderer(config=variant_config("baseline"))
         vrp = HardwareRenderer(config=variant_config("het+qm"))
-        t_base = base.render(small_cloud, small_camera).total_ms()
-        t_vrp = vrp.render(small_cloud, small_camera).total_ms()
+        t_base = base.render_stream(small_stream, small_pre).total_ms()
+        t_vrp = vrp.render_stream(small_stream, small_pre).total_ms()
         assert t_vrp < t_base
 
     def test_het_image_matches_early_term_reference(self, deep_cloud,
-                                                    deep_camera):
+                                                    deep_camera, deep_stream,
+                                                    deep_pre):
         from repro.render.reference import render_reference
         vrp = HardwareRenderer(config=variant_config("het+qm"))
-        result = vrp.render(deep_cloud, deep_camera)
+        result = vrp.render_stream(deep_stream, deep_pre)
         exact = render_reference(deep_cloud, deep_camera)
         assert np.abs(result.image - exact.image).max() <= 0.004 + 1e-9
 
-    def test_type_checks(self, small_camera):
-        with pytest.raises(TypeError):
-            HardwareRenderer().render("cloud", small_camera)
+    def test_type_checks(self):
         with pytest.raises(TypeError):
             HardwareRenderer(config="nope")

@@ -9,7 +9,6 @@ from repro.workloads.catalog import (
     SCENES,
     SMALL_SPLAT_SCENES,
     build_scene,
-    default_camera,
     get_profile,
     scene_names,
 )
@@ -131,8 +130,8 @@ class TestCatalog:
         assert not (a.positions == b.positions).all()
 
     def test_default_camera_matches_profile(self):
-        cam = default_camera("train")
         profile = get_profile("train")
+        cam = profile.camera()
         assert cam.width == profile.width
         assert cam.height == profile.height
 
