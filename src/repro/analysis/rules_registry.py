@@ -12,8 +12,9 @@ R4 (per module)
       :data:`repro.knobs.ENV_KNOBS`.
 
 R5 (project-wide)
-    * every string literal compared/passed to an ``ir=`` / ``coherence``
-      / ``engine=`` knob must belong to that knob's declared mode set;
+    * every string literal compared/passed to an ``ir`` / ``coherence``
+      / ``swmodel`` / ``engine`` knob must belong to that knob's declared
+      mode set;
     * every declared mode must be *used* somewhere in ``src`` or the
       test corpus (a declared-but-dead branch is a coverage hole);
     * every declared scalar/legacy oracle symbol must exist in ``src``

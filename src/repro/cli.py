@@ -235,8 +235,8 @@ def build_parser():
                                  "(bit-identical; default auto)")
     trajectory.add_argument("--swmodel", default="auto",
                             choices=SWMODEL_MODES,
-                            help="software-path model engine of the cuda "
-                                 "backends: FrameIR-native (auto) or the "
+                            help="warp-model engine of the cuda backends: "
+                                 "FrameIR-native (auto) or the "
                                  "legacy fragment-sort oracle "
                                  "(bit-identical; default auto)")
     trajectory.add_argument("--json", action="store_true",

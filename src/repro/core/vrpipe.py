@@ -51,16 +51,15 @@ def variant_config(variant, device=None, **overrides):
     return base.variant(enable_het=het, enable_qm=qm, **overrides)
 
 
-def run_variant(stream, variant, device=None, engine="batched", **overrides):
+def run_variant(stream, variant, device=None, **overrides):
     """Simulate one draw call under ``variant``; returns a DrawResult."""
     config = variant_config(variant, device, **overrides)
-    return GraphicsPipeline(config).draw(stream, engine=engine)
+    return GraphicsPipeline(config).draw(stream)
 
 
-def run_all_variants(stream, device=None, engine="batched", **overrides):
+def run_all_variants(stream, device=None, **overrides):
     """Simulate all four variants on the same stream."""
-    return {name: run_variant(stream, name, device, engine=engine,
-                              **overrides)
+    return {name: run_variant(stream, name, device, **overrides)
             for name in VARIANTS}
 
 
@@ -139,10 +138,10 @@ class HardwareRenderer:
         Calibrated preprocessing/sort kernel costs (shared with
         :class:`~repro.swrender.renderer.CudaRenderer` for a fair
         comparison).
-    engine:
-        Flush engine of the pipeline model: ``"batched"`` (default, the
-        flush-plan engine) or ``"scalar"`` (the retained per-flush path);
-        both are cycle- and stat-exact against each other.
+
+    Draws always run the batched flush engine (:attr:`engine`); the
+    scalar reference is chosen only at
+    :meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw`.
 
     The renderer is stateless across frames.  The digestion path follows
     the stream (see :func:`~repro.render.splat_raster.rasterize_splats`),
@@ -150,16 +149,14 @@ class HardwareRenderer:
     :class:`~repro.engine.session.RenderSession`.
     """
 
-    def __init__(self, config=None, kernel_model=None, engine="batched"):
+    #: Flush engine of every draw this renderer runs.
+    engine = "batched"
+
+    def __init__(self, config=None, kernel_model=None):
         self.config = config if config is not None else variant_config("het+qm")
         if not isinstance(self.config, GPUConfig):
             raise TypeError("config must be a GPUConfig")
-        if engine not in GraphicsPipeline.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from "
-                f"{GraphicsPipeline.ENGINES}")
         self.kernel_model = kernel_model or SWKernelModel()
-        self.engine = engine
 
     def render_stream(self, stream, pre=None, crop_cache=None):
         """Render a fragment stream; returns an :class:`HWRenderResult`.
@@ -178,7 +175,6 @@ class HardwareRenderer:
         sort_cycles = model.sort_cycles(n_visible)
         workload = DrawWorkload.from_stream(stream, self.config)
         draw = GraphicsPipeline(self.config).draw(workload,
-                                                  crop_cache=crop_cache,
-                                                  engine=self.engine)
+                                                  crop_cache=crop_cache)
         return HWRenderResult(draw, preprocess_cycles,
                               sort_cycles, stream, pre)

@@ -6,13 +6,13 @@ the right idealisation here: the probe in the paper measures *capacity*
 behaviour ("the CROP cache has never held more than 16 KB of data"), and the
 real structure's associativity is unpublished.
 
-Two replay engines produce identical results:
+The cache has one reference and one fast path, with identical results:
 
-* the **scalar** engine (:meth:`LRUCache.access_line` and friends) walks the
-  tag stream one access at a time through an ``OrderedDict`` — the original
-  reference implementation, kept as the golden oracle;
-* the **vectorized** engine (:func:`replay_tag_stream`, used by
-  :meth:`LRUCache.access_segmented` for long streams) computes the whole
+* the **reference** (:meth:`LRUCache.access_line` and
+  :meth:`LRUCache.access_many`) walks the tag stream one access at a time
+  through an ``OrderedDict``;
+* the **fast path** (:func:`replay_tag_stream`, which
+  :meth:`LRUCache.access_segmented` always takes) computes the whole
   stream's hits, misses, evictions, dirty writebacks and the final LRU state
   in bulk.  For a fully-associative LRU a reference hits iff its stack
   (reuse) distance is ``< n_lines``, so per-access hit/miss flags follow
@@ -30,15 +30,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: Below this stream length the scalar loop wins (vectorisation overhead
-#: dominates); measured crossover is ~2-4k accesses.
-VECTOR_MIN_STREAM = 4096
-
 #: Per-call budget for the exact scan rounds, in gathered elements per
 #: stream element.  Real CROP/Z streams resolve >99% of accesses through
 #: the O(1)-per-access certificates and use a tiny fraction of this; the
-#: budget only guards adversarial streams, which fall back to the scalar
-#: loop (identical results, status-quo speed).
+#: budget only guards adversarial streams, which fall back to the reference
+#: loop (identical results, reference speed).
 SCAN_BUDGET_FACTOR = 24
 
 
@@ -108,7 +104,7 @@ def _stack_hits(n_accesses, n_lines, prev):
        per query; a final budgeted scan pass mops up the leftovers.
 
     Returns ``None`` when even the escalation exceeds its budget
-    (adversarial streams); callers then use the scalar loop.
+    (adversarial streams); callers then run the reference loop.
     """
     N = int(n_accesses)
     pos = np.arange(N, dtype=np.int64)
@@ -203,7 +199,7 @@ def replay_tag_stream(tags, n_lines, warm_items, write):
     per-access, ``counters`` is ``(hits, misses, evictions, writebacks)``
     and ``final_items`` is the end-of-stream cache contents in LRU order
     with dirty bits — or ``None`` if the stream resisted vectorised
-    classification (callers fall back to the scalar loop).
+    classification (callers fall back to the reference loop).
 
     The warm state is handled with a *preamble*: replaying the resident
     tags (LRU order, oldest first) before the stream reproduces the warm
@@ -378,14 +374,13 @@ class LRUCache:
         one :meth:`access_many` call per segment — LRU state and the
         hit/miss/eviction/writeback counters evolve identically.
 
-        Streams of at least :data:`VECTOR_MIN_STREAM` accesses go
-        through the vectorized exact-LRU engine, which still degrades to
-        the scalar loop if an adversarial stream exhausts the exact-scan
-        budget; shorter streams run the scalar loop.  Both are
-        bit-identical in every observable (per-segment misses, counters,
-        and the cache's final contents in LRU order with dirty bits); the
-        vectorized engine is what lets the batched flush engine replay a
-        whole draw's cache traffic at once.
+        The stream goes through the vectorized exact-LRU replay
+        (:func:`replay_tag_stream`), which is bit-identical to the
+        reference in every observable (per-segment misses, counters, and
+        the cache's final contents in LRU order with dirty bits) and lets
+        the batched flush engine replay a whole draw's cache traffic at
+        once.  Only a stream that exhausts the exact-scan budget runs the
+        reference instead, one :meth:`access_many` call per segment.
         """
         tags = np.asarray(tags, dtype=np.int64)
         bounds = np.asarray(seg_splits, dtype=np.int64)
@@ -394,58 +389,23 @@ class LRUCache:
         if (bounds[0] != 0 or bounds[-1] != tags.shape[0]
                 or np.any(np.diff(bounds) < 0)):
             raise ValueError("seg_splits must ascend from 0 to len(tags)")
-        if tags.shape[0] >= VECTOR_MIN_STREAM:
-            replay = replay_tag_stream(
-                np.ascontiguousarray(tags, dtype=np.int64), self.n_lines,
-                list(self._lines.items()), bool(write))
-            if replay is not None:
-                stream_hit, counters, final_items = replay
-                hits, misses, evictions, writebacks = counters
-                self.hits += hits
-                self.misses += misses
-                self.evictions += evictions
-                self.writebacks += writebacks
-                self._lines = OrderedDict(final_items)
-                miss_cum = np.concatenate(
-                    (np.zeros(1, dtype=np.int64),
-                     np.cumsum(~stream_hit, dtype=np.int64)))
-                return miss_cum[bounds[1:]] - miss_cum[bounds[:-1]]
-            # Budget exceeded (adversarial stream): scalar fallback below.
-        return self._access_segmented_scalar(tags, bounds, write)
-
-    def _access_segmented_scalar(self, tags, bounds, write):
-        """The original per-access replay loop (the vector engine's oracle)."""
-        n_segments = bounds.shape[0] - 1
-        out = np.zeros(n_segments, dtype=np.int64)
-        lines = self._lines
-        n_lines = self.n_lines
-        move_to_end = lines.move_to_end
-        popitem = lines.popitem
-        dirty = bool(write)
-        hits = misses = evictions = writebacks = 0
-        tag_list = tags.tolist()
-        bound_list = bounds.tolist()
-        for seg in range(n_segments):
-            seg_misses = 0
-            for i in range(bound_list[seg], bound_list[seg + 1]):
-                tag = tag_list[i]
-                if tag in lines:
-                    hits += 1
-                    move_to_end(tag)
-                    if dirty:
-                        lines[tag] = True
-                else:
-                    seg_misses += 1
-                    if len(lines) >= n_lines:
-                        _, was_dirty = popitem(last=False)
-                        evictions += 1
-                        if was_dirty:
-                            writebacks += 1
-                    lines[tag] = dirty
-            out[seg] = seg_misses
-            misses += seg_misses
+        replay = replay_tag_stream(
+            np.ascontiguousarray(tags, dtype=np.int64), self.n_lines,
+            list(self._lines.items()), bool(write))
+        if replay is None:
+            bound_list = bounds.tolist()
+            return np.asarray(
+                [self.access_many(tags[s:e].tolist(), write=write)
+                 for s, e in zip(bound_list[:-1], bound_list[1:])],
+                dtype=np.int64)
+        stream_hit, counters, final_items = replay
+        hits, misses, evictions, writebacks = counters
         self.hits += hits
         self.misses += misses
         self.evictions += evictions
         self.writebacks += writebacks
-        return out
+        self._lines = OrderedDict(final_items)
+        miss_cum = np.concatenate(
+            (np.zeros(1, dtype=np.int64),
+             np.cumsum(~stream_hit, dtype=np.int64)))
+        return miss_cum[bounds[1:]] - miss_cum[bounds[:-1]]

@@ -14,10 +14,12 @@ GPUConfig`, and work that touches a unit, a cache or an accumulator:
 :func:`build_flush_plan`
     Replays the bin dynamics at *range* granularity (every inserted group
     is a contiguous quad-table row slice, and bin overflow only splits
-    ranges into subranges) via :class:`~repro.hwmodel.tc.RangeTileCoalescer`
-    — and, for QM variants, :meth:`~repro.hwmodel.tgc.TileGridCoalescer.
-    plan_groups` — producing a :class:`FlushPlan`: flat per-flush
-    ``tile``/``reason`` arrays plus row-segment offsets.  The (prim,
+    ranges into subranges) in one loop per unit —
+    :meth:`~repro.hwmodel.tc.RangeTileCoalescer.plan_groups`, which also
+    applies the TC timeout rule, and, for QM variants,
+    :meth:`~repro.hwmodel.tgc.TileGridCoalescer.plan_groups` — producing
+    a :class:`FlushPlan`: flat per-flush ``tile``/``reason`` arrays plus
+    row-segment offsets.  The (prim,
     tile) and (prim, grid) ranges it iterates come from the workload,
     which reads them straight off the stream's
     :class:`~repro.render.frameir.FrameIR` when one is present (chunklet

@@ -332,10 +332,9 @@ class GraphicsPipeline:
     (:mod:`repro.hwmodel.flushplan`) and runs the per-flush math over all
     flushes at once, while ``"scalar"`` walks the TC flushes one by one —
     the original reference path, kept for validation and as the golden
-    oracle of the flush-engine equivalence tests.
+    oracle of the flush-engine equivalence tests.  :meth:`draw` is the one
+    place the engine is chosen.
     """
-
-    ENGINES = PIPELINE_ENGINES
 
     def __init__(self, config=None):
         self.config = config if config is not None else GPUConfig()
@@ -356,9 +355,9 @@ class GraphicsPipeline:
         batched flush-plan engine (default) or the scalar per-flush path;
         both are cycle-, stat- and trace-exact against each other.
         """
-        if engine not in self.ENGINES:
+        if engine not in PIPELINE_ENGINES:
             raise ValueError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}")
+                f"unknown engine {engine!r}; choose from {PIPELINE_ENGINES}")
         if isinstance(workload_or_stream, FragmentStream):
             workload = DrawWorkload.from_stream(workload_or_stream,
                                                 self.config)

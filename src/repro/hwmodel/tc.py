@@ -11,13 +11,15 @@ direct consequence of rule (2) and is reproduced by this model.
 Quads are stored as *indices into the draw call's quad table*, so flush
 batches are cheap NumPy fancy-index views.
 
-Both coalescer flavours — the scalar :class:`TileCoalescer` that
-materialises row arrays per flush and the range-level
-:class:`RangeTileCoalescer` planner — share one timeout code path
-(:class:`TimeoutTracker`), so the ``tc_flush_timeout`` accounting cannot
-drift between the scalar and batched engines.
+The unit has one reference and one fast path.  :class:`TileCoalescer`
+inserts one group at a time and materialises row arrays per flush; the
+scalar flush engine and the golden tests use it.
+:meth:`RangeTileCoalescer.plan_groups` plans a whole group sequence in one
+loop over row ranges; the batched flush engine uses it.  Both read the
+timeout rule from one :class:`TimeoutTracker`, so the
+``tc_flush_timeout`` accounting cannot drift between the two engines.
 
-The (tile, start, end) group sequences both flavours consume are the
+The (tile, start, end) group sequences both consume are the
 workload's (prim, tile) ranges — derived from the stream's
 :class:`~repro.render.frameir.FrameIR` chunklet runs when present, or
 from the legacy quad-table reductions — so the planners themselves never
@@ -259,70 +261,31 @@ class RangeTileCoalescer:
         self.seg_ends.extend(entry[2])
         self.flush_seg_bounds.append(len(self.seg_starts))
 
-    def _check_timeouts(self):
-        for tile in self._timeout.expired(self._bins):
-            self._flush(tile, self._bins.pop(tile),
-                        TileCoalescer.FLUSH_TIMEOUT)
-
-    def insert_group(self, tile_id, start, end):
-        """Plan the insertion of one (primitive, tile) group of rows.
-
-        Mirrors :meth:`TileCoalescer.insert` on ``arange(start, end)``:
-        identical bin occupancy, identical flush order and causes.
-        """
-        self._check_timeouts()
-        bins = self._bins
-        capacity = self.bin_capacity
-        offset = 0
-        n = end - start
-        self.quads_inserted += n
-        while offset < n:
-            entry = bins.get(tile_id)
-            if entry is None:
-                if len(bins) >= self.n_bins:
-                    old_tile, old_entry = bins.popitem(last=False)
-                    self._flush(old_tile, old_entry,
-                                TileCoalescer.FLUSH_EVICT)
-                entry = bins[tile_id] = [0, [], []]
-                self._timeout.arrive(tile_id, 0)
-            take = min(capacity - entry[0], n - offset)
-            if take > 0:
-                entry[1].append(start + offset)
-                entry[2].append(start + offset + take)
-                entry[0] += take
-                offset += take
-                self._timeout.arrive(tile_id, take)
-            if entry[0] >= capacity:
-                del bins[tile_id]
-                self._flush(tile_id, entry, TileCoalescer.FLUSH_FULL)
-        self._check_timeouts()
-
     def plan_groups(self, tile_ids, starts, ends):
-        """Plan a whole run of (primitive, tile) groups in one pass.
+        """Plan a run of (primitive, tile) groups, in draw order.
 
-        Equivalent to one :meth:`insert_group` call per group — identical
-        flush schedule, bit for bit — but the planning loop is collapsed:
-        with the timeout rule disabled (the default for every variant) the
-        per-group timeout scans are exact no-ops, so the loop runs fused
-        with hoisted locals, and *repeated tile runs* (consecutive groups
-        landing in the same bin, common under TGC grid grouping) reuse the
-        resolved bin entry instead of re-walking the machinery.  This is
-        the range-level planning hotspot flagged in the ROADMAP — ~29k
-        groups per ``train`` draw — reduced to one tight pass.
+        Produces :class:`TileCoalescer`'s flush schedule for the same
+        groups bit for bit, in one pass with hoisted locals.  Repeated
+        tile runs (consecutive groups landing in the same bin, common
+        under TGC grid grouping) reuse the resolved bin entry.  With the
+        timeout rule on, each group advances the shared
+        :class:`TimeoutTracker` by its quads and the bins it left idle
+        flush right after it, where :meth:`TileCoalescer.insert` checks
+        them (its check before a group never fires: nothing has advanced
+        the clock since the previous group's check).
         """
         tiles = tile_ids.tolist() if hasattr(tile_ids, "tolist") else tile_ids
         start_l = starts.tolist() if hasattr(starts, "tolist") else starts
         end_l = ends.tolist() if hasattr(ends, "tolist") else ends
-        if self._timeout.enabled:
-            for tile_id, start, end in zip(tiles, start_l, end_l):
-                self.insert_group(tile_id, start, end)
-            return
         bins = self._bins
         capacity = self.bin_capacity
         n_bins = self.n_bins
         flush = self._flush
         full = TileCoalescer.FLUSH_FULL
         evict = TileCoalescer.FLUSH_EVICT
+        timed_out = TileCoalescer.FLUSH_TIMEOUT
+        timeout = self._timeout
+        timed = timeout.enabled
         get = bins.get
         popitem = bins.popitem
         total = 0
@@ -354,6 +317,11 @@ class RangeTileCoalescer:
                     del bins[tile_id]
                     flush(tile_id, entry, full)
                     entry = None
+            if timed and n:
+                timeout.arrive(tile_id, n)
+                for tile in timeout.expired(bins):
+                    flush(tile, bins.pop(tile), timed_out)
+                run_tile = None
         self.quads_inserted += total
 
     def drain(self):

@@ -1,7 +1,7 @@
 """Central registry of the library's process knobs and mode sets.
 
 Every ``REPRO_*`` environment variable the tree reads, and every
-``engine=`` / ``ir=`` / ``coherence=`` / ``swmodel=`` mode knob threaded
+``engine`` / ``ir`` / ``coherence`` / ``swmodel`` mode knob threaded
 through the call graph, is declared **here** — one import-light module
 (stdlib only, importable from anywhere without cycles) that three
 consumers share:
@@ -19,10 +19,13 @@ consumers share:
   R5 flags mode literals outside the declared sets plus declared oracle
   paths that no test exercises.
 
-``engine`` is the hardware pipeline's flush engine only.  The LRU replay
-engine is not a knob: :meth:`repro.hwmodel.caches.LRUCache.access_segmented`
-picks it by stream length, and its oracle (``access_many``) is checked
-by name.
+``engine`` is the hardware pipeline's flush engine, chosen only at
+:meth:`repro.hwmodel.pipeline.GraphicsPipeline.draw`.  The LRU cache has
+no engine choice: :meth:`repro.hwmodel.caches.LRUCache.access_segmented`
+always takes the vectorized replay, and its reference (``access_many``)
+is checked by name.  Multipass has no knob either: its workspace follows
+the stream, as digestion does, so its oracle is reached through
+``ir="legacy"``.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ IR_MODES = ("auto", "legacy")
 #: off (the full-recompute oracle); see :mod:`repro.render.coherence`.
 COHERENCE_MODES = ("auto", "off")
 
-#: Valid values of the software-path ``swmodel`` knob (FrameIR-backed
-#: CUDA warp/multipass models vs the retained fragment-sort oracles; see
-#: :mod:`repro.swrender.warp_model` and :mod:`repro.swopt.multipass`).
+#: Valid values of the CUDA warp model's ``swmodel`` knob (FrameIR-backed
+#: engine vs the retained fragment-sort oracle; see
+#: :mod:`repro.swrender.warp_model`).
 SWMODEL_MODES = ("auto", "legacy")
 
 #: Valid values of the pipeline flush ``engine`` knob (batched flush
@@ -92,5 +95,5 @@ ORACLES = (
     {"symbol": "_simulate_tile_warps_legacy", "pair": "_simulate_tile_warps_ir",
      "knob": "swmodel", "mode": "legacy"},
     {"symbol": "_multipass_workspace_legacy", "pair": "_multipass_workspace_ir",
-     "knob": "swmodel", "mode": "legacy"},
+     "knob": "ir", "mode": "legacy"},
 )

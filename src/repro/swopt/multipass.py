@@ -15,16 +15,15 @@ streaming-bottleneck evaluation per pass (bin dynamics are skipped; they do
 not change at pass granularity, and the full simulator confirms the N=1
 case).
 
-Two engines, selected by the ``swmodel`` knob (shared with the warp model,
-see :func:`repro.swrender.warp_model.resolve_swmodel`):
+Two engines, chosen by the stream, as digestion is:
 
-* :func:`_multipass_workspace_ir` reads the quad/batch structure off the
-  stream's :class:`~repro.render.frameir.FrameIR` quad table and
+* :func:`_multipass_workspace_ir`, for a stream that carries a FrameIR,
+  reads the quad/batch structure off the FrameIR quad table and
   digestion's cached pixel-sorted arrival chain — no fragment lexsort and
   no ``np.unique`` over quad keys;
-* :func:`_multipass_workspace_legacy` is the retained fragment-sort
-  oracle (lexsort + ``np.unique``), kept bit-exact for the equivalence
-  tests.
+* :func:`_multipass_workspace_legacy`, for a bare stream (rasterised
+  with ``ir="legacy"``), is the retained fragment-sort oracle (lexsort +
+  ``np.unique``), kept bit-exact for the equivalence tests.
 
 Either workspace holds every stream-dependent, N-independent structure,
 so :func:`multipass_sweep` builds it once and reuses it across all pass
@@ -183,16 +182,14 @@ def _multipass_workspace_legacy(stream):
     )
 
 
-def _multipass_workspace(stream, swmodel):
-    from repro.swrender.warp_model import resolve_swmodel
-
-    if resolve_swmodel(swmodel) != "legacy" and stream.frameir is not None:
+def _multipass_workspace(stream):
+    if stream.frameir is not None:
         return _multipass_workspace_ir(stream)
     return _multipass_workspace_legacy(stream)
 
 
-def run_multipass(stream, n_passes, config=None,
-                  threshold=None, swmodel="auto", _workspace=None):
+def run_multipass(stream, n_passes, config=None, threshold=None,
+                  _workspace=None):
     """Simulate Algorithm 1 with ``n_passes`` over a fragment stream."""
     if not isinstance(stream, FragmentStream):
         raise TypeError(
@@ -206,7 +203,7 @@ def run_multipass(stream, n_passes, config=None,
     if n_prims == 0 or len(stream) == 0:
         return MultipassResult(n_passes, [], [], 0.0, 0)
     ws = _workspace if _workspace is not None \
-        else _multipass_workspace(stream, swmodel)
+        else _multipass_workspace(stream)
 
     # Batch of each primitive: N equal slices of the depth order.  The
     # split is non-decreasing in primitive id, and fragments within a
@@ -269,7 +266,7 @@ def run_multipass(stream, n_passes, config=None,
         fragments_blended=int(blended.sum()))
 
 
-def multipass_sweep(stream, pass_counts, config=None, swmodel="auto"):
+def multipass_sweep(stream, pass_counts, config=None):
     """Speedup over the single-pass baseline for each N (Figure 11).
 
     The sort/quad workspace is built once and shared across every pass
@@ -278,12 +275,10 @@ def multipass_sweep(stream, pass_counts, config=None, swmodel="auto"):
     config = config or GPUConfig()
     ws = None
     if stream.prim_colors.shape[0] and len(stream):
-        ws = _multipass_workspace(stream, swmodel)
-    baseline = run_multipass(stream, 1, config, swmodel=swmodel,
-                             _workspace=ws)
+        ws = _multipass_workspace(stream)
+    baseline = run_multipass(stream, 1, config, _workspace=ws)
     sweep = {}
     for n in pass_counts:
-        result = run_multipass(stream, int(n), config, swmodel=swmodel,
-                               _workspace=ws)
+        result = run_multipass(stream, int(n), config, _workspace=ws)
         sweep[int(n)] = result.speedup_over(baseline.total_cycles)
     return sweep

@@ -14,7 +14,9 @@ stream:
   (Figure 9's "threads performing blending in a warp").
 
 Two engines, selected by the ``swmodel`` knob (``"auto"`` or
-``"legacy"``; the caller chooses, there is no process-wide default):
+``"legacy"``; the caller chooses, there is no process-wide default).
+The knob reaches only this model: the multi-pass model
+(:mod:`repro.swopt.multipass`) picks its engine from the stream alone.
 
 * ``_simulate_tile_warps_ir`` (``"auto"`` on a stream carrying a
   FrameIR) reads the (prim, tile) round structure straight off the

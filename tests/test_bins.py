@@ -210,45 +210,56 @@ class TestTCBatchInsert:
         assert tc.quads_inserted == 2
 
 
+def _range_groups(seed, n_groups=150, n_tiles=10):
+    """Random groups, a fifth of them empty, on two tile sequences:
+    uniform tiles, and run-heavy tiles (geometric runs of the same tile, as
+    TGC grid grouping emits).  An empty group advances no idle clock."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 40, n_groups) * (rng.random(n_groups) >= 0.2)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    uniform = rng.integers(0, n_tiles, n_groups)
+    runs = np.resize(np.repeat(rng.integers(0, 8, 60),
+                               rng.integers(1, 8, 60)), n_groups)
+    return starts, ends, (uniform, runs)
+
+
 class TestRangePlanner:
-    """RangeTileCoalescer must plan TileCoalescer's exact flush schedule."""
+    """RangeTileCoalescer.plan_groups must plan TileCoalescer's exact
+    flush schedule."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("timeout", [None, 50])
+    @pytest.mark.parametrize("timeout", [None, 50, 5, 1])
     def test_plan_matches_flushes(self, seed, timeout):
         from repro.hwmodel.tc import RangeTileCoalescer
 
-        rng = np.random.default_rng(seed)
-        n_groups = 150
-        lengths = rng.integers(1, 40, n_groups)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        tiles = rng.integers(0, 10, n_groups)
+        starts, ends, tile_sequences = _range_groups(seed)
         rows = np.arange(ends[-1], dtype=np.int64)
+        for tiles in tile_sequences:
+            for n_bins in (1, 4):
+                ref = TileCoalescer(n_bins=n_bins, bin_capacity=16,
+                                    timeout_quads=timeout)
+                expected = list(ref.insert_groups(tiles, starts, ends, rows))
+                expected.extend(ref.drain())
 
-        ref = TileCoalescer(n_bins=4, bin_capacity=16, timeout_quads=timeout)
-        expected = list(ref.insert_groups(tiles, starts, ends, rows))
-        expected.extend(ref.drain())
+                planner = RangeTileCoalescer(n_bins=n_bins, bin_capacity=16,
+                                             timeout_quads=timeout)
+                planner.plan_groups(tiles, starts, ends)
+                planner.drain()
 
-        planner = RangeTileCoalescer(n_bins=4, bin_capacity=16,
-                                     timeout_quads=timeout)
-        for tile, s, e in zip(tiles.tolist(), starts.tolist(), ends.tolist()):
-            planner.insert_group(tile, s, e)
-        planner.drain()
-
-        assert planner.flush_tile == [b.tile_id for b in expected]
-        assert planner.flush_reason == [b.reason for b in expected]
-        assert planner.flush_counts == ref.flush_counts
-        assert planner.quads_inserted == ref.quads_inserted
-        # Expand the planned row segments and compare flush-for-flush.
-        seg_starts = np.asarray(planner.seg_starts)
-        seg_ends = np.asarray(planner.seg_ends)
-        bounds = planner.flush_seg_bounds
-        for i, batch in enumerate(expected):
-            segs = zip(seg_starts[bounds[i]:bounds[i + 1]],
-                       seg_ends[bounds[i]:bounds[i + 1]])
-            planned = [r for s, e in segs for r in range(s, e)]
-            assert planned == batch.quad_rows.tolist()
+                assert planner.flush_tile == [b.tile_id for b in expected]
+                assert planner.flush_reason == [b.reason for b in expected]
+                assert planner.flush_counts == ref.flush_counts
+                assert planner.quads_inserted == ref.quads_inserted
+                # Expand the planned row segments, flush for flush.
+                seg_starts = np.asarray(planner.seg_starts)
+                seg_ends = np.asarray(planner.seg_ends)
+                bounds = planner.flush_seg_bounds
+                for i, batch in enumerate(expected):
+                    segs = zip(seg_starts[bounds[i]:bounds[i + 1]],
+                               seg_ends[bounds[i]:bounds[i + 1]])
+                    planned = [r for s, e in segs for r in range(s, e)]
+                    assert planned == batch.quad_rows.tolist()
 
     def test_rejects_bad_parameters(self):
         from repro.hwmodel.tc import RangeTileCoalescer
@@ -257,49 +268,6 @@ class TestRangePlanner:
             RangeTileCoalescer(n_bins=0)
         with pytest.raises(ValueError):
             RangeTileCoalescer(timeout_quads=0)
-
-    @pytest.mark.parametrize("timeout", [None, 50])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_plan_groups_matches_insert_group(self, seed, timeout):
-        """The collapsed batch pass == one insert_group call per group,
-        including repeated same-tile runs (which the batch pass coalesces
-        into one resolved bin entry)."""
-        from repro.hwmodel.tc import RangeTileCoalescer
-
-        rng = np.random.default_rng(seed)
-        n_groups = 200
-        lengths = rng.integers(1, 40, n_groups)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        # Run-heavy tile sequence: geometric runs of the same tile.
-        tiles = np.repeat(rng.integers(0, 8, 60),
-                          rng.integers(1, 8, 60))[:n_groups]
-        tiles = np.resize(tiles, n_groups)
-
-        ref = RangeTileCoalescer(n_bins=4, bin_capacity=16,
-                                 timeout_quads=timeout)
-        for tile, s, e in zip(tiles.tolist(), starts.tolist(), ends.tolist()):
-            ref.insert_group(tile, s, e)
-        ref.drain()
-
-        bat = RangeTileCoalescer(n_bins=4, bin_capacity=16,
-                                 timeout_quads=timeout)
-        bat.plan_groups(tiles, starts, ends)
-        bat.drain()
-
-        assert bat.flush_tile == ref.flush_tile
-        assert bat.flush_reason == ref.flush_reason
-        assert bat.flush_counts == ref.flush_counts
-        assert bat.quads_inserted == ref.quads_inserted
-        # Row streams must expand identically (segment splits may differ
-        # when runs collapse, so compare per-flush expanded rows).
-        for i in range(len(bat.flush_tile)):
-            def rows(c, i=i):
-                lo, hi = c.flush_seg_bounds[i], c.flush_seg_bounds[i + 1]
-                return [r for s, e in zip(c.seg_starts[lo:hi],
-                                          c.seg_ends[lo:hi])
-                        for r in range(s, e)]
-            assert rows(bat) == rows(ref)
 
 
 class TestSharedTimeoutPath:

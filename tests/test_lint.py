@@ -236,14 +236,15 @@ class TestR5Oracles:
                    for f in active(findings))
 
     def test_lru_oracle_needs_a_test_naming_it(self, tmp_path):
-        # The LRU cache's scalar paths, with a tests/ tree that reaches
-        # the pipeline's scalar engine but never names the LRU oracle: a
-        # knob literal must not stand in for the reference the fuzz runs.
+        # The LRU cache's reference and fast path, with a tests/ tree that
+        # reaches the pipeline's scalar engine but never names the LRU
+        # oracle: a knob literal must not stand in for the reference the
+        # fuzz runs.
         findings = lint_snippet(
             tmp_path, "hwmodel/caches.py",
             "class LRUCache:\n"
             "    def access_many(self, tags):\n        return 0\n\n"
-            "    def _access_segmented_scalar(self, tags):\n"
+            "    def access_segmented(self, tags):\n"
             "        return 0\n", "R5",
             tests="def test_draw(pipeline, stream):\n"
                   "    pipeline.draw(stream, engine='scalar')\n")

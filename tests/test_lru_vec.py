@@ -1,8 +1,8 @@
-"""Fuzz/property tests: vectorized exact-LRU engine vs the scalar oracle.
+"""Fuzz/property tests: vectorized exact-LRU replay vs the reference loop.
 
-The vectorized engine (:func:`repro.hwmodel.caches.replay_tag_stream`, used
-by ``LRUCache.access_segmented``) must agree with the scalar
-``access_line``/``flush`` loop on *every* observable: per-segment miss
+The vectorized replay (:func:`repro.hwmodel.caches.replay_tag_stream`, which
+``LRUCache.access_segmented`` always takes) must agree with the reference
+``access_line``/``access_many``/``flush`` loop on *every* observable: per-segment miss
 counts, the hit/miss/eviction/writeback counters, and the final cache
 contents in exact LRU order with exact dirty bits — including warm-cache
 handoff between two streams.  Random tag streams across several regimes
@@ -82,9 +82,9 @@ STYLES = ("uniform", "cyclic", "sorted", "pareto", "dwell")
 
 @pytest.fixture
 def vector_replays(monkeypatch):
-    """Send every ``access_segmented`` call down the vectorized engine and
-    count the replays it completed, so a fuzz test can prove it compared
-    the vector engine (not the scalar fallback) against the oracle."""
+    """Count the vectorized replays ``access_segmented`` completed, so a
+    fuzz test can prove it compared the vector engine (not the reference
+    fallback) against the oracle."""
     completed = []
     real = caches.replay_tag_stream
 
@@ -94,7 +94,6 @@ def vector_replays(monkeypatch):
             completed.append(1)
         return replay
 
-    monkeypatch.setattr(caches, "VECTOR_MIN_STREAM", 0)
     monkeypatch.setattr(caches, "replay_tag_stream", counted)
     return completed
 
@@ -103,10 +102,12 @@ class TestVectorizedReplayFuzz:
     @pytest.mark.parametrize("style", STYLES)
     def test_cold_replay_matches_scalar(self, style, vector_replays):
         rng = np.random.default_rng(style_seed(style))
-        for trial in range(25):
+        for trial in range(26):
             n_lines = int(rng.integers(1, 40))
             universe = int(rng.integers(1, 90))
-            n = int(rng.integers(0, 1500))
+            # The last trial is a 10-access stream: short streams take the
+            # vectorized replay too.
+            n = 10 if trial == 25 else int(rng.integers(0, 1500))
             write = bool(rng.integers(0, 2))
             tags = random_stream(rng, style, n, universe)
             splits = random_splits(rng, n)
@@ -116,7 +117,7 @@ class TestVectorizedReplayFuzz:
             want = scalar_replay(ref, tags, splits, write)
             assert got.tolist() == want.tolist(), (style, trial)
             assert_caches_equal(vec, ref)
-        assert len(vector_replays) == 25
+        assert len(vector_replays) == 26
 
     @pytest.mark.parametrize("style", STYLES)
     def test_warm_handoff_between_two_streams(self, style, vector_replays):
@@ -165,23 +166,9 @@ class TestVectorizedReplayFuzz:
 
 
 class TestEngineDispatch:
-    def test_auto_uses_scalar_for_short_streams(self, monkeypatch):
-        calls = []
-        real = caches.replay_tag_stream
-        monkeypatch.setattr(caches, "replay_tag_stream",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        cache = LRUCache(4 * 64, 64)
-        cache.access_segmented(np.arange(10), np.asarray([0, 10]))
-        assert not calls
-        cache.access_segmented(
-            np.arange(caches.VECTOR_MIN_STREAM) % 7,
-            np.asarray([0, caches.VECTOR_MIN_STREAM]))
-        assert calls
-
     def test_budget_exhaustion_falls_back_to_scalar(self, monkeypatch):
         """With a zero scan budget the vector engine bails; results must
-        still be exact via the scalar fallback."""
-        monkeypatch.setattr(caches, "VECTOR_MIN_STREAM", 0)
+        still be exact via the reference fallback (``access_many``)."""
         monkeypatch.setattr(caches, "SCAN_BUDGET_FACTOR", -10 ** 9)
         rng = np.random.default_rng(5)
         tags = random_stream(rng, "dwell", 800, 12)

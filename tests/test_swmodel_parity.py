@@ -1,10 +1,12 @@
 """Fuzz/property tests: FrameIR-native software models vs the sort oracle.
 
 The CUDA warp model (:mod:`repro.swrender.warp_model`) and the multi-pass
-model (:mod:`repro.swopt.multipass`) each carry two engines behind the
-``swmodel`` knob: the FrameIR-native path reads the (prim, tile) group
-ranges / quad table plus digestion's cached pixel-sorted arrival chain,
-while ``swmodel="legacy"`` is the retained fragment-sort oracle.  Both
+model (:mod:`repro.swopt.multipass`) each carry two engines: the
+FrameIR-native path reads the (prim, tile) group ranges / quad table plus
+digestion's cached pixel-sorted arrival chain, and the retained
+fragment-sort oracle.  The warp model picks one by its ``swmodel`` knob;
+the multi-pass model follows the stream, so its oracle runs on the same
+fragments rasterised with ``ir="legacy"``.  Both engines
 must agree **bit for bit** on every observable: the
 :class:`~repro.swrender.warp_model.WarpExecution` round and blend counts,
 every :class:`~repro.swopt.multipass.MultipassResult` cycle (per batch,
@@ -73,18 +75,26 @@ def assert_multipass_identical(a, b):
     assert a.fragments_blended == b.fragments_blended
 
 
-def assert_stream_parity(stream):
-    """Both engines agree exactly on every model output of one stream."""
+def rasterize_both(splats, width, height, **kwargs):
+    """The same fragments as an IR stream and as a bare (legacy) one."""
+    stream = rasterize_splats(splats, width, height, **kwargs)
+    bare = rasterize_splats(splats, width, height, ir="legacy", **kwargs)
+    assert isinstance(stream.frameir, FrameIR) and bare.frameir is None
+    return stream, bare
+
+
+def assert_stream_parity(stream, bare):
+    """Both engines agree exactly on every model output of one stream
+    (``bare`` holds the same fragments without a FrameIR)."""
     for threshold in THRESHOLDS:
         assert_warps_identical(
             simulate_tile_warps(stream, threshold, swmodel="auto"),
             simulate_tile_warps(stream, threshold, swmodel="legacy"))
     for n in PASS_COUNTS:
-        assert_multipass_identical(
-            run_multipass(stream, n, swmodel="auto"),
-            run_multipass(stream, n, swmodel="legacy"))
-    assert (multipass_sweep(stream, PASS_COUNTS, swmodel="auto")
-            == multipass_sweep(stream, PASS_COUNTS, swmodel="legacy"))
+        assert_multipass_identical(run_multipass(stream, n),
+                                   run_multipass(bare, n))
+    assert (multipass_sweep(stream, PASS_COUNTS)
+            == multipass_sweep(bare, PASS_COUNTS))
 
 
 class TestSwmodelFuzz:
@@ -95,10 +105,10 @@ class TestSwmodelFuzz:
             cloud = random_cloud(rng, n, opacity_low=0.3)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height)
+            stream, bare = rasterize_both(pre.splats, cam.width, cam.height)
             if len(stream) == 0:
                 continue
-            assert_stream_parity(stream)
+            assert_stream_parity(stream, bare)
 
 
 class TestSwmodelRegimes:
@@ -109,14 +119,14 @@ class TestSwmodelRegimes:
         splats = project_gaussians(
             random_cloud(np.random.default_rng(0), 4), cam).subset(
                 np.array([], dtype=int))
-        stream = rasterize_splats(splats, cam.width, cam.height)
+        stream, bare = rasterize_both(splats, cam.width, cam.height)
         assert len(stream) == 0
-        assert isinstance(stream.frameir, FrameIR)
         for swmodel in ("auto", "legacy"):
             warp = simulate_tile_warps(stream, swmodel=swmodel)
             assert (warp.rounds_no_et, warp.rounds_et,
                     warp.blend_ops_no_et, warp.blend_ops_et) == (0, 0, 0, 0)
-            res = run_multipass(stream, 3, swmodel=swmodel)
+        for s in (stream, bare):
+            res = run_multipass(s, 3)
             assert res.total_cycles == 0.0
             assert res.fragments_blended == 0
 
@@ -127,9 +137,9 @@ class TestSwmodelRegimes:
                              opacity_low=0.6)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height)
+        stream, bare = rasterize_both(pre.splats, cam.width, cam.height)
         assert len(stream) > 0
-        assert_stream_parity(stream)
+        assert_stream_parity(stream, bare)
 
     def test_max_fragments_clamped(self):
         """At the max_fragments guard boundary the IR still rides along
@@ -140,24 +150,28 @@ class TestSwmodelRegimes:
         pre = preprocess(cloud, cam)
         total = len(rasterize_splats(pre.splats, cam.width, cam.height))
         assert total > 0
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  max_fragments=total)
-        assert isinstance(stream.frameir, FrameIR)
-        assert_stream_parity(stream)
+        stream, bare = rasterize_both(pre.splats, cam.width, cam.height,
+                                      max_fragments=total)
+        assert_stream_parity(stream, bare)
 
-    def test_small_fixture_stream(self, small_stream):
+    def test_small_fixture_stream(self, small_stream, small_pre,
+                                  small_camera):
         """``test_swrender.py`` and ``test_swopt.py`` check the models'
         properties on the small and deep fixture streams with the default
         engine; the oracle matches on both (the deep one below), so those
         properties hold for it too."""
-        assert_stream_parity(small_stream)
+        bare = rasterize_splats(small_pre.splats, small_camera.width,
+                                small_camera.height, ir="legacy")
+        assert_stream_parity(small_stream, bare)
 
-    def test_het_terminated(self, deep_stream):
+    def test_het_terminated(self, deep_stream, deep_pre, deep_camera):
         """Depth-stacked opaque layers saturate pixels: the warp model's
         per-pixel exit rounds are non-trivial and must match exactly."""
         warp = simulate_tile_warps(deep_stream, swmodel="auto")
         assert warp.rounds_et < warp.rounds_no_et
-        assert_stream_parity(deep_stream)
+        bare = rasterize_splats(deep_pre.splats, deep_camera.width,
+                                deep_camera.height, ir="legacy")
+        assert_stream_parity(deep_stream, bare)
 
     def test_warm_handoff(self):
         """Whichever engine digests first (warming the stream's shared
@@ -178,9 +192,11 @@ class TestSwmodelRegimes:
         assert_warps_identical(second_b, first_b)
         assert_warps_identical(first_a, first_b)
 
-        mp_a = run_multipass(stream_a, 4, swmodel="auto")
-        mp_b = run_multipass(stream_b, 4, swmodel="legacy")
-        assert_multipass_identical(mp_a, mp_b)
+        bare = rasterize_splats(pre.splats, cam.width, cam.height,
+                                ir="legacy")
+        oracle = run_multipass(bare, 4)
+        assert_multipass_identical(run_multipass(stream_a, 4), oracle)
+        assert_multipass_identical(run_multipass(stream_b, 4), oracle)
 
 
 class TestCudaRendererParity:
@@ -219,19 +235,18 @@ class TestSwmodelKnob:
 
     def test_bare_stream_takes_the_oracle(self):
         """``"auto"`` reads the FrameIR when the stream carries one; a bare
-        (legacy-rasterised) stream takes the fragment-sort oracle."""
+        (legacy-rasterised) stream takes the fragment-sort oracle, and so
+        does the multi-pass model, which has no knob."""
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 30, opacity_low=0.5)
         cam = camera()
         pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
+        stream, bare = rasterize_both(pre.splats, cam.width, cam.height)
         assert len(bare) > 0
         assert_warps_identical(simulate_tile_warps(bare),
                                simulate_tile_warps(bare, swmodel="legacy"))
         assert_multipass_identical(run_multipass(bare, 3),
-                                   run_multipass(bare, 3, swmodel="legacy"))
+                                   run_multipass(stream, 3))
 
     def test_renderer_validates_eagerly(self):
         for mode in ("warp", "frameir"):
