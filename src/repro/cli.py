@@ -30,17 +30,7 @@ from repro.hwmodel.report import compare_variants, draw_report
 from repro.knobs import COHERENCE_MODES, IR_MODES, SWMODEL_MODES
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
-from repro.workloads.catalog import (
-    LARGE_SCALE_SCENES,
-    SCENARIO_SCENES,
-    SCENES,
-    SMALL_SPLAT_SCENES,
-    build_scene,
-    get_profile,
-)
-
-_ALL_SCENES = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
-               **SCENARIO_SCENES}
+from repro.workloads.catalog import ALL_SCENES, build_scene, get_profile
 
 _EXPERIMENT_MODULES = {
     "fig01": "fig01_unit_counts", "fig05": "fig05_sw_vs_hw",
@@ -67,7 +57,7 @@ def _build_stream(scene_name, seed, ir="auto"):
 def cmd_list_scenes(_args):
     print(f"{'scene':>9} {'type':>10} {'dataset':>15} {'repro size':>12} "
           f"{'#gaussians':>11}")
-    for name, p in _ALL_SCENES.items():
+    for name, p in ALL_SCENES.items():
         print(f"{name:>9} {p.scene_type:>10} {p.dataset:>15} "
               f"{p.width}x{p.height:<7} {p.n_gaussians:>11,}")
     return 0
@@ -179,7 +169,7 @@ def build_parser():
 
     render = sub.add_parser("render", help="render a scene to a PPM image")
     render.add_argument("--scene", required=True,
-                        choices=sorted(_ALL_SCENES))
+                        choices=sorted(ALL_SCENES))
     render.add_argument("--out", default=None, help="output .ppm path")
     render.add_argument("--seed", type=int, default=0)
     render.add_argument("--early-term", action="store_true",
@@ -188,7 +178,7 @@ def build_parser():
     simulate = sub.add_parser(
         "simulate", help="simulate a draw call on the hardware model")
     simulate.add_argument("--scene", required=True,
-                          choices=sorted(_ALL_SCENES))
+                          choices=sorted(ALL_SCENES))
     simulate.add_argument("--variant", default="het+qm",
                           choices=sorted(VARIANTS))
     simulate.add_argument("--all", action="store_true",
@@ -204,7 +194,7 @@ def build_parser():
         "trajectory",
         help="simulate a multi-frame orbit trajectory through one backend")
     trajectory.add_argument("--scene", required=True,
-                            choices=sorted(_ALL_SCENES))
+                            choices=sorted(ALL_SCENES))
     trajectory.add_argument("--backend", default="hw:het+qm",
                             choices=available_backends())
     trajectory.add_argument("--views", type=int, default=8,

@@ -254,7 +254,8 @@ class RangeTileCoalescer:
 
     def _flush(self, tile_id, entry, reason):
         self.flush_counts[reason] += 1
-        self._timeout.drop(tile_id)
+        if self._timeout.timeout_quads is not None:
+            self._timeout.drop(tile_id)
         self.flush_tile.append(tile_id)
         self.flush_reason.append(reason)
         self.seg_starts.extend(entry[1])

@@ -18,11 +18,7 @@ from repro.render.blending import (
     premultiply,
 )
 from repro.render.frameir import IR_MODES, FrameIR, resolve_ir
-from repro.render.splat_raster import (
-    TileBinning,
-    rasterize_splats,
-    rasterize_splats_scalar,
-)
+from repro.render.splat_raster import rasterize_splats, rasterize_splats_scalar
 from repro.render.fragstream import FragmentStream, QuadTable
 from repro.render.reference import RenderResult, render_reference
 from repro.render.metrics import psnr, ssim
@@ -36,7 +32,6 @@ __all__ = [
     "premultiply",
     "rasterize_splats",
     "rasterize_splats_scalar",
-    "TileBinning",
     "FragmentStream",
     "FrameIR",
     "IR_MODES",

@@ -15,8 +15,8 @@ The unit of reuse is the **whole frame**, and every hit is verified by
 can cost a missed hit, never bit-identity::
 
     splats --serve()--> hit:  stream rebuilt from the sealed state
-       |                      (FrameIR, alphas, TileBinning; products
-       |                      installed) -- the rasteriser never runs
+       |                      (FrameIR and alphas; products installed)
+       |                      -- the rasteriser never runs
        +-- miss --> rasterize_splats --> stream
                       --begin_frame(stream, splats=)--> hit or capture
 
@@ -25,10 +25,10 @@ can cost a missed hit, never bit-identity::
   the rasteriser reads (``centers``, ``axes``, ``radii``, ``conics``,
   ``opacities``, ``colors``) has the same dtype, shape and bit pattern,
   and the framebuffer size matches: the rasteriser is a deterministic
-  function of exactly these inputs, so the state's FrameIR, alphas and
-  tile binning *are* the frame's raster.  The stream's ``prim_ids``,
-  ``x`` and ``y`` are rebuilt from the FrameIR rows by the producer the
-  rasteriser itself uses (:func:`~repro.render.frameir.row_fragments`).
+  function of exactly these inputs, so the state's FrameIR and alphas
+  *are* the frame's raster.  The stream's ``prim_ids``, ``x`` and ``y``
+  are rebuilt from the FrameIR rows by the producer the rasteriser itself
+  uses (:func:`~repro.render.frameir.row_fragments`).
 * :meth:`FrameCoherence.begin_frame` runs **after rasterisation** and
   compares the FrameIR row intervals and the fragment alpha bit
   patterns.  It serves streams whose splats are unknown, and on a miss
@@ -126,12 +126,11 @@ class _FrameState:
     the small per-pair inputs its fragment slots rebuild from), the
     alphas, the stream's :attr:`PRODUCTS` and, when the frame was
     captured with its splats, the splat record a pre-raster hit verifies
-    against (``splat_key``, a copy of the :data:`SPLAT_FIELDS` arrays)
-    with the raster's :class:`~repro.render.splat_raster.TileBinning`.
+    against (``splat_key``, a copy of the :data:`SPLAT_FIELDS` arrays).
     """
 
     __slots__ = ("stream", "frameir", "alphas", "n", "products",
-                 "splat_key", "splats", "binning", "_nbytes")
+                 "splat_key", "splats", "_nbytes")
 
     #: Stream cache families a sealed state keeps (a cache key is either
     #: the family name or a tuple led by it): the per-pixel accumulated
@@ -155,14 +154,13 @@ class _FrameState:
             array.flags.writeable = False
         self.n = len(stream)
         self.products = None
-        self.splat_key = self.splats = self.binning = None
+        self.splat_key = self.splats = None
         if splats is not None:
             # Copies: later writes to the caller's arrays cannot change
             # what a pre-raster hit verifies against.
             self.splat_key = splat_key
             self.splats = tuple(np.array(getattr(splats, name))
                                 for name in SPLAT_FIELDS)
-            self.binning = stream.binning
         self._nbytes = None
 
     def matches_splats(self, splats):
@@ -175,15 +173,15 @@ class _FrameState:
     def served_stream(self, splats):
         """The stream :func:`~repro.render.splat_raster.rasterize_splats`
         emits for ``splats`` (verified equal to the recorded ones), rebuilt
-        from the sealed raster: shared FrameIR, alphas and binning,
-        coordinates expanded from the FrameIR rows."""
+        from the sealed raster: shared FrameIR and alphas, coordinates
+        expanded from the FrameIR rows."""
         ir = self.frameir
         prim_ids, x, y = row_fragments(ir.row_prim, ir.row_y, ir.row_xlo,
                                        ir.row_fstart, ir.n_fragments)
         return FragmentStream(
             prim_ids=prim_ids, x=x, y=y, alphas=self.alphas,
             prim_colors=splats.colors, width=ir.width, height=ir.height,
-            binning=self.binning, validate=False, frameir=ir)
+            validate=False, frameir=ir)
 
     def seal(self):
         """Keep the stream's products, frozen read-only (a flush digest's
@@ -205,7 +203,7 @@ class _FrameState:
                             value.flags.writeable = False
                         products[key] = value
             else:
-                self.splat_key = self.splats = self.binning = None
+                self.splat_key = self.splats = None
             self.products = products
             self.stream = None
         if self.frameir._quads is not None:
@@ -214,7 +212,7 @@ class _FrameState:
 
     def _walk_bytes(self):
         return ndarray_bytes(self.frameir, self.alphas, self.products,
-                             self.splats, self.binning)
+                             self.splats)
 
     @property
     def nbytes(self):

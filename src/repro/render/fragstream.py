@@ -21,11 +21,7 @@ import weakref
 
 import numpy as np
 
-from repro.utils.arrays import (
-    segment_boundaries,
-    segmented_cumsum,
-    sliced_cumsum,
-)
+from repro.utils.arrays import segment_boundaries, sliced_cumsum
 
 #: Default early-termination threshold on accumulated alpha (paper: 0.996).
 DEFAULT_TERMINATION_ALPHA = 0.996
@@ -53,8 +49,9 @@ def arrival_chain_sliced(alpha_eff_sorted, starts, slice_bounds):
     The log-space scans run *per scanline slice* (:func:`~repro.utils.
     arrays.sliced_cumsum`), so every output element is a pure function of
     its scanline's fragment content.  That summation order defines the
-    IR digestion path's arrival floats, which the golden suites and the
-    benchmark digests pin; a global scan would round differently.
+    arrival floats of every stream, with or without a FrameIR (both
+    digestion paths group pixels identically), which the golden suites
+    and the benchmark digests pin; a global scan would round differently.
     """
     n = alpha_eff_sorted.shape[0]
     if n == 0:
@@ -98,11 +95,6 @@ class FragmentStream:
         colour, as in the paper's vertex-colour scheme).
     width, height:
         Framebuffer dimensions.
-    binning:
-        Optional :class:`~repro.render.splat_raster.TileBinning` carrying
-        the rasteriser's splat-to-screen-tile pairs, so downstream
-        consumers (CUDA tile duplication, the hardware tile coalescers)
-        reuse the binning instead of re-deriving it.
     frameir:
         Optional :class:`~repro.render.frameir.FrameIR` carrying the
         rasteriser's row-interval structure; when present the quad table
@@ -113,7 +105,7 @@ class FragmentStream:
     """
 
     def __init__(self, prim_ids, x, y, alphas, prim_colors, width, height,
-                 binning=None, validate=True, frameir=None):
+                 validate=True, frameir=None):
         self.prim_ids = np.asarray(prim_ids, dtype=np.int32)
         self.x = np.asarray(x, dtype=np.int32)
         self.y = np.asarray(y, dtype=np.int32)
@@ -136,7 +128,6 @@ class FragmentStream:
                     or (self.y.min() < 0) or (self.y.max() >= self.height)):
                 raise ValueError(
                     "fragment coordinates fall outside the framebuffer")
-        self.binning = binning
         self.frameir = frameir
         self._cache = {}
 
@@ -162,16 +153,6 @@ class FragmentStream:
             self._cache["pixel_ids"] = (
                 self.y.astype(np.int64) * self.width + self.x)
         return self._cache["pixel_ids"]
-
-    @property
-    def tile_ids(self):
-        """Per-fragment screen-tile id (16x16 px tiles, row-major)."""
-        if "tile_ids" not in self._cache:
-            tiles_x = -(-self.width // TILE_SIZE)
-            self._cache["tile_ids"] = (
-                (self.y.astype(np.int64) // TILE_SIZE) * tiles_x
-                + self.x.astype(np.int64) // TILE_SIZE)
-        return self._cache["tile_ids"]
 
     @property
     def unpruned(self):
@@ -202,34 +183,31 @@ class FragmentStream:
     def _ensure_pixel_grouping(self):
         """Materialise ``pixel_order``, ``pix_sorted`` and ``pixel_starts``.
 
-        On IR-backed streams the pixel grouping derives from the FrameIR
-        row structure: per-pixel fragment counts come from a counting pass
-        over the row intervals (two bincounts of interval endpoints plus
-        one prefix sum — no fragment-level work), which yields
-        ``pix_sorted``/``pixel_starts`` directly, and the permutation
-        itself from a bounded-key radix sort over narrow pixel keys.  The
-        original int64 stable sort plus gather is retained as the oracle
-        for streams without an IR (hand-built, scalar-emitted); both paths
-        produce the identical permutation and identical caches, pinned by
-        ``tests/test_coherence.py``.  Both paths cache ``pixel_starts``.
+        ``pixel_order`` lexsorts the fragments by (pixel, draw order); this
+        is the only place it is made.  On IR-backed streams the rasteriser's
+        emission order has non-decreasing prim ids, so the permutation is a
+        bounded-key radix sort over narrow pixel keys, and the per-pixel
+        fragment counts come from a counting pass over the row intervals
+        (two bincounts of interval endpoints plus one prefix sum — no
+        fragment-level work), which yields ``pix_sorted``/``pixel_starts``
+        directly.  Streams without an IR (hand-built, scalar-emitted) take
+        the definition, ``np.lexsort((prim_ids, pixel_ids))``, and group
+        the gathered pixel ids.  Both paths produce the identical
+        permutation and identical caches, pinned by
+        ``tests/test_coherence.py``.
         """
         if "pix_sorted" in self._cache:
             return
-        n = len(self)
-        if self.frameir is not None and n:
-            # The rasteriser's emission order has non-decreasing prim ids,
-            # so a single stable sort on the pixel key is the (pixel, draw
-            # order) lexsort.
+        if self.frameir is not None and len(self):
             order = np.argsort(self._radix_pixel_keys(), kind="stable")
-            self._cache["pixel_order"] = order
             pix_sorted, starts = self._ir_pixel_segments()
-            self._cache["pix_sorted"] = pix_sorted
-            self._cache["pixel_starts"] = starts
         else:
-            order = self._pixel_order
+            order = np.lexsort((self.prim_ids, self.pixel_ids))
             pix_sorted = self.pixel_ids[order]
-            self._cache["pix_sorted"] = pix_sorted
-            self._cache["pixel_starts"] = segment_boundaries(pix_sorted)
+            starts = segment_boundaries(pix_sorted)
+        self._cache["pixel_order"] = order
+        self._cache["pix_sorted"] = pix_sorted
+        self._cache["pixel_starts"] = starts
 
     def _ir_pixel_counts(self):
         """Per-pixel fragment counts from the IR's row intervals.
@@ -267,21 +245,7 @@ class FragmentStream:
     @property
     def _pixel_order(self):
         """Indices lexsorting fragments by (pixel, draw order)."""
-        if "pixel_order" not in self._cache:
-            prim_ids = self.prim_ids
-            if self.frameir is not None and len(self):
-                self._ensure_pixel_grouping()
-                return self._cache["pixel_order"]
-            if prim_ids.shape[0] == 0 or (prim_ids[1:] >= prim_ids[:-1]).all():
-                # Streams in emission order (the rasterisers' contract)
-                # have non-decreasing prim ids, so a single stable sort on
-                # the pixel key yields the identical permutation to the
-                # two-key lexsort — within a pixel the draw order *is* the
-                # stream order — at roughly half the sorting cost.
-                order = np.argsort(self.pixel_ids, kind="stable")
-            else:
-                order = np.lexsort((prim_ids, self.pixel_ids))
-            self._cache["pixel_order"] = order
+        self._ensure_pixel_grouping()
         return self._cache["pixel_order"]
 
     def _sorted_scanline_bounds(self):
@@ -323,32 +287,14 @@ class FragmentStream:
             return
         self._ensure_pixel_grouping()
         order = self._cache["pixel_order"]
-        pix_sorted = self._cache["pix_sorted"]
-        starts = self._cache["pixel_starts"]
         # Effective alphas in emission order first, then one gather —
         # identical values to gathering ``unpruned``/``alphas``
         # separately, one fewer full-width gather.
         alpha_eff = np.where(self.unpruned, self.alphas,
                              np.float32(0.0))[order]
-        if self.frameir is not None:
-            # Per-scanline log-space scans: ~35% cheaper than the global
-            # segmented cumsum (no offset-subtraction pass, unconditional
-            # inert clamp) and deterministic per scanline content.
-            arrival_sorted = arrival_chain_sliced(
-                alpha_eff, starts, self._sorted_scanline_bounds())
-        else:
-            logs = alpha_eff.astype(np.float64)
-            np.subtract(1.0, logs, out=logs)
-            if len(self) and float(self.alphas.max()) >= 1.0:
-                # The 1e-30 clamp matters only for alpha == 1 exactly;
-                # rasterised streams cap alpha at 0.99 so the extra pass
-                # is skipped when provably inert (max(y, 1e-30) == y).
-                np.maximum(logs, 1e-30, out=logs)
-            np.log(logs, out=logs)
-            inclusive = segmented_cumsum(logs, pix_sorted, starts=starts)
-            exclusive_log_t = inclusive - logs
-            arrival_sorted = np.exp(exclusive_log_t, out=exclusive_log_t)
-            np.subtract(1.0, arrival_sorted, out=arrival_sorted)
+        arrival_sorted = arrival_chain_sliced(
+            alpha_eff, self._cache["pixel_starts"],
+            self._sorted_scanline_bounds())
         self._cache["alpha_eff_sorted"] = alpha_eff
         self._cache["arrival_sorted"] = arrival_sorted
 
@@ -378,19 +324,14 @@ class FragmentStream:
         """
         key = ("et_survivor", round(float(threshold), 9))
         if key not in self._cache:
-            if "arrival_alpha" in self._cache:
-                mask = self.unpruned & (self.arrival_alpha < threshold)
-            else:
-                # Same mask built in the pixel-sorted domain and scattered
-                # once: ``alpha_eff > 0`` is exactly the unpruned predicate
-                # (unpruned alphas are >= 1/255) and the sorted arrival
-                # values are the same doubles the fragment-order compare
-                # would see.
-                self._ensure_arrival_sorted()
-                mask_sorted = ((self._cache["alpha_eff_sorted"] > 0)
-                               & (self._cache["arrival_sorted"] < threshold))
-                mask = np.empty(len(self), dtype=bool)
-                mask[self._pixel_order] = mask_sorted
+            # Built in the pixel-sorted domain and scattered once:
+            # ``alpha_eff > 0`` is exactly the unpruned predicate (unpruned
+            # alphas are >= 1/255).
+            self._ensure_arrival_sorted()
+            mask = np.empty(len(self), dtype=bool)
+            mask[self._pixel_order] = (
+                (self._cache["alpha_eff_sorted"] > 0)
+                & (self._cache["arrival_sorted"] < threshold))
             self._cache[key] = mask
         return self._cache[key]
 
@@ -422,16 +363,13 @@ class FragmentStream:
         key = ("unterminated", round(float(threshold), 9), int(lag))
         if key not in self._cache:
             if lag == 0:
-                if "arrival_alpha" in self._cache:
-                    self._cache[key] = self.arrival_alpha < threshold
-                else:
-                    # Compare in the sorted domain, scatter the boolean
-                    # once — same doubles, same mask, no float64 scatter.
-                    self._ensure_arrival_sorted()
-                    out = np.empty(len(self), dtype=bool)
-                    out[self._pixel_order] = (
-                        self._cache["arrival_sorted"] < threshold)
-                    self._cache[key] = out
+                # Compare in the sorted domain, scatter the boolean once
+                # (no float64 scatter).
+                self._ensure_arrival_sorted()
+                out = np.empty(len(self), dtype=bool)
+                out[self._pixel_order] = (
+                    self._cache["arrival_sorted"] < threshold)
+                self._cache[key] = out
             elif self.frameir is not None:
                 cutoff = self._kill_cutoffs(threshold, int(lag))
                 if self.n_pixels < 1 << 31:
@@ -566,20 +504,19 @@ class FragmentStream:
     def accumulated_alpha(self):
         """Final accumulated alpha per pixel, flat ``(n_pixels,)``.
 
-        Bit-identical to the (flattened) alpha map of
-        ``blend_image(early_term=False)`` — the blend weights telescope to
-        the pixel's final accumulated alpha — but skips the colour pass
-        entirely and is cached, so consumers that only need termination
-        state (e.g. :meth:`~repro.hwmodel.pipeline.DrawWorkload.
-        from_stream`) never pay for a full re-blend.
+        The one producer of this map: ``blend_image(early_term=False)``
+        returns a copy of it as its alpha map (the blend weights telescope
+        to the pixel's final accumulated alpha).  It skips the colour pass
+        and is cached, so consumers that only need termination state
+        (e.g. :meth:`~repro.hwmodel.pipeline.DrawWorkload.from_stream`)
+        never pay for a full re-blend.
 
         Computed straight from the pixel-sorted arrival caches: the blend
         weights are formed in the sorted domain (``alpha_eff`` is zero for
         pruned fragments, so the ``where(blended, ...)`` select is the
         multiplication itself) and summed with a bincount over the sorted
-        stream — each pixel's partial sums still accumulate in emission
-        order, so the result is bit-identical to the fragment-order blend
-        while skipping the arrival scatter entirely.
+        stream, so each pixel's partial sums accumulate in draw order and
+        the arrival scatter is skipped entirely.
         """
         if "accumulated_alpha" not in self._cache:
             self._ensure_arrival_sorted()
@@ -616,11 +553,6 @@ class FragmentStream:
             alpha_map = np.bincount(pix, weights=weights,
                                     minlength=self.n_pixels)
         else:
-            # Seed the cache from the weights already in hand rather than
-            # recomputing them inside the property.
-            if "accumulated_alpha" not in self._cache:
-                self._cache["accumulated_alpha"] = np.bincount(
-                    pix, weights=weights, minlength=self.n_pixels)
             alpha_map = self.accumulated_alpha.copy()
         return (image.reshape(self.height, self.width, 3),
                 alpha_map.reshape(self.height, self.width))
@@ -662,15 +594,10 @@ class FragmentStream:
         mask is a permutation of the sorted one) without building it."""
         key = ("et_count", round(float(threshold), 9))
         if key not in self._cache:
-            mask_key = ("et_survivor", key[1])
-            if mask_key in self._cache:
-                count = np.count_nonzero(self._cache[mask_key])
-            else:
-                self._ensure_arrival_sorted()
-                count = np.count_nonzero(
-                    (self._cache["alpha_eff_sorted"] > 0)
-                    & (self._cache["arrival_sorted"] < threshold))
-            self._cache[key] = int(count)
+            self._ensure_arrival_sorted()
+            self._cache[key] = int(np.count_nonzero(
+                (self._cache["alpha_eff_sorted"] > 0)
+                & (self._cache["arrival_sorted"] < threshold)))
         return self._cache[key]
 
     def termination_ratio(self, threshold=DEFAULT_TERMINATION_ALPHA):

@@ -11,14 +11,12 @@ Two implementations produce **bit-identical** streams (enforced by the
 golden tests in ``tests/test_golden_raster.py``):
 
 :func:`rasterize_splats`
-    The batched production path.  Splat OBBs are binned into fixed-size
-    screen tiles in one vectorised pass (the :class:`TileBinning` carried on
-    the emitted stream, which downstream tile-coalescing consumers reuse
-    instead of re-deriving it), coverage is resolved per scanline row as an
-    exact pixel interval (the OBB is convex, so each row's covered set is
-    contiguous — see :func:`_row_intervals`), and conic alpha is evaluated
-    for all fragments with broadcasting in cache-sized blocks.  No Python
-    loop over splats.
+    The batched production path.  Each splat's bounding box is clipped to
+    the framebuffer in one vectorised pass, coverage is resolved per
+    scanline row as an exact pixel interval (the OBB is convex, so each
+    row's covered set is contiguous — see :func:`_row_intervals`), and
+    conic alpha is evaluated for all fragments with broadcasting in
+    cache-sized blocks.  No Python loop over splats.
 
 :func:`rasterize_splats_scalar`
     The original per-splat reference loop, kept as the golden baseline for
@@ -35,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gaussians.projection import ALPHA_EPS, ALPHA_MAX, Splat2D
-from repro.render.fragstream import TILE_SIZE, FragmentStream
+from repro.render.fragstream import FragmentStream
 from repro.render.frameir import FrameIR, resolve_ir, row_fragments
 from repro.utils.validation import check_positive
 
@@ -52,7 +50,7 @@ def _ragged_arange(counts):
 
     For segment lengths ``[2, 3]`` returns owners ``[0, 0, 1, 1, 1]`` and
     local indices ``[0, 1, 0, 1, 2]`` — the flattening every batched stage
-    here uses (tile pairs per splat, rows per splat, pixels per row).
+    here uses (rows per splat, pixels per row).
     """
     counts = np.asarray(counts)
     total = int(counts.sum())
@@ -60,96 +58,6 @@ def _ragged_arange(counts):
     owner = np.repeat(np.arange(counts.shape[0]), counts)
     local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return owner, local
-
-
-class TileBinning:
-    """Splat-OBB to screen-tile binning of one draw call.
-
-    Produced as a by-product of :func:`rasterize_splats` (one vectorised
-    pass over the clipped bounding boxes) and attached to the emitted
-    :class:`~repro.render.fragstream.FragmentStream`, so downstream
-    consumers — the CUDA path's tile duplication, the hardware model's tile
-    coalescers — can reuse the binning instead of re-deriving or re-sorting
-    it.
-
-    Attributes
-    ----------
-    n_splats:
-        Splats in the draw call (including off-screen ones).
-    splat_ids:
-        ``(k,)`` indices of the splats that rasterise (draw order).
-    tx0, tx1, ty0, ty1:
-        ``(k,)`` inclusive tile-coordinate spans of each kept splat's
-        clipped bounding box.
-    pair_splat, pair_tile:
-        Flattened (splat, tile) pairs, splat-major then tile-row-major —
-        the exact set of tiles whose pixels the rasteriser visits.
-        Materialised lazily on first access (the per-frame hot path only
-        needs the spans and counts).
-    tiles_x, tiles_y, tile_size:
-        Screen-tile grid geometry (16x16 px tiles, row-major ids).
-    """
-
-    def __init__(self, n_splats, splat_ids, tx0, tx1, ty0, ty1,
-                 tiles_x, tiles_y, tile_size=TILE_SIZE):
-        self.n_splats = int(n_splats)
-        self.splat_ids = splat_ids
-        self.tx0 = tx0
-        self.tx1 = tx1
-        self.ty0 = ty0
-        self.ty1 = ty1
-        self.tiles_x = int(tiles_x)
-        self.tiles_y = int(tiles_y)
-        self.tile_size = int(tile_size)
-        self.tiles_per_splat = (tx1 - tx0 + 1) * (ty1 - ty0 + 1)
-        self._pairs = None
-
-    def _build_pairs(self):
-        ntx = self.tx1 - self.tx0 + 1
-        if int(self.tiles_per_splat.sum()):
-            owner, k = _ragged_arange(self.tiles_per_splat)
-            ptx = self.tx0[owner] + k % ntx[owner]
-            pty = self.ty0[owner] + k // ntx[owner]
-            self._pairs = (self.splat_ids[owner], pty * self.tiles_x + ptx)
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            self._pairs = (empty, empty)
-
-    @property
-    def pair_splat(self):
-        if self._pairs is None:
-            self._build_pairs()
-        return self._pairs[0]
-
-    @property
-    def pair_tile(self):
-        if self._pairs is None:
-            self._build_pairs()
-        return self._pairs[1]
-
-    @property
-    def n_pairs(self):
-        """Total (splat, tile) pairs — the CUDA path's duplication count."""
-        return int(self.tiles_per_splat.sum())
-
-    def pairs_per_splat(self):
-        """``(n_splats,)`` tiles each splat rasterises into (0 off-screen).
-
-        Unlike the conservative estimate of
-        :func:`repro.swrender.tiling.assign_tiles`, these counts are exact:
-        they come from the clipped pixel bounds the rasteriser actually
-        visits.
-        """
-        counts = np.zeros(self.n_splats, dtype=np.int64)
-        counts[self.splat_ids] = self.tiles_per_splat
-        return counts
-
-    @classmethod
-    def empty(cls, n_splats, width, height):
-        e = np.empty(0, dtype=np.int64)
-        return cls(n_splats, e, e, e, e, e,
-                   tiles_x=-(-int(width) // TILE_SIZE),
-                   tiles_y=-(-int(height) // TILE_SIZE))
 
 
 def _empty_stream(splats, width, height, ir="auto"):
@@ -166,7 +74,6 @@ def _empty_stream(splats, width, height, ir="auto"):
         prim_colors=splats.colors,
         width=width,
         height=height,
-        binning=TileBinning.empty(len(splats), width, height),
         frameir=frameir,
     )
 
@@ -214,8 +121,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     Returns
     -------
     :class:`FragmentStream` with fragments in primitive-major emission
-    order, bit-identical to :func:`rasterize_splats_scalar`, carrying the
-    draw call's :class:`TileBinning` in ``stream.binning``.
+    order, bit-identical to :func:`rasterize_splats_scalar`.
     """
     if not isinstance(splats, Splat2D):
         raise TypeError(f"splats must be a Splat2D, got {type(splats).__name__}")
@@ -227,11 +133,6 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     if sid.size == 0:
         return _empty_stream(splats, width, height, ir=ir)
 
-    binning = TileBinning(
-        len(splats), sid,
-        x0 // TILE_SIZE, x1 // TILE_SIZE, y0 // TILE_SIZE, y1 // TILE_SIZE,
-        tiles_x=-(-width // TILE_SIZE), tiles_y=-(-height // TILE_SIZE))
-
     rows = _row_intervals(splats, sid, x0, y0, x1, y1)
     (rs, yrow, dy, xlo, xhi, lengths) = rows
     total = int(lengths.sum())
@@ -240,9 +141,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
             f"fragment stream exceeds max_fragments={max_fragments}; "
             "reduce scene size or resolution")
     if total == 0:
-        stream = _empty_stream(splats, width, height, ir=ir)
-        stream.binning = binning
-        return stream
+        return _empty_stream(splats, width, height, ir=ir)
 
     live = np.flatnonzero(lengths > 0)
     fstarts = np.concatenate(([0], np.cumsum(lengths[live])))
@@ -265,7 +164,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     return FragmentStream(
         prim_ids=prim_ids, x=x, y=y, alphas=alphas,
         prim_colors=splats.colors, width=width, height=height,
-        binning=binning, validate=False, frameir=frameir)
+        validate=False, frameir=frameir)
 
 
 def _row_intervals(splats, sid, x0, y0, x1, y1):

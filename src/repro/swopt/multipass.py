@@ -157,14 +157,15 @@ def _multipass_workspace_ir(stream):
 
 
 def _multipass_workspace_legacy(stream):
-    """The retained fragment-sort oracle workspace: a full lexsort of the
-    stream plus a ``np.unique`` over (prim, quad) keys.
+    """The retained fragment-sort oracle workspace: the stream's
+    (pixel, draw order) lexsort plus a ``np.unique`` over (prim, quad)
+    keys.
 
     A quad key embeds its primitive, so every fragment of a quad shares
     one batch — the per-quad primitive id read off the unique keys
     replaces the old ``np.maximum.at`` scatter exactly.
     """
-    order = np.lexsort((stream.prim_ids, stream.pixel_ids))
+    order = stream._pixel_order
     qx = (stream.x // 2).astype(np.int64)
     qy = (stream.y // 2).astype(np.int64)
     quads_x = -(-stream.width // 2)

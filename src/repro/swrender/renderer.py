@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
 from repro.render.reference import RenderResult
-from repro.swrender.tiling import TileAssignment, assign_tiles
+from repro.swrender.tiling import assign_tiles
 from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
 
 
@@ -132,9 +132,9 @@ class CudaRenderer:
     def render_stream(self, stream, pre=None):
         """Render a fragment stream; returns a :class:`CudaRenderResult`.
 
-        Tile duplication comes from ``pre`` when given; otherwise the
-        stream's own :class:`~repro.render.splat_raster.TileBinning` is
-        consumed directly (no re-binning).
+        ``pre`` is the stream's :class:`~repro.gaussians.preprocess.
+        PreprocessResult`; its splats size the tile duplication (a
+        ``ValueError`` without it).
         """
         model = self.kernel_model
         tiling = _tiling_for(stream, pre)
@@ -159,20 +159,12 @@ class CudaRenderer:
 
 
 def _tiling_for(stream, pre):
-    """Tile duplication for the sort/preprocess kernels.
-
-    ``pre`` reproduces the conservative bbox/16-rounding estimate of
-    :func:`~repro.swrender.tiling.assign_tiles` (what the CUDA kernel can
-    test cheaply).  Without it, the batched rasteriser's
-    :class:`~repro.render.splat_raster.TileBinning` on the stream provides
-    the *exact* per-splat tile counts, consumed as-is.
-    """
-    if pre is not None:
-        return assign_tiles(pre.splats, stream.width, stream.height)
-    binning = getattr(stream, "binning", None)
-    if binning is not None:
-        return TileAssignment(binning.pairs_per_splat())
-    raise ValueError(
-        "render_stream needs the PreprocessResult to size tile duplication; "
-        "pass pre= or a stream produced by rasterize_splats (which carries "
-        "its TileBinning)")
+    """Tile duplication for the sort/preprocess kernels: the conservative
+    bbox/16-rounding estimate of :func:`~repro.swrender.tiling.
+    assign_tiles` over ``pre``'s splats (what the CUDA kernel can test
+    cheaply)."""
+    if pre is None:
+        raise ValueError(
+            "render_stream needs the PreprocessResult to size tile "
+            "duplication; pass pre=")
+    return assign_tiles(pre.splats, stream.width, stream.height)

@@ -5,15 +5,11 @@ from repro.utils.validation import (
     check_positive,
     check_shape,
 )
-from repro.utils.arrays import (
-    segment_boundaries,
-    segmented_cumsum,
-)
+from repro.utils.arrays import segment_boundaries
 
 __all__ = [
     "check_in_range",
     "check_positive",
     "check_shape",
     "segment_boundaries",
-    "segmented_cumsum",
 ]

@@ -91,35 +91,18 @@ def expand_segments(seg_starts, seg_ends):
     return rows, offsets
 
 
-def segmented_cumsum(values, segment_ids, starts=None):
-    """Inclusive prefix sum of ``values`` restarting at each segment start."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values.copy()
-    if starts is None:
-        starts = segment_boundaries(segment_ids)
-    total = np.cumsum(values)
-    # Subtract the running total just before each segment start so each
-    # segment's scan begins from zero.  The per-segment offset is broadcast
-    # to every element of the segment with ``np.repeat``.
-    lengths = np.diff(np.concatenate((starts, [values.shape[0]])))
-    per_segment = np.concatenate(([0.0], total[starts[1:] - 1])) if starts.size else np.empty(0)
-    offsets = np.repeat(per_segment, lengths)
-    return total - offsets
-
-
 def sliced_cumsum(values, bounds, out=None):
     """Inclusive prefix sums restarted at each slice boundary — computed
-    with a *genuine* per-slice ``np.cumsum``, not the global-cumsum-minus-
-    offset trick of :func:`segmented_cumsum`.
+    with a *genuine* per-slice ``np.cumsum``, not a global cumsum minus
+    per-slice offsets.
 
     The distinction matters for determinism, not speed: the subtraction
     trick makes every element's rounding depend on all preceding slices,
     while a true per-slice scan depends only on the slice's own content.
-    The IR digestion path's arrival chain scans per scanline, and the
-    golden suites pin the floats that order produces — so slice count
-    here is the number of scanlines (hundreds), and the Python loop costs
-    microseconds per slice.
+    The arrival chain scans per scanline, and the golden suites pin the
+    floats that order produces — so slice count here is the number of
+    scanlines (hundreds), and the Python loop costs microseconds per
+    slice.
 
     ``bounds`` is an int array of slice offsets ``[b0, b1, ..., bk]`` with
     ``b0 == 0`` and ``bk == len(values)``.

@@ -386,8 +386,10 @@ SCENARIO_SCENES = {
     ),
 }
 
-_ALL = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
-        **SCENARIO_SCENES}
+#: Every profile by name: the Table II, large-scale, small-splat and
+#: scenario scenes.
+ALL_SCENES = {**SCENES, **LARGE_SCALE_SCENES, **SMALL_SPLAT_SCENES,
+              **SCENARIO_SCENES}
 
 
 def scene_names(include_large=False):
@@ -401,10 +403,10 @@ def scene_names(include_large=False):
 def get_profile(name):
     """Look up a profile by name (Table II or large-scale)."""
     try:
-        return _ALL[name]
+        return ALL_SCENES[name]
     except KeyError:
         raise KeyError(
-            f"unknown scene {name!r}; available: {sorted(_ALL)}") from None
+            f"unknown scene {name!r}; available: {sorted(ALL_SCENES)}") from None
 
 
 def build_scene(name_or_profile, seed=0):

@@ -614,14 +614,14 @@ class TestSealedStates:
                 assert state._nbytes is not None
                 assert state.nbytes == ndarray_bytes(
                     state.frameir, state.alphas, state.products,
-                    state.splats, state.binning)
+                    state.splats)
         assert car.stats["full_hits"] == 4
         # The next frame start seals the last frame: every cached size,
         # and so the total the library is trimmed by, is fresh again.
         car.serve(preprocess(session.cloud, cams[1]).splats,
                   cams[1].width, cams[1].height)
         fresh = [ndarray_bytes(state.frameir, state.alphas, state.products,
-                               state.splats, state.binning)
+                               state.splats)
                  for state in car._states.values()]
         assert [state.nbytes for state in car._states.values()] == fresh
         assert _library_bytes(car) == sum(fresh)
@@ -641,7 +641,7 @@ def _capture(car, splats, width, height):
 
 
 def _assert_streams_identical(want, got):
-    """Fragment arrays, raster structure and binning bit for bit."""
+    """Fragment arrays and raster structure bit for bit."""
     for name in ("prim_ids", "x", "y", "alphas", "prim_colors"):
         a, b = getattr(want, name), getattr(got, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -650,12 +650,6 @@ def _assert_streams_identical(want, got):
     assert wir.n_fragments == gir.n_fragments
     for name in ("row_prim", "row_y", "row_xlo", "row_xhi", "row_fstart"):
         assert np.array_equal(getattr(wir, name), getattr(gir, name)), name
-    wb, gb = want.binning, got.binning
-    for name in ("splat_ids", "tx0", "tx1", "ty0", "ty1", "pair_splat",
-                 "pair_tile"):
-        assert np.array_equal(getattr(wb, name), getattr(gb, name)), name
-    assert ((wb.n_splats, wb.tiles_x, wb.tiles_y)
-            == (gb.n_splats, gb.tiles_x, gb.tiles_y))
 
 
 class TestPreRasterServe:

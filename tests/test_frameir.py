@@ -90,6 +90,28 @@ def assert_workloads_identical(wl_ir, wl_legacy):
                                   wl_legacy.terminated_stencil_tags)
 
 
+def assert_blends_identical(pair, threshold=0.996):
+    """Both paths share one arrival chain: the per-fragment arrival
+    alphas, the per-pixel accumulated alpha and both blends (with and
+    without early termination) agree bit for bit."""
+    def assert_bits_equal(a, b, name):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        kind = f"u{a.dtype.itemsize}"
+        np.testing.assert_array_equal(np.ascontiguousarray(a).view(kind),
+                                      np.ascontiguousarray(b).view(kind),
+                                      err_msg=name)
+
+    ir_stream, bare = pair
+    for name in ("arrival_alpha", "accumulated_alpha"):
+        assert_bits_equal(getattr(ir_stream, name), getattr(bare, name), name)
+    for early_term in (False, True):
+        for part, a, b in zip(
+                ("image", "alpha"),
+                ir_stream.blend_image(early_term, threshold),
+                bare.blend_image(early_term, threshold)):
+            assert_bits_equal(a, b, f"{part} early_term={early_term}")
+
+
 def stream_pair(splats, width, height, **kwargs):
     """The same splats rasterised onto both digestion paths: a stream
     carrying a FrameIR and a bare one (bit-identical fragment arrays)."""
@@ -118,6 +140,7 @@ class TestFrameIRFuzz:
                 continue
             for threshold, lag in ((0.996, 0), (0.996, 2), (0.9, 1)):
                 assert_tables_identical(*both_tables(pair, threshold, lag))
+            assert_blends_identical(pair)
 
     def test_random_workloads_match_oracle(self):
         rng = np.random.default_rng(fuzz_seed("frameir-wl"))
@@ -130,6 +153,7 @@ class TestFrameIRFuzz:
             for variant in ("baseline", "het+qm"):
                 cfg = variant_config(variant)
                 assert_workloads_identical(*both_workloads(pair, cfg))
+            assert_blends_identical(pair)
 
     def test_random_draws_cycle_exact(self):
         """IR-digested and legacy-digested workloads simulate identically."""
@@ -148,6 +172,7 @@ class TestFrameIRFuzz:
                 assert stats.items == res_legacy.stats.units[unit].items
                 assert (stats.busy_cycles
                         == res_legacy.stats.units[unit].busy_cycles)
+        assert_blends_identical(pair)
 
 
 class TestDigestionRegimes:
@@ -164,6 +189,7 @@ class TestDigestionRegimes:
         assert_tables_identical(*both_tables(pair, 0.996, 0))
         cfg = variant_config("het+qm")
         assert_workloads_identical(*both_workloads(pair, cfg))
+        assert_blends_identical(pair)
 
     def test_single_pixel_splats(self):
         """Subpixel splats: every primitive covers exactly one pixel, so
@@ -182,6 +208,7 @@ class TestDigestionRegimes:
         assert_tables_identical(*both_tables(pair, 0.996, 2))
         cfg = variant_config("het+qm")
         assert_workloads_identical(*both_workloads(pair, cfg))
+        assert_blends_identical(pair)
 
     def test_max_fragments_clamped(self):
         """At the max_fragments guard boundary the IR still rides along
@@ -201,6 +228,7 @@ class TestDigestionRegimes:
         assert_tables_identical(*both_tables(pair, 0.996, 0))
         cfg = variant_config("baseline")
         assert_workloads_identical(*both_workloads(pair, cfg))
+        assert_blends_identical(pair)
 
     def test_het_terminated(self, deep_cloud, deep_camera):
         """Depth-stacked opaque layers saturate pixels: the termination
@@ -214,6 +242,7 @@ class TestDigestionRegimes:
         assert_workloads_identical(wl_ir, wl_legacy)
         assert_tables_identical(*both_tables(
             pair, cfg.termination_alpha, cfg.het_inflight_lag))
+        assert_blends_identical(pair, cfg.termination_alpha)
 
     def test_warm_handoff(self):
         """On either path, a stream whose shared pixel-sort/arrival caches
@@ -235,6 +264,7 @@ class TestDigestionRegimes:
             assert_workloads_identical(wl_warm, wl_cold)
             assert_tables_identical(wl_warm.quads, wl_cold.quads)
         assert_workloads_identical(*warm)
+        assert_blends_identical(warm_pair)
         for stream, workload in zip(warm_pair, warm):
             assert (stream.quad_table(cfg.termination_alpha,
                                       cfg.het_inflight_lag)
@@ -306,6 +336,7 @@ class TestKillCutoffFuzz:
                 assert a.dtype == b.dtype == np.int64, name
                 np.testing.assert_array_equal(a, b,
                                               err_msg=f"{name} lag={lag}")
+        assert_blends_identical(pair, threshold)
 
     def test_random_row_streams_match_oracle(self):
         rng = np.random.default_rng(fuzz_seed("kill-cutoff"))

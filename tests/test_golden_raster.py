@@ -1,6 +1,6 @@
 """Golden equivalence: the batched rasteriser vs the scalar seed loop.
 
-The batched tile-binned rasteriser must emit a *bit-identical*
+The batched row-interval rasteriser must emit a *bit-identical*
 FragmentStream to the per-splat golden loop — same fragments, same order,
 same float32 alpha bits — on every scene, including degenerate ones.
 """
@@ -12,11 +12,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.gaussians.projection import project_gaussians
-from repro.render.splat_raster import (
-    TileBinning,
-    rasterize_splats,
-    rasterize_splats_scalar,
-)
+from repro.render.splat_raster import rasterize_splats, rasterize_splats_scalar
 from repro.workloads.catalog import build_scene, get_profile
 
 GOLDEN_SCENES = ("lego", "palace", "train")
@@ -137,8 +133,6 @@ class TestGoldenAdversarial:
         batched = rasterize_splats(empty, 96, 96)
         scalar = rasterize_splats_scalar(empty, 96, 96)
         assert len(batched) == len(scalar) == 0
-        assert isinstance(batched.binning, TileBinning)
-        assert batched.binning.n_pairs == 0
 
 
 class TestGoldenDegenerate:
@@ -172,35 +166,3 @@ class TestGoldenDegenerate:
         splats = self._screen_splats(cam96)
         assert_streams_bit_identical(rasterize_splats(splats, 96, 96),
                                      rasterize_splats_scalar(splats, 96, 96))
-
-
-class TestTileBinning:
-    def test_pairs_cover_fragment_tiles(self, cam96):
-        splats, w, h = _scene_splats("lego")
-        stream = rasterize_splats(splats, w, h)
-        binning = stream.binning
-        # Every (prim, tile) pair observed in the fragments must appear in
-        # the binning (binning may be a superset: tiles whose pixels all
-        # fail the OBB test still get visited).
-        observed = set(zip(stream.prim_ids.tolist(),
-                           stream.tile_ids.tolist()))
-        binned = set(zip(binning.pair_splat.tolist(),
-                         binning.pair_tile.tolist()))
-        assert observed <= binned
-
-    def test_pairs_per_splat_counts(self, cam96):
-        splats = project_gaussians(
-            _cloud([[0, 0, 0], [5.0, 0, 0]], scales=0.05), cam96)
-        stream = rasterize_splats(splats, 96, 96)
-        counts = stream.binning.pairs_per_splat()
-        assert counts.shape == (2,)
-        assert counts[0] > 0
-        assert counts[1] == 0  # off-screen splat rasterises nowhere
-
-    def test_tile_ids_match_geometry(self, cam96):
-        splats = project_gaussians(_cloud([0, 0, 0], 0.05), cam96)
-        stream = rasterize_splats(splats, 96, 96)
-        tiles_x = -(-96 // 16)
-        expect = (stream.y.astype(np.int64) // 16) * tiles_x \
-            + stream.x.astype(np.int64) // 16
-        np.testing.assert_array_equal(stream.tile_ids, expect)

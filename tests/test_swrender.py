@@ -47,7 +47,6 @@ class TestWarpModel:
         assert 0.0 < frac < 1.0
 
     def test_empty_stream(self):
-        from repro.render.fragstream import FragmentStream
         empty = FragmentStream(np.empty(0, np.int32), np.empty(0, np.int32),
                                np.empty(0, np.int32), np.empty(0, np.float32),
                                np.zeros((0, 3)), 32, 32)
@@ -95,23 +94,9 @@ class TestCudaRenderer:
             100, 100)
         assert model.sort_cycles(1000) == 10 * model.sort_cycles(100)
 
-    def test_render_stream_consumes_stream_binning(self, small_stream,
-                                                   small_pre):
-        # Without pre=, the stream's own TileBinning sizes the duplication
-        # (exact counts, no re-binning) instead of raising.
-        result = CudaRenderer().render_stream(small_stream)
-        binning = small_stream.binning
-        assert result.tiling.n_pairs == binning.n_pairs
-        np.testing.assert_array_equal(result.tiling.pairs_per_splat,
-                                      binning.pairs_per_splat())
-
-    def test_render_stream_requires_pre_or_binning(self, small_stream):
-        bare = FragmentStream(
-            small_stream.prim_ids, small_stream.x, small_stream.y,
-            small_stream.alphas, small_stream.prim_colors,
-            small_stream.width, small_stream.height)
+    def test_render_stream_requires_pre(self, small_stream):
         with pytest.raises(ValueError, match="PreprocessResult"):
-            CudaRenderer().render_stream(bare)
+            CudaRenderer().render_stream(small_stream)
 
 
 class TestSessionRevisit:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.arrays import segment_boundaries, segmented_cumsum
+from repro.utils.arrays import segment_boundaries, sliced_cumsum
 
 
 class TestSegmentBoundaries:
@@ -28,21 +28,28 @@ class TestSegmentBoundaries:
             segment_boundaries(np.zeros((2, 2)))
 
 
+def _sliced(vals, ids):
+    """``sliced_cumsum`` with one slice per run of equal ``ids``."""
+    bounds = np.append(segment_boundaries(ids), len(vals))
+    return sliced_cumsum(vals, bounds)
+
+
 class TestSegmentedCumsum:
     def test_restarts_each_segment(self):
         ids = np.array([0, 0, 0, 1, 1])
         vals = np.array([1.0, 1.0, 1.0, 5.0, 5.0])
-        assert segmented_cumsum(vals, ids).tolist() == [1, 2, 3, 5, 10]
+        assert _sliced(vals, ids).tolist() == [1, 2, 3, 5, 10]
 
     def test_negative_values(self):
-        # Regression guard: offsets must propagate correctly even when the
-        # running total decreases (log-space transmittance is negative).
+        # Log-space transmittance is negative: each slice's running total
+        # decreases and still restarts at the boundary.
         ids = np.array([0, 0, 1, 1])
         vals = np.array([-1.0, -2.0, -3.0, -4.0])
-        assert segmented_cumsum(vals, ids).tolist() == [-1, -3, -3, -7]
+        assert _sliced(vals, ids).tolist() == [-1, -3, -3, -7]
 
     def test_empty(self):
-        assert segmented_cumsum(np.array([]), np.array([])).size == 0
+        out = sliced_cumsum(np.array([]), np.zeros(1, dtype=np.int64))
+        assert out.size == 0
 
 
 @st.composite
@@ -58,8 +65,13 @@ def segmented_data(draw):
 @settings(max_examples=50, deadline=None)
 @given(segmented_data())
 def test_cumsum_matches_python_loop(data):
+    """A genuine per-slice scan: each element is exactly the sequential
+    sum of its own slice's prefix, whatever precedes the slice."""
     ids, vals = data
-    out = segmented_cumsum(vals, ids)
+    out = _sliced(vals, ids)
     for i in range(ids.size):
-        total = sum(vals[j] for j in range(i + 1) if ids[j] == ids[i])
-        assert out[i] == pytest.approx(total, rel=1e-9)
+        total = 0.0
+        for j in range(i + 1):
+            if ids[j] == ids[i]:
+                total += vals[j]
+        assert out[i] == total
