@@ -52,13 +52,17 @@ by construction, pinned by ``tests/test_coherence.py``.
 State lifecycle
 ---------------
 A missed frame's state holds the frame's stream while the frame is being
-digested, then is *sealed* when the next frame begins: it keeps the
-products the stream materialised, its raster (see :class:`_FrameState`)
-and a copy of its splats, and drops the stream.  Captured alphas and
-FrameIR rows are read-only, so no consumer can change the raster a later
-hit serves.  The library is an LRU bounded by the summed bytes of its
-sealed states (``max_bytes``), not by a state count; each state is sized
-when it is sealed.
+digested, then is *sealed* when the next frame starts: by
+:meth:`~FrameCoherence.serve`, hit or miss, so the finished frame is
+released before the next raster allocates (or by
+:meth:`~FrameCoherence.begin_frame` for a caller that does not serve).
+A sealed state keeps the products the stream materialised, its raster
+(see :class:`_FrameState`) and a copy of its splats, and drops the
+stream and every quad-view array but the group ranges.  Captured alphas
+and FrameIR rows are read-only, so no consumer can change the raster a
+later hit serves.  The library is an LRU bounded by the summed bytes of
+its sealed states (``max_bytes``), not by a state count; each state is
+sized when it is sealed.
 
 The ``coherence`` knob
 ----------------------
@@ -81,12 +85,12 @@ from repro.render.frameir import row_fragments
 from repro.utils.arrays import ndarray_bytes
 
 #: Default byte budget of a carrier's state library.  Measured sealed
-#: states, splat record included, hold about 17 bytes per fragment on the
-#: HET+QM path and 10.3 on the CUDA path, so an 8-view orbit library
-#: (``RenderSession.run``'s default sweep) takes about 170 MiB on lego
-#: (hw:het+qm, 1.1-1.4M fragments per view) and 132 MiB on garden
+#: states, splat record included, hold about 7.3 bytes per fragment on
+#: the HET+QM path and 6.9 on the CUDA path, so an 8-view orbit library
+#: (``RenderSession.run``'s default sweep) takes about 73 MiB on lego
+#: (hw:het+qm, 1.1-1.4M fragments per view) and 89 MiB on garden
 #: (cuda+et, 1.5-2.0M).  The budget keeps these loops, and those of
-#: scenes a few times larger, fully resident.
+#: scenes several times larger, fully resident.
 DEFAULT_MAX_BYTES = 640 * 2**20
 
 #: The ``Splat2D`` fields :func:`~repro.render.splat_raster.
@@ -119,11 +123,11 @@ class _FrameState:
 
     A state is *live* while its frame is being digested: it holds the
     frame's stream, whose lazy caches keep filling in.  The carrier seals
-    it (:meth:`seal`) when the next frame begins, once the frame is
-    finished.  A sealed state holds what a verified full hit serves, and
+    it (:meth:`seal`) when the next frame starts, once the frame is
+    finished.  A sealed state holds what a verified full hit reads, and
     nothing else: the FrameIR (row arrays for the exact verify and the
-    served coordinates, plus the shared quad view's metadata columns and
-    the small per-pair inputs its fragment slots rebuild from), the
+    served coordinates, plus the shared quad view's group ranges; its
+    other columns rebuild from the rows on a later non-hit read), the
     alphas, the stream's :attr:`PRODUCTS` and, when the frame was
     captured with its splats, the splat record a pre-raster hit verifies
     against (``splat_key``, a copy of the :data:`SPLAT_FIELDS` arrays).
@@ -185,9 +189,9 @@ class _FrameState:
 
     def seal(self):
         """Keep the stream's products, frozen read-only (a flush digest's
-        arrays are read-only from construction); drop the stream and the
-        quad view's per-quad fragment slots (also when a full hit on this
-        state rebuilt them), and size what is left."""
+        arrays are read-only from construction); drop the stream and all
+        of the quad view but its groups (also what a consumer of a full
+        hit on this state rebuilt), and size what is left."""
         stream = self.stream
         if stream is not None:
             products = {}
@@ -207,7 +211,7 @@ class _FrameState:
             self.products = products
             self.stream = None
         if self.frameir._quads is not None:
-            self.frameir._quads.release_slots()
+            self.frameir._quads.release()
         self._nbytes = self._walk_bytes()
 
     def _walk_bytes(self):
@@ -243,7 +247,7 @@ class FrameCoherence:
         #: rendered in between.
         self._states = OrderedDict()
         self._pows = None
-        #: The last frame's library key and state (live until sealed).
+        #: The last frame's library key, and its state until sealed.
         self._key = None
         self._prev = None
         #: Outcome counters (frames served per path), for observability.
@@ -312,26 +316,21 @@ class FrameCoherence:
 
         Hashes ``splats``' rasteriser inputs and the framebuffer size to
         pick a library state recorded with its splats, and verifies every
-        field bit for bit.  A hit seals the previous frame, trims the
-        library, and returns the stream
+        field bit for bit.  The previous frame is sealed first, hit or
+        miss, so a miss rasterises with only sealed states alive.  A hit
+        trims the library and returns the stream
         :func:`~repro.render.splat_raster.rasterize_splats` would emit
         (``ir="auto"``), with the state's products installed.  On a miss
-        the caller rasterises and calls :meth:`begin_frame`, which seals
-        the previous frame then.
+        the caller rasterises and calls :meth:`begin_frame`.
         """
         if self.mode == "off":
             return None
+        self._seal_prev()
         skey = self._splat_key(splats, width, height)
         for key, cand in self._states.items():
             if cand.splat_key == skey and cand.matches_splats(splats):
                 break
         else:
-            return None
-        if self._prev is not None:
-            self._prev.seal()
-        if cand.splats is None:
-            # Sealing this very frame found its inputs rebound: it keeps
-            # no splat record to serve by.
             return None
         self._states.move_to_end(key)
         self._evict()
@@ -343,18 +342,18 @@ class FrameCoherence:
         """Attach to a new frame's stream before digestion starts.
 
         The previous frame is finished by now, so its state is sealed
-        first and the library is trimmed to its byte budget.  Then the
-        frame's content is hashed and verified against the library: a
-        full hit installs the matched state's products and shares its
-        FrameIR quad view *before* the quad table is built; a miss adds a
-        live state for this frame, recording ``splats`` (the splats the
-        stream was rasterised from) for later :meth:`serve` hits.  A miss
-        whose rows match a library state's keeps both states.
+        first (unless :meth:`serve` sealed it already) and the library is
+        trimmed to its byte budget.  Then the frame's content is hashed
+        and verified against the library: a full hit installs the matched
+        state's products and shares its FrameIR quad view *before* the
+        quad table is built; a miss adds a live state for this frame,
+        recording ``splats`` (the splats the stream was rasterised from)
+        for later :meth:`serve` hits.  A miss whose rows match a library
+        state's keeps both states.
         """
         if self.mode == "off" or stream.frameir is None:
             return
-        if self._prev is not None:
-            self._prev.seal()
+        self._seal_prev()
         self._evict()
         key = self._content_key(stream)
         cand = self._states.get(key)
@@ -374,6 +373,13 @@ class FrameCoherence:
             self._prev = self._states[key] = _FrameState(stream, splats,
                                                          skey)
         self._states.move_to_end(key)
+
+    def _seal_prev(self):
+        """Seal the last frame's state, once: the frame is finished when
+        the next one starts, before the next raster allocates."""
+        if self._prev is not None:
+            self._prev.seal()
+            self._prev = None
 
     def _install(self, key, stream, cand):
         """Serve ``stream`` from the verified state ``cand``: its products

@@ -79,6 +79,13 @@ def arrival_chain_sliced(alpha_eff_sorted, starts, slice_bounds):
     return arrival
 
 
+def _weighted_bincount(keys, weights, minlength):
+    """Weighted ``np.bincount``, float64 for every input: NumPy returns
+    int64 zeros for an empty ``keys``, whatever the weights' dtype."""
+    return np.bincount(keys, weights=weights,
+                       minlength=minlength).astype(np.float64, copy=False)
+
+
 class FragmentStream:
     """Fragments of one draw call, in primitive-major emission order.
 
@@ -524,9 +531,8 @@ class FragmentStream:
             # multiply, so this is ``(1 - arrival) * float64(alpha)``.
             weights = 1.0 - self._cache["arrival_sorted"]
             weights *= self._cache["alpha_eff_sorted"]
-            self._cache["accumulated_alpha"] = np.bincount(
-                self._cache["pix_sorted"], weights=weights,
-                minlength=self.n_pixels)
+            self._cache["accumulated_alpha"] = _weighted_bincount(
+                self._cache["pix_sorted"], weights, self.n_pixels)
         return self._cache["accumulated_alpha"]
 
     def blend_image(self, early_term=False, threshold=DEFAULT_TERMINATION_ALPHA):
@@ -546,12 +552,11 @@ class FragmentStream:
         # bit-identical to three separate per-channel bincounts.
         contrib = weights[:, None] * colors
         keys = pix[:, None] * 3 + np.arange(3, dtype=np.int64)
-        image = np.bincount(
-            keys.ravel(), weights=contrib.ravel(),
-            minlength=self.n_pixels * 3).reshape(self.n_pixels, 3)
+        image = _weighted_bincount(
+            keys.ravel(), contrib.ravel(),
+            self.n_pixels * 3).reshape(self.n_pixels, 3)
         if early_term:
-            alpha_map = np.bincount(pix, weights=weights,
-                                    minlength=self.n_pixels)
+            alpha_map = _weighted_bincount(pix, weights, self.n_pixels)
         else:
             alpha_map = self.accumulated_alpha.copy()
         return (image.reshape(self.height, self.width, 3),

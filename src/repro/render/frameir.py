@@ -115,7 +115,9 @@ class QuadIR:
     ``qy``/``tile_ids``/``grid_ids``/``qpos``, the :class:`~repro.render.
     fragstream.QuadTable` schema) and the fragment slots of the
     aggregate reductions (:meth:`slots`) expand lazily from the chunklet
-    ranges when the draw first touches them.
+    ranges when the draw first touches them.  :meth:`release` drops all
+    of it but the groups, and the next use rebuilds it from the row
+    arrays the view keeps.
 
     Per-quad aggregates never touch a permuted fragment stream: a quad
     covers at most the four pixels of its 2x2 footprint, each on an even
@@ -128,16 +130,28 @@ class QuadIR:
     the legacy per-quad value.
     """
 
-    def __init__(self, groups, chunk_state, p_qy, slot_state, n_quads,
-                 n_fragments):
-        self.groups = groups
-        self._chunk_state = chunk_state
-        self._p_qy = p_qy
-        self._slot_state = slot_state
-        self._n_quads = int(n_quads)
+    def __init__(self, row_prim, row_y, row_xlo, row_xhi, row_fstart,
+                 n_fragments, width, height):
+        # The row arrays themselves, not the FrameIR: a back-reference
+        # would make a cycle that only the cyclic GC frees.
+        self._raster = (row_prim, row_y, row_xlo, row_xhi, row_fstart,
+                        int(width), int(height))
+        (self.groups, self._chunk_state, self._p_qy,
+         self._slot_state) = _quad_chunklets(*self._raster)
+        self._n_quads = int(self._chunk_state[3][-1])
         self._n_fragments = int(n_fragments)
         self._meta = {}
         self._slots = None
+
+    def _expansion(self):
+        """``(chunk_state, p_qy, slot_state)``, the chunklet runs the
+        metadata columns and slots expand from; rebuilt from the rows
+        after :meth:`release` (the pass is deterministic, so the rebuilt
+        state is identical)."""
+        if self._chunk_state is None:
+            (_groups, self._chunk_state, self._p_qy,
+             self._slot_state) = _quad_chunklets(*self._raster)
+        return self._chunk_state, self._p_qy, self._slot_state
 
     def __len__(self):
         return self._n_quads
@@ -165,7 +179,7 @@ class QuadIR:
             per_group = {"prim_ids": groups.prim, "tile_ids": groups.tile,
                          "grid_ids": groups.grid}[name]
             return np.repeat(per_group, groups.ends - groups.starts)
-        c_pair, c_qa, nq_c, q_offsets = self._chunk_state
+        (c_pair, c_qa, nq_c, q_offsets), p_qy, _ = self._expansion()
         if name == "qx":
             # Fused ragged expansion: ``repeat(base - offset)`` plus a
             # global arange *is* ``base + local``.
@@ -173,18 +187,21 @@ class QuadIR:
                     + np.arange(self._n_quads, dtype=np.int64))
         if name == "qy":
             # Constant over each chunklet (one scanline pair).
-            return np.repeat(self._p_qy[c_pair], nq_c)
+            return np.repeat(p_qy[c_pair], nq_c)
         if name == "qpos":
             return (self.meta("qy") & 7) * 8 + (self.meta("qx") & 7)
         raise KeyError(f"unknown quad metadata column {name!r}")
 
-    def release_slots(self):
-        """Drop the four per-quad slot arrays; :meth:`slots` rebuilds the
-        identical arrays on next use.  A sealed coherence state keeps
-        this view without them: a full hit serves every aggregate column
-        the draw read, so only other consumers rebuild."""
-        if self._slot_state is not None:
-            self._slots = None
+    def release(self):
+        """Keep only :attr:`groups`: drop the metadata columns, the
+        fragment slots and the chunklet state both expand from.  Each is
+        rebuilt bit-identically from the row arrays on next use.  A
+        sealed coherence state keeps its view released: a full hit reads
+        only the groups (the draw's flush digest is served), so only
+        other consumers rebuild."""
+        self._meta = {}
+        self._slots = None
+        self._chunk_state = self._p_qy = self._slot_state = None
 
     def slots(self):
         """The four per-quad fragment slots, as emission-stream offsets.
@@ -204,7 +221,7 @@ class QuadIR:
             narrow = 2 * n < np.iinfo(np.int32).max
             dtype, unsigned = ((np.int32, np.uint32) if narrow
                                else (np.int64, np.uint64))
-            c_pair, c_qa, nq_c, q_offsets = self._chunk_state
+            (c_pair, c_qa, nq_c, q_offsets), _, state = self._expansion()
             # Per chunklet and scanline (even, then odd): the offset of the
             # chunklet's first quad's left pixel inside the scanline's
             # interval, the interval length (zero when the scanline is
@@ -216,7 +233,6 @@ class QuadIR:
             steps = np.arange(0, 2 * self._n_quads, 2, dtype=dtype)
             slots = []
             got = 0
-            state = self._slot_state
             for xlo, length, fstart in (state[:3], state[3:]):
                 rel = np.take((x2_base - xlo[c_pair]).astype(dtype), chunk)
                 rel += steps
@@ -317,139 +333,137 @@ class FrameIR:
     def quads(self):
         """The cached :class:`QuadIR` of this frame (built on first use)."""
         if self._quads is None:
-            self._quads = self._build_quads()
+            self._quads = QuadIR(self.row_prim, self.row_y, self.row_xlo,
+                                 self.row_xhi, self.row_fstart,
+                                 self.n_fragments, self.width, self.height)
         return self._quads
 
-    def _build_quads(self):
-        width, height = self.width, self.height
-        tiles_x = -(-width // 16)
-        grids_x = -(-tiles_x // 4)
+
+def _quad_chunklets(prim, y, xlo, xhi, fstart, width, height):
+    """The row-to-chunklet pass of a :class:`QuadIR`.
+
+    Returns ``(groups, chunk_state, p_qy, slot_state)``: the
+    :class:`GroupIR`, the emission-ordered chunklet runs ``(c_pair,
+    c_qa, nq_c, q_offsets)``, the per-pair quad row and the per-pair,
+    per-scanline interval inputs of the fragment slots.
+    """
+    tiles_x = -(-width // 16)
+    grids_x = -(-tiles_x // 4)
+    n_rows = prim.shape[0]
+    if n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
-        if self.n_rows == 0:
-            groups = GroupIR(empty, empty, empty, empty, empty, empty)
-            quads = QuadIR(groups, chunk_state=None, p_qy=None,
-                           slot_state=None, n_quads=0, n_fragments=0)
-            quads._meta = {name: empty for name in
-                           ("prim_ids", "qx", "qy", "tile_ids", "grid_ids",
-                            "qpos")}
-            quads._slots = (empty, empty, empty, empty)
-            return quads
+        groups = GroupIR(empty, empty, empty, empty, empty, empty)
+        return (groups, (empty, empty, empty, np.zeros(1, dtype=np.int64)),
+                empty, (empty,) * 6)
 
-        prim = self.row_prim
-        y = self.row_y
-        xlo = self.row_xlo
-        xhi = self.row_xhi
-        fstart = self.row_fstart
+    # --- quad-row pairs: adjacent scanlines sharing (prim, y // 2).
+    # Rows arrive sorted by (prim, y) with one interval per scanline,
+    # so each pair is 1 or 2 consecutive rows; a 2-row pair is always
+    # (even y, odd y) in that order.
+    qy_row = y >> 1
+    pair_key = prim * np.int64(-(-height // 2)) + qy_row
+    pstarts = segment_boundaries(pair_key)
+    pends = np.concatenate(
+        (pstarts[1:], np.asarray([n_rows], dtype=np.int64)))
+    two = (pends - pstarts) == 2
+    first_parity_odd = (y[pstarts] & 1) == 1
+    e_row = np.where(two | ~first_parity_odd, pstarts, -1)
+    o_row = np.where(two, pstarts + 1,
+                     np.where(first_parity_odd, pstarts, -1))
+    n_pairs = pstarts.shape[0]
+    p_prim = prim[pstarts]
+    p_qy = qy_row[pstarts]
 
-        # --- quad-row pairs: adjacent scanlines sharing (prim, y // 2).
-        # Rows arrive sorted by (prim, y) with one interval per scanline,
-        # so each pair is 1 or 2 consecutive rows; a 2-row pair is always
-        # (even y, odd y) in that order.
-        qy_row = y >> 1
-        pair_key = prim * np.int64(-(-height // 2)) + qy_row
-        pstarts = segment_boundaries(pair_key)
-        pends = np.concatenate(
-            (pstarts[1:], np.asarray([self.n_rows], dtype=np.int64)))
-        two = (pends - pstarts) == 2
-        first_parity_odd = (y[pstarts] & 1) == 1
-        e_row = np.where(two | ~first_parity_odd, pstarts, -1)
-        o_row = np.where(two, pstarts + 1,
-                         np.where(first_parity_odd, pstarts, -1))
-        n_pairs = pstarts.shape[0]
-        p_prim = prim[pstarts]
-        p_qy = qy_row[pstarts]
+    e_ok = e_row >= 0
+    o_ok = o_row >= 0
+    e_idx = np.maximum(e_row, 0)
+    o_idx = np.maximum(o_row, 0)
+    # Sentinel bounds for absent scanlines (an empty interval far
+    # outside any real coordinate) make every later clip produce a
+    # zero-length span without separate validity masks.
+    big = np.int64(1) << 40
+    e_xlo = np.where(e_ok, xlo[e_idx], big)
+    e_xhi = np.where(e_ok, xhi[e_idx], -big)
+    o_xlo = np.where(o_ok, xlo[o_idx], big)
+    o_xhi = np.where(o_ok, xhi[o_idx], -big)
 
-        e_ok = e_row >= 0
-        o_ok = o_row >= 0
-        e_idx = np.maximum(e_row, 0)
-        o_idx = np.maximum(o_row, 0)
-        # Sentinel bounds for absent scanlines (an empty interval far
-        # outside any real coordinate) make every later clip produce a
-        # zero-length span without separate validity masks.
-        big = np.int64(1) << 40
-        e_xlo = np.where(e_ok, xlo[e_idx], big)
-        e_xhi = np.where(e_ok, xhi[e_idx], -big)
-        o_xlo = np.where(o_ok, xlo[o_idx], big)
-        o_xhi = np.where(o_ok, xhi[o_idx], -big)
+    # --- per-pair quad-x runs.  The pair's quad columns are the union
+    # of its two rows' qx ranges: one run when they overlap or touch,
+    # two runs (ascending) when a steep splat leaves a gap.
+    a_e, b_e = e_xlo >> 1, e_xhi >> 1
+    a_o, b_o = o_xlo >> 1, o_xhi >> 1
+    both = e_ok & o_ok
+    merged = both & (np.maximum(a_e, a_o) <= np.minimum(b_e, b_o) + 1)
+    e_first = a_e <= a_o
+    one_a = np.where(e_ok, a_e, a_o)
+    one_b = np.where(e_ok, b_e, b_o)
+    run1_a = np.where(both, np.minimum(a_e, a_o), one_a)
+    run1_b = np.where(merged, np.maximum(b_e, b_o),
+                      np.where(both, np.where(e_first, b_e, b_o), one_b))
+    run2_ok = both & ~merged
+    run2_a = np.where(e_first, a_o, a_e)
+    run2_b = np.where(e_first, b_o, b_e)
 
-        # --- per-pair quad-x runs.  The pair's quad columns are the union
-        # of its two rows' qx ranges: one run when they overlap or touch,
-        # two runs (ascending) when a steep splat leaves a gap.
-        a_e, b_e = e_xlo >> 1, e_xhi >> 1
-        a_o, b_o = o_xlo >> 1, o_xhi >> 1
-        both = e_ok & o_ok
-        merged = both & (np.maximum(a_e, a_o) <= np.minimum(b_e, b_o) + 1)
-        e_first = a_e <= a_o
-        one_a = np.where(e_ok, a_e, a_o)
-        one_b = np.where(e_ok, b_e, b_o)
-        run1_a = np.where(both, np.minimum(a_e, a_o), one_a)
-        run1_b = np.where(merged, np.maximum(b_e, b_o),
-                          np.where(both, np.where(e_first, b_e, b_o), one_b))
-        run2_ok = both & ~merged
-        run2_a = np.where(e_first, a_o, a_e)
-        run2_b = np.where(e_first, b_o, b_e)
+    run_a = np.empty(2 * n_pairs, dtype=np.int64)
+    run_b = np.empty(2 * n_pairs, dtype=np.int64)
+    run_ok = np.empty(2 * n_pairs, dtype=bool)
+    run_a[0::2], run_a[1::2] = run1_a, run2_a
+    run_b[0::2], run_b[1::2] = run1_b, run2_b
+    run_ok[0::2], run_ok[1::2] = True, run2_ok
+    run_pair = np.repeat(np.arange(n_pairs, dtype=np.int64), 2)
+    keep = np.flatnonzero(run_ok)
+    run_a, run_b, run_pair = run_a[keep], run_b[keep], run_pair[keep]
 
-        run_a = np.empty(2 * n_pairs, dtype=np.int64)
-        run_b = np.empty(2 * n_pairs, dtype=np.int64)
-        run_ok = np.empty(2 * n_pairs, dtype=bool)
-        run_a[0::2], run_a[1::2] = run1_a, run2_a
-        run_b[0::2], run_b[1::2] = run1_b, run2_b
-        run_ok[0::2], run_ok[1::2] = True, run2_ok
-        run_pair = np.repeat(np.arange(n_pairs, dtype=np.int64), 2)
-        keep = np.flatnonzero(run_ok)
-        run_a, run_b, run_pair = run_a[keep], run_b[keep], run_pair[keep]
+    # --- chunklets: runs split at screen-tile columns (8 quads).
+    t0 = run_a >> 3
+    t1 = run_b >> 3
+    c_counts = t1 - t0 + 1
+    n_chunks = int(c_counts.sum())
+    c_offsets = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(c_counts)[:-1]))
+    # Fused ragged expansion: ``repeat(base - offset)`` plus a global
+    # arange *is* ``base + local``.
+    c_tx = (np.repeat(t0 - c_offsets, c_counts)
+            + np.arange(n_chunks, dtype=np.int64))
+    c_pair = np.repeat(run_pair, c_counts)
+    c_qa = np.maximum(np.repeat(run_a, c_counts), c_tx << 3)
+    c_qb = np.minimum(np.repeat(run_b, c_counts), (c_tx << 3) + 7)
 
-        # --- chunklets: runs split at screen-tile columns (8 quads).
-        t0 = run_a >> 3
-        t1 = run_b >> 3
-        c_counts = t1 - t0 + 1
-        n_chunks = int(c_counts.sum())
-        c_offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(c_counts)[:-1]))
-        # Fused ragged expansion: ``repeat(base - offset)`` plus a global
-        # arange *is* ``base + local``.
-        c_tx = (np.repeat(t0 - c_offsets, c_counts)
-                + np.arange(n_chunks, dtype=np.int64))
-        c_pair = np.repeat(run_pair, c_counts)
-        c_qa = np.maximum(np.repeat(run_a, c_counts), c_tx << 3)
-        c_qb = np.minimum(np.repeat(run_b, c_counts), (c_tx << 3) + 7)
+    # Emission order of the legacy table is (prim, tile, qpos) =
+    # (prim, tile_y, tile_x, qy & 7, qx asc).  Chunklets arrive
+    # (prim, qy, qx)-ordered; one stable sort of the *chunklet list*
+    # (not the fragments) produces the emission order, with same-key
+    # chunklets (two runs of one pair in one tile) kept qx-ascending.
+    c_ty = p_qy[c_pair] >> 3
+    c_iy = p_qy[c_pair] & 7
+    c_key = ((p_prim[c_pair] * (-(-height // 16)) + c_ty) * tiles_x
+             + c_tx) * 8 + c_iy
+    c_order = np.argsort(c_key, kind="stable")
+    c_pair = c_pair[c_order]
+    c_tx = c_tx[c_order]
+    c_qa = c_qa[c_order]
+    c_qb = c_qb[c_order]
+    c_key = c_key[c_order]
 
-        # Emission order of the legacy table is (prim, tile, qpos) =
-        # (prim, tile_y, tile_x, qy & 7, qx asc).  Chunklets arrive
-        # (prim, qy, qx)-ordered; one stable sort of the *chunklet list*
-        # (not the fragments) produces the emission order, with same-key
-        # chunklets (two runs of one pair in one tile) kept qx-ascending.
-        c_ty = p_qy[c_pair] >> 3
-        c_iy = p_qy[c_pair] & 7
-        c_key = ((p_prim[c_pair] * (-(-height // 16)) + c_ty) * tiles_x
-                 + c_tx) * 8 + c_iy
-        c_order = np.argsort(c_key, kind="stable")
-        c_pair = c_pair[c_order]
-        c_tx = c_tx[c_order]
-        c_qa = c_qa[c_order]
-        c_qb = c_qb[c_order]
-        c_key = c_key[c_order]
+    # --- quads exist only as chunklet ranges at this point; their
+    # metadata columns and fragment slots expand lazily (see
+    # :meth:`QuadIR.meta` / :meth:`QuadIR.slots`) once the draw
+    # touches them.
+    nq_c = c_qb - c_qa + 1
+    q_offsets = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(nq_c)))
+    n_quads = int(q_offsets[-1])
 
-        # --- quads exist only as chunklet ranges at this point; their
-        # metadata columns and fragment slots expand lazily (see
-        # :meth:`QuadIR.meta` / :meth:`QuadIR.slots`) once the draw
-        # touches them.
-        nq_c = c_qb - c_qa + 1
-        q_offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(nq_c)))
-        n_quads = int(q_offsets[-1])
-
-        groups = _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets,
-                               n_quads, p_prim, p_qy, tiles_x, grids_x)
-        chunk_state = (c_pair, c_qa, nq_c, q_offsets)
-        # Per pair and scanline: the interval's first pixel, its length
-        # (zero when the scanline is absent) and its first fragment.
-        slot_state = (xlo[e_idx], np.maximum(e_xhi - e_xlo + 1, 0),
-                      fstart[e_idx],
-                      xlo[o_idx], np.maximum(o_xhi - o_xlo + 1, 0),
-                      fstart[o_idx])
-        return QuadIR(groups, chunk_state, p_qy, slot_state, n_quads,
-                      self.n_fragments)
+    groups = _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets,
+                           n_quads, p_prim, p_qy, tiles_x, grids_x)
+    chunk_state = (c_pair, c_qa, nq_c, q_offsets)
+    # Per pair and scanline: the interval's first pixel, its length
+    # (zero when the scanline is absent) and its first fragment.
+    slot_state = (xlo[e_idx], np.maximum(e_xhi - e_xlo + 1, 0),
+                  fstart[e_idx],
+                  xlo[o_idx], np.maximum(o_xhi - o_xlo + 1, 0),
+                  fstart[o_idx])
+    return groups, chunk_state, p_qy, slot_state
 
 
 def _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets, n_quads,

@@ -552,6 +552,70 @@ class TestSealedStates:
             with pytest.raises(ValueError):
                 value[0:1] = 0
 
+    def test_sealed_quad_view_keeps_only_groups(self, deep_cloud):
+        """A sealed state's quad view holds its group ranges and nothing
+        else: no metadata column, no slot, no chunklet state (the row
+        arrays it references are the FrameIR's own)."""
+        config = variant_config("het+qm")
+        car = FrameCoherence()
+        _render_digest(car, deep_cloud, _orbit_camera(0.0), config)
+        sealed = car._prev
+        quads = sealed.frameir._quads
+        assert quads._meta and quads._slots is not None
+        _render_digest(car, deep_cloud, _orbit_camera(0.4), config)
+        assert sealed.stream is None
+        assert quads._meta == {} and quads._slots is None
+        assert quads._chunk_state is None and quads._p_qy is None
+        assert quads._slot_state is None
+        ir = sealed.frameir
+        rows = (ir.row_prim, ir.row_y, ir.row_xlo, ir.row_xhi,
+                ir.row_fstart)
+        assert ndarray_bytes(quads) == ndarray_bytes(quads.groups, rows)
+
+    def test_served_stream_rebuilds_quad_columns_bit_identically(
+            self, deep_pre, deep_camera):
+        """A consumer the hit does not serve reads a quad table the
+        sealed view rebuilds from its rows, equal to the oracle's."""
+        config = variant_config("het+qm")
+        w, h = deep_camera.width, deep_camera.height
+        car = FrameCoherence()
+        stream = _capture(car, deep_pre.splats, w, h)
+        GraphicsPipeline(config).draw(DrawWorkload.from_stream(stream,
+                                                               config))
+        quads = stream.frameir._quads
+        del stream
+        served = car.serve(deep_pre.splats, w, h)
+        assert served is not None and car.stats["full_hits"] == 1
+        assert served.frameir._quads is quads
+        assert quads._chunk_state is None and quads._slots is None
+        oracle = rasterize_splats(deep_pre.splats, w, h)
+        names = ("qx", "qpos", "mask_unpruned")
+        for threshold, lag in ((config.termination_alpha,
+                                config.het_inflight_lag), (0.5, 0)):
+            want = oracle.quad_table(threshold, lag)
+            got = served.quad_table(threshold, lag)
+            _assert_bitwise({k: getattr(want, k) for k in names},
+                            {k: getattr(got, k) for k in names})
+
+    def test_baseline_draw_of_served_frames_matches_off(self):
+        """Frames captured under HET+QM alone and then served to a
+        trajectory with the ``hw:baseline`` comparison: the baseline draw
+        has no digest to replay, so it plans on the sealed quad views
+        (rebuilding their columns), cycle-exact with ``coherence="off"``."""
+        cams = scene_viewpoints("palace", 2)
+        on, off = (RenderSession("palace", backend="hw:het+qm",
+                                 baseline="auto", coherence=mode)
+                   for mode in ("auto", "off"))
+        for cam in cams:
+            on.render_frame(camera=cam)
+        got = on.run(n_views=2)
+        assert on.carrier.stats["full_hits"] == 2
+        assert on.carrier._prev.frameir._quads._slots is not None
+        want = off.run(n_views=2)
+        assert all(r.baseline_cycles for r in want.records)
+        assert ([r.to_dict() for r in got.records]
+                == [r.to_dict() for r in want.records])
+
     def test_library_evicts_lru_first_by_bytes(self, deep_cloud):
         config = variant_config("het+qm")
         probe = FrameCoherence()
@@ -597,7 +661,7 @@ class TestSealedStates:
         for state in states:
             if state is not car._prev:
                 assert state.stream is None
-                assert state.nbytes <= 18 * state.n, state.nbytes / state.n
+                assert state.nbytes <= 8 * state.n, state.nbytes / state.n
 
     def test_sizes_cached_at_seal_equal_a_fresh_walk(self):
         """Each state is sized once per seal; at every frame start (when
@@ -721,8 +785,10 @@ class TestPreRasterServe:
         exact = _copy_splats(small_pre.splats)
         assert car.serve(exact, w + 1, h) is None
         assert car.serve(exact, w, h + 1) is None
-        # A miss changes nothing: the frame is still live and uncounted.
-        assert car._prev is live and live.stream is not None
+        # A miss seals the previous frame (it is finished once the next
+        # one starts) and counts nothing; the sealed state stays keyed.
+        assert live.stream is None and car._prev is None
+        assert car._states[car._key] is live and live.splats is not None
         assert car.stats == {"full_hits": 0, "partial_hits": 0,
                              "full_recomputes": 0}
         # Depths are not a rasteriser input: the copy with other depths
@@ -773,10 +839,10 @@ class TestPreRasterServe:
         w, h = small_camera.width, small_camera.height
         car = FrameCoherence()
         stream = _capture(car, small_pre.splats, w, h)
+        state = car._prev
         stream.alphas = stream.alphas * np.float32(0.5)
         # The revisit seals the frame, which drops its record: a miss.
         assert car.serve(small_pre.splats, w, h) is None
-        state = car._prev
         assert state.stream is None
         assert state.splats is None and state.products == {}
         # Only the post-raster check can serve that content now.
@@ -1028,6 +1094,27 @@ class TestFrameRelease:
             session.render_frame(camera=cams[1])
             assert ref() is not None
             del result
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_missed_serve_frees_the_previous_stream(self):
+        """A missed :meth:`~FrameCoherence.serve` seals the previous frame
+        before the next raster allocates: once the caller has dropped the
+        frame's result, its stream is freed by refcounting alone."""
+        session = RenderSession("palace", backend="hw:het+qm",
+                                baseline=None, coherence="auto")
+        cams = scene_viewpoints("palace", 2)
+        pre = preprocess(session.cloud, cams[1])
+        gc.collect()
+        gc.disable()
+        try:
+            result = session.render_frame(camera=cams[0])
+            ref = weakref.ref(result.raw.stream)
+            del result
+            assert ref() is not None  # the carrier holds the live frame
+            assert session.carrier.serve(pre.splats, cams[1].width,
+                                         cams[1].height) is None
             assert ref() is None
         finally:
             gc.enable()

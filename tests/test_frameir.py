@@ -190,6 +190,13 @@ class TestDigestionRegimes:
         cfg = variant_config("het+qm")
         assert_workloads_identical(*both_workloads(pair, cfg))
         assert_blends_identical(pair)
+        # An empty frame blends to float zeros, like any other frame.
+        for stream in pair:
+            assert stream.accumulated_alpha.dtype == np.float64
+            for early_term in (False, True):
+                image, alpha = stream.blend_image(early_term, 0.996)
+                assert image.dtype == alpha.dtype == np.float64
+                assert not image.any() and not alpha.any()
 
     def test_single_pixel_splats(self):
         """Subpixel splats: every primitive covers exactly one pixel, so
