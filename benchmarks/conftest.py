@@ -10,14 +10,14 @@ runs twice.  The engine memo (:mod:`repro.engine.cache`) keeps every
 ``REPRO_SCENES=lego,palace pytest benchmarks/`` for a quick pass.
 """
 
-import pytest
+import os
 
-from repro import knobs
+import pytest
 
 
 def selected_scenes(default=None):
     """Scene list from $REPRO_SCENES, or ``default`` (None = all six)."""
-    env = knobs.env("REPRO_SCENES")
+    env = os.environ.get("REPRO_SCENES", "")
     if env:
         return [s.strip() for s in env.split(",") if s.strip()]
     return default

@@ -7,7 +7,6 @@ Usage::
     python -m repro trajectory --scene train --backend hw:het+qm --views 24
     python -m repro experiment fig16
     python -m repro list-scenes
-    python -m repro lint [paths ...]
 
 The CLI wraps the library's main entry points so the reproduction can be
 driven without writing Python.
@@ -27,9 +26,11 @@ from repro.engine.session import RenderSession
 from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
-from repro.knobs import COHERENCE_MODES, IR_MODES, SWMODEL_MODES
+from repro.render.coherence import COHERENCE_MODES
+from repro.render.frameir import IR_MODES
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
+from repro.swrender.warp_model import SWMODEL_MODES
 from repro.workloads.catalog import ALL_SCENES, build_scene, get_profile
 
 _EXPERIMENT_MODULES = {
@@ -149,16 +150,6 @@ def cmd_experiment(args):
     return 0
 
 
-def cmd_lint(args):
-    # Deferred import: the analysis engine is only needed by this
-    # subcommand and pulls in the whole-tree scanner.
-    from repro.analysis import counts, format_text, run_lint
-
-    findings = run_lint(paths=args.paths or None)
-    print(format_text(findings))
-    return 1 if counts(findings)["active"] else 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -236,13 +227,6 @@ def build_parser():
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name", choices=_EXPERIMENT_MODULES)
-
-    lint = sub.add_parser(
-        "lint", help="run the repo's static invariant checker (rules "
-                     "R1-R6; see README 'Static analysis')")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to scan, repo-relative "
-                           "(default: src)")
     return parser
 
 
@@ -255,7 +239,6 @@ def main(argv=None):
         "simulate": cmd_simulate,
         "trajectory": cmd_trajectory,
         "experiment": cmd_experiment,
-        "lint": cmd_lint,
     }
     return handlers[args.command](args)
 

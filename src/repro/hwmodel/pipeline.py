@@ -24,7 +24,6 @@ import itertools
 import numpy as np
 
 from repro.hwmodel.config import GPUConfig
-from repro.knobs import PIPELINE_ENGINES
 from repro.hwmodel.crop import CropUnit
 from repro.hwmodel.flushplan import (
     build_flush_plan,
@@ -43,6 +42,10 @@ from repro.hwmodel.vpo import VertexPipeline
 from repro.hwmodel.zrop import ZropUnit
 from repro.render.fragstream import FragmentStream
 from repro.utils.arrays import expand_segments, segment_boundaries
+
+#: Valid values of the flush ``engine`` knob: the batched flush plan,
+#: or the scalar per-flush oracle.
+PIPELINE_ENGINES = ("batched", "scalar")
 
 
 class DrawWorkload:

@@ -48,7 +48,6 @@ class UnitStats:
         self.items += int(items)
         if values.size:
             seeded = np.concatenate(([self.busy_cycles], values))
-            # repro-lint: ok(R1): accumulate is sequential left-to-right, matching the scalar loop
             self.busy_cycles = float(np.add.accumulate(seeded)[-1])
 
     def __repr__(self):

@@ -79,7 +79,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
 from repro.render.fragstream import FragmentStream
 from repro.render.frameir import row_fragments
 from repro.utils.arrays import ndarray_bytes
@@ -92,6 +91,10 @@ from repro.utils.arrays import ndarray_bytes
 #: (cuda+et, 1.5-2.0M).  The budget keeps these loops, and those of
 #: scenes several times larger, fully resident.
 DEFAULT_MAX_BYTES = 640 * 2**20
+
+#: Valid values of the ``coherence`` knob: the carrier on, or off (the
+#: full-recompute oracle).
+COHERENCE_MODES = ("auto", "off")
 
 #: The ``Splat2D`` fields :func:`~repro.render.splat_raster.
 #: rasterize_splats` reads: a pre-raster hit verifies exactly these.
@@ -247,8 +250,7 @@ class FrameCoherence:
         #: rendered in between.
         self._states = OrderedDict()
         self._pows = None
-        #: The last frame's library key, and its state until sealed.
-        self._key = None
+        #: The last frame's state, until sealed.
         self._prev = None
         #: Outcome counters (frames served per path), for observability.
         #: ``partial_hits`` stays 0 (whole-frame reuse only); the key is
@@ -335,7 +337,7 @@ class FrameCoherence:
         self._states.move_to_end(key)
         self._evict()
         stream = cand.served_stream(splats)
-        self._install(key, stream, cand)
+        self._install(stream, cand)
         return stream
 
     def begin_frame(self, stream, splats=None):
@@ -363,13 +365,12 @@ class FrameCoherence:
             key += (self._hash_bits(stream.alphas),)
             cand = self._states.get(key)
         if cand is not None and self._verify(stream, cand):
-            self._install(key, stream, cand)
+            self._install(stream, cand)
         else:
             if self._states:
                 self.stats["full_recomputes"] += 1
             skey = (None if splats is None else
                     self._splat_key(splats, stream.width, stream.height))
-            self._key = key
             self._prev = self._states[key] = _FrameState(stream, splats,
                                                          skey)
         self._states.move_to_end(key)
@@ -381,7 +382,7 @@ class FrameCoherence:
             self._prev.seal()
             self._prev = None
 
-    def _install(self, key, stream, cand):
+    def _install(self, stream, cand):
         """Serve ``stream`` from the verified state ``cand``: its products
         and its built quad view (verified-identical content means the
         chunklet/quad structure is identical too)."""
@@ -389,7 +390,6 @@ class FrameCoherence:
         stream._cache.update(cand.products)
         if cand.frameir._quads is not None:
             stream.frameir._quads = cand.frameir._quads
-        self._key = key
         self._prev = cand
 
     def _evict(self):

@@ -45,8 +45,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.knobs import IR_MODES  # re-exported; declared centrally
 from repro.utils.arrays import popcount4, segment_boundaries
+
+#: Valid values of the rasteriser's ``ir`` knob: attach a FrameIR
+#: (FrameIR-backed digestion) or emit a bare stream (the retained
+#: sort-based oracle).
+IR_MODES = ("auto", "legacy")
 
 
 def resolve_ir(ir="auto"):

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.knobs import SWMODEL_MODES
 from repro.render.fragstream import (
     DEFAULT_TERMINATION_ALPHA,
     FragmentStream,
@@ -48,6 +47,10 @@ TILE_SIZE = 16
 WARP_ROWS = 2           # a warp covers a 16x2-pixel strip of the tile
 WARPS_PER_TILE = TILE_SIZE // WARP_ROWS
 WARP_THREADS = 32
+
+#: Valid values of the ``swmodel`` knob: the FrameIR-backed engine, or
+#: the retained fragment-sort oracle.
+SWMODEL_MODES = ("auto", "legacy")
 
 
 def resolve_swmodel(swmodel="auto"):

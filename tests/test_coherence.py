@@ -21,7 +21,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import knobs
 from repro.core.vrpipe import variant_config
 from repro.engine.session import RenderSession
 from repro.gaussians import Camera
@@ -99,21 +98,12 @@ class TestKnob:
         monkeypatch.setenv("REPRO_IR", "legacy")
         monkeypatch.setenv("REPRO_COHERENCE", "off")
         monkeypatch.setenv("REPRO_SWMODEL", "legacy")
-        assert knobs.ENV_KNOBS == ("REPRO_SCENES",)
         assert resolve_coherence() == "auto"
         session = RenderSession("palace", baseline=None)
         camera = session.profile.camera()
         for _ in range(2):
             session.render_frame(camera)
         assert session.carrier.stats["full_hits"] == 1
-
-    def test_env_reads_registered_names_only(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCENES", raising=False)
-        assert knobs.env("REPRO_SCENES") == ""
-        monkeypatch.setenv("REPRO_SCENES", "lego")
-        assert knobs.env("REPRO_SCENES") == "lego"
-        with pytest.raises(KeyError):
-            knobs.env("REPRO_IR")
 
     def test_invalid_rejected(self):
         for mode in ("sometimes", "incremental"):
@@ -171,7 +161,7 @@ class TestServePaths:
         car = FrameCoherence("off")
         s1 = self._fresh(small_pre, small_camera)
         car.begin_frame(s1)
-        assert car._key is None and not car._states
+        assert not car._states
         _digest(s1)
         assert car.stats == {"full_hits": 0, "partial_hits": 0,
                              "full_recomputes": 0}
@@ -631,7 +621,7 @@ class TestSealedStates:
         keys = []
         for theta in (0.0, 0.2, 0.4, 0.2, 0.6):
             _render_digest(car, deep_cloud, _orbit_camera(theta), config)
-            keys.append(car._key)
+            keys.append(next(reversed(car._states)))
             assert _library_bytes(car) - car._prev.nbytes <= budget
         # The next frame's begin seals 0.6 and trims the library.  0.0
         # went first; revisiting 0.2 made it most recent, so 0.4 went
@@ -640,7 +630,8 @@ class TestSealedStates:
         car.begin_frame(rasterize_splats(
             preprocess(deep_cloud, _orbit_camera(0.8)).splats, 96, 96))
         assert car.stats["full_hits"] == 1
-        assert list(car._states) == [keys[3], keys[4], car._key]
+        assert list(car._states)[:-1] == [keys[3], keys[4]]
+        assert car._states[next(reversed(car._states))] is car._prev
         assert _library_bytes(car) - car._prev.nbytes <= budget
 
     def test_eight_view_lego_loop_stays_resident(self):
@@ -788,7 +779,8 @@ class TestPreRasterServe:
         # A miss seals the previous frame (it is finished once the next
         # one starts) and counts nothing; the sealed state stays keyed.
         assert live.stream is None and car._prev is None
-        assert car._states[car._key] is live and live.splats is not None
+        assert car._states[next(reversed(car._states))] is live
+        assert live.splats is not None
         assert car.stats == {"full_hits": 0, "partial_hits": 0,
                              "full_recomputes": 0}
         # Depths are not a rasteriser input: the copy with other depths

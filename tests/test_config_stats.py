@@ -1,5 +1,6 @@
 """GPU configuration and pipeline statistics."""
 
+import numpy as np
 import pytest
 
 from repro.hwmodel.config import EnergyTable, GPUConfig, jetson_agx_orin, rtx_3090
@@ -79,6 +80,23 @@ class TestStats:
     def test_unit_rejects_negative(self):
         with pytest.raises(ValueError):
             UnitStats("x").add(-1, 0)
+
+    def test_add_sequence_is_bit_equal_to_sequential_adds(self):
+        # Magnitudes spread over 16 decades make the summation order show
+        # in the last bits: a pairwise reduction (``np.sum``,
+        # ``np.add.reduce``) lands on another total than left-to-right adds.
+        rng = np.random.default_rng(7)
+        values = rng.random(1000) * 10.0 ** rng.integers(-6, 10, 1000)
+        loop, batch = UnitStats("tc"), UnitStats("tc")
+        for unit in (loop, batch):
+            unit.add(1, 0.1)
+        for value in values:
+            loop.add(1, value)
+        batch.add_sequence(values.size, values)
+        assert batch.items == loop.items
+        assert batch.busy_cycles.hex() == loop.busy_cycles.hex()
+        pairwise = float(np.add.reduce(np.concatenate(([0.1], values))))
+        assert pairwise != loop.busy_cycles
 
     def test_finalize_and_utilization(self):
         stats = PipelineStats()

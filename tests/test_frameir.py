@@ -440,9 +440,9 @@ class TestIRKnob:
 
 
 class TestDtypePins:
-    """Golden-equality check for the R3 dtype annotations.
+    """Golden-equality check for the explicit dtypes.
 
-    The explicit ``dtype=`` pins added to the columnar modules
+    The explicit ``dtype=`` pins in the columnar modules
     (``frameir.py``, ``fragstream.py``, ``flushplan.py``, ``caches.py``)
     must *document* the dtypes the golden outputs already had, not change
     them: every quad-table and workload column is exactly ``int64`` on

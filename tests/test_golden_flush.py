@@ -15,6 +15,7 @@ import pytest
 from repro.core.vrpipe import VARIANTS, variant_config
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.caches import LRUCache
+from repro.hwmodel.config import rtx_3090
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.hwmodel.stats import UNIT_NAMES
 from repro.hwmodel.trace import DrawTrace
@@ -105,6 +106,18 @@ class TestGoldenEquivalence:
         the digest dedups CROP tags by sorting instead of by quad row."""
         cfg = variant_config("het+qm", cache_line_bytes=64)
         batched, scalar, ta, tb = draw_both_engines(scene_stream, cfg)
+        assert batched.cycles == scalar.cycles
+        assert_stats_identical(batched.stats, scalar.stats)
+
+    def test_inexact_unit_throughputs(self, scene_stream):
+        """The Orin preset's TC, PROP, ZROP and SM rates are powers of two,
+        so per-flush cycle costs are exact binary fractions and any
+        summation order gives the same total.  The RTX 3090 preset's rates
+        (56, 15.4, 14 quads and 328 issue slots per cycle) are not: a
+        pairwise float sum in the batched accounting lands on other bits
+        than the scalar engine's one-add-per-flush loop."""
+        cfg = variant_config("het+qm", device=rtx_3090())
+        batched, scalar, *_ = draw_both_engines(scene_stream, cfg)
         assert batched.cycles == scalar.cycles
         assert_stats_identical(batched.stats, scalar.stats)
 

@@ -1,9 +1,12 @@
 """Workload catalog: profiles, builders, viewpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.workloads.catalog import (
+    ALL_SCENES,
     LARGE_SCALE_SCENES,
     SCENARIO_SCENES,
     SCENES,
@@ -46,6 +49,18 @@ class TestCatalog:
         b = build_scene("bench", seed=0)
         assert len(a) == len(b) == 30000
         np.testing.assert_array_equal(a.positions, b.positions)
+
+    @pytest.mark.parametrize("scene_type", sorted(
+        {p.scene_type for p in ALL_SCENES.values()}))
+    def test_every_builder_is_deterministic(self, scene_type):
+        """One seed gives one cloud on every builder, including those of
+        the scenes a quick pass skips (shrunk here to 3,000 Gaussians)."""
+        profile = next(p for p in ALL_SCENES.values()
+                       if p.scene_type == scene_type)
+        small = dataclasses.replace(profile, n_gaussians=3000)
+        a, b = build_scene(small, seed=3), build_scene(small, seed=3)
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(value, getattr(b, name), name)
 
     def test_paper_facts(self):
         kitchen = get_profile("kitchen")
