@@ -9,7 +9,9 @@ Usage::
     python -m repro list-scenes
 
 The CLI wraps the library's main entry points so the reproduction can be
-driven without writing Python.
+driven without writing Python.  It runs the default fast paths only; the
+bit-identical reference paths are selected in the library, by the tests
+that pin them.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from repro.engine.session import RenderSession
 from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
-from repro.render.coherence import COHERENCE_MODES
-from repro.render.frameir import IR_MODES
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
-from repro.swrender.warp_model import SWMODEL_MODES
 from repro.workloads.catalog import ALL_SCENES, build_scene, get_profile
 
 _EXPERIMENT_MODULES = {
@@ -46,12 +45,12 @@ _EXPERIMENT_MODULES = {
 }
 
 
-def _build_stream(scene_name, seed, ir="auto"):
+def _build_stream(scene_name, seed):
     profile = get_profile(scene_name)
     cloud = build_scene(profile, seed=seed)
     camera = profile.camera()
     pre = preprocess(cloud, camera)
-    stream = rasterize_splats(pre.splats, camera.width, camera.height, ir=ir)
+    stream = rasterize_splats(pre.splats, camera.width, camera.height)
     return profile, stream
 
 
@@ -76,7 +75,7 @@ def cmd_render(args):
 
 
 def cmd_simulate(args):
-    _profile, stream = _build_stream(args.scene, args.seed, ir=args.ir)
+    _profile, stream = _build_stream(args.scene, args.seed)
     if args.all:
         results = run_all_variants(stream)
         print(compare_variants(results))
@@ -91,9 +90,7 @@ def cmd_trajectory(args):
     baseline = None if args.baseline == "none" else args.baseline
     session = RenderSession(
         args.scene, backend=args.backend, baseline=baseline,
-        device=args.device, seed=args.seed,
-        warm_crop_cache=args.warm_crop_cache, result_cache=cache,
-        ir=args.ir, coherence=args.coherence, swmodel=args.swmodel)
+        device=args.device, seed=args.seed, result_cache=cache)
     trajectory = session.run(n_views=args.views, jobs=args.jobs)
 
     if args.json:
@@ -106,8 +103,6 @@ def cmd_trajectory(args):
             "from_cache": trajectory.from_cache,
             "aggregates": trajectory.aggregates(),
         }
-        if cache is not None:
-            payload["cache"] = cache.stats()
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
@@ -133,13 +128,6 @@ def cmd_trajectory(args):
         ["Aggregate", "Value"],
         [[key, agg[key]] for key in sorted(agg)],
         title="Aggregates"))
-    if cache is not None:
-        stats = cache.stats()
-        print()
-        print(format_table(
-            ["Cache", "Value"],
-            [[key, stats[key]] for key in sorted(stats)],
-            title=f"Result cache: {args.cache_dir}"))
     return 0
 
 
@@ -175,11 +163,6 @@ def build_parser():
     simulate.add_argument("--all", action="store_true",
                           help="run and compare all four variants")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--ir", default="auto",
-                          choices=IR_MODES,
-                          help="digestion engine: FrameIR-backed (auto) or "
-                               "the legacy sort-based oracle "
-                               "(bit-identical; default auto)")
 
     trajectory = sub.add_parser(
         "trajectory",
@@ -199,30 +182,11 @@ def build_parser():
         "--baseline", default="auto",
         choices=("auto", "none") + tuple(available_backends()),
         help="backend compared against for per-frame speedups")
-    trajectory.add_argument("--warm-crop-cache", action="store_true",
-                            help="persist the CROP cache across frames "
-                                 "(serial only)")
     trajectory.add_argument("--cache-dir", default=None,
                             help="on-disk trajectory result cache directory")
-    trajectory.add_argument("--ir", default="auto",
-                            choices=IR_MODES,
-                            help="digestion engine: FrameIR-backed (auto) "
-                                 "or the legacy sort-based oracle "
-                                 "(bit-identical; default auto)")
-    trajectory.add_argument("--coherence", default="auto",
-                            choices=COHERENCE_MODES,
-                            help="cross-frame digestion reuse of revisited "
-                                 "frames (auto; serial runs only) or off "
-                                 "(bit-identical; default auto)")
-    trajectory.add_argument("--swmodel", default="auto",
-                            choices=SWMODEL_MODES,
-                            help="warp-model engine of the cuda backends: "
-                                 "FrameIR-native (auto) or the "
-                                 "legacy fragment-sort oracle "
-                                 "(bit-identical; default auto)")
     trajectory.add_argument("--json", action="store_true",
-                            help="emit aggregates and cache stats as JSON "
-                                 "instead of tables")
+                            help="emit aggregates as JSON instead of "
+                                 "tables")
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")

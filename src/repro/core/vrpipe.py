@@ -158,14 +158,12 @@ class HardwareRenderer:
             raise TypeError("config must be a GPUConfig")
         self.kernel_model = kernel_model or SWKernelModel()
 
-    def render_stream(self, stream, pre=None, crop_cache=None):
+    def render_stream(self, stream, pre=None):
         """Render a fragment stream; returns an :class:`HWRenderResult`.
 
         ``pre`` sizes the preprocessing kernel (the stream's visible
-        splats otherwise).  ``crop_cache`` optionally carries a warm CROP
-        cache across frames (see
-        :meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw`); the
-        termination stencil is still cleared per draw, as in hardware.
+        splats otherwise).  Each draw starts on a cold CROP cache and a
+        cleared termination stencil, as in hardware.
         """
         model = self.kernel_model
         n_gaussians = (pre.n_input if pre is not None
@@ -174,7 +172,6 @@ class HardwareRenderer:
         preprocess_cycles = model.preprocess_cycles(n_gaussians, 0)
         sort_cycles = model.sort_cycles(n_visible)
         workload = DrawWorkload.from_stream(stream, self.config)
-        draw = GraphicsPipeline(self.config).draw(workload,
-                                                  crop_cache=crop_cache)
+        draw = GraphicsPipeline(self.config).draw(workload)
         return HWRenderResult(draw, preprocess_cycles,
                               sort_cycles, stream, pre)

@@ -25,7 +25,6 @@ spec            path
 from __future__ import annotations
 
 from repro.core.vrpipe import VARIANTS, HardwareRenderer, variant_config
-from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.config import jetson_agx_orin, rtx_3090
 from repro.render.reference import RenderResult
 from repro.swrender.renderer import CudaRenderer, SWKernelModel
@@ -99,31 +98,15 @@ class HardwareBackend:
         self.renderer = HardwareRenderer(
             config=self.config, kernel_model=device_kernel_model(device))
 
-    def render_stream(self, stream, pre=None, crop_cache=None):
-        res = self.renderer.render_stream(stream, pre, crop_cache=crop_cache)
+    def render_stream(self, stream, pre=None):
+        res = self.renderer.render_stream(stream, pre)
         return FrameResult(self.spec, res, cycles=res.total_cycles,
                            ms=res.total_ms(), fps=res.fps(),
                            kernels=res.breakdown_ms(),
                            pipeline_stats=res.draw.stats)
 
-    def new_crop_cache(self):
-        return LRUCache(self.config.crop_cache_kb * 1024,
-                        self.config.cache_line_bytes)
 
-
-class _CachelessBackend:
-    """A backend without a CROP cache to persist across frames."""
-
-    def new_crop_cache(self):
-        return None
-
-    def _check_no_cache(self, crop_cache):
-        if crop_cache is not None:
-            raise ValueError(
-                f"backend {self.spec!r} has no CROP cache to persist")
-
-
-class CudaBackend(_CachelessBackend):
+class CudaBackend:
     """CUDA-style software rendering (Figure 5's SW path).
 
     ``renderer`` is a :class:`~repro.swrender.renderer.CudaRenderer`
@@ -136,8 +119,7 @@ class CudaBackend(_CachelessBackend):
         self.spec = spec
         self.renderer = renderer
 
-    def render_stream(self, stream, pre=None, crop_cache=None):
-        self._check_no_cache(crop_cache)
+    def render_stream(self, stream, pre=None):
         res = self.renderer.render_stream(stream, pre)
         timing = res.timing
         return FrameResult(self.spec, res, cycles=timing.total_cycles,
@@ -145,14 +127,13 @@ class CudaBackend(_CachelessBackend):
                            kernels=timing.breakdown_ms())
 
 
-class ReferenceBackend(_CachelessBackend):
+class ReferenceBackend:
     """Ground-truth blender: functional output only, no timing model."""
 
     def __init__(self, spec):
         self.spec = spec
 
-    def render_stream(self, stream, pre=None, crop_cache=None):
-        self._check_no_cache(crop_cache)
+    def render_stream(self, stream, pre=None):
         return FrameResult(self.spec, RenderResult(stream, pre))
 
 

@@ -11,17 +11,18 @@ keep as module-level dicts.  Two layers:
   results: the key hashes everything that determines the numbers (scene
   profile contents, seed, backend/baseline specs, device, view count and
   a fingerprint of the package sources), so editing a scene or any model
-  code invalidates stale entries automatically.
+  code invalidates stale entries automatically.  Each entry carries a
+  checksum; a corrupt or stale entry is deleted and read as a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import os
 import threading
-import time
 import uuid
 from dataclasses import asdict
 from pathlib import Path
@@ -33,7 +34,7 @@ from repro.render.splat_raster import rasterize_splats
 from repro.workloads.catalog import build_scene, get_profile
 
 #: Bump when the cached trajectory payload layout changes:
-#: :meth:`ResultCache.load` quarantines entries of any other layout.
+#: :meth:`ResultCache.load` drops entries of any other layout.
 #: Schema 2 added the per-payload integrity checksum; schema 3 dropped
 #: the incidents' monotonic timestamp; schema 4 dropped the per-frame
 #: seed; schema 5 dropped the per-frame ``incidents`` list.
@@ -123,8 +124,7 @@ def model_fingerprint():
     return digest.hexdigest()
 
 
-def trajectory_key(profile, seed, backend, baseline, device_name, n_views,
-                   warm_crop_cache):
+def trajectory_key(profile, seed, backend, baseline, device_name, n_views):
     """Content key for one trajectory run's disk-cache entry."""
     return content_key({
         "model": model_fingerprint(),
@@ -134,7 +134,6 @@ def trajectory_key(profile, seed, backend, baseline, device_name, n_views,
         "baseline": baseline,
         "device": device_name,
         "n_views": int(n_views),
-        "warm_crop_cache": bool(warm_crop_cache),
     })
 
 
@@ -156,148 +155,59 @@ class ResultCache:
 
     Entries hold the numeric per-frame records and run metadata — not
     images — so a hit reproduces every statistic bit-for-bit while the
-    store stays small.
-
-    Hardening (writers that share one directory, and a disk that can fail):
-
-    * every payload carries a SHA-256 ``checksum``, verified on load;
-    * entries that fail to parse, carry a stale schema, or fail their
-      checksum are **quarantined** — moved to ``quarantine/`` with the
-      failure reason in the filename — instead of silently re-missing
-      forever (and silently inflating ``len(cache)``);
-    * ``store`` writes through a unique per-writer tmp file (no shared
-      tmp-path race between concurrent writers of one key) and retries
-      transient ``OSError`` with exponential backoff, degrading to
-      uncached execution (``False``) when the disk stays unhappy;
-    * ``counters`` tracks hits / misses / quarantines / store retries
-      and failures, and :meth:`stats` snapshots them
-      together with the current entry count, on-disk bytes and hit rate.
+    store stays small.  Every payload carries a SHA-256 ``checksum``,
+    verified on load; an entry that fails to parse, carries a stale
+    schema or fails its checksum is unlinked and read as a miss, so the
+    next run re-stores it.  ``store`` writes through a tmp file unique to
+    the writer and renames it into place, so concurrent writers of one
+    key never share a tmp path and a reader never sees a partial entry.
     """
-
-    #: Attempts per :meth:`store` before degrading to uncached execution.
-    MAX_STORE_ATTEMPTS = 3
-    #: Base backoff between store attempts, in seconds (doubles per retry).
-    BACKOFF_S = 0.01
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.counters = {"hits": 0, "misses": 0, "quarantined": 0,
-                         "store_retries": 0, "store_failures": 0}
 
     def _path(self, key):
         return self.root / f"{key}.json"
 
-    @property
-    def quarantine_dir(self):
-        return self.root / "quarantine"
-
-    def _quarantine(self, path, reason):
-        """Move a bad entry aside (reason-tagged) so it can't re-miss."""
-        qdir = self.quarantine_dir
-        try:
-            qdir.mkdir(exist_ok=True)
-            path.replace(qdir / f"{path.stem}.{reason}.json")
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return  # Unreachable entry: leave it for clear().
-        self.counters["quarantined"] += 1
-
     def load(self, key):
-        """The verified payload dict for ``key``, or ``None`` on a miss.
-
-        Unparseable, schema-stale and checksum-failing entries are
-        quarantined (see class docstring) and read as misses.
-        """
+        """The verified payload dict for ``key``, or ``None`` on a miss."""
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            blob = path.read_bytes()
         except OSError:
-            self.counters["misses"] += 1
             return None
         try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
+            payload = json.loads(blob)  # bad UTF-8 is a ValueError too
         except ValueError:
-            self._quarantine(path, "corrupt")
-            self.counters["misses"] += 1
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            self._quarantine(path, "schema")
-            self.counters["misses"] += 1
-            return None
-        if payload.get("checksum") != payload_checksum(payload):
-            self._quarantine(path, "checksum")
-            self.counters["misses"] += 1
-            return None
-        self.counters["hits"] += 1
-        return payload
+            payload = None
+        if (isinstance(payload, dict)
+                and payload.get("schema") == CACHE_SCHEMA
+                and payload.get("checksum") == payload_checksum(payload)):
+            return payload
+        with contextlib.suppress(OSError):
+            path.unlink()
+        return None
 
     def store(self, key, payload):
-        """Persist ``payload`` under ``key`` (atomic rename).
+        """Persist ``payload`` under ``key`` by atomic rename.
 
-        Writes through a tmp file unique to this writer, retries
-        transient ``OSError`` with exponential backoff, and returns
-        ``True`` on success / ``False`` after giving up — callers then
-        simply run uncached.
+        Returns ``True`` on success; on an ``OSError`` the tmp file is
+        removed and ``False`` returned, and the caller simply runs
+        uncached.
         """
         payload = dict(payload, schema=CACHE_SCHEMA)
         payload["checksum"] = payload_checksum(payload)
-        blob = json.dumps(payload)
-        path = self._path(key)
-        for attempt in range(self.MAX_STORE_ATTEMPTS):
-            tmp = self.root / f"{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(blob)
-                tmp.replace(path)
-                return True
-            except OSError:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-                if attempt + 1 < self.MAX_STORE_ATTEMPTS:
-                    self.counters["store_retries"] += 1
-                    time.sleep(self.BACKOFF_S * (2 ** attempt))
-        self.counters["store_failures"] += 1
-        return False
-
-    def _entry_sizes(self):
-        """Byte size of every stored entry (best effort)."""
-        sizes = []
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                sizes.append(path.stat().st_size)
-            except OSError:
-                continue
-        return sizes
-
-    def stats(self):
-        """JSON-safe snapshot: counters + current footprint + hit rate."""
-        sizes = self._entry_sizes()
-        lookups = self.counters["hits"] + self.counters["misses"]
-        return {
-            **self.counters,
-            "entries": len(sizes),
-            "bytes": int(sum(sizes)),
-            "hit_rate": (self.counters["hits"] / lookups if lookups else 0.0),
-        }
-
-    def clear(self):
-        """Delete every stored entry, leftover tmp file and quarantined
-        entry."""
-        for pattern in ("*.json", "*.tmp"):
-            for path in sorted(self.root.glob(pattern)):
-                path.unlink()
-        qdir = self.quarantine_dir
-        if qdir.is_dir():
-            for path in sorted(qdir.glob("*.json")):
-                path.unlink()
+        tmp = self.root / f"{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            tmp.replace(self._path(key))
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            return False
+        return True
 
     def __len__(self):
         return sum(1 for _ in sorted(self.root.glob("*.json")))

@@ -1,9 +1,10 @@
 """Parallel frame execution.
 
-Frames of a trajectory are independent once cross-frame state (warm CROP
-cache) is disabled, so they fan out over a thread pool:
-the simulation is numpy-heavy, and every worker shares the read-only
-scene cloud with zero copies.  Results always come back in frame order,
+Frames of a trajectory are independent (every draw starts on fresh
+hardware state, and parallel runs bypass the session's coherence
+carrier), so they fan out over a thread pool: the simulation is
+numpy-heavy, and every worker shares the read-only scene cloud with
+zero copies.  Results always come back in frame order,
 so serial and parallel runs are bit-identical.  A failing frame raises
 (see :func:`run_frames`); the model is deterministic, so a frame
 exception is a bug to surface, not a fault to heal.
@@ -19,7 +20,8 @@ def run_frames(fn, tasks, jobs=1):
 
     Returns results in task order regardless of completion order; with
     ``jobs <= 1`` the frames run serially in the calling thread (required
-    when frames share mutable state such as a warm CROP cache).
+    when frames share mutable state such as the session's coherence
+    carrier).
 
     In parallel mode a worker exception cancels the frames that have not
     started, waits for the running ones, and propagates as it was raised

@@ -9,12 +9,12 @@ sequences along the scene's orbit trajectory
 statistics (geomean speedup over a baseline backend, FPS percentiles,
 the early-termination-ratio distribution).
 
-Cross-frame state is carried correctly: with ``warm_crop_cache`` the
-backend's CROP cache persists across frames (the ``crop_cache`` hook of
-the pipeline model), while the HET termination stencil is cleared every
-frame — a fresh ZROP unit per draw, as in hardware.  Warm-cache runs are
-serial by construction; stateless runs fan out over the parallel
-executor and return bit-identical records in either mode.
+Every frame draws on fresh hardware state — a cold CROP cache and a
+cleared HET termination stencil, as a new draw call in hardware — so
+frames are independent: serial runs share the session's coherence
+carrier, parallel runs fan out over the executor, and both return
+bit-identical records.  A :class:`~repro.engine.cache.ResultCache`
+serves a repeated trajectory from disk.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ class TrajectoryResult:
         return cls(
             scene=payload["scene"],
             backend=payload["backend"],
-            baseline=payload.get("baseline"),
-            device=payload.get("device", "orin"),
-            seed=payload.get("seed", 0),
+            baseline=payload["baseline"],
+            device=payload["device"],
+            seed=payload["seed"],
             records=[FrameRecord.from_dict(r) for r in payload["records"]],
             from_cache=from_cache,
         )
@@ -171,9 +171,6 @@ class RenderSession:
         Device preset name (``orin`` / ``rtx3090``).
     seed:
         Scene-construction seed.
-    warm_crop_cache:
-        Persist the backend's CROP cache across the trajectory's frames
-        (forces serial execution; hardware backends only).
     result_cache:
         Optional :class:`~repro.engine.cache.ResultCache`; trajectory
         runs are served from disk on a content-key hit.
@@ -200,9 +197,8 @@ class RenderSession:
     """
 
     def __init__(self, scene, backend="hw:het+qm", baseline="auto",
-                 device="orin", seed=0, warm_crop_cache=False,
-                 result_cache=None, ir="auto", coherence="auto",
-                 swmodel="auto"):
+                 device="orin", seed=0, result_cache=None, ir="auto",
+                 coherence="auto", swmodel="auto"):
         self.profile = (scene if isinstance(scene, SceneProfile)
                         else get_profile(scene))
         if not isinstance(backend, str):
@@ -224,7 +220,6 @@ class RenderSession:
             create_backend(spec, device_name=device, swmodel=self.swmodel)
             if spec is not None else None
             for spec in (backend, baseline))
-        self.warm_crop_cache = bool(warm_crop_cache)
         self.result_cache = result_cache
         self.coherence = resolve_coherence(coherence)
         #: The session's coherence carrier (inert under ``"off"``).
@@ -246,7 +241,7 @@ class RenderSession:
                 self._cloud = build_scene(self.profile, seed=self.seed)
         return self._cloud
 
-    def _render(self, camera, carrier, crop_cache=None, baseline=None):
+    def _render(self, camera, carrier, baseline=None):
         """One frame: preprocess; take the stream from ``carrier`` (if
         any) or rasterise and feed it to the carrier; render through the
         session's backend and, on the same stream, through ``baseline``
@@ -260,8 +255,7 @@ class RenderSession:
             stream = rasterize_splats(pre.splats, width, height, ir=self.ir)
             if carrier is not None:
                 carrier.begin_frame(stream, splats=pre.splats)
-        frame = self.backend.render_stream(stream, pre,
-                                           crop_cache=crop_cache)
+        frame = self.backend.render_stream(stream, pre)
         base = (baseline.render_stream(stream, pre)
                 if baseline is not None else None)
         return frame, base
@@ -292,8 +286,7 @@ class RenderSession:
         if self.result_cache is not None:
             key = engine_cache.trajectory_key(
                 self.profile, self.seed, self.backend_spec,
-                self.baseline_spec, self.device_name, n_views,
-                self.warm_crop_cache)
+                self.baseline_spec, self.device_name, n_views)
             hit = self.result_cache.load(key)
             if hit is not None:
                 return TrajectoryResult.from_dict(hit, from_cache=True)
@@ -301,28 +294,14 @@ class RenderSession:
         # Parallel fan-out bypasses the carrier: frames are bit-identical
         # either way, the carrier only changes how fast digestion
         # converges.
-        parallel = jobs is not None and jobs > 1
-        carrier = None if parallel else self.carrier
-
-        crop_cache = None
-        if self.warm_crop_cache:
-            if parallel:
-                raise ValueError(
-                    "warm_crop_cache carries state across frames and "
-                    "requires serial execution (jobs=1)")
-            crop_cache = self.backend.new_crop_cache()
-            if crop_cache is None:
-                raise ValueError(
-                    f"backend {self.backend_spec!r} has no CROP cache to "
-                    "keep warm")
+        carrier = None if jobs is not None and jobs > 1 else self.carrier
 
         cameras = scene_viewpoints(self.profile, n_views)
         _ = self.cloud  # build once outside the workers, shared read-only
 
         def render_one(task):
             index, camera = task
-            frame, base = self._render(camera, carrier, crop_cache,
-                                       self.baseline)
+            frame, base = self._render(camera, carrier, self.baseline)
             record = FrameRecord(
                 index=index, backend=self.backend_spec, cycles=frame.cycles,
                 ms=frame.ms, fps=frame.fps, et_ratio=frame.et_ratio,

@@ -195,8 +195,8 @@ class DrawWorkload:
         Deferred: only QM draws with the TGC enabled consume them.
         ``pair_prim``/``pair_grid`` flatten the occurrences in TGC
         insertion order — draw order over primitives, ascending grid id
-        within each (the order ``prim_grids`` yields): the distinct keys
-        of a stable sort on the combined (prim, grid) key.
+        within each: the distinct keys of a stable sort on the combined
+        (prim, grid) key.
         """
         n_grids = int(self.group_grid.max()) + 1 if len(self.quads) else 1
         self._n_grids = n_grids
@@ -229,16 +229,6 @@ class DrawWorkload:
         if not hasattr(self, "_pair_grid"):
             self._build_pair_structures()
         return self._pair_grid
-
-    @property
-    def prim_grids(self):
-        """Per-primitive ascending grid ids (TGC insertion order)."""
-        if not hasattr(self, "_prim_grids"):
-            self._prim_grids = {
-                prim: np.unique(self.group_grid[s:e])
-                for prim, (s, e) in self.prim_group_ranges.items()
-            }
-        return self._prim_grids
 
     def select_grid_groups(self, grid_id, prims):
         """(prim, tile) group indices of ``prims`` falling in ``grid_id``.

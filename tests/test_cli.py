@@ -42,12 +42,19 @@ class TestParser:
             build_parser().parse_args(
                 ["trajectory", "--scene", "train", "--backend", "vulkan"])
 
-    @pytest.mark.parametrize("flag, mode", [("--ir", "frameir"),
-                                            ("--coherence", "incremental")])
-    def test_trajectory_rejects_removed_path_modes(self, flag, mode):
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ir", "legacy"],
+        ["trajectory", "--ir", "legacy"],
+        ["trajectory", "--coherence", "off"],
+        ["trajectory", "--swmodel", "legacy"],
+        ["trajectory", "--warm-crop-cache"],
+    ], ids=["simulate-ir", "trajectory-ir", "trajectory-coherence",
+            "trajectory-swmodel", "trajectory-warm-crop-cache"])
+    def test_rejects_reference_path_flags(self, argv):
+        """The CLI runs the default paths only: argparse rejects the
+        reference-path and warm-CROP flags with status 2."""
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["trajectory", "--scene", "lego", flag, mode])
+            build_parser().parse_args(argv + ["--scene", "lego"])
         assert excinfo.value.code == 2
 
 
@@ -89,16 +96,6 @@ class TestCommands:
         assert "geomean_speedup" in out
         assert "fps_p50" in out
 
-    def test_trajectory_reference_paths_match_default(self, capsys):
-        argv = ["trajectory", "--scene", "lego", "--views", "2", "--json"]
-        aggregates = []
-        for extra in ([], ["--ir", "legacy", "--coherence", "off",
-                           "--swmodel", "legacy"]):
-            assert main(argv + extra) == 0
-            aggregates.append(json.loads(capsys.readouterr().out)
-                              ["aggregates"])
-        assert aggregates[0] == aggregates[1]
-
     def test_trajectory_disk_cache(self, tmp_path, capsys):
         argv = ["trajectory", "--scene", "lego", "--views", "2",
                 "--cache-dir", str(tmp_path)]
@@ -106,3 +103,7 @@ class TestCommands:
         capsys.readouterr()
         assert main(argv) == 0
         assert "from disk cache" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["from_cache"] is True
+        assert "cache" not in payload

@@ -8,8 +8,8 @@ exactly: same arrays, same dtypes, same termination sets, same
 quad-table columns, cycle-exact draws.  These tests pin that across
 random coherent orbit pairs and the degenerate regimes (empty frames,
 full-occlusion revisit, the max_fragments clamp boundary, HET
-termination flips between frames, warm-CROP handoff).  Session-level
-tests compare a carrier session against a ``coherence="off"`` one.
+termination flips between frames).  Session-level tests compare a
+carrier session against a ``coherence="off"`` one.
 """
 
 from __future__ import annotations
@@ -402,19 +402,6 @@ class TestStaleCacheGuard:
 
 
 class TestWarmTrajectorySessions:
-    def test_warm_crop_handoff_cycle_exact(self):
-        """Warm-CROP sessions with the carrier vs off: identical stats."""
-        runs = {}
-        for mode in ("auto", "off"):
-            session = RenderSession("lego", backend="hw:het+qm",
-                                    baseline=None, warm_crop_cache=True,
-                                    coherence=mode)
-            runs[mode] = session.run(n_views=2)
-        for on, off in zip(runs["auto"].records, runs["off"].records):
-            assert on.cycles == off.cycles
-            assert on.ms == off.ms
-            assert on.et_ratio == off.et_ratio
-
     def test_interleaved_cache_and_coherence_hits(self, tmp_path):
         """Warm sessions interleaving disk-cache-hit runs with
         coherence-hit revisited viewpoints, bit-identical to cold
@@ -1053,22 +1040,6 @@ class TestFlushDigestServing:
                        for key in stream._cache)
         _assert_stats_equal(got.stats,
                             pipe.draw(workload, engine="scalar").stats)
-
-    def test_warm_crop_revisit_matches_coherence_off(self):
-        """Views 0, 1, 0, 1 with a warm CROP cache: the revisits are
-        digest-served full hits, and every frame's stats equal the
-        coherence-off session's cycle for cycle."""
-        cams = scene_viewpoints("lego", 2)
-        sessions = {mode: RenderSession("lego", backend="hw:het+qm",
-                                        baseline=None, warm_crop_cache=True,
-                                        coherence=mode)
-                    for mode in ("auto", "off")}
-        for cam in (cams[0], cams[1], cams[0], cams[1]):
-            got, want = (sessions[mode].render_frame(camera=cam)
-                         for mode in ("auto", "off"))
-            assert got.cycles == want.cycles
-            _assert_stats_equal(got.pipeline_stats, want.pipeline_stats)
-        assert sessions["auto"].carrier.stats["full_hits"] == 2
 
 
 class TestFrameRelease:

@@ -81,9 +81,6 @@ def assert_workloads_identical(wl_ir, wl_legacy):
     # (prim, grid) pair structures the TGC flush planner consumes.
     np.testing.assert_array_equal(wl_ir.pair_prim, wl_legacy.pair_prim)
     np.testing.assert_array_equal(wl_ir.pair_grid, wl_legacy.pair_grid)
-    assert set(wl_ir.prim_grids) == set(wl_legacy.prim_grids)
-    for prim, grids in wl_ir.prim_grids.items():
-        np.testing.assert_array_equal(grids, wl_legacy.prim_grids[prim])
     # Termination sets (HET stencil updates).
     assert wl_ir.n_terminated_pixels == wl_legacy.n_terminated_pixels
     np.testing.assert_array_equal(wl_ir.terminated_stencil_tags,

@@ -64,14 +64,31 @@ def assert_traces_identical(a, b):
 
 
 def draw_both_engines(stream, config, caches=(None, None)):
-    """Draw with both engines; returns (batched, scalar) results + traces."""
+    """Draw with both engines; returns (batched, scalar) results + traces.
+
+    Counts the calls of ``GraphicsPipeline._draw_scalar`` to prove that
+    the scalar draw ran the per-flush path and the batched draw did not,
+    so no pin can compare the batched engine with itself.
+    """
     workload = DrawWorkload.from_stream(stream, config)
     trace_batched, trace_scalar = DrawTrace(), DrawTrace()
-    batched = GraphicsPipeline(config).draw(
-        workload, crop_cache=caches[0], trace=trace_batched,
-        engine="batched")
-    scalar = GraphicsPipeline(config).draw(
-        workload, crop_cache=caches[1], trace=trace_scalar, engine="scalar")
+    scalar_draws = []
+    draw_scalar = GraphicsPipeline._draw_scalar
+
+    def counting_draw_scalar(self, *args):
+        scalar_draws.append(self)
+        return draw_scalar(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GraphicsPipeline, "_draw_scalar", counting_draw_scalar)
+        batched = GraphicsPipeline(config).draw(
+            workload, crop_cache=caches[0], trace=trace_batched,
+            engine="batched")
+        assert scalar_draws == []
+        scalar = GraphicsPipeline(config).draw(
+            workload, crop_cache=caches[1], trace=trace_scalar,
+            engine="scalar")
+        assert len(scalar_draws) == 1
     return batched, scalar, trace_batched, trace_scalar
 
 
@@ -127,8 +144,8 @@ class TestWarmCropCache:
     def test_draws_share_cache(self, scene_stream, variant):
         """Warm shared-CROP-cache draws stay exact per draw on every
         variant, and both engines leave the shared cache in the identical
-        state (contents, LRU order and dirty bits) — the cross-frame
-        handoff the trajectory engine's warm mode relies on."""
+        state (contents, LRU order and dirty bits), so the handoff from
+        one draw to the next is exact too."""
         cfg = variant_config(variant)
         cache_batched = LRUCache(cfg.crop_cache_kb * 1024,
                                  cfg.cache_line_bytes)

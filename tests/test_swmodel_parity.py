@@ -18,6 +18,7 @@ HET-terminated, warm handoff — pin the equivalence the same way
 ``test_frameir.py`` de-risked the digestion engines.
 """
 
+import contextlib
 import zlib
 
 import numpy as np
@@ -27,9 +28,11 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.gaussians.projection import project_gaussians
+from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
 from repro.render.frameir import FrameIR
 from repro.render.splat_raster import rasterize_splats
 from repro.swopt.multipass import multipass_sweep, run_multipass
+from repro.swrender import warp_model
 from repro.swrender.renderer import CudaRenderer
 from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
 
@@ -83,13 +86,39 @@ def rasterize_both(splats, width, height, **kwargs):
     return stream, bare
 
 
+@contextlib.contextmanager
+def oracle_calls():
+    """Count the calls of the fragment-sort oracle
+    (``_simulate_tile_warps_legacy``) made inside the block."""
+    calls = []
+    oracle = warp_model._simulate_tile_warps_legacy
+
+    def counting_oracle(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(warp_model, "_simulate_tile_warps_legacy", counting_oracle)
+        yield calls
+
+
+def oracle_warps(stream, threshold=DEFAULT_TERMINATION_ALPHA):
+    """``simulate_tile_warps(swmodel="legacy")``, proven to have run the
+    fragment-sort oracle."""
+    with oracle_calls() as calls:
+        warps = simulate_tile_warps(stream, threshold, swmodel="legacy")
+    assert len(calls) == 1
+    return warps
+
+
 def assert_stream_parity(stream, bare):
     """Both engines agree exactly on every model output of one stream
     (``bare`` holds the same fragments without a FrameIR)."""
     for threshold in THRESHOLDS:
-        assert_warps_identical(
-            simulate_tile_warps(stream, threshold, swmodel="auto"),
-            simulate_tile_warps(stream, threshold, swmodel="legacy"))
+        with oracle_calls() as calls:
+            fast = simulate_tile_warps(stream, threshold, swmodel="auto")
+        assert calls == []
+        assert_warps_identical(fast, oracle_warps(stream, threshold))
     for n in PASS_COUNTS:
         assert_multipass_identical(run_multipass(stream, n),
                                    run_multipass(bare, n))
@@ -183,11 +212,11 @@ class TestSwmodelRegimes:
 
         stream_a = rasterize_splats(pre.splats, cam.width, cam.height)
         first_a = simulate_tile_warps(stream_a, swmodel="auto")
-        second_a = simulate_tile_warps(stream_a, swmodel="legacy")
+        second_a = oracle_warps(stream_a)
         assert_warps_identical(first_a, second_a)
 
         stream_b = rasterize_splats(pre.splats, cam.width, cam.height)
-        first_b = simulate_tile_warps(stream_b, swmodel="legacy")
+        first_b = oracle_warps(stream_b)
         second_b = simulate_tile_warps(stream_b, swmodel="auto")
         assert_warps_identical(second_b, first_b)
         assert_warps_identical(first_a, first_b)
@@ -211,8 +240,10 @@ class TestCudaRendererParity:
         pre, stream = frame_inputs(cloud, cam)
         res_ir = CudaRenderer(swmodel="auto").render_stream(stream, pre)
         pre, stream = frame_inputs(cloud, cam)
-        res_legacy = CudaRenderer(swmodel="legacy").render_stream(stream,
-                                                                  pre)
+        with oracle_calls() as calls:
+            res_legacy = CudaRenderer(swmodel="legacy").render_stream(stream,
+                                                                      pre)
+        assert len(calls) == 1
         assert_warps_identical(res_ir.warp_exec, res_legacy.warp_exec)
         assert res_ir.timing.total_cycles == res_legacy.timing.total_cycles
         assert (res_ir.timing.breakdown_ms()
@@ -243,8 +274,10 @@ class TestSwmodelKnob:
         pre = preprocess(cloud, cam)
         stream, bare = rasterize_both(pre.splats, cam.width, cam.height)
         assert len(bare) > 0
-        assert_warps_identical(simulate_tile_warps(bare),
-                               simulate_tile_warps(bare, swmodel="legacy"))
+        with oracle_calls() as calls:
+            auto = simulate_tile_warps(bare)
+        assert len(calls) == 1
+        assert_warps_identical(auto, oracle_warps(bare))
         assert_multipass_identical(run_multipass(bare, 3),
                                    run_multipass(stream, 3))
 
