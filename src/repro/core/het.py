@@ -1,4 +1,4 @@
-"""Hardware early termination (HET): the Figure 13 units, functionally.
+"""Hardware early termination (HET): the sequential spec of Figure 13.
 
 The paper's insight: early termination and the stencil test share a purpose
 (kill fragments that cannot affect the output before shading/blending), and
@@ -9,16 +9,15 @@ termination with negligible hardware:
 1. **Alpha test unit** (in the CROP) — after blending, check
    ``new_alpha >= threshold and old_alpha < threshold``; the double-sided
    test fires exactly once per pixel, avoiding redundant update traffic.
-2. **Termination update unit** (in the ZROP) — set the MSB via a bitwise OR
-   read-modify-write of the stencil byte.
+2. **Termination update unit** (in the ZROP) — set the pixel's flag.
 3. **Termination test unit** — when a TC bin flushes, discard fragments
-   whose pixel's MSB is set; a quad dies only when all four pixels are
+   whose pixel's flag is set; a quad dies only when all four pixels are
    terminated.
 
-These classes implement the exact bit-level semantics (including
-coexistence with a conventional masked stencil test) and a sequential
-``blend_with_het`` reference that drives them fragment-by-fragment — the
-oracle the pipeline model's mask-based shortcut is tested against.
+The timing model applies this rule through vectorised masks
+(``FragmentStream.het_blended_mask``).  This module keeps only
+``blend_with_het``, the fragment-by-fragment spec that the tests compare
+those masks against; nothing in the model calls it.
 """
 
 from __future__ import annotations
@@ -26,107 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA, FragmentStream
-from repro.utils.validation import check_in_range, check_positive
-
-
-class TerminationStencil:
-    """A stencil buffer whose MSB doubles as the termination flag.
-
-    The remaining ``stencil_bits - 1`` low bits stay available to the
-    conventional stencil test through masking, exactly as the paper
-    proposes (e.g. ``glStencilMask(0x01)`` style usage keeps working).
-    """
-
-    def __init__(self, width, height, stencil_bits=8):
-        self.width = int(check_positive("width", width))
-        self.height = int(check_positive("height", height))
-        self.stencil_bits = int(check_in_range("stencil_bits", stencil_bits, 2, 8))
-        self.values = np.zeros((self.height, self.width), dtype=np.uint8)
-
-    @property
-    def termination_bit(self):
-        """The MSB: ``1 << (stencil_bits - 1)``."""
-        return np.uint8(1 << (self.stencil_bits - 1))
-
-    @property
-    def stencil_mask(self):
-        """Mask of the bits still usable by the conventional stencil test."""
-        return np.uint8(self.termination_bit - 1)
-
-    def is_terminated(self, x, y):
-        """Termination flags for pixel coordinates (vectorised)."""
-        return (self.values[y, x] & self.termination_bit) != 0
-
-    def mark_terminated(self, x, y):
-        """Termination update unit: OR the MSB into the stencil value."""
-        self.values[y, x] |= self.termination_bit
-
-    def terminated_count(self):
-        return int((self.values & self.termination_bit).astype(bool).sum())
-
-    def stencil_test(self, x, y, reference, mask=None):
-        """Conventional masked EQUAL stencil test on the low bits.
-
-        Demonstrates coexistence: the test never observes the MSB because
-        ``mask`` is clipped to the low bits.
-        """
-        mask = self.stencil_mask if mask is None else np.uint8(mask) & self.stencil_mask
-        return (self.values[y, x] & mask) == (np.uint8(reference) & mask)
-
-    def write_stencil(self, x, y, value, mask=None):
-        """Masked stencil write that cannot clobber the termination flag."""
-        mask = self.stencil_mask if mask is None else np.uint8(mask) & self.stencil_mask
-        current = self.values[y, x]
-        self.values[y, x] = (current & ~mask) | (np.uint8(value) & mask)
-
-
-class AlphaTestUnit:
-    """The CROP-side threshold-crossing detector.
-
-    ``check(old, new)`` is True exactly when this blend crossed the
-    threshold — both conditions matter: testing only ``new >= threshold``
-    would re-signal on every subsequent blend of a saturated pixel and
-    flood the ZROP with redundant updates (Section V-B).
-    """
-
-    def __init__(self, threshold=DEFAULT_TERMINATION_ALPHA):
-        self.threshold = float(check_in_range("threshold", threshold, 0.0, 1.0,
-                                              inclusive=False))
-        self.signals_sent = 0
-
-    def check(self, old_alpha, new_alpha):
-        old_alpha = np.asarray(old_alpha, dtype=np.float64)
-        new_alpha = np.asarray(new_alpha, dtype=np.float64)
-        fired = (new_alpha >= self.threshold) & (old_alpha < self.threshold)
-        self.signals_sent += int(np.count_nonzero(fired))
-        return fired
-
-
-def termination_test_quads(stencil, qx, qy):
-    """Termination test unit: per-quad survival against the stencil MSB.
-
-    ``qx, qy`` are quad coordinates; a quad survives when any of its four
-    pixels (clipped to the framebuffer) is unterminated.  Returns the
-    boolean survivor mask.
-    """
-    qx = np.asarray(qx, dtype=np.int64)
-    qy = np.asarray(qy, dtype=np.int64)
-    survive = np.zeros(qx.shape[0], dtype=bool)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            px = np.minimum(qx * 2 + dx, stencil.width - 1)
-            py = np.minimum(qy * 2 + dy, stencil.height - 1)
-            survive |= ~stencil.is_terminated(px, py)
-    return survive
 
 
 def blend_with_het(stream, threshold=DEFAULT_TERMINATION_ALPHA):
     """Sequential oracle: blend a stream through the HET units.
 
     Processes fragments in emission order, maintaining the accumulated
-    alpha and the termination stencil exactly as the hardware would for a
-    single in-order draw call.  Returns ``(image, alpha_map, stats)`` where
-    ``stats`` reports fragments blended/discarded and update signals.
+    alpha and the per-pixel termination flag exactly as the hardware would
+    for a single in-order draw call.  Returns ``(image, alpha_map, stats)``
+    where ``stats`` reports fragments blended/discarded and update signals.
 
     This is O(fragments) Python — use it on test-sized streams; the
     pipeline model reproduces its counts via vectorised masks.
@@ -134,20 +41,21 @@ def blend_with_het(stream, threshold=DEFAULT_TERMINATION_ALPHA):
     if not isinstance(stream, FragmentStream):
         raise TypeError(
             f"stream must be a FragmentStream, got {type(stream).__name__}")
-    stencil = TerminationStencil(stream.width, stream.height)
-    alpha_unit = AlphaTestUnit(threshold)
+    threshold = float(threshold)
+    terminated = np.zeros((stream.height, stream.width), dtype=bool)
     accum = np.zeros((stream.height, stream.width), dtype=np.float64)
     image = np.zeros((stream.height, stream.width, 3), dtype=np.float64)
     blended = 0
     discarded_terminated = 0
     discarded_pruned = 0
+    termination_updates = 0
 
     colors = stream.prim_colors[stream.prim_ids]
     unpruned = stream.unpruned
     for i in range(len(stream)):
         x = int(stream.x[i])
         y = int(stream.y[i])
-        if stencil.is_terminated(x, y):
+        if terminated[y, x]:
             discarded_terminated += 1
             continue
         if not unpruned[i]:
@@ -160,14 +68,15 @@ def blend_with_het(stream, threshold=DEFAULT_TERMINATION_ALPHA):
         new = old + transmittance * alpha
         accum[y, x] = new
         blended += 1
-        if alpha_unit.check(old, new):
-            stencil.mark_terminated(x, y)
+        if new >= threshold and old < threshold:
+            terminated[y, x] = True
+            termination_updates += 1
 
     stats = {
         "blended": blended,
         "discarded_terminated": discarded_terminated,
         "discarded_pruned": discarded_pruned,
-        "termination_updates": alpha_unit.signals_sent,
-        "terminated_pixels": stencil.terminated_count(),
+        "termination_updates": termination_updates,
+        "terminated_pixels": int(terminated.sum()),
     }
     return image, accum, stats

@@ -12,8 +12,12 @@ ROP then blends a single merged quad, halving its workload for that pair —
 with a bit-exact final image, unlike approximating schemes such as
 quad-fragment merging for MSAA (Section VIII).
 
-This module implements the merge math and the Figure 15 warp execution; the
-pipeline model uses its counts, and the tests use its exactness.
+This module is the colour spec of QM: the merge math and the Figure 15
+warp execution on shaded RGBA.  The timing model counts merges with
+:func:`~repro.hwmodel.prop.plan_merges` and never calls this module; the
+tests use it to show that merging is exact.  It stays for the hardware
+image path of ``ROADMAP.md`` item 20, which will blend QM variants through
+it.
 """
 
 from __future__ import annotations

@@ -93,10 +93,9 @@ class HardwareBackend:
 
     def __init__(self, spec, variant, device):
         self.spec = spec
-        self.variant = variant
-        self.config = variant_config(variant, device)
         self.renderer = HardwareRenderer(
-            config=self.config, kernel_model=device_kernel_model(device))
+            config=variant_config(variant, device),
+            kernel_model=device_kernel_model(device))
 
     def render_stream(self, stream, pre=None):
         res = self.renderer.render_stream(stream, pre)

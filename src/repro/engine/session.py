@@ -71,7 +71,7 @@ class FrameRecord:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(**{name: payload.get(name) for name in cls._FIELDS})
+        return cls(**{name: payload[name] for name in cls._FIELDS})
 
     def __repr__(self):
         ms = f"{self.ms:.3f}" if self.ms is not None else "-"

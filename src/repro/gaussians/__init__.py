@@ -4,7 +4,8 @@ This subpackage implements everything the paper's preprocessing step needs:
 the Gaussian scene representation, the pinhole camera, spherical-harmonics
 colour evaluation, EWA projection of 3D Gaussians to 2D screen-space splats
 with tight oriented bounding boxes, frustum culling, and the single global
-depth sort used by the hardware (OpenGL) rendering path.
+depth sort used by the hardware (OpenGL) rendering path.  Every scene is
+procedural (:mod:`repro.gaussians.synthetic`); there is no scene-file loader.
 """
 
 from repro.gaussians.gaussian import GaussianCloud
@@ -14,11 +15,9 @@ from repro.gaussians.projection import Splat2D, project_gaussians
 from repro.gaussians.culling import frustum_cull
 from repro.gaussians.sorting import depth_sort_indices
 from repro.gaussians.preprocess import PreprocessResult, preprocess
-from repro.gaussians import io, synthetic, transforms
+from repro.gaussians import synthetic
 
 __all__ = [
-    "io",
-    "transforms",
     "GaussianCloud",
     "Camera",
     "orbit_viewpoints",

@@ -11,9 +11,7 @@ paper's invariants are directly testable.
 """
 
 from repro.render.blending import (
-    accumulate_back_to_front,
     accumulate_front_to_back,
-    back_to_front_blend,
     front_to_back_blend,
     premultiply,
 )
@@ -25,9 +23,7 @@ from repro.render.metrics import psnr, ssim
 from repro.render.image_io import read_ppm, write_ppm
 
 __all__ = [
-    "accumulate_back_to_front",
     "accumulate_front_to_back",
-    "back_to_front_blend",
     "front_to_back_blend",
     "premultiply",
     "rasterize_splats",

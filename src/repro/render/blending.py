@@ -50,44 +50,6 @@ def front_to_back_blend(front, back):
     return front + (1.0 - alpha_front) * back
 
 
-def back_to_front_blend(back, front):
-    """The conventional OVER operator on premultiplied RGBA.
-
-    ``over(back, front) = front + (1 - front.a) * back`` — blending the
-    *farthest* fragment first.  Provided because most OpenGL viewers render
-    splats back-to-front with ``glBlendFunc(ONE, ONE_MINUS_SRC_ALPHA)``;
-    the two orders produce identical composites (tested), but only
-    front-to-back admits early termination, which is why the paper's
-    pipeline (and this library's default) uses it.
-    """
-    back = np.asarray(back, dtype=np.float64)
-    front = np.asarray(front, dtype=np.float64)
-    if back.shape != front.shape:
-        raise ValueError(f"operand shapes differ: {back.shape} vs {front.shape}")
-    if back.shape[-1] != 4:
-        raise ValueError(f"operands must be RGBA (last axis 4), got {back.shape}")
-    alpha_front = front[..., 3:4]
-    return front + (1.0 - alpha_front) * back
-
-
-def accumulate_back_to_front(rgba_sequence):
-    """Right fold of the OVER operator: farthest-first compositing.
-
-    ``rgba_sequence`` is ordered front-to-back (as everywhere in this
-    library); the fold walks it in reverse.  Must equal
-    :func:`accumulate_front_to_back` on the same sequence.
-    """
-    rgba_sequence = np.asarray(rgba_sequence, dtype=np.float64)
-    if rgba_sequence.size == 0:
-        return np.zeros(4)
-    if rgba_sequence.ndim != 2 or rgba_sequence.shape[1] != 4:
-        raise ValueError(f"expected (n, 4) fragments, got {rgba_sequence.shape}")
-    acc = rgba_sequence[-1].copy()
-    for rgba in rgba_sequence[-2::-1]:
-        acc = back_to_front_blend(acc, rgba)
-    return acc
-
-
 def accumulate_front_to_back(rgba_sequence):
     """Left fold of :func:`front_to_back_blend` over ``(n, 4)`` fragments.
 

@@ -5,6 +5,10 @@ quad merging is lossless, the way rendering papers report fidelity.
 Implemented from the standard definitions on float images in [0, 1]; SSIM
 uses the common 8x8 block formulation with the K1/K2 constants of the
 original paper.
+
+Only the tests call these today.  They stay for the image-fidelity rows of
+``ROADMAP.md`` item 20, which give every hardware variant a PSNR/SSIM
+verdict against the reference image.
 """
 
 from __future__ import annotations

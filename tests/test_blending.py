@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render.blending import (
-    accumulate_back_to_front,
     accumulate_front_to_back,
-    back_to_front_blend,
     front_to_back_blend,
     premultiply,
 )
@@ -87,26 +85,6 @@ class TestAccumulate:
         assert folded[3] == pytest.approx(1.0 - transmittance)
 
 
-class TestBackToFront:
-    def test_single(self):
-        f = rgba(0.2, 0.4, 0.6, 0.5)
-        assert accumulate_back_to_front([f]) == pytest.approx(f)
-
-    def test_over_operator(self):
-        back = rgba(0, 1, 0, 0.5)
-        front = rgba(1, 0, 0, 0.5)
-        out = back_to_front_blend(back, front)
-        # front contributes fully; back attenuated by front's alpha.
-        assert out == pytest.approx(front + 0.5 * back)
-
-    def test_empty(self):
-        assert accumulate_back_to_front(np.empty((0, 4))).tolist() == [0] * 4
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            back_to_front_blend(np.zeros(4), np.zeros((2, 4)))
-
-
 rgba_strategy = st.tuples(
     st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 0.99),
 ).map(lambda t: premultiply(np.array([t[:3]]), np.array([t[3]]))[0])
@@ -119,17 +97,6 @@ def test_associativity(c1, c2, c3):
     left = front_to_back_blend(front_to_back_blend(c1, c2), c3)
     right = front_to_back_blend(c1, front_to_back_blend(c2, c3))
     np.testing.assert_allclose(left, right, atol=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(rgba_strategy, min_size=1, max_size=10))
-def test_front_to_back_equals_back_to_front(fragments):
-    """The two compositing orders agree — the equivalence that lets OpenGL
-    viewers blend back-to-front while the paper's pipeline goes
-    front-to-back to enable early termination."""
-    seq = np.stack(fragments)
-    np.testing.assert_allclose(accumulate_front_to_back(seq),
-                               accumulate_back_to_front(seq), atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,7 +22,7 @@ from repro.engine import (
 from repro.engine import cache as engine_cache
 from repro.engine.cache import CACHE_SCHEMA, payload_checksum
 from repro.engine.backends import device_kernel_model, make_device
-from repro.engine.session import TrajectoryResult
+from repro.engine.session import FrameRecord, TrajectoryResult
 from repro.render.fragstream import FragmentStream
 from repro.workloads.catalog import get_profile
 
@@ -185,6 +185,13 @@ class TestDiskCache:
                                               from_cache=True)
         assert restored.from_cache
         assert restored.aggregates() == result.aggregates()
+
+    def test_frame_record_missing_key_raises(self):
+        payload = FrameRecord(0, "hw:het", cycles=10.0, ms=1.0).to_dict()
+        assert FrameRecord.from_dict(payload).cycles == 10.0
+        del payload["cycles"]
+        with pytest.raises(KeyError):
+            FrameRecord.from_dict(payload)
 
 
 def _flip_first_digit(path):

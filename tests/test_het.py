@@ -1,101 +1,9 @@
-"""Hardware early termination: stencil-MSB semantics and the oracle."""
+"""Hardware early termination: the sequential oracle against the masks."""
 
 import numpy as np
 import pytest
 
-from repro.core.het import (
-    AlphaTestUnit,
-    TerminationStencil,
-    blend_with_het,
-    termination_test_quads,
-)
-
-
-class TestTerminationStencil:
-    def test_initially_unterminated(self):
-        st = TerminationStencil(8, 8)
-        assert not st.is_terminated(np.arange(8), np.zeros(8, int)).any()
-
-    def test_mark_and_test(self):
-        st = TerminationStencil(8, 8)
-        st.mark_terminated(np.array([2]), np.array([3]))
-        assert st.is_terminated(2, 3)
-        assert not st.is_terminated(3, 3)
-        assert st.terminated_count() == 1
-
-    def test_msb_is_termination_bit(self):
-        st = TerminationStencil(4, 4, stencil_bits=8)
-        assert st.termination_bit == 0x80
-        assert st.stencil_mask == 0x7F
-
-    def test_stencil_test_coexists(self):
-        """A masked stencil test must never observe the termination flag."""
-        st = TerminationStencil(4, 4)
-        st.write_stencil(1, 1, value=0x01, mask=0x01)
-        st.mark_terminated(np.array([1]), np.array([1]))
-        assert st.stencil_test(1, 1, reference=0x01, mask=0x01)
-        assert st.is_terminated(1, 1)
-
-    def test_stencil_write_cannot_clobber_flag(self):
-        st = TerminationStencil(4, 4)
-        st.mark_terminated(np.array([0]), np.array([0]))
-        st.write_stencil(0, 0, value=0x00, mask=0xFF)
-        assert st.is_terminated(0, 0)
-
-    def test_smaller_stencil_width(self):
-        st = TerminationStencil(4, 4, stencil_bits=4)
-        assert st.termination_bit == 0x08
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            TerminationStencil(4, 4, stencil_bits=9)
-
-
-class TestAlphaTestUnit:
-    def test_fires_on_crossing(self):
-        unit = AlphaTestUnit(0.996)
-        assert unit.check(0.9, 0.997)
-
-    def test_silent_below(self):
-        unit = AlphaTestUnit(0.996)
-        assert not unit.check(0.5, 0.9)
-
-    def test_double_sided_no_refire(self):
-        """Already-terminated pixels must not re-signal (the paper's
-        bandwidth-contention argument for checking the old alpha)."""
-        unit = AlphaTestUnit(0.996)
-        assert not unit.check(0.997, 0.999)
-        assert unit.signals_sent == 0
-
-    def test_vectorised_count(self):
-        unit = AlphaTestUnit(0.996)
-        fired = unit.check(np.array([0.9, 0.999, 0.99]),
-                           np.array([0.999, 0.9999, 0.991]))
-        assert fired.tolist() == [True, False, False]
-        assert unit.signals_sent == 1
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            AlphaTestUnit(0.0)
-
-
-class TestTerminationTestQuads:
-    def test_quad_survives_with_live_pixel(self):
-        st = TerminationStencil(8, 8)
-        # Terminate 3 of 4 pixels of quad (0, 0).
-        st.mark_terminated(np.array([0, 1, 0]), np.array([0, 0, 1]))
-        assert termination_test_quads(st, np.array([0]), np.array([0]))[0]
-
-    def test_quad_dies_fully_terminated(self):
-        st = TerminationStencil(8, 8)
-        st.mark_terminated(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
-        assert not termination_test_quads(st, np.array([0]), np.array([0]))[0]
-
-    def test_edge_quad_clipped(self):
-        st = TerminationStencil(3, 3)  # quads at the edge overhang
-        st.mark_terminated(np.array([2]), np.array([2]))
-        # Quad (1,1) covers pixels (2..3, 2..3) clipped to (2,2) only.
-        assert not termination_test_quads(st, np.array([1]), np.array([1]))[0]
+from repro.core.het import blend_with_het
 
 
 class TestOracleEquivalence:

@@ -89,6 +89,26 @@ class TestCountConsistency:
             cfg.termination_alpha, cfg.het_inflight_lag).sum())
         assert variant_results["het"].stats.fragments_blended == expected
 
+    @pytest.mark.parametrize("variant", ["baseline", "het"])
+    def test_quad_reaches_crop_while_any_lane_is_live(
+            self, deep_stream, variant_results, variant):
+        """A quad dies only when all four of its lanes are dropped: the
+        CROP sees one quad per distinct (prim, quad x, quad y) among the
+        fragments that survive pruning and, under HET, the lagged
+        termination mask."""
+        res = variant_results[variant]
+        cfg = res.config
+        if variant == "het":
+            live = deep_stream.het_blended_mask(cfg.termination_alpha,
+                                                cfg.het_inflight_lag)
+        else:
+            live = deep_stream.unpruned
+        quads = np.stack([deep_stream.prim_ids[live],
+                          deep_stream.x[live] // 2,
+                          deep_stream.y[live] // 2], axis=1)
+        n_live_quads = np.unique(quads, axis=0).shape[0]
+        assert res.stats.quads_to_crop == n_live_quads
+
     def test_shaded_ge_blended(self, variant_results):
         for res in variant_results.values():
             assert res.stats.fragments_shaded >= res.stats.fragments_blended
