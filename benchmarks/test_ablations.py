@@ -14,7 +14,8 @@ def data():
     return ablations.run()
 
 
-def test_tgc_ablation(data):
+def test_tgc_ablation(data, check_digest):
+    check_digest("ablation_tgc", data["tgc"])
     for scene, d in data["tgc"].items():
         # The TGC unit exists to create merge opportunities: removing it
         # must strictly reduce merged pairs and the QM speedup.
@@ -22,7 +23,8 @@ def test_tgc_ablation(data):
         assert d["speedup_with_tgc"] >= d["speedup_without_tgc"], scene
 
 
-def test_het_lag_sensitivity(data):
+def test_het_lag_sensitivity(data, check_digest):
+    check_digest("ablation_het_lag", data["het_lag"])
     lag = data["het_lag"]
     lags = sorted(lag)
     # Monotone: a longer in-flight window can only reduce the benefit.
@@ -33,7 +35,8 @@ def test_het_lag_sensitivity(data):
     ablations.main(data)
 
 
-def test_tc_bin_count_sweep(data):
+def test_tc_bin_count_sweep(data, check_digest):
+    check_digest("ablation_tc_bins", data["tc_bins"])
     bins = data["tc_bins"]
     counts = sorted(bins)
     # More bins -> (weakly) more merge pairs; the configured 32 bins must
@@ -43,7 +46,8 @@ def test_tc_bin_count_sweep(data):
     assert bins[32]["pairs"] > 0.7 * bins[128]["pairs"]
 
 
-def test_format_sensitivity(data):
+def test_format_sensitivity(data, check_digest):
+    check_digest("ablation_format", data["format"])
     fmt = data["format"]
     # A faster CROP (RGBA8) leaves less ROP pressure to relieve: the
     # relative VR-Pipe gain must shrink, while absolute time improves.
@@ -53,7 +57,8 @@ def test_format_sensitivity(data):
     assert fmt["rgba8"]["speedup"] > 1.0
 
 
-def test_rop_width_scaling(data):
+def test_rop_width_scaling(data, check_digest):
+    check_digest("ablation_rop_width", data["rop_width"])
     rop = data["rop_width"]
     widths = rop["widths"]
     assert widths[2.0] == 1.0  # the reference width

@@ -3,9 +3,10 @@
 from repro.experiments import fig05_sw_vs_hw
 
 
-def test_fig05(benchmark, scenes):
+def test_fig05(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig05_sw_vs_hw.run, kwargs={"scenes": scenes}, rounds=1, iterations=1)
+    check_digest("fig05", data, scenes)
     for device, per_scene in data.items():
         for scene, d in per_scene.items():
             # Hardware-path preprocessing/sorting avoid duplication.

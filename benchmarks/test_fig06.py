@@ -3,10 +3,11 @@
 from repro.experiments import fig06_utilization
 
 
-def test_fig06(benchmark, scenes):
+def test_fig06(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig06_utilization.run, kwargs={"scenes": scenes},
         rounds=1, iterations=1)
+    check_digest("fig06", data, scenes)
     for scene, util in data.items():
         assert util["bottleneck"] in ("crop", "prop"), scene
         assert util["crop"] > 0.8

@@ -3,10 +3,11 @@
 from repro.experiments import fig08_cuda_early_term
 
 
-def test_fig08(benchmark, scenes):
+def test_fig08(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig08_cuda_early_term.run, kwargs={"scenes": scenes},
         rounds=1, iterations=1)
+    check_digest("fig08", data, scenes)
     for scene, d in data.items():
         assert d["speedup"] > 1.0, scene
         # Lockstep execution: realised speedup trails the fragment

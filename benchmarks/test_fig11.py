@@ -3,10 +3,11 @@
 from repro.experiments import fig11_multipass
 
 
-def test_fig11(benchmark, scenes):
+def test_fig11(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig11_multipass.run, kwargs={"scenes": scenes}, rounds=1,
         iterations=1)
+    check_digest("fig11", data, scenes)
     outdoor = [s for s in data if s in ("train", "truck")]
     for scene, sweep in data.items():
         assert sweep[1] == 1.0

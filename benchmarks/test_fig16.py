@@ -3,9 +3,10 @@
 from repro.experiments import fig16_speedup
 
 
-def test_fig16(benchmark, scenes):
+def test_fig16(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig16_speedup.run, kwargs={"scenes": scenes}, rounds=1, iterations=1)
+    check_digest("fig16", data, scenes)
     evaluated = [s for s in data if s != "geomean"]
     for scene in evaluated:
         d = data[scene]

@@ -3,10 +3,11 @@
 from repro.experiments import fig17_end_to_end
 
 
-def test_fig17(benchmark, scenes):
+def test_fig17(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig17_end_to_end.run, kwargs={"scenes": scenes}, rounds=1,
         iterations=1)
+    check_digest("fig17", data, scenes)
     for scene, d in data.items():
         if scene == "geomean":
             continue

@@ -4,10 +4,11 @@ from repro.experiments import fig18_reduction
 from repro.engine import geomean
 
 
-def test_fig18(benchmark, scenes):
+def test_fig18(benchmark, scenes, check_digest):
     data = benchmark.pedantic(
         fig18_reduction.run, kwargs={"scenes": scenes}, rounds=1,
         iterations=1)
+    check_digest("fig18", data, scenes)
     for scene, d in data.items():
         assert d["het"]["fragment_reduction"] > 1.3, scene
         assert d["qm"]["quad_reduction"] > 1.1, scene

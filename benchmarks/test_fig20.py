@@ -5,8 +5,9 @@ import pytest
 from repro.experiments import fig20_microbench
 
 
-def test_fig20(benchmark):
+def test_fig20(benchmark, check_digest):
     data = benchmark.pedantic(fig20_microbench.run, rounds=1, iterations=1)
+    check_digest("fig20", data)
 
     # (a) Capacity probe: bounded by (and close to) 16 KB for every size.
     for size, cap in data["crop_cache_capacity"].items():

@@ -3,8 +3,9 @@
 from repro.experiments import fig23_large_scale
 
 
-def test_fig23(benchmark):
+def test_fig23(benchmark, check_digest):
     data = benchmark.pedantic(fig23_large_scale.run, rounds=1, iterations=1)
+    check_digest("fig23", data)
     for scene, d in data.items():
         # ROPs stay the bottleneck at city scale.
         assert d["bottleneck"] in ("crop", "prop"), scene

@@ -5,10 +5,11 @@ import pytest
 from repro.experiments import tables
 
 
-def test_tables(benchmark):
+def test_tables(benchmark, check_digest):
     t1, t2, t3 = benchmark.pedantic(
         lambda: (tables.table1(), tables.table2(), tables.table3()),
         rounds=1, iterations=1)
+    check_digest("tables", {"table1": t1, "table2": t2, "table3": t3})
     # Table I facts.
     assert t1["# GPC"] == 1
     assert t1["# SIMT Cores"] == 16
