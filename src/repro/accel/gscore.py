@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA, FragmentStream
+from repro.render.fragstream import FragmentStream
 
 
 @dataclass
@@ -36,7 +36,6 @@ class GSCoreConfig:
     gsu_keys_per_cycle: float = 4.0          # Gaussian sorting unit
     vru_fragments_per_cycle: float = 20.0    # volume rendering units
     alpha_eval_fragments_per_cycle: float = 32.0
-    threshold: float = DEFAULT_TERMINATION_ALPHA
 
 
 class GSCoreModel:
@@ -59,8 +58,9 @@ class GSCoreModel:
         cfg = self.config
         n_gaussians = (stream.prim_colors.shape[0] if n_gaussians is None
                        else int(n_gaussians))
-        frag_alive = int(stream.unterminated_on_arrival(cfg.threshold).sum())
-        frag_blend = int(stream.et_survivor_mask(cfg.threshold).sum())
+        # Perfect termination at the paper's threshold (the stream default).
+        frag_alive = int(stream.unterminated_on_arrival().sum())
+        frag_blend = int(stream.et_survivor_mask().sum())
 
         ccu = n_gaussians / cfg.ccu_gaussians_per_cycle
         gsu = n_gaussians / cfg.gsu_keys_per_cycle

@@ -1,10 +1,14 @@
-"""Tables I-III: simulation configuration, workloads, hardware cost."""
+"""Tables I-III: simulation configuration, workloads, hardware cost.
+
+Table I's GPC count, lanes and L2 size are literal rows: no model reads them.
+"""
 
 from __future__ import annotations
 
 from repro.core.vrpipe import hardware_cost_bytes
 from repro.experiments.runner import format_table
 from repro.hwmodel.config import jetson_agx_orin
+from repro.render.fragstream import RASTER_TILE_SIZE, TILE_GRID_TILES, TILE_SIZE
 from repro.workloads.catalog import LARGE_SCALE_SCENES, SCENES
 
 
@@ -12,16 +16,16 @@ def table1():
     """Table I: the simulated GPU configuration."""
     cfg = jetson_agx_orin()
     return {
-        "# GPC": cfg.n_gpc,
+        "# GPC": 1,
         "# SIMT Cores": cfg.n_sm,
         "SIMT Core Freq. (MHz)": cfg.sm_freq_mhz,
-        "Lanes per SIMT Core": cfg.lanes_per_sm,
+        "Lanes per SIMT Core": 64,
         "Warp schedulers per core": cfg.warp_schedulers_per_sm,
-        "Shared L2 (KB)": cfg.l2_kb,
+        "Shared L2 (KB)": 4096,
         "CROP Cache (KB)": cfg.crop_cache_kb,
-        "Raster Tile (px)": cfg.raster_tile_px,
-        "Screen Tile (px)": cfg.screen_tile_px,
-        "Tile Grid (tiles)": cfg.tile_grid_tiles,
+        "Raster Tile (px)": RASTER_TILE_SIZE,
+        "Screen Tile (px)": TILE_SIZE,
+        "Tile Grid (tiles)": TILE_GRID_TILES,
         "# TGC Bins": cfg.n_tgc_bins,
         "TGC Bin Size (prims)": cfg.tgc_bin_prims,
         "# TC Bins": cfg.n_tc_bins,

@@ -1,9 +1,9 @@
 """GPU configuration (Table I) and device presets.
 
-Two kinds of numbers live here:
+Two kinds of numbers live here, each read by some model code:
 
-* **Paper-given facts** — everything in Table I of the paper (SIMT core
-  count, frequencies, bin counts/sizes, ROP throughput, cache sizes) plus
+* **Paper-given facts** — Table I of the paper (SIMT core count,
+  frequencies, bin counts/sizes, ROP throughput, cache sizes) plus
   the §VII microbenchmark findings (quad-granularity ROPs, 16 KB CROP cache,
   32 TC bins, format-dependent pixels/cycle).
 * **Calibrations** — per-op cycle/energy constants that the paper does not
@@ -11,11 +11,16 @@ Two kinds of numbers live here:
   coefficients).  Each is documented at its definition; changing them moves
   absolute numbers but not the qualitative results, which derive from unit
   workload *counts*.
+
+The tile geometry is in :mod:`repro.render.fragstream`; Table I facts no
+model code reads are literal rows of :func:`repro.experiments.tables.table1`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
 
 
 @dataclass
@@ -55,18 +60,12 @@ class GPUConfig:
     name: str = "jetson-agx-orin-like"
 
     # ----- Table I facts -------------------------------------------------
-    n_gpc: int = 1
     n_sm: int = 16                      # SIMT cores (1024 CUDA cores)
     sm_freq_mhz: float = 612.0
-    lanes_per_sm: int = 64
     warp_schedulers_per_sm: int = 4
-    l2_kb: int = 4096
     crop_cache_kb: int = 16
     zcache_kb: int = 16                 # symmetric with the CROP cache
     cache_line_bytes: int = 128
-    raster_tile_px: int = 8             # 8x8-pixel raster tiles
-    screen_tile_px: int = 16            # 16x16-pixel screen tiles
-    tile_grid_tiles: int = 4            # 4x4 screen tiles per tile grid
     n_tgc_bins: int = 128
     tgc_bin_prims: int = 16
     n_tc_bins: int = 32
@@ -127,8 +126,7 @@ class GPUConfig:
     # pairs within TC flushes, but primitives reach the rasteriser in raw
     # draw order, so bins flush prematurely and fewer overlaps coalesce).
     qm_use_tgc: bool = True
-    termination_alpha: float = 0.996
-    stencil_bits: int = 8               # MSB repurposed as termination flag
+    termination_alpha: float = DEFAULT_TERMINATION_ALPHA
     # In-flight HET window: fragments per pixel that still pass the ZROP
     # test between the threshold-crossing blend and the stencil update
     # becoming visible (TC-bin residency + ROP pipeline depth).  0 would be
@@ -145,10 +143,8 @@ class GPUConfig:
     def __post_init__(self):
         if self.color_format not in ("rgba16f", "rgba8"):
             raise ValueError(f"unknown color format {self.color_format!r}")
-        if self.screen_tile_px % self.raster_tile_px:
-            raise ValueError("screen tile must be a multiple of the raster tile")
         for name in ("n_sm", "n_tc_bins", "tc_bin_quads", "n_tgc_bins",
-                     "tgc_bin_prims", "stencil_bits"):
+                     "tgc_bin_prims"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.tc_timeout_quads is not None and self.tc_timeout_quads <= 0:
@@ -203,7 +199,6 @@ def rtx_3090(**overrides):
     """
     cfg = GPUConfig(
         name="rtx-3090-like",
-        n_gpc=7,
         n_sm=82,
         sm_freq_mhz=1695.0,
         rop_quads_per_cycle=2.0 * 7,     # 7 GPCs' worth of ROP partitions

@@ -63,10 +63,8 @@ from repro.hwmodel.prop import plan_merges_segmented
 from repro.hwmodel.tc import RangeTileCoalescer, TileCoalescer
 from repro.hwmodel.tgc import TileGridCoalescer
 from repro.hwmodel.units import popcount4
+from repro.render.fragstream import QUADS_PER_TILE_AXIS, TILE_SIZE
 from repro.utils.arrays import expand_segments
-
-#: Quad positions per screen tile (8x8), the QRU pairing key space.
-N_QUAD_POSITIONS = 64
 
 #: TC flush causes, indexed by :attr:`FlushDigest.reason_code`.
 FLUSH_REASONS = (TileCoalescer.FLUSH_FULL, TileCoalescer.FLUSH_EVICT,
@@ -272,7 +270,7 @@ def digest_flushes(plan, workload, config):
     # QRU pair planning.
     if config.enable_qm:
         merge = plan_merges_segmented(surv_flush, quads.qpos[surv_rows],
-                                      n_flushes, N_QUAD_POSITIONS)
+                                      n_flushes)
         pairs_f = merge.pairs_per_segment
         # Post-merge output stream, in the scalar per-flush order: each
         # flush's merge pairs (position-major) first, then its singles
@@ -326,17 +324,18 @@ def digest_flushes(plan, workload, config):
     # CROP line tags, first-occurrence-unique within each flush.
     live_rows = out_rows[live]
     if live_rows.shape[0]:
-        if config.cache_line_bytes % (16 * config.bytes_per_pixel) == 0:
+        if config.cache_line_bytes % (TILE_SIZE * config.bytes_per_pixel) == 0:
             # Structural fast path: when a cache line spans a whole number
-            # of 16px screen tiles, every quad of a flush shares one
+            # of screen tiles, every quad of a flush shares one
             # line-column, so a tag is identified inside its flush by the
             # pixel row alone — and a quad's two tags (its two pixel
             # rows) first occur together, with the first quad of its
-            # quad row in the tile (8 per tile).  First occurrences then
-            # come from one scatter over a dense (flush, quad row) key
-            # space instead of a sort over the whole tag stream.
-            key = live_flush * 8 + (quads.qy[live_rows] & 7)
-            first = np.empty(n_flushes * 8, dtype=np.int64)
+            # quad row in the tile.  First occurrences then come from one
+            # scatter over a dense (flush, quad row) key space instead of
+            # a sort over the whole tag stream.
+            key = (live_flush * QUADS_PER_TILE_AXIS
+                   + (quads.qy[live_rows] & (QUADS_PER_TILE_AXIS - 1)))
+            first = np.empty(n_flushes * QUADS_PER_TILE_AXIS, dtype=np.int64)
             idx = np.arange(key.shape[0], dtype=np.int64)
             first[key[::-1]] = idx[::-1]
             keep = first[key] == idx

@@ -40,7 +40,13 @@ from repro.hwmodel.tgc import TileGridCoalescer
 from repro.hwmodel.units import popcount4
 from repro.hwmodel.vpo import VertexPipeline
 from repro.hwmodel.zrop import ZropUnit
-from repro.render.fragstream import FragmentStream
+from repro.render.fragstream import (
+    QUADS_PER_RASTER_TILE_AXIS,
+    QUADS_PER_TILE_AXIS,
+    RASTER_TILE_SIZE,
+    TILE_SIZE,
+    FragmentStream,
+)
 from repro.utils.arrays import expand_segments, segment_boundaries
 
 #: Valid values of the flush ``engine`` knob: the batched flush plan,
@@ -133,8 +139,8 @@ class DrawWorkload:
     def _build_groups(self):
         quads = self.quads
         n_quads = len(quads)
-        tiles_x = -(-self.width // 16)
-        tiles_y = -(-self.height // 16)
+        tiles_x = -(-self.width // TILE_SIZE)
+        tiles_y = -(-self.height // TILE_SIZE)
         self.n_tiles = tiles_x * tiles_y
         self.quad_rows = np.arange(n_quads, dtype=np.int64)
         if n_quads == 0:
@@ -170,9 +176,12 @@ class DrawWorkload:
             self.group_tile = quads.tile_ids[starts]
             self.group_grid = quads.grid_ids[starts]
             self.group_n_quads = ends - starts
-            # Raster tiles (8x8 px = 4x4 quads) within the 16x16 tile: 2x2
-            # possibilities; a bitmask OR-reduce counts the distinct ones.
-            rt_index = ((quads.qpos // 8) // 4) * 2 + (quads.qpos % 8) // 4
+            # Raster tiles within the screen tile: 2x2 possibilities; a
+            # bitmask OR-reduce counts the distinct ones.
+            row, col = np.divmod(quads.qpos, QUADS_PER_TILE_AXIS)
+            rt_index = (row // QUADS_PER_RASTER_TILE_AXIS
+                        * (TILE_SIZE // RASTER_TILE_SIZE)
+                        + col // QUADS_PER_RASTER_TILE_AXIS)
             rt_bit = np.left_shift(1, rt_index.astype(np.int64))
             rt_mask = np.bitwise_or.reduceat(rt_bit, starts)
             self.group_n_rtiles = popcount4(rt_mask)

@@ -15,6 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hwmodel.tgc import CBE_POINTER_BYTES
+from repro.render.fragstream import QUADS_PER_TILE_AXIS
+
+#: Quad positions per screen tile: the QRU's registers and pairing keys.
+N_QUAD_POSITIONS = QUADS_PER_TILE_AXIS ** 2
+
 
 class MergePlan:
     """Result of QRU pairing for one flush batch.
@@ -103,11 +109,11 @@ class SegmentedMergePlan:
         return self.first.shape[0]
 
 
-def plan_merges_segmented(segment_ids, qpos, n_segments, n_positions=64):
+def plan_merges_segmented(segment_ids, qpos, n_segments):
     """Vectorised QRU pairing across many flush batches.
 
     ``segment_ids`` must be non-decreasing (quads grouped by flush, in
-    arrival order within each flush) and ``qpos`` in ``[0, n_positions)``.
+    arrival order within each flush) and ``qpos`` a quad position.
     A single stable sort over the combined ``(segment, position)`` key
     reproduces the per-flush register-file scan: within each flush,
     ``first``/``second`` list the pairs in (position, arrival) order and
@@ -122,14 +128,14 @@ def plan_merges_segmented(segment_ids, qpos, n_segments, n_positions=64):
     if n == 0:
         return SegmentedMergePlan(empty, empty, empty,
                                   np.zeros(n_segments, dtype=np.int64))
-    if int(qpos.max()) >= n_positions:
-        raise ValueError("qpos out of range for n_positions")
-    key = segment_ids * np.int64(n_positions) + qpos
-    # The combined key is bounded by n_segments * n_positions; narrowing
+    if int(qpos.max()) >= N_QUAD_POSITIONS:
+        raise ValueError("qpos out of range for N_QUAD_POSITIONS")
+    key = segment_ids * np.int64(N_QUAD_POSITIONS) + qpos
+    # The combined key is bounded by n_segments * N_QUAD_POSITIONS; narrowing
     # it lets numpy's stable argsort run as an LSD radix sort instead of
     # a comparison mergesort.  Key values are unchanged, so the stable
     # order — and with it every downstream pairing — is bit-identical.
-    key_bound = np.int64(n_segments) * np.int64(n_positions)
+    key_bound = np.int64(n_segments) * np.int64(N_QUAD_POSITIONS)
     if key_bound <= np.iinfo(np.uint16).max:
         key = key.astype(np.uint16)
     elif key_bound <= np.iinfo(np.uint32).max:
@@ -159,14 +165,14 @@ def plan_merges_segmented(segment_ids, qpos, n_segments, n_positions=64):
                               pairs_per_segment.astype(np.int64))
 
 
-def qru_storage_bytes(n_quad_buffer=128, cbe_pointer_bytes=4,
-                      qpos_bits=6, n_registers=64, register_bytes=1,
-                      bitmap_bits=128):
+def qru_storage_bytes(n_quad_buffer=128):
     """Table III storage cost of the quad reorder unit.
 
     ``(4 B CBE pointer + 6-bit quad pos.) * 128 + 64 * 1 B + 16 B = 688 B``
-    with the default sizes.
+    for a 128-quad TC bin: a register (valid bit + 7-bit quad id) per quad
+    position, and a bitmap with one bit per buffer entry.
     """
-    buffer_bits = (cbe_pointer_bytes * 8 + qpos_bits) * n_quad_buffer
-    register_bits = n_registers * register_bytes * 8
-    return (buffer_bits + register_bits + bitmap_bits) // 8
+    qpos_bits = (N_QUAD_POSITIONS - 1).bit_length()
+    buffer_bits = (CBE_POINTER_BYTES * 8 + qpos_bits) * n_quad_buffer
+    register_bits = N_QUAD_POSITIONS * 8
+    return (buffer_bits + register_bits + n_quad_buffer) // 8

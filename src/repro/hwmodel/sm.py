@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hwmodel.units import (
+    QUAD_THREADS,
     QUADS_PER_WARP,
     WARP_SIZE,
     ceil_div,
@@ -53,9 +54,10 @@ class ShaderArray:
             warps, issue / self.config.sm_issue_slots_per_cycle)
         self.stats.warps_launched += warps
         if n_merge_pairs:
-            self.stats.merge_warps += min(warps, ceil_div(2 * n_merge_pairs, 8))
+            self.stats.merge_warps += min(
+                warps, ceil_div(2 * n_merge_pairs, QUADS_PER_WARP))
         self.stats.quads_to_sm += int(n_quads)
-        self.stats.fragments_shaded += int(n_quads) * 4
+        self.stats.fragments_shaded += int(n_quads) * QUAD_THREADS
 
     def shade_fragment_batches(self, n_quads, n_merge_pairs):
         """Vectorised equivalent of per-flush :meth:`shade_fragment_batch`.
@@ -78,6 +80,6 @@ class ShaderArray:
             int(warps.sum()), issue / cfg.sm_issue_slots_per_cycle)
         self.stats.warps_launched += int(warps.sum())
         self.stats.merge_warps += int(
-            np.minimum(warps, -(-2 * pairs // 8)).sum())
+            np.minimum(warps, -(-2 * pairs // QUADS_PER_WARP)).sum())
         self.stats.quads_to_sm += int(n_quads.sum())
-        self.stats.fragments_shaded += int(n_quads.sum()) * 4
+        self.stats.fragments_shaded += int(n_quads.sum()) * QUAD_THREADS

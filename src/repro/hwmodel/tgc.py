@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+#: Bytes of a circular-buffer-entry (CBE) pointer (Table III: TGC and QRU).
+CBE_POINTER_BYTES = 4
+
 
 class TileGridCoalescer:
     """Exact-bin-dynamics model of the TGC unit.
@@ -136,13 +139,11 @@ class TileGridCoalescer:
         """Currently occupied bins."""
         return len(self._bins)
 
-    def storage_bytes(self, cbe_pointer_bytes=4, vertices_per_prim=3,
-                      grid_id_bytes=2):
+    def storage_bytes(self):
         """Table III storage cost of this unit's bins.
 
         ``(4 B CBE pointer * 3 vertices * 16 entries + 2 B grid id) * 128``
-        = 24.25 KB with the default sizes.
+        = 24.25 KB with the bin sizes of Table I.
         """
-        per_bin = (cbe_pointer_bytes * vertices_per_prim * self.bin_capacity
-                   + grid_id_bytes)
+        per_bin = CBE_POINTER_BYTES * 3 * self.bin_capacity + 2
         return per_bin * self.n_bins

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.render.fragstream import QUAD_SIZE
 from repro.utils.arrays import popcount4
 
 __all__ = ["WARP_SIZE", "QUAD_THREADS", "QUADS_PER_WARP", "ceil_div",
@@ -13,7 +14,7 @@ __all__ = ["WARP_SIZE", "QUAD_THREADS", "QUADS_PER_WARP", "ceil_div",
 WARP_SIZE = 32
 
 #: Fragments per quad (2x2).
-QUAD_THREADS = 4
+QUAD_THREADS = QUAD_SIZE * QUAD_SIZE
 
 #: Quads that fit in one warp.
 QUADS_PER_WARP = WARP_SIZE // QUAD_THREADS

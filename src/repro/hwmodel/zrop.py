@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.units import as_index_array
+from repro.render.fragstream import TILE_SIZE
 
 
 class ZropUnit:
@@ -41,9 +42,6 @@ class ZropUnit:
         self.stats = stats
         self.zcache = LRUCache(config.zcache_kb * 1024,
                                config.cache_line_bytes)
-        # One stencil byte per pixel; a 128 B line covers 128 pixels of a
-        # row, i.e. 8 screen tiles wide. Tags derive from tile rows.
-        self._stencil_bytes_per_pixel = 1
 
     def termination_test(self, batch_masks, tile_id, width):
         """Run the flush-time termination test on one TC batch.
@@ -61,7 +59,8 @@ class ZropUnit:
         self.stats.quads_discarded_zrop += int(n - survivors.sum())
         # Stencil reads for the tile: the whole tile's stencil footprint is
         # a handful of lines; account one line group per flush.
-        tags = self._tile_stencil_tags(tile_id, width)
+        first, stride = self._stencil_lines(int(tile_id), width)
+        tags = [first + r * stride for r in range(TILE_SIZE)]
         misses = self.zcache.access_many(tags, write=False)
         self._account_misses(misses)
         return survivors
@@ -90,7 +89,7 @@ class ZropUnit:
         Mirrors one :meth:`termination_test` call per flush: unit
         throughput and test/discard counters accumulate sequentially, and
         the z-cache's stencil-line traffic is replayed exactly.  A tile's
-        stencil footprint is ``screen_tile_px`` lines determined by the
+        stencil footprint is ``TILE_SIZE`` lines determined by the
         tile alone, and the line sets of distinct (tile-row, line-column)
         groups are disjoint — so when the cache holds a whole number of
         such groups and starts empty, the line stream collapses to a
@@ -118,21 +117,13 @@ class ZropUnit:
         n_flushes = flush_tiles.shape[0]
         if n_flushes == 0:
             return np.zeros(0, dtype=np.int64)
-        tile_px = self.config.screen_tile_px
-        line_bytes = self.config.cache_line_bytes
-        tiles_x = -(-width // tile_px)
-        bytes_per_row = width * self._stencil_bytes_per_pixel
-        lines_per_row = max(1, -(-bytes_per_row // line_bytes))
-        ty, tx = np.divmod(flush_tiles, tiles_x)
-        line_in_row = (tx * tile_px * self._stencil_bytes_per_pixel
-                       // line_bytes)
         # First line tag of each flush's group; tags are unique per
         # (tile-row, line-column) group and groups are disjoint.
-        group_key = ty * tile_px * lines_per_row + line_in_row
+        group_key, lines_per_row = self._stencil_lines(flush_tiles, width)
 
         zcache = self.zcache
-        if zcache.n_lines % tile_px == 0 and len(zcache) == 0:
-            cap_groups = zcache.n_lines // tile_px
+        if zcache.n_lines % TILE_SIZE == 0 and len(zcache) == 0:
+            cap_groups = zcache.n_lines // TILE_SIZE
             resident = OrderedDict()
             misses = np.zeros(n_flushes, dtype=np.int64)
             for i, group in enumerate(group_key.tolist()):
@@ -142,45 +133,42 @@ class ZropUnit:
                     if len(resident) >= cap_groups:
                         resident.popitem(last=False)
                     resident[group] = True
-                    misses[i] = tile_px
+                    misses[i] = TILE_SIZE
             # Prime the real cache with the final resident groups (clean
             # read accesses, oldest group first, row-ascending lines) so
             # the termination-update replay starts from the exact state.
             for group in resident:
-                for r in range(tile_px):
+                for r in range(TILE_SIZE):
                     zcache.access_line(group + r * lines_per_row,
                                        write=False)
             # Square the cache's own counters with the full line-level
             # replay the scalar engine performs: priming counted only the
             # resident lines as misses (no hits, no evictions — the cache
             # started empty and the residents fit by construction).
-            total_accesses = n_flushes * tile_px
+            total_accesses = n_flushes * TILE_SIZE
             total_misses = int(misses.sum())
-            primed = len(resident) * tile_px
+            primed = len(resident) * TILE_SIZE
             zcache.hits += total_accesses - total_misses
             zcache.misses += total_misses - primed
             zcache.evictions += total_misses - primed
             return misses
         # General fallback: replay the full per-flush line stream.
         tags = (group_key[:, None]
-                + np.arange(tile_px, dtype=np.int64)[None, :] * lines_per_row)
-        splits = np.arange(n_flushes + 1, dtype=np.int64) * tile_px
+                + np.arange(TILE_SIZE, dtype=np.int64)[None, :] * lines_per_row)
+        splits = np.arange(n_flushes + 1, dtype=np.int64) * TILE_SIZE
         return zcache.access_segmented(tags.reshape(-1), splits, write=False)
 
     # ------------------------------------------------------------------
 
-    def _tile_stencil_tags(self, tile_id, width):
-        """Line tags of a screen tile's stencil rows (1 B/pixel)."""
-        tile_px = self.config.screen_tile_px
-        tiles_x = -(-width // tile_px)
-        ty, tx = divmod(int(tile_id), tiles_x)
-        bytes_per_row = width * self._stencil_bytes_per_pixel
-        lines_per_row = max(1, -(-bytes_per_row // self.config.cache_line_bytes))
-        x_byte = tx * tile_px * self._stencil_bytes_per_pixel
-        line_in_row = x_byte // self.config.cache_line_bytes
-        base_row = ty * tile_px
-        return [((base_row + r) * lines_per_row + line_in_row)
-                for r in range(tile_px)]
+    def _stencil_lines(self, tiles, width):
+        """First stencil line tag of each screen tile (an int or an array)
+        and the tag stride between the tile's ``TILE_SIZE`` rows.  The
+        stencil is 1 B/pixel, so a row's byte offsets are pixel offsets."""
+        line_bytes = self.config.cache_line_bytes
+        lines_per_row = max(1, -(-width // line_bytes))
+        ty, tx = divmod(tiles, -(-width // TILE_SIZE))
+        return (ty * TILE_SIZE * lines_per_row + tx * TILE_SIZE // line_bytes,
+                lines_per_row)
 
     def _account_misses(self, misses):
         if misses:

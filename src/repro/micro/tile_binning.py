@@ -14,10 +14,10 @@ from __future__ import annotations
 from repro.hwmodel.config import GPUConfig
 from repro.hwmodel.pipeline import GraphicsPipeline
 from repro.micro.workload import rect_stream
+from repro.render.fragstream import TILE_SIZE
 
 
-def tile_binning_probe(n_tiles, rounds=10, config=None, tile_px=16,
-                       timeout_quads=None):
+def tile_binning_probe(n_tiles, rounds=10, config=None, timeout_quads=None):
     """Warps launched when drawing ``n_tiles * rounds`` tiny rectangles.
 
     Rectangles are 2x2 px at the origin corner of each tile, visiting tiles
@@ -34,13 +34,13 @@ def tile_binning_probe(n_tiles, rounds=10, config=None, tile_px=16,
     # Arrange the target tiles on a wide-enough framebuffer.
     tiles_x = max(8, min(n_tiles, 64))
     tiles_y = -(-n_tiles // tiles_x)
-    width = tiles_x * tile_px
-    height = tiles_y * tile_px
+    width = tiles_x * TILE_SIZE
+    height = tiles_y * TILE_SIZE
     rects = []
     for _round in range(rounds):
         for t in range(n_tiles):
             ty, tx = divmod(t, tiles_x)
-            rects.append((tx * tile_px, ty * tile_px, 2, 2))
+            rects.append((tx * TILE_SIZE, ty * TILE_SIZE, 2, 2))
     stream = rect_stream(rects, width, height)
     result = GraphicsPipeline(config).draw(stream)
     return {

@@ -7,8 +7,10 @@ front-to-back operator over premultiplied RGBA
 
 is *associative* (but not commutative), so fragments may be partially blended
 in shader cores before the ROP finishes the pixel, without changing the
-result.  These helpers are the single implementation of that operator used
-everywhere in the library.
+result.  This module is the sequential colour spec of that operator: only
+:mod:`repro.core.quad_merge` (the QM colour spec) and the tests call it, and
+``FragmentStream.blend_image`` blends on its own.  It stays for the
+hardware image path of ``ROADMAP.md`` item 20.
 """
 
 from __future__ import annotations

@@ -29,11 +29,14 @@ DEFAULT_TERMINATION_ALPHA = 0.996
 #: Alpha-pruning threshold (1/255), as in the paper's fragment shader.
 PRUNE_EPS = 1.0 / 255.0
 
-#: Fixed-function geometry of the modelled GPU (Section II / Table I).
+#: Fixed-function geometry of the modelled GPU (Section II / Table I), in
+#: pixels: the one home of the tile arithmetic of every model module.
 QUAD_SIZE = 2
+RASTER_TILE_SIZE = 8  # 2x2 raster tiles per screen tile
 TILE_SIZE = 16
 TILE_GRID_TILES = 4  # a tile grid is 4x4 screen tiles = 64x64 pixels
 QUADS_PER_TILE_AXIS = TILE_SIZE // QUAD_SIZE  # 8 -> 64 quad positions/tile
+QUADS_PER_RASTER_TILE_AXIS = RASTER_TILE_SIZE // QUAD_SIZE  # 4
 
 
 def arrival_chain_sliced(alpha_eff_sorted, starts, slice_bounds):

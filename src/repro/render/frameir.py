@@ -45,6 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.render.fragstream import (
+    QUADS_PER_RASTER_TILE_AXIS,
+    QUADS_PER_TILE_AXIS,
+    RASTER_TILE_SIZE,
+    TILE_GRID_TILES,
+    TILE_SIZE,
+)
 from repro.utils.arrays import popcount4, segment_boundaries
 
 #: Valid values of the rasteriser's ``ir`` knob: attach a FrameIR
@@ -58,6 +65,13 @@ def resolve_ir(ir="auto"):
     if ir not in IR_MODES:
         raise ValueError(f"unknown ir mode {ir!r}; choose from {IR_MODES}")
     return ir
+
+
+#: Shift/mask forms of the tile geometry (every count is a power of two).
+_TILE_SHIFT = QUADS_PER_TILE_AXIS.bit_length() - 1  # quad -> screen tile
+_TILE_MASK = QUADS_PER_TILE_AXIS - 1  # quad position in the screen tile
+_GRID_SHIFT = TILE_GRID_TILES.bit_length() - 1  # screen tile -> tile grid
+_RT_SHIFT = QUADS_PER_RASTER_TILE_AXIS.bit_length() - 1  # quad -> raster tile
 
 
 def row_fragments(row_prim, row_y, row_xlo, row_fstart, n_fragments):
@@ -193,7 +207,8 @@ class QuadIR:
             # Constant over each chunklet (one scanline pair).
             return np.repeat(p_qy[c_pair], nq_c)
         if name == "qpos":
-            return (self.meta("qy") & 7) * 8 + (self.meta("qx") & 7)
+            return ((self.meta("qy") & _TILE_MASK) * QUADS_PER_TILE_AXIS
+                    + (self.meta("qx") & _TILE_MASK))
         raise KeyError(f"unknown quad metadata column {name!r}")
 
     def release(self):
@@ -351,8 +366,8 @@ def _quad_chunklets(prim, y, xlo, xhi, fstart, width, height):
     c_qa, nq_c, q_offsets)``, the per-pair quad row and the per-pair,
     per-scanline interval inputs of the fragment slots.
     """
-    tiles_x = -(-width // 16)
-    grids_x = -(-tiles_x // 4)
+    tiles_x = -(-width // TILE_SIZE)
+    grids_x = -(-tiles_x // TILE_GRID_TILES)
     n_rows = prim.shape[0]
     if n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -418,9 +433,9 @@ def _quad_chunklets(prim, y, xlo, xhi, fstart, width, height):
     keep = np.flatnonzero(run_ok)
     run_a, run_b, run_pair = run_a[keep], run_b[keep], run_pair[keep]
 
-    # --- chunklets: runs split at screen-tile columns (8 quads).
-    t0 = run_a >> 3
-    t1 = run_b >> 3
+    # --- chunklets: runs split at screen-tile columns.
+    t0 = run_a >> _TILE_SHIFT
+    t1 = run_b >> _TILE_SHIFT
     c_counts = t1 - t0 + 1
     n_chunks = int(c_counts.sum())
     c_offsets = np.concatenate(
@@ -430,18 +445,19 @@ def _quad_chunklets(prim, y, xlo, xhi, fstart, width, height):
     c_tx = (np.repeat(t0 - c_offsets, c_counts)
             + np.arange(n_chunks, dtype=np.int64))
     c_pair = np.repeat(run_pair, c_counts)
-    c_qa = np.maximum(np.repeat(run_a, c_counts), c_tx << 3)
-    c_qb = np.minimum(np.repeat(run_b, c_counts), (c_tx << 3) + 7)
+    c_qa = np.maximum(np.repeat(run_a, c_counts), c_tx << _TILE_SHIFT)
+    c_qb = np.minimum(np.repeat(run_b, c_counts),
+                      (c_tx << _TILE_SHIFT) + _TILE_MASK)
 
     # Emission order of the legacy table is (prim, tile, qpos) =
-    # (prim, tile_y, tile_x, qy & 7, qx asc).  Chunklets arrive
+    # (prim, tile_y, tile_x, quad row in tile, qx asc).  Chunklets arrive
     # (prim, qy, qx)-ordered; one stable sort of the *chunklet list*
     # (not the fragments) produces the emission order, with same-key
     # chunklets (two runs of one pair in one tile) kept qx-ascending.
-    c_ty = p_qy[c_pair] >> 3
-    c_iy = p_qy[c_pair] & 7
-    c_key = ((p_prim[c_pair] * (-(-height // 16)) + c_ty) * tiles_x
-             + c_tx) * 8 + c_iy
+    c_ty = p_qy[c_pair] >> _TILE_SHIFT
+    c_iy = p_qy[c_pair] & _TILE_MASK
+    c_key = ((p_prim[c_pair] * (-(-height // TILE_SIZE)) + c_ty) * tiles_x
+             + c_tx) * QUADS_PER_TILE_AXIS + c_iy
     c_order = np.argsort(c_key, kind="stable")
     c_pair = c_pair[c_order]
     c_tx = c_tx[c_order]
@@ -477,24 +493,29 @@ def _build_groups(c_key, c_pair, c_tx, c_qa, c_qb, q_offsets, n_quads,
     Chunklets are emission-ordered, so a (prim, tile) group is a
     consecutive chunklet run — its boundaries are where the chunklet key
     changes once the quad-position bits are dropped.  The per-group
-    raster-tile count (8x8 px raster tiles inside the 16x16 screen tile)
+    raster-tile count (the 2x2 raster tiles inside the screen tile)
     reduces over chunklet quad ranges: a chunklet's quads lie in one
-    half-row of the tile's 2x2 raster-tile grid, covering its left half
-    iff it starts left of quad column 4 and its right half iff it ends at
-    or past it.
+    half-row of the tile's raster-tile grid, covering its left half iff
+    it starts left of the raster-tile boundary and its right half iff it
+    ends at or past it.
     """
-    g_key = c_key >> 3
+    g_key = c_key >> _TILE_SHIFT
     cg_starts = segment_boundaries(g_key)
     group_starts = q_offsets[cg_starts]
     group_ends = np.concatenate((group_starts[1:], [np.int64(n_quads)]))
     g_pair = c_pair[cg_starts]
-    tile_y = p_qy[g_pair] >> 3
+    tile_y = p_qy[g_pair] >> _TILE_SHIFT
     group_prim = p_prim[g_pair]
     group_tile = tile_y * tiles_x + c_tx[cg_starts]
-    group_grid = (tile_y >> 2) * grids_x + (c_tx[cg_starts] >> 2)
-    rt_base = ((p_qy[c_pair] & 7) >> 2) * 2
-    bits = (np.where((c_qa & 7) < 4, np.int64(1) << rt_base, 0)
-            | np.where((c_qb & 7) >= 4, np.int64(2) << rt_base, 0))
+    group_grid = ((tile_y >> _GRID_SHIFT) * grids_x
+                  + (c_tx[cg_starts] >> _GRID_SHIFT))
+    # Raster tile (row, column) sets bit ``row * 2 + column``.
+    rt_base = (((p_qy[c_pair] & _TILE_MASK) >> _RT_SHIFT)
+               * (TILE_SIZE // RASTER_TILE_SIZE))
+    bits = (np.where((c_qa & _TILE_MASK) < QUADS_PER_RASTER_TILE_AXIS,
+                     np.int64(1) << rt_base, 0)
+            | np.where((c_qb & _TILE_MASK) >= QUADS_PER_RASTER_TILE_AXIS,
+                       np.int64(2) << rt_base, 0))
     rt_mask = np.bitwise_or.reduceat(bits, cg_starts)
     group_n_rtiles = popcount4(rt_mask)
     return GroupIR(group_starts, group_ends, group_prim, group_tile,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gaussians.projection import ALPHA_EPS, ALPHA_MAX, Splat2D
+from repro.gaussians.projection import ALPHA_MAX, Splat2D
 from repro.render.fragstream import FragmentStream
 from repro.render.frameir import FrameIR, resolve_ir, row_fragments
 from repro.utils.validation import check_positive
@@ -412,6 +412,3 @@ def rasterize_splats_scalar(splats, width, height, max_fragments=200_000_000):
         width=width,
         height=height,
     )
-
-
-ALPHA_PRUNE_THRESHOLD = ALPHA_EPS

@@ -33,13 +33,13 @@ class InShaderModel:
     shader spins until every earlier fragment for any pixel in its quad has
     released the lock.  ``critical_section_cycles`` is the locked
     load-blend-store; ``plain_blend_cycles`` the unguarded read-modify-write.
+    The shader cost and the issue bandwidth are the GPU's own
+    (``frag_shader_cycles_per_warp``, ``sm_issue_slots_per_cycle``).
     """
 
     lock_overhead_cycles: float = 48.0
     critical_section_cycles: float = 20.0
     plain_blend_cycles: float = 10.0
-    issue_slots: float = 64.0
-    frag_shader_cycles_per_warp: float = 26.0
 
 
 def inshader_comparison(stream, config, model=None, baseline_draw=None):
@@ -75,19 +75,20 @@ def inshader_comparison(stream, config, model=None, baseline_draw=None):
 
     # Shading cost shared by both in-shader paths (the raster front-end is
     # unchanged, and for these paths the SMs are the bottleneck).
+    issue_slots = config.sm_issue_slots_per_cycle
     warps = warps_for_quads(n_quads)
-    shade = warps * model.frag_shader_cycles_per_warp / model.issue_slots
+    shade = warps * config.frag_shader_cycles_per_warp / issue_slots
 
     # Ordered interlock: per-fragment acquisition overhead, plus the longest
     # same-pixel critical-section chain (fragments for one pixel serialise).
     counts = stream.fragments_per_pixel("unpruned")
     deepest_pixel = int(counts.max()) if counts.size else 0
     interlock = shade + max(
-        alive_frags * model.lock_overhead_cycles / model.issue_slots,
+        alive_frags * model.lock_overhead_cycles / issue_slots,
         deepest_pixel * model.critical_section_cycles,
     )
 
-    no_interlock = shade + alive_frags * model.plain_blend_cycles / model.issue_slots
+    no_interlock = shade + alive_frags * model.plain_blend_cycles / issue_slots
 
     return {
         "rop_cycles": float(rop_cycles),

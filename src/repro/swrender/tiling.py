@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.gaussians.projection import Splat2D
 
+#: Side of the CUDA renderer's screen tile (one thread block), in pixels.
 TILE_SIZE = 16
 
 
@@ -35,7 +36,7 @@ class TileAssignment:
         return int(self.pairs_per_splat.sum())
 
 
-def assign_tiles(splats, width, height, tile_size=TILE_SIZE):
+def assign_tiles(splats, width, height):
     """Count tile assignments per splat from tight-OBB bounding boxes.
 
     Mirrors the tight-OBB CUDA variant the paper evaluates: the number of
@@ -44,15 +45,15 @@ def assign_tiles(splats, width, height, tile_size=TILE_SIZE):
     """
     if not isinstance(splats, Splat2D):
         raise TypeError(f"splats must be a Splat2D, got {type(splats).__name__}")
-    if width <= 0 or height <= 0 or tile_size <= 0:
-        raise ValueError("width, height and tile_size must be positive")
+    if width <= 0 or height <= 0:
+        raise ValueError("width and height must be positive")
     bboxes = splats.bounding_boxes()
-    x0 = np.clip(np.floor(bboxes[:, 0] / tile_size), 0, None)
-    y0 = np.clip(np.floor(bboxes[:, 1] / tile_size), 0, None)
-    tiles_x = -(-width // tile_size)
-    tiles_y = -(-height // tile_size)
-    x1 = np.clip(np.ceil(bboxes[:, 2] / tile_size), None, tiles_x)
-    y1 = np.clip(np.ceil(bboxes[:, 3] / tile_size), None, tiles_y)
+    x0 = np.clip(np.floor(bboxes[:, 0] / TILE_SIZE), 0, None)
+    y0 = np.clip(np.floor(bboxes[:, 1] / TILE_SIZE), 0, None)
+    tiles_x = -(-width // TILE_SIZE)
+    tiles_y = -(-height // TILE_SIZE)
+    x1 = np.clip(np.ceil(bboxes[:, 2] / TILE_SIZE), None, tiles_x)
+    y1 = np.clip(np.ceil(bboxes[:, 3] / TILE_SIZE), None, tiles_y)
     nx = np.maximum(x1 - x0, 0.0)
     ny = np.maximum(y1 - y0, 0.0)
     counts = (nx * ny).astype(np.int64)

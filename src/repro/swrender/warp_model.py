@@ -42,8 +42,8 @@ from repro.render.fragstream import (
     DEFAULT_TERMINATION_ALPHA,
     FragmentStream,
 )
+from repro.swrender.tiling import TILE_SIZE
 
-TILE_SIZE = 16
 WARP_ROWS = 2           # a warp covers a 16x2-pixel strip of the tile
 WARPS_PER_TILE = TILE_SIZE // WARP_ROWS
 WARP_THREADS = 32

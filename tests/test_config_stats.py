@@ -3,20 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.experiments.tables import table1
 from repro.hwmodel.config import EnergyTable, GPUConfig, jetson_agx_orin, rtx_3090
 from repro.hwmodel.stats import PipelineStats, UnitStats
+from repro.render.fragstream import RASTER_TILE_SIZE, TILE_GRID_TILES, TILE_SIZE
 
 
 class TestGPUConfig:
     def test_table1_defaults(self):
         cfg = jetson_agx_orin()
-        assert cfg.n_gpc == 1
+        rows = table1()
+        assert rows["# GPC"] == 1
         assert cfg.n_sm == 16
         assert cfg.sm_freq_mhz == 612.0
-        assert cfg.lanes_per_sm == 64
+        assert rows["Lanes per SIMT Core"] == 64
         assert cfg.crop_cache_kb == 16
-        assert cfg.raster_tile_px == 8
-        assert cfg.screen_tile_px * cfg.tile_grid_tiles == 64
+        assert RASTER_TILE_SIZE == rows["Raster Tile (px)"] == 8
+        assert TILE_SIZE * TILE_GRID_TILES == 64
+        assert rows["Screen Tile (px)"] * rows["Tile Grid (tiles)"] == 64
         assert cfg.n_tgc_bins == 128
         assert cfg.tgc_bin_prims == 16
         assert cfg.n_tc_bins == 32

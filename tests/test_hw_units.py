@@ -11,6 +11,7 @@ from repro.hwmodel.stats import PipelineStats
 from repro.hwmodel.units import ceil_div, popcount4, warps_for_quads
 from repro.hwmodel.vpo import VertexPipeline
 from repro.hwmodel.zrop import ZropUnit
+from repro.render.fragstream import TILE_SIZE
 
 
 @pytest.fixture
@@ -193,7 +194,7 @@ class TestZropUnit:
         stats_plan, stats_seq = PipelineStats(), PipelineStats()
         plan_unit = ZropUnit(cfg, stats_plan)
         seq_unit = ZropUnit(cfg, stats_seq)
-        assert plan_unit.zcache.n_lines % cfg.screen_tile_px == 0
+        assert plan_unit.zcache.n_lines % TILE_SIZE == 0
         # Enough distinct tile rows to overflow the 8-group capacity,
         # plus revisits for hits.
         tiles = list(range(0, 44, 4)) + [0, 20, 40, 0]

@@ -5,20 +5,29 @@ copy of the tree and that every other tier-1 test let through (the
 mutation table is in CHANGES.md): an environment read, an unsorted
 directory listing, an unseeded random generator, a misspelt path-mode
 literal that silently turns an oracle branch dead, and an unlocked write
-to module state shared by ``run_frames`` worker threads.  The checks
-parse ``src/repro`` with the stdlib ``ast`` module.
+to module state shared by ``run_frames`` worker threads.  Two more keep
+the model lean: every field of a cost-model dataclass has a reader, and
+no module imports a name it never uses (ruff's F401, which CI runs; the
+stdlib version here runs wherever the tests do).  The checks parse the
+sources with the stdlib ``ast`` module.
 """
 
 import ast
+import dataclasses
 import functools
 from pathlib import Path
 
+from repro.accel.gscore import GSCoreConfig
+from repro.hwmodel.config import EnergyTable, GPUConfig
 from repro.hwmodel.pipeline import PIPELINE_ENGINES
 from repro.render.coherence import COHERENCE_MODES
 from repro.render.frameir import IR_MODES
+from repro.swopt.inshader import InShaderModel
+from repro.swrender.renderer import SWKernelModel
 from repro.swrender.warp_model import SWMODEL_MODES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: Each path knob's parameter name and its legal values.
 MODES = {"ir": IR_MODES, "coherence": COHERENCE_MODES,
@@ -174,3 +183,58 @@ def test_shared_module_state_is_written_under_a_lock():
     function writes is shared between them."""
     writes = [w for rel, tree in modules() for w in unlocked_writes(rel, tree)]
     assert writes == []
+
+
+#: Cost-model dataclasses: each field is a settable value of the model.
+MODEL_CLASSES = (GPUConfig, EnergyTable, SWKernelModel, InShaderModel,
+                 GSCoreConfig)
+
+
+def test_every_model_field_has_a_reader():
+    """A field no model code reads is a setting that changes nothing.
+    Printing it (``experiments/tables.py``) or validating it
+    (``__post_init__``) does not make it part of the model."""
+    reads = set()
+    for rel, tree in modules():
+        if rel == "repro/experiments/tables.py":
+            continue
+        checks = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "__post_init__" for node in ast.walk(fn)}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load) and id(node) not in checks}
+    unread = [f"{cls.__name__}.{field.name}" for cls in MODEL_CLASSES
+              for field in dataclasses.fields(cls) if field.name not in reads]
+    assert unread == []
+
+
+def unused_imports(path):
+    """``path:line: name`` for each name ``path`` imports and never uses.
+    A name listed in ``__all__`` counts as used; ``__future__`` imports
+    are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(name_of(t) == "__all__" for t in node.targets)):
+            used.update(strings(node.value))
+    rel = path.relative_to(ROOT).as_posix()
+    return [f"{rel}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted(p for top in ("src", "tests", "benchmarks", "examples")
+                   for p in (ROOT / top).rglob("*.py"))
+    assert paths
+    assert [u for path in paths for u in unused_imports(path)] == []
