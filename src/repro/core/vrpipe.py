@@ -163,7 +163,11 @@ class HardwareRenderer:
 
         ``pre`` sizes the preprocessing kernel (the stream's visible
         splats otherwise).  Each draw starts on a cold CROP cache and a
-        cleared termination stencil, as in hardware.
+        cleared termination stencil, as in hardware.  That is what makes
+        the draw a pure function of the stream's content and the config,
+        so :meth:`~repro.hwmodel.pipeline.GraphicsPipeline.draw` memoizes
+        it with the stream, and a coherence full hit of a revisited frame
+        returns it without running a unit.
         """
         model = self.kernel_model
         n_gaussians = (pre.n_input if pre is not None

@@ -19,6 +19,7 @@ produces the utilisation report of Figure 6.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -54,6 +55,14 @@ from repro.utils.arrays import expand_segments, segment_boundaries
 PIPELINE_ENGINES = ("batched", "scalar")
 
 
+def draw_key(config, n_prims):
+    """Stream-cache key of the :class:`~repro.hwmodel.stats.PipelineStats`
+    of a memoized draw under ``config``.  The vertex stage counts
+    ``n_prims``, the one draw input that a coherence hit verified on the
+    raster alone (rows and alphas) does not pin."""
+    return ("draw_stats", dataclasses.astuple(config), int(n_prims))
+
+
 class DrawWorkload:
     """A draw call pre-digested for the pipeline simulator.
 
@@ -73,7 +82,8 @@ class DrawWorkload:
         self._term_tags = terminated_stencil_tags
         #: ``(stream, config)`` of :meth:`from_stream` (``None`` for a
         #: hand-built workload): the deferred termination pass reads it,
-        #: and the draw memoizes its flush digest in the stream's cache.
+        #: and the draw memoizes its stats and flush digest in the
+        #: stream's cache.
         self._source = source
         self._build_groups()
 
@@ -356,6 +366,16 @@ class GraphicsPipeline:
         :class:`~repro.hwmodel.trace.DrawTrace`.  ``engine`` selects the
         batched flush-plan engine (default) or the scalar per-flush path;
         both are cycle-, stat- and trace-exact against each other.
+
+        A batched draw with no shared CROP cache and no trace, of a
+        workload built from a stream under this pipeline's config, starts
+        on a cold CROP cache and a cleared stencil, so its statistics are
+        a pure function of the stream's content and the config.  They are
+        memoized in the stream's cache (under :func:`draw_key`, where a
+        coherence full hit installs them), and every call returns its own
+        copy.  Every other draw (scalar, traced, warm-cache, or of a
+        workload built by hand or under another config) simulates and
+        memoizes nothing.
         """
         if engine not in PIPELINE_ENGINES:
             raise ValueError(
@@ -370,6 +390,19 @@ class GraphicsPipeline:
                 "draw() accepts a FragmentStream or DrawWorkload, got "
                 f"{type(workload_or_stream).__name__}")
 
+        cfg = self.config
+        memo = (self._stream_cache(workload)
+                if engine == "batched" and crop_cache is None
+                and trace is None else {})
+        key = draw_key(cfg, workload.n_prims)
+        stats = memo.get(key)
+        if stats is None:
+            stats = memo[key] = self._simulate(workload, crop_cache, trace,
+                                               engine)
+        return DrawResult(stats.copy(), cfg, workload.width, workload.height)
+
+    def _simulate(self, workload, crop_cache, trace, engine):
+        """Run the draw through the units; returns its finished stats."""
         cfg = self.config
         self._trace = trace
         stats = PipelineStats()
@@ -394,9 +427,20 @@ class GraphicsPipeline:
         raster.finalize()
         stats.finalize(cfg.pipeline_fill_cycles)
         self._trace = None
-        return DrawResult(stats, cfg, workload.width, workload.height)
+        return stats
 
     # ------------------------------------------------------------------
+
+    def _stream_cache(self, workload):
+        """The cache of the stream ``workload`` was built from under this
+        pipeline's config, or a throwaway dict for a workload built by
+        hand or under another config (its quad table and termination set
+        follow that config, so nothing keyed by this one may describe
+        it)."""
+        source = workload._source
+        if source is not None and source[1] == self.config:
+            return source[0]._cache
+        return {}
 
     def _draw_batched(self, workload, raster, crop, zrop, shader, stats):
         """Replay the draw's flush digest through the units at once."""
@@ -409,16 +453,16 @@ class GraphicsPipeline:
     def _flush_digest(self, workload):
         """The workload's :class:`~repro.hwmodel.flushplan.FlushDigest`.
 
-        Memoized in the cache of the stream the workload was built from
-        under this config (where a coherence full hit installs it), so a
-        redrawn or revisited frame skips planning and reads no per-quad
-        column.  Workloads built by hand, or under another config, plan
-        afresh.
+        Memoized in the stream's cache next to the draw's stats (see
+        :meth:`draw`), so a traced or warm-cache redraw of a digested
+        frame replays it without planning the flush schedule again or
+        reading a per-quad column.  A coherence full hit installs it as
+        well, but an untraced cold draw of the hit reads the memoized
+        stats and never replays it.  Workloads built by hand, or under
+        another config, plan afresh.
         """
         cfg = self.config
-        source = workload._source
-        cache = (source[0]._cache if source is not None and source[1] == cfg
-                 else {})
+        cache = self._stream_cache(workload)
         key = digest_key(cfg)
         digest = cache.get(key)
         if digest is None:

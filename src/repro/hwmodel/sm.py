@@ -16,10 +16,10 @@ import numpy as np
 from repro.hwmodel.units import (
     QUAD_THREADS,
     QUADS_PER_WARP,
-    WARP_SIZE,
     ceil_div,
     warps_for_quads,
 )
+from repro.render.fragstream import WARP_SIZE
 
 
 class ShaderArray:

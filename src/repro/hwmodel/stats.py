@@ -9,6 +9,8 @@ utilisation is ``busy / total`` — exactly the
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 
@@ -102,6 +104,13 @@ class PipelineStats:
         self.zrop_tests = 0
         self.termination_updates = 0
         self.dram_bytes = 0.0
+
+    def copy(self):
+        """An independent copy: its unit counters are copies too."""
+        other = copy.copy(self)
+        other.units = {name: copy.copy(unit)
+                       for name, unit in self.units.items()}
+        return other
 
     # ------------------------------------------------------------------
 

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.render.fragstream import QUAD_SIZE
+from repro.render.fragstream import QUAD_SIZE, WARP_SIZE
 from repro.utils.arrays import popcount4
 
-__all__ = ["WARP_SIZE", "QUAD_THREADS", "QUADS_PER_WARP", "ceil_div",
+__all__ = ["QUAD_THREADS", "QUADS_PER_WARP", "ceil_div",
            "warps_for_quads", "as_index_array", "popcount4"]
-
-#: Threads per warp on the modelled GPU.
-WARP_SIZE = 32
 
 #: Fragments per quad (2x2).
 QUAD_THREADS = QUAD_SIZE * QUAD_SIZE

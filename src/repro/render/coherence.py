@@ -27,27 +27,31 @@ can cost a missed hit, never bit-identity::
   and the framebuffer size matches: the rasteriser is a deterministic
   function of exactly these inputs, so the state's FrameIR and alphas
   *are* the frame's raster.  The stream's ``prim_ids``, ``x`` and ``y``
-  are rebuilt from the FrameIR rows by the producer the rasteriser itself
-  uses (:func:`~repro.render.frameir.row_fragments`).
+  are rebuilt from the FrameIR rows, on first read, by the producer the
+  rasteriser itself uses (:func:`~repro.render.frameir.row_fragments`);
+  a hit whose consumers are all served never reads them.
 * :meth:`FrameCoherence.begin_frame` runs **after rasterisation** and
   compares the FrameIR row intervals and the fragment alpha bit
   patterns.  It serves streams whose splats are unknown, and on a miss
   it captures the frame (with its splats, when the caller passes them).
 
 On either hit the matched state's products (per-pixel accumulated alpha
-and termination ranks, the per-pixel exit primitives, the ET counts, the
-hardware draw's flush digest per ``GPUConfig``) are installed into the
-stream's caches, and the matched frame's FrameIR quad view is shared,
-before digestion starts.  The draw then replays the digest through its
-units and caches without planning the flush schedule again.  On a miss
-(**full recompute**) the stream digests from scratch, and the products it
-materialises are kept for later frames.
+and termination ranks, the per-pixel exit primitives, the ET counts, and
+per ``GPUConfig`` the hardware draw's finished stats and flush digest)
+are installed into the stream's caches, and the matched frame's FrameIR
+quad view is shared, before digestion starts.  Every hardware draw starts
+on a cold CROP cache and a cleared stencil, so an untraced batched draw
+is a pure function of the frame's content and the config: the draw
+returns a copy of the memoized stats and runs no unit.  A traced or
+warm-cache draw replays the digest without planning the flush schedule
+again.  On a miss (**full recompute**) the stream digests from scratch,
+and the products it materialises are kept for later frames.
 
 A consumer the hit does not serve (``arrival_alpha``, ``blend_image``,
 the multipass model, a per-quad aggregate column, a draw under a config
-the captured frame was not drawn under) recomputes
-through the unchanged stateless path, so every outcome is bit-identical
-by construction, pinned by ``tests/test_coherence.py``.
+the captured frame was not drawn under, the scalar flush engine)
+recomputes through the unchanged stateless path, so every outcome is
+bit-identical by construction, pinned by ``tests/test_coherence.py``.
 
 State lifecycle
 ---------------
@@ -80,7 +84,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.render.fragstream import FragmentStream
-from repro.render.frameir import row_fragments
 from repro.utils.arrays import ndarray_bytes
 
 #: Default byte budget of a carrier's state library.  Measured sealed
@@ -142,12 +145,16 @@ class _FrameState:
     #: Stream cache families a sealed state keeps (a cache key is either
     #: the family name or a tuple led by it): the per-pixel accumulated
     #: alpha, termination ranks and exit primitives, the two ET counts,
-    #: and the batched draw's flush digest per ``GPUConfig`` (a
+    #: and per ``GPUConfig`` the batched draw's finished stats (a
+    #: :class:`~repro.hwmodel.stats.PipelineStats`, which every draw
+    #: hands out only as a copy) and its flush digest (a
     #: :class:`~repro.hwmodel.flushplan.FlushDigest`, read-only from
-    #: construction).  The per-quad aggregate columns are not kept: only
-    #: the draw read them, and a hit serves it from the digest.
+    #: construction).  A hit's untraced cold draw returns the stats; a
+    #: traced or warm-cache redraw replays the digest.  The per-quad
+    #: aggregate columns are not kept: only the draw read them.
     PRODUCTS = frozenset(("accumulated_alpha", "term_rank", "exit_prim",
-                          "unpruned_count", "et_count", "flush_digest"))
+                          "unpruned_count", "et_count", "draw_stats",
+                          "flush_digest"))
 
     def __init__(self, stream, splats=None, splat_key=None):
         self.stream = stream
@@ -180,13 +187,13 @@ class _FrameState:
     def served_stream(self, splats):
         """The stream :func:`~repro.render.splat_raster.rasterize_splats`
         emits for ``splats`` (verified equal to the recorded ones), rebuilt
-        from the sealed raster: shared FrameIR and alphas, coordinates
-        expanded from the FrameIR rows."""
+        from the sealed raster: shared FrameIR and alphas.  Its
+        coordinates expand from the FrameIR rows only if a consumer the
+        hit does not serve reads them, and live on the stream, never in
+        this state."""
         ir = self.frameir
-        prim_ids, x, y = row_fragments(ir.row_prim, ir.row_y, ir.row_xlo,
-                                       ir.row_fstart, ir.n_fragments)
         return FragmentStream(
-            prim_ids=prim_ids, x=x, y=y, alphas=self.alphas,
+            prim_ids=None, x=None, y=None, alphas=self.alphas,
             prim_colors=splats.colors, width=ir.width, height=ir.height,
             validate=False, frameir=ir)
 

@@ -38,6 +38,10 @@ TILE_GRID_TILES = 4  # a tile grid is 4x4 screen tiles = 64x64 pixels
 QUADS_PER_TILE_AXIS = TILE_SIZE // QUAD_SIZE  # 8 -> 64 quad positions/tile
 QUADS_PER_RASTER_TILE_AXIS = RASTER_TILE_SIZE // QUAD_SIZE  # 4
 
+#: Threads per warp on the modelled GPU: the SIMT cores of the hardware
+#: pipeline and the CUDA renderer's warp model run the same warps.
+WARP_SIZE = 32
+
 
 def arrival_chain_sliced(alpha_eff_sorted, starts, slice_bounds):
     """Arrival accumulated alpha over a pixel-sorted fragment block.
@@ -97,7 +101,9 @@ class FragmentStream:
     prim_ids:
         ``(n,)`` int32 index of the emitting splat (ascending in draw order).
     x, y:
-        ``(n,)`` int32 pixel coordinates.
+        ``(n,)`` int32 pixel coordinates.  A stream given a ``frameir``
+        may pass ``None`` for all three: they are then expanded from the
+        FrameIR rows on first read (:attr:`_COORDINATES`).
     alphas:
         ``(n,)`` float32 fragment alphas (already capped at 0.99).
     prim_colors:
@@ -114,39 +120,75 @@ class FragmentStream:
         :mod:`repro.render.frameir`).
     """
 
+    #: Per-fragment coordinate arrays a stream built from a FrameIR alone
+    #: expands on first read, all three at once, by the producer the
+    #: rasteriser emits them with
+    #: (:func:`~repro.render.frameir.row_fragments`).
+    _COORDINATES = ("prim_ids", "x", "y")
+
     def __init__(self, prim_ids, x, y, alphas, prim_colors, width, height,
                  validate=True, frameir=None):
-        self.prim_ids = np.asarray(prim_ids, dtype=np.int32)
-        self.x = np.asarray(x, dtype=np.int32)
-        self.y = np.asarray(y, dtype=np.int32)
         self.alphas = np.asarray(alphas, dtype=np.float32)
         self.prim_colors = np.asarray(prim_colors, dtype=np.float64)
         self.width = int(width)
         self.height = int(height)
-        n = self.prim_ids.shape[0]
-        for name, arr in (("x", self.x), ("y", self.y), ("alphas", self.alphas)):
+        self.frameir = frameir
+        if prim_ids is None:
+            if frameir is None or x is not None or y is not None:
+                raise ValueError(
+                    "only a stream with a frameir may defer its "
+                    "coordinates, and it defers prim_ids, x and y together")
+            n = frameir.n_fragments
+            checked = {"alphas": self.alphas}
+            # The coordinates expand from the rows: range-check those.
+            prims, x_lo, x_hi, ys = (frameir.row_prim, frameir.row_xlo,
+                                     frameir.row_xhi, frameir.row_y)
+        else:
+            self.prim_ids = np.asarray(prim_ids, dtype=np.int32)
+            self.x = np.asarray(x, dtype=np.int32)
+            self.y = np.asarray(y, dtype=np.int32)
+            n = self.prim_ids.shape[0]
+            checked = {"x": self.x, "y": self.y, "alphas": self.alphas}
+            prims, x_lo, x_hi, ys = self.prim_ids, self.x, self.x, self.y
+        for name, arr in checked.items():
             if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+                raise ValueError(
+                    f"{name} must have shape ({n},), got {arr.shape}")
         # ``validate=False`` skips the six full-stream min/max range
         # reductions; reserved for producers whose outputs are range-safe
         # by construction (the rasterisers clip to the framebuffer).
         if validate and n:
-            if (self.prim_ids.min() < 0
-                    or self.prim_ids.max() >= self.prim_colors.shape[0]):
+            if prims.min() < 0 or prims.max() >= self.prim_colors.shape[0]:
                 raise ValueError("prim_ids reference colours out of range")
-            if ((self.x.min() < 0) or (self.x.max() >= self.width)
-                    or (self.y.min() < 0) or (self.y.max() >= self.height)):
+            if ((x_lo.min() < 0) or (x_hi.max() >= self.width)
+                    or (ys.min() < 0) or (ys.max() >= self.height)):
                 raise ValueError(
                     "fragment coordinates fall outside the framebuffer")
-        self.frameir = frameir
         self._cache = {}
+
+    def __getattr__(self, name):
+        # Only reached for an attribute the instance does not hold: the
+        # coordinates of a stream built without them.  An array rebound
+        # before the first read stays as rebound.
+        if name in FragmentStream._COORDINATES \
+                and self.__dict__.get("frameir") is not None:
+            from repro.render.frameir import row_fragments
+
+            ir = self.frameir
+            expanded = row_fragments(ir.row_prim, ir.row_y, ir.row_xlo,
+                                     ir.row_fstart, ir.n_fragments)
+            for key, value in zip(FragmentStream._COORDINATES, expanded):
+                self.__dict__.setdefault(key, value)
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
     # Basic derived arrays
     # ------------------------------------------------------------------
 
     def __len__(self):
-        return self.prim_ids.shape[0]
+        return self.alphas.shape[0]
 
     @property
     def n_fragments(self):

@@ -40,13 +40,13 @@ import numpy as np
 
 from repro.render.fragstream import (
     DEFAULT_TERMINATION_ALPHA,
+    WARP_SIZE,
     FragmentStream,
 )
 from repro.swrender.tiling import TILE_SIZE
 
-WARP_ROWS = 2           # a warp covers a 16x2-pixel strip of the tile
+WARP_ROWS = WARP_SIZE // TILE_SIZE  # a warp covers a 16x2-pixel strip
 WARPS_PER_TILE = TILE_SIZE // WARP_ROWS
-WARP_THREADS = 32
 
 #: Valid values of the ``swmodel`` knob: the FrameIR-backed engine, or
 #: the retained fragment-sort oracle.
@@ -91,7 +91,7 @@ class WarpExecution:
         """Fraction of executed thread-slots doing useful blending (Fig. 9)."""
         rounds = self.rounds_et if early_term else self.rounds_no_et
         ops = self.blend_ops_et if early_term else self.blend_ops_no_et
-        slots = rounds * WARP_THREADS
+        slots = rounds * WARP_SIZE
         if slots == 0:
             return 0.0
         return ops / slots

@@ -26,7 +26,8 @@ from repro.engine.session import RenderSession
 from repro.gaussians import Camera
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.flushplan import FlushDigest
-from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
+from repro.hwmodel.caches import LRUCache
+from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline, draw_key
 from repro.hwmodel.trace import DrawTrace
 from repro.render.coherence import (
     COHERENCE_MODES,
@@ -35,6 +36,7 @@ from repro.render.coherence import (
     FrameCoherence,
     resolve_coherence,
 )
+from repro.render.fragstream import FragmentStream
 from repro.render.splat_raster import rasterize_splats
 from repro.utils.arrays import ndarray_bytes
 from repro.workloads.viewpoints import scene_viewpoints
@@ -42,6 +44,9 @@ from repro.workloads.viewpoints import scene_viewpoints
 #: The sorted-domain digestion caches compared with the oracle's.
 CANONICAL = ("pixel_order", "pix_sorted", "pixel_starts",
              "alpha_eff_sorted", "arrival_sorted")
+
+#: Per-fragment coordinates a served stream expands on first read.
+COORDINATES = ("prim_ids", "x", "y")
 
 #: Quad-table columns compared (incl. dtypes) between carrier and oracle.
 QUAD_COLUMNS = ("prim_ids", "qx", "qy", "tile_ids", "grid_ids", "qpos",
@@ -507,8 +512,10 @@ class TestSealedStates:
         assert sealed.stream is None
         products = sealed.products
         digest_key = ("flush_digest", dataclasses.astuple(config))
+        stats_key = draw_key(config, stream.prim_colors.shape[0])
         assert {"accumulated_alpha", "unpruned_count", ("et_count", thr),
-                ("term_rank", thr), digest_key} <= set(products)
+                ("term_rank", thr), digest_key, stats_key} <= set(products)
+        assert stream._cache[stats_key] is products[stats_key]
         # Nothing that only re-runs the arrival chain or the quad
         # reductions is kept, and no per-quad aggregate column: the
         # draw's digest replaces them.
@@ -684,9 +691,9 @@ def _capture(car, splats, width, height):
 
 def _assert_streams_identical(want, got):
     """Fragment arrays and raster structure bit for bit."""
-    for name in ("prim_ids", "x", "y", "alphas", "prim_colors"):
-        a, b = getattr(want, name), getattr(got, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    names = ("prim_ids", "x", "y", "alphas", "prim_colors")
+    _assert_bitwise({name: getattr(want, name) for name in names},
+                    {name: getattr(got, name) for name in names})
     assert (want.width, want.height) == (got.width, got.height)
     wir, gir = want.frameir, got.frameir
     assert wir.n_fragments == gir.n_fragments
@@ -745,8 +752,10 @@ class TestPreRasterServe:
             served = car.serve(pre.splats, cam.width, cam.height)
             assert served is not None
             assert car.stats["full_hits"] == 1
+            assert not set(COORDINATES) & set(vars(served))
             oracle = rasterize_splats(pre.splats, cam.width, cam.height)
             _assert_streams_identical(oracle, served)
+            assert set(COORDINATES) <= set(vars(served))
             _assert_bitwise(_digest(oracle), _digest(served))
 
     def test_one_ulp_change_to_each_verified_field_misses(self, small_pre,
@@ -934,9 +943,9 @@ def _assert_stats_equal(a, b):
 
 
 class TestFlushDigestServing:
-    """A full hit serves the batched draw its flush digest: no schedule is
-    planned, no per-quad column is read, and the stateful replay keeps
-    every stat, trace event and cache state exact."""
+    """A full hit serves a traced batched draw its flush digest: no
+    schedule is planned, no per-quad column is read, and the stateful
+    replay keeps every stat, trace event and cache state exact."""
 
     def _hit_stream(self, car, pre, cam, configs):
         """Digest and draw one frame under ``configs``, then return the
@@ -977,8 +986,10 @@ class TestFlushDigestServing:
         monkeypatch.setattr(pipeline, "build_flush_plan", counting_plan)
         monkeypatch.setattr(fragstream._IRQuadColumnBuilder, "column",
                             counting_column)
+        # Traced, so the draw replays the digest rather than returning
+        # the memoized stats.
         got = GraphicsPipeline(config).draw(
-            DrawWorkload.from_stream(stream, config))
+            DrawWorkload.from_stream(stream, config), trace=DrawTrace())
         assert plans == [] and columns == []
         oracle = rasterize_splats(pre.splats, cam.width, cam.height)
         want = GraphicsPipeline(config).draw(
@@ -1040,6 +1051,184 @@ class TestFlushDigestServing:
                        for key in stream._cache)
         _assert_stats_equal(got.stats,
                             pipe.draw(workload, engine="scalar").stats)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (a module function or a method)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _draw_stats_keys(stream):
+    return {key for key in stream._cache
+            if isinstance(key, tuple) and key[0] == "draw_stats"}
+
+
+class TestDrawMemo:
+    """An untraced batched cold-cache draw of a stream's own workload is
+    memoized with the stream (and kept by the carrier); a verified full
+    hit returns a copy of it and runs no unit."""
+
+    def test_revisit_replays_nothing_and_expands_no_coordinate(
+            self, monkeypatch):
+        from repro.hwmodel import pipeline
+        from repro.render import frameir
+
+        cams = scene_viewpoints("palace", 2)
+        on, off = (RenderSession("palace", backend="hw:het+qm",
+                                 baseline=None, coherence=mode)
+                   for mode in ("auto", "off"))
+        for cam in cams:
+            on.render_frame(camera=cam)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a verified full hit ran this")
+
+        monkeypatch.setattr(pipeline, "replay_flushes", forbidden)
+        monkeypatch.setattr(frameir, "row_fragments", forbidden)
+        got = [on.render_frame(camera=cam) for cam in cams]
+        assert on.carrier.stats["full_hits"] == len(cams)
+        monkeypatch.undo()
+        for frame, cam in zip(got, cams):
+            assert not set(COORDINATES) & set(vars(frame.raw.stream))
+            want = off.render_frame(camera=cam)
+            assert ((frame.cycles, frame.ms, frame.fps, frame.et_ratio,
+                     frame.n_fragments, frame.kernels)
+                    == (want.cycles, want.ms, want.fps, want.et_ratio,
+                        want.n_fragments, want.kernels))
+            _assert_stats_equal(frame.pipeline_stats, want.pipeline_stats)
+
+    def test_mutated_stats_do_not_reach_the_next_draw(self, deep_pre,
+                                                      deep_camera):
+        config = variant_config("het+qm")
+        w, h = deep_camera.width, deep_camera.height
+        car = FrameCoherence()
+        stream = _capture(car, deep_pre.splats, w, h)
+        first = GraphicsPipeline(config).draw(stream)
+        first.stats.total_cycles = -1.0
+        first.stats.units["crop"].add(5, 7.0)
+        served = car.serve(deep_pre.splats, w, h)
+        assert served is not None and car.stats["full_hits"] == 1
+        got = GraphicsPipeline(config).draw(served)
+        got.stats.fragments_blended += 1
+        again = GraphicsPipeline(config).draw(served)
+        oracle = rasterize_splats(deep_pre.splats, w, h)
+        want = GraphicsPipeline(config).draw(oracle, engine="scalar")
+        _assert_stats_equal(again.stats, want.stats)
+        assert again.stats is not got.stats
+
+    def test_unmemoized_draws_simulate_and_leave_no_key(
+            self, monkeypatch, deep_pre, deep_camera):
+        """Scalar, traced and warm-cache draws, and a workload built under
+        another config, always simulate: they neither read a memoized
+        draw nor leave one behind."""
+        config = variant_config("het+qm")
+        w, h = deep_camera.width, deep_camera.height
+        simulated = _count_calls(monkeypatch, GraphicsPipeline, "_simulate")
+        replays = _count_calls(monkeypatch, GraphicsPipeline,
+                               "_draw_batched")
+
+        def draws(stream):
+            pipe = GraphicsPipeline(config)
+            cache = LRUCache(config.crop_cache_kb * 1024,
+                             config.cache_line_bytes)
+            return [
+                pipe.draw(DrawWorkload.from_stream(stream, config),
+                          engine="scalar"),
+                pipe.draw(DrawWorkload.from_stream(stream, config),
+                          trace=DrawTrace()),
+                pipe.draw(DrawWorkload.from_stream(stream, config),
+                          crop_cache=cache),
+                pipe.draw(DrawWorkload.from_stream(
+                    stream, variant_config("het"))),
+            ]
+
+        stream = rasterize_splats(deep_pre.splats, w, h)
+        want = [result.stats for result in draws(stream)]
+        assert len(simulated) == 4 and len(replays) == 3
+        assert not _draw_stats_keys(stream)
+        # With a memoized draw present they still simulate, identically.
+        memoized = GraphicsPipeline(config).draw(stream)
+        assert len(simulated) == 5 and len(_draw_stats_keys(stream)) == 1
+        for got, stats in zip(draws(stream), want):
+            _assert_stats_equal(got.stats, stats)
+        assert len(simulated) == 9 and len(replays) == 7
+        _assert_stats_equal(memoized.stats, want[0])
+
+    def test_hit_with_other_primitive_count_redraws(self, deep_pre,
+                                                    deep_camera):
+        """A post-raster hit verifies rows and alphas, not the splat count
+        the vertex stage processes: a frame with an extra splat that
+        covers no pixel hits the carrier but not the memoized draw."""
+        config = variant_config("het+qm")
+        w, h = deep_camera.width, deep_camera.height
+        car = FrameCoherence()
+        stream = rasterize_splats(deep_pre.splats, w, h)
+        car.begin_frame(stream)
+        GraphicsPipeline(config).draw(stream)
+        raster = rasterize_splats(deep_pre.splats, w, h)
+        extra = FragmentStream(
+            raster.prim_ids, raster.x, raster.y, raster.alphas,
+            np.vstack((raster.prim_colors, raster.prim_colors[:1])),
+            w, h, frameir=raster.frameir)
+        car.begin_frame(extra)
+        assert car.stats["full_hits"] == 1
+        got = GraphicsPipeline(config).draw(extra)
+        want = GraphicsPipeline(config).draw(extra, engine="scalar")
+        _assert_stats_equal(got.stats, want.stats)
+        assert got.stats.n_prims == stream.prim_colors.shape[0] + 1
+        assert len(_draw_stats_keys(extra)) == 2
+
+
+class TestLazyCoordinates:
+    """A served stream expands its coordinates from the FrameIR rows on
+    first read, never for its size, and keeps a rebound array."""
+
+    def test_size_reads_expand_nothing(self, small_pre, small_camera):
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence()
+        want = _capture(car, small_pre.splats, w, h)
+        served = car.serve(small_pre.splats, w, h)
+        assert len(served) == served.n_fragments == len(want)
+        assert not set(COORDINATES) & set(vars(served))
+        _ = served.y
+        assert set(COORDINATES) <= set(vars(served))
+        assert car._prev.nbytes == ndarray_bytes(
+            car._prev.frameir, car._prev.alphas, car._prev.products,
+            car._prev.splats)
+
+    def test_rebound_array_stays_rebound(self, small_pre, small_camera):
+        w, h = small_camera.width, small_camera.height
+        car = FrameCoherence()
+        want = _capture(car, small_pre.splats, w, h)
+        served = car.serve(small_pre.splats, w, h)
+        shifted = want.x + np.int32(1)
+        served.x = shifted
+        assert np.array_equal(served.prim_ids, want.prim_ids)
+        assert served.x is shifted
+        assert np.array_equal(served.y, want.y)
+
+    def test_deferring_needs_a_frameir_and_all_three(self, small_stream):
+        s = small_stream
+        with pytest.raises(ValueError, match="defer"):
+            FragmentStream(None, None, None, s.alphas, s.prim_colors,
+                           s.width, s.height)
+        with pytest.raises(ValueError, match="defer"):
+            FragmentStream(None, s.x, None, s.alphas, s.prim_colors,
+                           s.width, s.height, frameir=s.frameir)
+        with pytest.raises(ValueError, match="alphas"):
+            FragmentStream(None, None, None, s.alphas[1:], s.prim_colors,
+                           s.width, s.height, frameir=s.frameir)
+        with pytest.raises(ValueError, match="colours"):
+            FragmentStream(None, None, None, s.alphas, s.prim_colors[:1],
+                           s.width, s.height, frameir=s.frameir)
 
 
 class TestFrameRelease:
